@@ -10,8 +10,12 @@ Two recalibration families operate on a feature stack of shape
   partitioned into Q learnable level sets whose normalized memberships
   are pooled into an additive per-pixel gate field (``multi_forward``).
 * classic per-channel statistics -- mean (``se_forward``), mean plus
-  standard deviation (``srm_forward``), spatial projection maxout
-  (``scse_forward``), and cosine-basis squeezes (``fca_forward``).
+  standard deviation (``srm_gates``), spatial projection maxout
+  (``scse_forward``), and cosine-basis squeezes (``fca_gates``).
+
+Each method computes its gates once: the forwards return
+``(gates, output)``, and the gate-only squeezes (``srm_gates``,
+``fca_gates``) leave the multiplication ``stack * gates`` to the caller.
 
 The two exponent-driven paths also expose exact reverse-mode gradients
 with respect to every learnable parameter and the input stack, built
@@ -50,11 +54,9 @@ __all__ = [
     "se_forward",
     "scse_forward",
     "srm_gates",
-    "srm_forward",
     "dct_basis",
     "lowest_frequency_pairs",
     "fca_gates",
-    "fca_forward",
     "multi_membership",
     "multi_forward",
     "mono_backward",
@@ -253,20 +255,22 @@ def se_forward(stack, params: MonoParams, source: str = "features",
 
 
 def scse_forward(stack, channel_params: MonoParams, spatial_weights,
-                 spatial_bias: float = 0.0) -> np.ndarray:
+                 spatial_bias: float = 0.0):
     """Element-wise maxout of the channel-gated and spatially-gated stack.
 
     The spatial branch projects each pixel's channel vector to a scalar
-    logit (a 1x1 projection) and gates by its sigmoid.
+    logit (a 1x1 projection) and gates by its sigmoid.  Returns
+    ``(channel_gates, maxout)``, the channel gates being those of
+    ``se_forward(source="features")``.
     """
     stack = _as_stack(stack)
     spatial_weights = np.asarray(spatial_weights, dtype=np.float64)
     if spatial_weights.shape != (stack.shape[2],):
         raise ValueError("spatial projection needs one weight per channel")
-    _, channel_branch = se_forward(stack, channel_params, source="features")
+    gates, channel_branch = se_forward(stack, channel_params, source="features")
     logits = stack @ spatial_weights + spatial_bias
     spatial_branch = stack * sigmoid(logits)[:, :, None]
-    return np.maximum(channel_branch, spatial_branch)
+    return gates, np.maximum(channel_branch, spatial_branch)
 
 
 def srm_gates(stack, w_mean, w_std, norm: NormState) -> np.ndarray:
@@ -283,12 +287,6 @@ def srm_gates(stack, w_mean, w_std, norm: NormState) -> np.ndarray:
     w_std = np.asarray(w_std, dtype=np.float64)
     t = w_mean * gap(stack) + w_std * gsp(stack)
     return sigmoid(normalize(t, norm, channel_axis=0))
-
-
-def srm_forward(stack, w_mean, w_std, norm: NormState) -> np.ndarray:
-    """Recalibrate by the mean/std-pooled gates of :func:`srm_gates`."""
-    stack = _as_stack(stack)
-    return stack * srm_gates(stack, w_mean, w_std, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +343,6 @@ def fca_gates(stack, params: MonoParams, freq_pairs=None) -> np.ndarray:
             # to H*W*GAP
             z[ch] = (stack[:, :, ch] * basis).sum()
     return _gate_from_squeeze(z, params)
-
-
-def fca_forward(stack, params: MonoParams, freq_pairs=None) -> np.ndarray:
-    """Recalibrate by the cosine-squeeze gates of :func:`fca_gates`."""
-    stack = _as_stack(stack)
-    return stack * fca_gates(stack, params, freq_pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -48,15 +48,12 @@ class CascadeSpec:
 
     ``weights`` are the splitting ratios (two entries for the binomial
     case), ``depth`` the number of dyadic refinements, and ``dims``
-    selects a 1-D cascade or the 2-D product of two copies.  ``seed`` is
-    reserved for randomized variants and unused by the deterministic
-    generators.
+    selects a 1-D cascade or the 2-D product of two copies.
     """
 
     weights: tuple
     depth: int
     dims: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         weights = tuple(float(w) for w in self.weights)

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,6 @@ from . import __version__
 from . import io as fio
 from .analysis import excitation_covariance, excitation_report
 from .attention import (
-    fca_forward,
     fca_gates,
     gap,
     init_mono_params,
@@ -32,7 +30,6 @@ from .attention import (
     multi_forward,
     scse_forward,
     se_forward,
-    srm_forward,
     srm_gates,
 )
 from .cascade import (
@@ -58,9 +55,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
-
-_COMMANDS = ("cascade", "holder", "spectrum", "recalibrate", "excite", "selftest", "bench")
-
 
 class UsageError(ValueError):
     """Flag combination that fails a module precondition."""
@@ -222,41 +216,12 @@ def _cmd_recalibrate(args) -> int:
     use_bias = not args.strict_paper_mode
     gates_record: dict = {"method": args.method}
 
-    def mono_params(norm_mode="frozen"):
+    def mono_params():
         return init_mono_params(
-            channels, args.reduction, rng=rng, norm_mode=norm_mode, use_bias=use_bias
+            channels, args.reduction, rng=rng, norm_mode="frozen", use_bias=use_bias
         )
 
-    if args.method == "cse":
-        gates, out = se_forward(stack, mono_params(), source="features")
-        gates_record["gates"] = [float(g) for g in gates]
-    elif args.method == "mono":
-        gates, out = se_forward(
-            stack, mono_params(), source="alpha-map", scales=scales,
-            epsilon=args.epsilon,
-        )
-        gates_record["gates"] = [float(g) for g in gates]
-    elif args.method == "scse":
-        params = mono_params()
-        spatial = rng.normal(scale=1.0 / np.sqrt(channels), size=channels)
-        out = scse_forward(stack, params, spatial)
-        gates, _ = se_forward(stack, params, source="features")
-        gates_record["gates"] = [float(g) for g in gates]
-    elif args.method == "srm":
-        w_mean = rng.normal(size=channels)
-        w_std = rng.normal(size=channels)
-        norm = NormState.identity(channels, mode="frozen")
-        out = srm_forward(stack, w_mean, w_std, norm)
-        gates = srm_gates(stack, w_mean, w_std, norm)
-        gates_record["gates"] = [float(g) for g in gates]
-    elif args.method == "fca":
-        groups = args.groups if args.groups else min(16, channels)
-        pairs = lowest_frequency_pairs(groups, stack.shape[0], stack.shape[1])
-        params = mono_params()
-        out = fca_forward(stack, params, freq_pairs=pairs)
-        gates = fca_gates(stack, params, freq_pairs=pairs)
-        gates_record["gates"] = [float(g) for g in gates]
-    elif args.method == "multi":
+    if args.method == "multi":
         alpha = holder_map(stack, scales, args.epsilon, threads=_resolve_threads(args))
         params = init_multi_params(args.q, float(alpha.min()), float(alpha.max()))
         gate, out = multi_forward(stack, alpha, params)
@@ -265,8 +230,30 @@ def _cmd_recalibrate(args) -> int:
             gate_max=float(gate.max()),
             gate_mean=float(gate.mean()),
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown method {args.method!r}")
+    else:
+        if args.method == "cse":
+            gates, out = se_forward(stack, mono_params(), source="features")
+        elif args.method == "mono":
+            gates, out = se_forward(
+                stack, mono_params(), source="alpha-map", scales=scales,
+                epsilon=args.epsilon,
+            )
+        elif args.method == "scse":
+            params = mono_params()
+            spatial = rng.normal(scale=1.0 / np.sqrt(channels), size=channels)
+            gates, out = scse_forward(stack, params, spatial)
+        elif args.method == "srm":
+            w_mean = rng.normal(size=channels)
+            w_std = rng.normal(size=channels)
+            norm = NormState.identity(channels, mode="frozen")
+            gates = srm_gates(stack, w_mean, w_std, norm)
+            out = stack * gates
+        else:  # fca; argparse restricts the choices
+            groups = args.groups if args.groups else min(16, channels)
+            pairs = lowest_frequency_pairs(groups, stack.shape[0], stack.shape[1])
+            gates = fca_gates(stack, mono_params(), freq_pairs=pairs)
+            out = stack * gates
+        gates_record["gates"] = [float(g) for g in gates]
 
     _write_container(args.out, out)
     if args.gates:
@@ -312,42 +299,6 @@ def _cmd_selftest(args) -> int:
         for r in results:
             print(r.line())
     return EXIT_OK if all(r.passed for r in results) else 1
-
-
-def _cmd_bench(args) -> int:
-    if args.repetitions < 1:
-        raise UsageError("--repetitions must be >= 1")
-    if args.repetitions < 5:
-        print("warning: fewer than 5 repetitions gives unstable quartiles",
-              file=sys.stderr)
-    channel_widths = [int(tok) for tok in args.channels.split(",") if tok]
-    if not channel_widths or any(c < 1 for c in channel_widths):
-        raise UsageError("--channels must list positive integers")
-    if args.size < 1:
-        raise UsageError("--size must be >= 1")
-    scales = _parse_scales(args.scales)
-    threads = _resolve_threads(args)
-    rng = np.random.default_rng(args.seed)
-
-    rows = []
-    print(f"{'channels':>8} {'median_ms':>12} {'iqr_ms':>10}   "
-          f"(n={args.repetitions}, {args.size}x{args.size}, threads={threads})")
-    for width in channel_widths:
-        field = rng.uniform(0.1, 1.0, (args.size, args.size, width))
-        samples = []
-        for _ in range(args.repetitions):
-            start = time.perf_counter()
-            holder_map(field, scales, DEFAULT_EPSILON, threads=threads)
-            samples.append((time.perf_counter() - start) * 1e3)
-        q25, q50, q75 = np.percentile(samples, [25, 50, 75])
-        rows.append({"channels": width, "median_ms": q50, "iqr_ms": q75 - q25})
-        print(f"{width:>8} {q50:>12.2f} {q75 - q25:>10.2f}")
-    medians = [row["median_ms"] for row in rows]
-    if sorted(medians) != medians:
-        print("note: medians are not monotone in channel count", file=sys.stderr)
-    if args.out:
-        _write_text(args.out, json.dumps(rows) + "\n")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--artifacts", help="keep deterministic artifacts here")
     p.set_defaults(func=_cmd_selftest)
-
-    p = sub.add_parser("bench", help="time the exponent-map kernel")
-    p.add_argument("--repetitions", type=int, default=30)
-    p.add_argument("--channels", default="32,64,128")
-    p.add_argument("--size", type=int, default=224)
-    p.add_argument("--scales", default="2,3,4")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write the JSON rows here")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -102,11 +102,13 @@ def _window_sum_table(table: np.ndarray, side: int, offset: int) -> np.ndarray:
     r0, r1 = _edge_indices(h, side, offset)
     c0, c1 = _edge_indices(w, side, offset)
     top, bottom = table[r0], table[r1]
-    # four-corner difference, evaluated in a fixed order
-    return bottom[:, c1] - bottom[:, c0] - top[:, c1] + top[:, c0]
+    # four-corner difference, evaluated in a fixed order; take() keeps the
+    # corners (and so the result) C-contiguous, where [:, idx] would not
+    return (np.take(bottom, c1, axis=1) - np.take(bottom, c0, axis=1)
+            - np.take(top, c1, axis=1) + np.take(top, c0, axis=1))
 
 
-def window_sum(sat, side: int, clip_policy: str = "clip-to-domain") -> np.ndarray:
+def window_sum(sat, side: int) -> np.ndarray:
     """Sum of the ``side x side`` window anchored at every pixel.
 
     Windows are clipped to the image domain, so border outputs sum over
@@ -115,8 +117,6 @@ def window_sum(sat, side: int, clip_policy: str = "clip-to-domain") -> np.ndarra
     twice the image extent degenerates to the full-channel sum at every
     pixel; that is allowed, not an error.
     """
-    if clip_policy != "clip-to-domain":
-        raise ValueError(f"unsupported clip policy: {clip_policy!r}")
     if side < 1:
         raise ValueError("window side must be >= 1")
     if not isinstance(sat, SummedAreaTable):

@@ -86,7 +86,7 @@ def log_slope_weights(scales) -> np.ndarray:
 
 
 def _channel_chunks(channels: int, threads: int):
-    bounds = np.linspace(0, channels, min(threads, channels) + 1).astype(int)
+    bounds = np.linspace(0, channels, max(min(threads, channels), 1) + 1).astype(int)
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
@@ -96,39 +96,39 @@ def box_measures(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
 
     The epsilon floor keeps logs finite on fields with exact zeros
     (feature maps, masked measures); pass ``epsilon=0`` for strictly
-    positive measures where the floor would bias small masses.  One
-    summed-area table is built per channel block and reused across all
-    scales.  ``threads > 1`` parallelizes over channels; per-channel
-    accumulation order is unchanged, so results are bit-identical for
-    every worker count.
+    positive measures where the floor would bias small masses.
+
+    One path for every ``threads``: one preallocated block holds the
+    C-contiguous outputs, one per scale.  It is filled chunk by chunk
+    over ``min(threads, C)`` contiguous channel chunks (a 2-D field is
+    one channel), the first on the calling thread and the rest on a
+    thread pool.  Each chunk builds one summed-area table and reuses it
+    for all scales.  Neither per-channel accumulation order nor output
+    layout depends on the chunks, so results are bit-identical for every
+    worker count.
     """
     field = require_measure(field)
     scales = _as_scales(scales)
     if epsilon < 0.0:
         raise ValueError("epsilon must be >= 0")
+    stack = field[:, :, None] if field.ndim == 2 else field
+    outs = np.empty((len(scales),) + stack.shape)
+    chunks = _channel_chunks(stack.shape[2], threads)
 
-    def sums_of(block) -> list:
-        sat = integral_image(block)
-        return [window_sum(sat, side) for side in scales]
+    def work(bounds):
+        lo, hi = bounds
+        sat = integral_image(stack[:, :, lo:hi])
+        for out, side in zip(outs, scales):
+            out[:, :, lo:hi] = window_sum(sat, side)
 
-    channels = field.shape[2] if field.ndim == 3 else 1
-    if threads > 1 and channels > 1:
-        outs = [np.empty_like(field) for _ in scales.sides]
-        chunks = _channel_chunks(channels, threads)
-
-        def work(bounds):
-            lo, hi = bounds
-            for out, res in zip(outs, sums_of(field[:, :, lo:hi])):
-                out[:, :, lo:hi] = res
-
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            list(pool.map(work, chunks))
-    else:
-        outs = sums_of(field)
+    # the calling thread fills the first chunk; a single chunk starts no thread
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        rest = pool.map(work, chunks[1:])
+        work(chunks[0])
+        list(rest)
     if epsilon > 0.0:
-        for out in outs:
-            out += epsilon
-    return outs
+        outs += epsilon
+    return list(outs.reshape((len(scales),) + field.shape))
 
 
 def slope_from_measures(measures, scales) -> np.ndarray:

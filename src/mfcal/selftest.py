@@ -9,6 +9,7 @@ command and the acceptance test module both run this harness.
 
 from __future__ import annotations
 
+import json
 import math
 import tempfile
 import time
@@ -33,7 +34,6 @@ from .attention import (
     scse_forward,
     se_forward,
     srm_gates,
-    srm_forward,
 )
 from .cascade import (
     CascadeSpec,
@@ -43,7 +43,7 @@ from .cascade import (
     generate_binomial,
     generate_product_2d,
 )
-from .holder import NormState, ScaleSet, holder_map, interior_view, normalize
+from .holder import NormState, ScaleSet, holder_map, interior_view, mean_alpha, normalize
 from .spectrum import box_dimension, histogram_spectrum, moments_spectrum
 
 __all__ = ["CriterionResult", "run_acceptance", "CRITERIA"]
@@ -284,7 +284,8 @@ def _criterion_recalibration_contracts(ctx):
     # maxout of channel and spatial branches
     spatial_w = rng.normal(size=c)
     spatial_b = float(rng.normal())
-    scse_out = scse_forward(stack, params, spatial_w, spatial_b)
+    scse_gates, scse_out = scse_forward(stack, params, spatial_w, spatial_b)
+    track(np.abs(scse_gates - ref_gates).max())
     ref_spatial = np.zeros((h, w, c))
     for i in range(h):
         for j in range(w):
@@ -301,7 +302,6 @@ def _criterion_recalibration_contracts(ctx):
     norm.beta = rng.uniform(-0.5, 0.5, c)
     norm.running_mean = rng.uniform(-0.2, 0.2, c)
     norm.running_var = rng.uniform(0.5, 1.5, c)
-    srm_out = srm_forward(stack, w_mean, w_std, norm)
     ref_t = np.empty(c)
     for ch in range(c):
         vals = stack[:, :, ch].ravel()
@@ -319,7 +319,6 @@ def _criterion_recalibration_contracts(ctx):
             for ch in range(c)
         ]
     )
-    track(np.abs(srm_out - stack * ref_srm_gates).max())
     track(np.abs(srm_gates(stack, w_mean, w_std, norm) - ref_srm_gates).max())
 
     # cosine squeezes: brute double sum per group
@@ -525,6 +524,10 @@ def _selftest_artifacts(directory: Path, threads: int) -> list:
     stack = np.random.default_rng(7).uniform(0.1, 1.0, (64, 64, 8))
     alpha_stack = holder_map(stack, _SCALES, epsilon=1e-6, threads=threads)
     (directory / "alpha-stack.mfr").write_bytes(fio.write_field(alpha_stack))
+    # per-channel reductions follow the map's memory layout, so a layout that
+    # depended on the thread count would show here first
+    means = [float(v) for v in mean_alpha(alpha_stack)]
+    (directory / "alpha-stack-means.json").write_text(json.dumps(means) + "\n")
 
     lines = [generate_binomial(CascadeSpec.binomial(_P, k)) for k in range(8, 12)]
     hist = histogram_spectrum(lines, bins=16)
@@ -537,7 +540,7 @@ def _selftest_artifacts(directory: Path, threads: int) -> list:
     record = excitation_report(matrix, 0.95)
     (directory / "excite.json").write_text(fio.excite_record_json(record))
     return [
-        "cascade-2d.mfr", "alpha-2d.mfr", "alpha-stack.mfr",
+        "cascade-2d.mfr", "alpha-2d.mfr", "alpha-stack.mfr", "alpha-stack-means.json",
         "histogram.csv", "moments.csv", "legendre.csv", "excite.json",
     ]
 

@@ -5,7 +5,6 @@ import pytest
 
 from mfcal.attention import (
     dct_basis,
-    fca_forward,
     fca_gates,
     gap,
     gsp,
@@ -17,7 +16,6 @@ from mfcal.attention import (
     scse_forward,
     se_forward,
     sigmoid,
-    srm_forward,
     srm_gates,
 )
 from mfcal.holder import NormState, ScaleSet
@@ -135,8 +133,9 @@ class TestScse:
         rng = np.random.default_rng(9)
         stack = rng.uniform(size=(4, 4, 4))
         params = mono_fixture(4, rng)
-        out = scse_forward(stack, params, np.zeros(4))
-        _, channel_branch = se_forward(stack, params, source="features")
+        gates, out = scse_forward(stack, params, np.zeros(4))
+        se_gates, channel_branch = se_forward(stack, params, source="features")
+        assert np.array_equal(gates, se_gates)
         np.testing.assert_allclose(out, np.maximum(channel_branch, stack / 2.0),
                                    rtol=0, atol=0)
 
@@ -147,7 +146,7 @@ class TestScse:
         params.w1[:] = 0.0
         params.w2[:] = 0.0
         params.b2[:] = 0.0  # channel gates = 0.5 everywhere
-        out = scse_forward(stack, params, np.zeros(2))
+        _, out = scse_forward(stack, params, np.zeros(2))
         np.testing.assert_allclose(out, stack / 2.0, rtol=0, atol=0)
 
     def test_matches_brute_force_maxout(self):
@@ -156,7 +155,7 @@ class TestScse:
         params = mono_fixture(4, rng)
         weights = rng.normal(size=4)
         bias = 0.3
-        out = scse_forward(stack, params, weights, bias)
+        _, out = scse_forward(stack, params, weights, bias)
         gates, channel_branch = se_forward(stack, params, source="features")
         spatial = sigmoid(stack @ weights + bias)[:, :, None]
         np.testing.assert_allclose(out, np.maximum(channel_branch, stack * spatial),
@@ -189,11 +188,11 @@ class TestSrm:
         norm.beta = rng.normal(size=3)
         norm.running_mean = rng.normal(size=3) * 0.1
         norm.running_var = rng.uniform(0.5, 1.5, 3)
-        out = srm_forward(stack, w_mean, w_std, norm)
+        gates = srm_gates(stack, w_mean, w_std, norm)
         t = w_mean * gap(stack) + w_std * gsp(stack)
         normed = (t - norm.running_mean) / np.sqrt(norm.running_var + 1e-5)
         expected_gates = sigmoid(norm.gamma * normed + norm.beta)
-        np.testing.assert_allclose(out, stack * expected_gates, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gates, expected_gates, rtol=0, atol=1e-12)
 
 
 class TestDctBasis:
@@ -240,7 +239,7 @@ class TestFca:
         stack = rng.uniform(size=(8, 8, 8))
         params = mono_fixture(8, rng)
         pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        out = fca_forward(stack, params, freq_pairs=pairs)
+        gates = fca_gates(stack, params, freq_pairs=pairs)
         z = np.zeros(8)
         for g, (i, j) in enumerate(pairs):
             basis = dct_basis(8, 8, i, j)
@@ -251,14 +250,14 @@ class TestFca:
                         acc += stack[h, w, c] * basis[h, w]
                 z[c] = acc
         hidden = np.maximum(params.w1 @ z + params.b1, 0.0)
-        gates = sigmoid(params.w2 @ hidden + params.b2)
-        np.testing.assert_allclose(out, stack * gates, rtol=0, atol=1e-9)
+        expected = sigmoid(params.w2 @ hidden + params.b2)
+        np.testing.assert_allclose(gates, expected, rtol=0, atol=1e-9)
 
     def test_indivisible_grouping_rejected(self):
         rng = np.random.default_rng(17)
         with pytest.raises(ValueError, match="divisible"):
-            fca_forward(np.ones((8, 8, 8)), init_mono_params(8, 2, rng=rng),
-                        freq_pairs=[(0, 0), (0, 1), (1, 0)])
+            fca_gates(np.ones((8, 8, 8)), init_mono_params(8, 2, rng=rng),
+                      freq_pairs=[(0, 0), (0, 1), (1, 0)])
 
 
 class TestMultiMembership:

@@ -118,6 +118,32 @@ class TestRecalibrateCommand:
         assert np.all((gates > 0.0) & (gates < 1.0))
 
 
+def _counted(fn, calls):
+    def wrapper(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestGatePasses:
+    @pytest.mark.parametrize("method", ["cse", "scse", "srm", "fca", "mono", "multi"])
+    def test_each_method_computes_its_gates_once(self, method, tmp_path, monkeypatch):
+        import mfcal.attention as attention
+        import mfcal.cli as cli
+
+        calls = []
+        for name, value in list(vars(cli).items()):
+            if (getattr(value, "__module__", None) == attention.__name__
+                    and name.endswith(("_forward", "_gates"))):
+                monkeypatch.setattr(cli, name, _counted(value, calls))
+        rng = np.random.default_rng(5)
+        src = tmp_path / "stack.mfr"
+        src.write_bytes(write_field(rng.uniform(0.1, 1.0, (8, 8, 4))))
+        assert run("recalibrate", "--method", method, "--input", src,
+                   "--out", tmp_path / "out.mfr", "--groups", 4, "--Q", 4) == 0
+        assert len(calls) == 1, calls
+
+
 class TestExciteCommand:
     def test_low_rank_gate_matrix(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -148,9 +174,10 @@ class TestDeterminism:
         outputs = []
         for threads in (1, 4):
             out = tmp_path / f"alpha-{threads}.mfr"
+            means = tmp_path / f"means-{threads}.json"
             assert run("--threads", threads, "holder", "--input", src,
-                       "--out", out) == 0
-            outputs.append(out.read_bytes())
+                       "--out", out, "--means", means) == 0
+            outputs.append((out.read_bytes(), means.read_bytes()))
         assert outputs[0] == outputs[1]
 
     def test_seeded_recalibration_is_reproducible(self, tmp_path):
@@ -186,21 +213,6 @@ class TestConfigFile:
     def test_missing_config_file_is_an_io_error(self, tmp_path):
         assert run("--config", tmp_path / "absent.cfg", "cascade", "--p", 0.5,
                    "--depth", 2, "--out", tmp_path / "x.mfr") == 3
-
-
-class TestBenchCommand:
-    def test_tiny_run_emits_one_row_per_width(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert run("bench", "--repetitions", 3, "--channels", "2,4",
-                   "--size", 16, "--out", out) == 0
-        captured = capsys.readouterr()
-        assert "unstable quartiles" in captured.err
-        rows = json.loads(out.read_text())
-        assert [row["channels"] for row in rows] == [2, 4]
-        assert all(row["median_ms"] > 0 for row in rows)
-
-    def test_bad_channel_list_is_a_usage_error(self):
-        assert run("bench", "--repetitions", 5, "--channels", "0") == 2
 
 
 class TestSelftestCommand:

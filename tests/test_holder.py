@@ -103,6 +103,14 @@ class TestBoxMeasures:
         with pytest.raises(ValueError, match="epsilon"):
             box_measures(np.ones((4, 4)), SCALES, epsilon=-1.0)
 
+    @pytest.mark.parametrize("threads", [0, 1, 2])
+    def test_outputs_are_c_contiguous(self, threads):
+        rng = np.random.default_rng(3)
+        for shape in ((10, 7), (10, 7, 5)):
+            for mu in box_measures(rng.uniform(size=shape), SCALES, threads=threads):
+                assert mu.shape == shape
+                assert mu.flags.c_contiguous
+
 
 class TestHolderMap:
     def test_synthetic_cubic_power_law(self):
