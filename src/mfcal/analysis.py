@@ -7,6 +7,11 @@ validation set.  The linear excitation threshold is the smallest
 truncated-SVD rank whose Frobenius energy reaches a fraction ``delta``
 of the total; a small threshold means the gates live near a
 low-dimensional linear manifold.
+
+The singular values of the symmetric covariance are its absolute
+eigenvalues, taken from one LAPACK solve (``numpy.linalg.eigvalsh``).
+A cyclic Jacobi solver is kept as the independent route that the
+acceptance harness checks those values against.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ __all__ = [
     "excitation_covariance",
     "jacobi_eigh",
     "singular_values",
-    "rank_truncation",
     "linear_excitation_threshold",
     "excitation_report",
 ]
@@ -47,6 +51,15 @@ def excitation_covariance(excitations, center: bool = False) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def _symmetric(matrix) -> np.ndarray:
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    if np.max(np.abs(a - a.T), initial=0.0) > SYMMETRY_TOL:
+        raise ValueError(f"matrix must be symmetric within {SYMMETRY_TOL:g}")
+    return (a + a.T) / 2.0
+
+
 def jacobi_eigh(matrix, tol: float = _JACOBI_TOL, max_sweeps: int = _JACOBI_MAX_SWEEPS):
     """Symmetric eigendecomposition by cyclic Jacobi rotations.
 
@@ -55,24 +68,21 @@ def jacobi_eigh(matrix, tol: float = _JACOBI_TOL, max_sweeps: int = _JACOBI_MAX_
     Frobenius norm falls below ``tol`` relative to the matrix norm.
     Returns ``(eigenvalues, eigenvectors)`` ordered by decreasing
     absolute value; columns of the eigenvector matrix are orthonormal.
-    Deterministic: no pivot searching, no randomness.
+    Raises ``ValueError`` when ``max_sweeps`` sweeps do not reach
+    ``tol``.  Deterministic: no pivot searching, no randomness.
     """
-    a = np.array(matrix, dtype=np.float64, copy=True)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
+    a = _symmetric(matrix)
     n = a.shape[0]
-    if np.max(np.abs(a - a.T), initial=0.0) > SYMMETRY_TOL:
-        raise ValueError(f"matrix must be symmetric within {SYMMETRY_TOL:g}")
-    a = (a + a.T) / 2.0
     v = np.eye(n)
     scale = np.linalg.norm(a)
     if scale == 0.0 or n == 1:
         return np.diag(a).copy(), v
 
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.triu(a, 1) ** 2) * 2.0)
-        if off <= tol * scale:
-            break
+    sweeps = 0
+    while np.sqrt(np.sum(np.triu(a, 1) ** 2) * 2.0) > tol * scale:
+        if sweeps == max_sweeps:
+            raise ValueError(f"Jacobi eigensolver did not converge in {max_sweeps} sweeps")
+        sweeps += 1
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
@@ -98,28 +108,13 @@ def jacobi_eigh(matrix, tol: float = _JACOBI_TOL, max_sweeps: int = _JACOBI_MAX_
 
 def singular_values(matrix) -> np.ndarray:
     """Singular values of a symmetric matrix: |eigenvalues|, descending."""
-    eigenvalues, _ = jacobi_eigh(matrix)
-    return np.abs(eigenvalues)
+    return -np.sort(-np.abs(np.linalg.eigvalsh(_symmetric(matrix))))
 
 
-def rank_truncation(matrix, k: int) -> np.ndarray:
-    """Best rank-k approximation of a symmetric matrix (top |eigenvalue| terms)."""
-    eigenvalues, vectors = jacobi_eigh(matrix)
-    k = min(k, eigenvalues.size)
-    top = vectors[:, :k]
-    return (top * eigenvalues[:k]) @ top.T
-
-
-def linear_excitation_threshold(matrix, delta: float) -> int:
-    """Smallest rank whose squared singular values reach ``delta`` of the total.
-
-    ``delta`` lies in (0, 1]; comparisons carry a 1e-12 relative slack
-    so that ``delta = 1`` returns the rank despite cumulative-sum
-    rounding.  A zero matrix has rank 0 by convention.
-    """
+def _energy_rank(s: np.ndarray, delta: float) -> int:
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
-    s2 = singular_values(matrix) ** 2
+    s2 = s ** 2
     total = float(s2.sum())
     if total == 0.0:
         return 0
@@ -132,10 +127,21 @@ def linear_excitation_threshold(matrix, delta: float) -> int:
     return int(s2.size)  # unreachable: energy[-1] == total
 
 
+def linear_excitation_threshold(matrix, delta: float) -> int:
+    """Smallest rank whose squared singular values reach ``delta`` of the total.
+
+    ``delta`` lies in (0, 1]; comparisons carry a 1e-12 relative slack
+    so that ``delta = 1`` returns the rank despite cumulative-sum
+    rounding.  A zero matrix has rank 0 by convention.
+    """
+    return _energy_rank(singular_values(matrix), delta)
+
+
 def excitation_report(matrix, delta: float) -> dict:
     """Threshold record ``{delta, k, singular_values}`` for JSON emission."""
+    s = singular_values(matrix)
     return {
         "delta": float(delta),
-        "k": linear_excitation_threshold(matrix, delta),
-        "singular_values": [float(s) for s in singular_values(matrix)],
+        "k": _energy_rank(s, delta),
+        "singular_values": [float(v) for v in s],
     }

@@ -169,8 +169,8 @@ class MultiParams:
 
 
 def init_mono_params(channels: int, reduction: int = 2, rng=None,
-                     norm_mode: str = "frozen", use_bias: bool = True) -> MonoParams:
-    """Fan-balanced uniform init for the bottleneck MLP, zero biases."""
+                     use_bias: bool = True) -> MonoParams:
+    """Fan-balanced uniform init for the bottleneck MLP, zero biases, frozen norm."""
     rng = np.random.default_rng(rng)
     hidden = max(channels // reduction, 1)
 
@@ -184,14 +184,13 @@ def init_mono_params(channels: int, reduction: int = 2, rng=None,
         w2=fan_uniform(channels, hidden),
         b2=np.zeros(channels),
         reduction=reduction,
-        norm=NormState.identity(channels, mode=norm_mode),
+        norm=NormState.identity(channels, mode="frozen"),
         use_bias=use_bias,
     )
 
 
-def init_multi_params(q: int, alpha_low: float, alpha_high: float,
-                      norm_mode: str = "per-instance") -> MultiParams:
-    """Centers spread over the observed exponent range, unit sharpness.
+def init_multi_params(q: int, alpha_low: float, alpha_high: float) -> MultiParams:
+    """Centers spread over the observed exponent range, unit sharpness, per-instance norm.
 
     Spanning the calibration range keeps every level set reachable at
     the start (dead memberships never recover under ReLU pooling).
@@ -207,7 +206,7 @@ def init_multi_params(q: int, alpha_low: float, alpha_high: float,
     return MultiParams(
         centers=centers,
         sharpness=np.ones(q),
-        norm=NormState.identity(q, mode=norm_mode),
+        norm=NormState.identity(q),
     )
 
 

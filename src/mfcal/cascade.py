@@ -21,7 +21,6 @@ __all__ = [
     "SpectrumCurve",
     "make_curve",
     "generate_binomial",
-    "generate_multinomial",
     "generate_product_2d",
     "bitcount_measure",
     "analytic_alpha",
@@ -29,7 +28,6 @@ __all__ = [
     "analytic_spectrum",
     "analytic_tau",
     "analytic_alpha_q",
-    "restrict_measure",
     "MAX_DEPTH_1D",
     "MAX_DEPTH_2D",
 ]
@@ -146,21 +144,6 @@ def _require_binomial(spec: CascadeSpec, dims: int):
         raise ValueError("expected a binomial (two-weight) cascade")
     if spec.dims != dims:
         raise ValueError(f"expected a {dims}-D cascade spec, got dims={spec.dims}")
-
-
-def generate_multinomial(weights, depth: int) -> np.ndarray:
-    """1-D m-ary cascade: ``depth`` rounds of splitting each cell by ``weights``."""
-    spec = CascadeSpec(weights=tuple(weights), depth=depth)
-    m = len(spec.weights)
-    if m ** spec.depth > 2 ** MAX_DEPTH_1D:
-        raise ValueError("requested cascade exceeds the 1-D cell cap")
-    cells = np.ones(1)
-    for _ in range(spec.depth):
-        nxt = np.empty(m * cells.size)
-        for i, w in enumerate(spec.weights):
-            nxt[i::m] = w * cells
-        cells = nxt
-    return cells
 
 
 def generate_binomial(spec: CascadeSpec) -> np.ndarray:
@@ -283,24 +266,3 @@ def analytic_alpha_q(p: float, q) -> np.ndarray | float:
     pq, rq = np.power(p, q), np.power(r, q)
     alpha = -(pq * math.log(p) + rq * math.log(r)) / ((pq + rq) * _LN2)
     return float(alpha) if alpha.ndim == 0 else alpha
-
-
-def restrict_measure(field, mask) -> np.ndarray:
-    """Condition a measure on a binary region: ``mu*(I) = mu(I & Y) / mu(Y)``.
-
-    The output vanishes off the region and sums to one on it; restricting
-    twice by the same mask is idempotent.
-    """
-    field = np.asarray(field, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != field.shape:
-        raise ValueError("mask shape must match the field")
-    if not np.all((mask == 0.0) | (mask == 1.0)):
-        raise ValueError("mask must be binary (0/1)")
-    if np.any(field < 0.0):
-        raise ValueError("measure must be nonnegative")
-    selected = field * mask
-    total = selected.sum()
-    if total <= 0.0:
-        raise ValueError("restriction has zero measure")
-    return selected / total

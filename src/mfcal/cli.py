@@ -217,9 +217,7 @@ def _cmd_recalibrate(args) -> int:
     gates_record: dict = {"method": args.method}
 
     def mono_params():
-        return init_mono_params(
-            channels, args.reduction, rng=rng, norm_mode="frozen", use_bias=use_bias
-        )
+        return init_mono_params(channels, args.reduction, rng=rng, use_bias=use_bias)
 
     if args.method == "multi":
         alpha = holder_map(stack, scales, args.epsilon, threads=_resolve_threads(args))

@@ -1,6 +1,7 @@
 """Dense 2-D fields, summed-area tables, and clipped sliding-window sums.
 
-A field is a plain float64 ndarray of shape (H, W) or (H, W, C).  All
+A field is a plain float64 ndarray of shape (H, W) or (H, W, C), and
+its summed-area table a plain ndarray of shape (H+1, W+1[, C]).  All
 windowed reductions here are pure, use a fixed association order, and
 clip windows to the image domain, so results are reproducible bit for
 bit regardless of how callers parallelize over channels.
@@ -8,12 +9,9 @@ bit regardless of how callers parallelize over channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "SummedAreaTable",
     "as_field",
     "require_measure",
     "integral_image",
@@ -43,43 +41,22 @@ def require_measure(values) -> np.ndarray:
     return field
 
 
-@dataclass(frozen=True)
-class SummedAreaTable:
-    """Per-channel 2-D cumulative sums of a field.
-
-    ``table`` has shape (H+1, W+1[, C]); row 0 and column 0 are
-    identically zero so that any rectangle sum is a four-corner
-    difference.  For nonnegative fields the table is monotone
-    nondecreasing along both spatial axes.
-    """
-
-    table: np.ndarray
-
-    @property
-    def height(self) -> int:
-        return self.table.shape[0] - 1
-
-    @property
-    def width(self) -> int:
-        return self.table.shape[1] - 1
-
-    @property
-    def field_shape(self) -> tuple:
-        return (self.height, self.width) + self.table.shape[2:]
-
-
-def integral_image(field) -> SummedAreaTable:
+def integral_image(field) -> np.ndarray:
     """Cumulative-sum table: ``SAT[i, j] = sum(field[:i, :j])`` per channel.
 
-    Accumulation runs in a fixed order (down columns, then across rows)
-    so repeated calls are bit-identical.
+    The table has shape (H+1, W+1[, C]); row 0 and column 0 are
+    identically zero so that any rectangle sum is a four-corner
+    difference.  For nonnegative fields the table is monotone
+    nondecreasing along both spatial axes.  Accumulation runs in a
+    fixed order (down columns, then across rows) so repeated calls are
+    bit-identical.
     """
     field = as_field(field)
     shape = (field.shape[0] + 1, field.shape[1] + 1) + field.shape[2:]
     table = np.zeros(shape, dtype=np.float64)
     np.cumsum(field, axis=0, out=table[1:, 1:])
     np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
-    return SummedAreaTable(table)
+    return table
 
 
 def window_anchor(side: int) -> int:
@@ -108,20 +85,17 @@ def _window_sum_table(table: np.ndarray, side: int, offset: int) -> np.ndarray:
             - np.take(top, c1, axis=1) + np.take(top, c0, axis=1))
 
 
-def window_sum(sat, side: int) -> np.ndarray:
+def window_sum(table: np.ndarray, side: int) -> np.ndarray:
     """Sum of the ``side x side`` window anchored at every pixel.
 
-    Windows are clipped to the image domain, so border outputs sum over
-    the intersection only.  ``sat`` may be a :class:`SummedAreaTable` or
-    a raw field (a table is then built internally).  A side exceeding
-    twice the image extent degenerates to the full-channel sum at every
-    pixel; that is allowed, not an error.
+    ``table`` is an :func:`integral_image` result.  Windows are clipped
+    to the image domain, so border outputs sum over the intersection
+    only.  A side exceeding twice the image extent degenerates to the
+    full-channel sum at every pixel; that is allowed, not an error.
     """
     if side < 1:
         raise ValueError("window side must be >= 1")
-    if not isinstance(sat, SummedAreaTable):
-        sat = integral_image(sat)
-    return _window_sum_table(sat.table, side, window_anchor(side))
+    return _window_sum_table(table, side, window_anchor(side))
 
 
 def window_sum_adjoint(field, side: int) -> np.ndarray:
@@ -133,5 +107,5 @@ def window_sum_adjoint(field, side: int) -> np.ndarray:
     sides put their extra cell on the opposite edge.
     """
     field = as_field(field)
-    table = integral_image(field).table
+    table = integral_image(field)
     return _window_sum_table(table, side, side - 1 - window_anchor(side))

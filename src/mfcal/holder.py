@@ -117,9 +117,9 @@ def box_measures(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
 
     def work(bounds):
         lo, hi = bounds
-        sat = integral_image(stack[:, :, lo:hi])
+        table = integral_image(stack[:, :, lo:hi])
         for out, side in zip(outs, scales):
-            out[:, :, lo:hi] = window_sum(sat, side)
+            out[:, :, lo:hi] = window_sum(table, side)
 
     # the calling thread fills the first chunk; a single chunk starts no thread
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
@@ -132,15 +132,28 @@ def box_measures(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
 
 
 def slope_from_measures(measures, scales) -> np.ndarray:
-    """Per-pixel OLS slope of ``log mu`` against ``log k`` over the scale set."""
+    """Per-pixel OLS slope of ``log mu`` against ``log k`` over the scale set.
+
+    Every windowed mass must be positive.  A mass <= 0 (a zero-mass
+    window at ``epsilon = 0``, or summed-area-table cancellation under a
+    large dynamic range) has no finite log and raises ``ValueError``.
+    """
     scales = _as_scales(scales)
     if len(measures) != len(scales):
         raise ValueError("one measure field per scale required")
     weights = log_slope_weights(scales)
-    with np.errstate(divide="ignore"):
-        out = weights[0] * np.log(measures[0])
-        for w, mu in zip(weights[1:], measures[1:]):
-            out += w * np.log(mu)
+    try:
+        # log of a mass <= 0 sets the divide/invalid flag; no extra pass over the data
+        with np.errstate(divide="raise", invalid="raise"):
+            out = weights[0] * np.log(measures[0])
+            for w, mu in zip(weights[1:], measures[1:]):
+                out += w * np.log(mu)
+    except FloatingPointError:
+        raise ValueError(
+            "some windowed masses are <= 0, so their log-log slopes are not finite "
+            "(zero-mass windows at epsilon = 0, or summed-area-table cancellation); "
+            "use epsilon > 0"
+        ) from None
     return out
 
 
@@ -149,8 +162,8 @@ def holder_map(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
     """Local exponent map: slope of log windowed mass vs. log window side.
 
     Output has the field's shape.  Values are finite whenever
-    ``epsilon > 0``; with ``epsilon = 0`` the caller must guarantee
-    positive mass under every window.
+    ``epsilon > 0``; with ``epsilon = 0`` a window without positive
+    mass raises ``ValueError`` (see :func:`slope_from_measures`).
     """
     scales = _as_scales(scales)
     measures = box_measures(field, scales, epsilon, threads)
@@ -190,13 +203,12 @@ def interior_view(alpha_map, scales) -> np.ndarray:
 
 @dataclass
 class NormState:
-    """Learnable per-channel affine plus running statistics.
+    """Learnable per-channel affine plus stored statistics.
 
     ``mode`` selects where the standardizing statistics come from:
-    ``per-instance`` uses the current map, ``frozen`` the stored running
-    values, and ``accumulate`` uses the current map while also folding
-    its statistics into the running averages (single-writer; callers
-    serialize concurrent accumulation).
+    ``per-instance`` uses the current map, ``frozen`` the stored
+    ``running_mean``/``running_var``.  Normalizing never updates the
+    stored values.
     """
 
     gamma: np.ndarray
@@ -204,9 +216,8 @@ class NormState:
     running_mean: np.ndarray
     running_var: np.ndarray
     mode: str = "per-instance"
-    count: int = 0
 
-    _MODES = ("per-instance", "accumulate", "frozen")
+    _MODES = ("per-instance", "frozen")
 
     def __post_init__(self):
         self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=np.float64))
@@ -260,11 +271,6 @@ def _normalize_with_cache(values, state: NormState, channel_axis: int = -1):
     else:
         mean = x.mean(axis=axes, keepdims=True)
         var = x.var(axis=axes, keepdims=True)
-        if state.mode == "accumulate":
-            n = state.count
-            state.running_mean = (n * state.running_mean + mean.reshape(c)) / (n + 1)
-            state.running_var = (n * state.running_var + var.reshape(c)) / (n + 1)
-            state.count = n + 1
     sigma = np.sqrt(var + VAR_EPS)
     xhat = (x - mean) / sigma
     out = state.gamma.reshape(bshape) * xhat + state.beta.reshape(bshape)
@@ -287,7 +293,7 @@ def normalize_vjp(grad_out, cache):
     """Reverse-mode derivatives of :func:`normalize`.
 
     Returns ``(grad_values, grad_gamma, grad_beta)`` for the upstream
-    cotangent ``grad_out``.  In the statistic-bearing modes the mean and
+    cotangent ``grad_out``.  In ``per-instance`` mode the mean and
     variance depend on the input, which contributes the usual two
     correction terms.
     """

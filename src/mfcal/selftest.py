@@ -19,7 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import io as fio
-from .analysis import excitation_report, linear_excitation_threshold
+from .analysis import (
+    excitation_report,
+    jacobi_eigh,
+    linear_excitation_threshold,
+    singular_values,
+)
 from .attention import (
     MonoParams,
     dct_basis,
@@ -262,8 +267,8 @@ def _criterion_recalibration_contracts(ctx):
         nonlocal worst
         worst = max(worst, float(err))
 
-    def randomized_mono(norm_mode):
-        params = init_mono_params(c, 2, rng=rng, norm_mode=norm_mode, use_bias=use_bias)
+    def randomized_mono():
+        params = init_mono_params(c, 2, rng=rng, use_bias=use_bias)
         if use_bias:
             params.b1 = rng.normal(scale=0.2, size=params.b1.shape)
             params.b2 = rng.normal(scale=0.2, size=params.b2.shape)
@@ -274,7 +279,7 @@ def _criterion_recalibration_contracts(ctx):
         return params
 
     # channel squeeze (spatial-mean source)
-    params = randomized_mono("frozen")
+    params = randomized_mono()
     gates, out = se_forward(stack, params, source="features")
     ref_z = np.array([stack[:, :, ch].mean() for ch in range(c)])
     ref_gates = _brute_mlp_gates(ref_z, params)
@@ -323,7 +328,7 @@ def _criterion_recalibration_contracts(ctx):
 
     # cosine squeezes: brute double sum per group
     pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    fparams = randomized_mono("frozen")
+    fparams = randomized_mono()
     fgates = fca_gates(stack, fparams, freq_pairs=pairs)
     group = c // len(pairs)
     ref_z = np.zeros(c)
@@ -344,7 +349,7 @@ def _criterion_recalibration_contracts(ctx):
         return False, "zero-frequency squeeze != H*W*GAP"
 
     # exponent-driven channel gate
-    mparams = randomized_mono("frozen")
+    mparams = randomized_mono()
     mgates, mout = se_forward(stack, mparams, source="alpha-map",
                               scales=_SCALES, epsilon=1e-6)
     ref_alpha = _brute_holder(stack, _SCALES.sides, 1e-6)
@@ -423,7 +428,7 @@ def _criterion_gradient_checks(ctx):
     # exponent-gated squeeze, frozen statistics (full chain incl. window adjoints)
     while True:
         stack = rng.uniform(0.5, 1.5, (2, 2, 4))
-        params = init_mono_params(4, 2, rng=rng, norm_mode="frozen", use_bias=use_bias)
+        params = init_mono_params(4, 2, rng=rng, use_bias=use_bias)
         if use_bias:
             params.b1 = rng.normal(scale=0.2, size=params.b1.shape)
             params.b2 = rng.normal(scale=0.2, size=params.b2.shape)
@@ -509,7 +514,16 @@ def _criterion_excitation_threshold(ctx):
         conj = (conj + conj.T) / 2.0
         if linear_excitation_threshold(conj, 0.95) != 2:
             return False, "threshold changed under orthogonal conjugation"
-    return True, "k(0.95) = 2, rank-1 k = 1, delta=1 k = rank, 20 conjugations stable"
+    # Jacobi rotations are the independent route to the same spectrum
+    b = rng.normal(size=(16, 16))
+    b = (b + b.T) / 2.0
+    jacobi_err = float(np.abs(singular_values(b) - np.abs(jacobi_eigh(b)[0])).max())
+    if jacobi_err > 1e-10:
+        return False, f"singular values deviate from Jacobi by {jacobi_err:.2e}"
+    return True, (
+        "k(0.95) = 2, rank-1 k = 1, delta=1 k = rank, 20 conjugations stable, "
+        f"singular values vs Jacobi {jacobi_err:.2e}"
+    )
 
 
 def _selftest_artifacts(directory: Path, threads: int) -> list:

@@ -134,14 +134,6 @@ class PartitionFunction:
     f: np.ndarray
     one_sided: np.ndarray
 
-    def generalized_dimensions(self) -> np.ndarray:
-        """D_q = tau(q) / (q - 1); NaN at q = 1 where the ratio degenerates."""
-        q = self.q_values
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = self.tau / (q - 1.0)
-        d[np.isclose(q, 1.0)] = np.nan
-        return d
-
 
 def moments_spectrum(fields, q_values) -> tuple:
     """Method of moments: tau(q) scaling plus Legendre transform.

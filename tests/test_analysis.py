@@ -3,25 +3,16 @@
 import numpy as np
 import pytest
 
+from mfcal import analysis
 from mfcal.analysis import (
     excitation_covariance,
     excitation_report,
     jacobi_eigh,
     linear_excitation_threshold,
-    rank_truncation,
     singular_values,
 )
-
-
-def random_orthogonal(n, rng):
-    q, r = np.linalg.qr(rng.normal(size=(n, n)))
-    return q * np.sign(np.diag(r))
-
-
-def matrix_with_spectrum(values, rng):
-    q = random_orthogonal(len(values), rng)
-    a = q @ np.diag(np.asarray(values, dtype=np.float64)) @ q.T
-    return (a + a.T) / 2.0
+from mfcal.selftest import _random_orthogonal as random_orthogonal
+from mfcal.selftest import _spectrum_matrix as matrix_with_spectrum
 
 
 class TestExcitationCovariance:
@@ -66,20 +57,18 @@ class TestJacobi:
         with pytest.raises(ValueError, match="symmetric"):
             jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_unconverged_sweeps_raise(self):
+        rng = np.random.default_rng(40)
+        a = rng.normal(size=(40, 40))
+        a = (a + a.T) / 2.0
+        with pytest.raises(ValueError, match="did not converge in 1 sweeps"):
+            jacobi_eigh(a, max_sweeps=1)
+
     def test_singular_values_are_sorted_absolute_eigenvalues(self):
         rng = np.random.default_rng(9)
         a = matrix_with_spectrum([-4.0, 1.0, 3.0], rng)
         np.testing.assert_allclose(singular_values(a), [4.0, 3.0, 1.0],
                                    rtol=0, atol=1e-10)
-
-    def test_rank_truncation_energy(self):
-        rng = np.random.default_rng(10)
-        a = matrix_with_spectrum([10.0, 3.0, 1.0], rng)
-        s = singular_values(a)
-        for k in (1, 2, 3):
-            trunc = rank_truncation(a, k)
-            energy = np.linalg.norm(trunc, "fro") ** 2
-            assert energy == pytest.approx(float((s[:k] ** 2).sum()), abs=1e-9)
 
 
 class TestLinearExcitationThreshold:
@@ -139,3 +128,19 @@ class TestLinearExcitationThreshold:
         assert record["k"] == 2
         np.testing.assert_allclose(record["singular_values"], [10.0, 3.0, 1.0],
                                    atol=1e-9)
+
+    def test_report_runs_one_eigensolve(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(analysis, "jacobi_eigh", counted(analysis.jacobi_eigh))
+        for name in ("eigvalsh", "eigh", "eigvals", "eig", "svd"):
+            monkeypatch.setattr(analysis.np.linalg, name, counted(getattr(np.linalg, name)))
+        rng = np.random.default_rng(16)
+        excitation_report(matrix_with_spectrum([10.0, 3.0, 1.0], rng), 0.95)
+        assert calls == ["eigvalsh"]

@@ -23,9 +23,8 @@ from mfcal.holder import NormState, ScaleSet
 SCALES = ScaleSet((2, 3, 4))
 
 
-def mono_fixture(channels, rng, norm_mode="frozen", use_bias=True):
-    params = init_mono_params(channels, 2, rng=rng, norm_mode=norm_mode,
-                              use_bias=use_bias)
+def mono_fixture(channels, rng, use_bias=True):
+    params = init_mono_params(channels, 2, rng=rng, use_bias=use_bias)
     params.b1 = rng.normal(scale=0.3, size=params.b1.shape)
     params.b2 = rng.normal(scale=0.3, size=params.b2.shape)
     params.norm.gamma = rng.uniform(0.5, 1.5, channels)

@@ -15,10 +15,8 @@ from mfcal.cascade import (
     analytic_tau,
     bitcount_measure,
     generate_binomial,
-    generate_multinomial,
     generate_product_2d,
     make_curve,
-    restrict_measure,
 )
 
 # closed-form anchors for p = 2/3
@@ -83,15 +81,6 @@ class TestGenerateProduct2d:
         line = generate_binomial(CascadeSpec.binomial(0.3, 5))
         np.testing.assert_allclose(field.sum(axis=1), line, rtol=1e-12)
         assert abs(field.sum() - 1.0) < 1e-12
-
-
-class TestGenerateMultinomial:
-    def test_three_way_split(self):
-        weights = (0.5, 0.3, 0.2)
-        cells = generate_multinomial(weights, 2)
-        expected = np.outer(weights, weights).ravel()
-        np.testing.assert_allclose(cells, expected, rtol=1e-15)
-        assert abs(cells.sum() - 1.0) < 1e-12
 
 
 class TestSpecValidation:
@@ -174,37 +163,6 @@ class TestAnalyticForms:
         h = 1e-6
         numeric = (analytic_tau(2 / 3, q + h) - analytic_tau(2 / 3, q - h)) / (2 * h)
         np.testing.assert_allclose(analytic_alpha_q(2 / 3, q), numeric, atol=1e-8)
-
-
-class TestRestrictMeasure:
-    def test_full_mask_is_identity(self):
-        cells = generate_binomial(CascadeSpec.binomial(2 / 3, 4))
-        np.testing.assert_allclose(restrict_measure(cells, np.ones_like(cells)), cells)
-
-    def test_half_mass_mask_doubles(self):
-        field = np.full(8, 0.125)
-        mask = np.zeros(8)
-        mask[:4] = 1.0
-        out = restrict_measure(field, mask)
-        np.testing.assert_allclose(out[:4], 0.25, rtol=1e-15)
-        assert np.all(out[4:] == 0.0)
-
-    def test_zero_mask_is_an_error(self):
-        with pytest.raises(ValueError, match="restriction has zero measure"):
-            restrict_measure(np.full(4, 0.25), np.zeros(4))
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(5)
-        field = rng.uniform(0.0, 1.0, 16)
-        field /= field.sum()
-        mask = (rng.uniform(size=16) < 0.6).astype(float)
-        once = restrict_measure(field, mask)
-        twice = restrict_measure(once, mask)
-        np.testing.assert_allclose(twice, once, rtol=0, atol=1e-15)
-
-    def test_non_binary_mask_rejected(self):
-        with pytest.raises(ValueError, match="binary"):
-            restrict_measure(np.full(4, 0.25), np.full(4, 0.5))
 
 
 class TestSpectrumCurveType:

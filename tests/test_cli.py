@@ -59,6 +59,18 @@ class TestHolderCommand:
         src.write_bytes(write_field(np.array([[1.0, -1.0], [0.5, 0.5]])))
         assert run("holder", "--input", src, "--out", tmp_path / "o.mfr") == 4
 
+    def test_zero_mass_windows_at_epsilon_zero_are_a_numeric_error(self, tmp_path, capsys):
+        field = np.zeros((8, 8))
+        field[0, 0] = 1.0
+        src = tmp_path / "spike.mfr"
+        src.write_bytes(write_field(field))
+        out = tmp_path / "alpha.mfr"
+        means = tmp_path / "means.json"
+        assert run("holder", "--input", src, "--out", out, "--epsilon", 0,
+                   "--means", means) == 4
+        assert not out.exists() and not means.exists()
+        assert "windowed masses are <= 0" in capsys.readouterr().err
+
 
 class TestSpectrumCommand:
     def test_moments_tau_at_one_vanishes(self, tmp_path):
@@ -79,6 +91,14 @@ class TestSpectrumCommand:
                    "--depth-min", 7, "--depth-max", 10, "--bins", 12,
                    "--out", out) == 0
         assert out.read_text().startswith("alpha,f\n")
+
+    def test_clt_cancellation_is_a_numeric_error(self, tmp_path, capsys):
+        # at p = 0.9 the summed-area table cancels some depth-10 window masses to 0
+        out = tmp_path / "clt.csv"
+        assert run("spectrum", "--method", "clt", "--p", 0.9, "--dims", 2,
+                   "--depth", 10, "--out", out) == 4
+        assert not out.exists()
+        assert "summed-area-table cancellation" in capsys.readouterr().err
 
 
 class TestRecalibrateCommand:

@@ -42,7 +42,8 @@ def check_against_fd(loss, arrays, analytic, rng, probes_per_array=5):
 
 def mono_fixture(rng, norm_mode, use_bias=True):
     stack = rng.uniform(0.5, 1.5, (2, 2, 4))
-    params = init_mono_params(4, 2, rng=rng, norm_mode=norm_mode, use_bias=use_bias)
+    params = init_mono_params(4, 2, rng=rng, use_bias=use_bias)
+    params.norm.mode = norm_mode
     params.b1 = rng.normal(scale=0.2, size=params.b1.shape)
     params.b2 = rng.normal(scale=0.2, size=params.b2.shape)
     params.norm.gamma = rng.uniform(0.5, 1.5, 4)
@@ -54,9 +55,10 @@ def mono_fixture(rng, norm_mode, use_bias=True):
 
 
 class TestMonoBackward:
-    @pytest.mark.parametrize("norm_mode", ["frozen", "per-instance", "accumulate"])
-    def test_matches_finite_differences(self, norm_mode):
-        rng = np.random.default_rng(hash(norm_mode) % 2 ** 31)
+    @pytest.mark.parametrize("norm_mode, seed", [("frozen", 0), ("per-instance", 1)],
+                             ids=["frozen", "per-instance"])
+    def test_matches_finite_differences(self, norm_mode, seed):
+        rng = np.random.default_rng(seed)
         stack, params, upstream = mono_fixture(rng, norm_mode)
         grads = mono_backward(stack, params, upstream, SCALES, EPS)
 

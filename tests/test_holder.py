@@ -113,6 +113,13 @@ class TestBoxMeasures:
 
 
 class TestHolderMap:
+    def test_zero_mass_windows_at_epsilon_zero_raise(self):
+        field = np.zeros((8, 8))
+        field[0, 0] = 1.0
+        with pytest.raises(ValueError, match="windowed masses are <= 0"):
+            holder_map(field, SCALES, epsilon=0.0)
+        assert np.all(np.isfinite(holder_map(field, SCALES, epsilon=1e-6)))
+
     def test_synthetic_cubic_power_law(self):
         measures = [np.full((5, 5), 5.0 * k ** 3) for k in SCALES]
         slope = slope_from_measures(measures, SCALES)
@@ -213,14 +220,6 @@ class TestNormalize:
         state.running_var = np.array([4.0])
         out = normalize(np.full((2, 2, 1), 12.0), state)
         np.testing.assert_allclose(out, 2.0 / math.sqrt(4.0 + 1e-5), rtol=1e-12)
-
-    def test_accumulate_mode_updates_running_statistics(self):
-        state = NormState.identity(1, mode="accumulate")
-        normalize(np.full((2, 2, 1), 4.0), state)
-        normalize(np.full((2, 2, 1), 8.0), state)
-        assert state.count == 2
-        np.testing.assert_allclose(state.running_mean, [6.0])
-        np.testing.assert_allclose(state.running_var, [0.0])
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):

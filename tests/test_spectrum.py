@@ -120,13 +120,6 @@ class TestMomentsSpectrum:
         flags = partition.one_sided
         assert flags[0] and flags[-1] and not flags[1:-1].any()
 
-    def test_generalized_dimensions(self, fitted):
-        partition, _ = fitted
-        d = partition.generalized_dimensions()
-        idx0 = np.flatnonzero(self.Q == 0.0)[0]
-        assert d[idx0] == pytest.approx(1.0, abs=1e-9)  # tau(0)/(0-1) = support dim
-        assert np.isnan(d[np.flatnonzero(self.Q == 1.0)[0]])
-
     def test_needs_three_moments(self):
         with pytest.raises(ValueError, match="3 moment"):
             moments_spectrum(line_cascades((8, 9)), [0.0, 1.0])
