@@ -163,10 +163,6 @@ class MultiParams:
         if not (np.all(np.isfinite(self.centers)) and np.all(np.isfinite(self.sharpness))):
             raise ValueError("level-set parameters must be finite")
 
-    @property
-    def q(self) -> int:
-        return self.centers.size
-
 
 def init_mono_params(channels: int, reduction: int = 2, rng=None,
                      use_bias: bool = True) -> MonoParams:
@@ -285,7 +281,7 @@ def srm_gates(stack, w_mean, w_std, norm: NormState) -> np.ndarray:
     w_mean = np.asarray(w_mean, dtype=np.float64)
     w_std = np.asarray(w_std, dtype=np.float64)
     t = w_mean * gap(stack) + w_std * gsp(stack)
-    return sigmoid(normalize(t, norm, channel_axis=0))
+    return sigmoid(normalize(t, norm))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +364,7 @@ def _multi_forward_cache(stack, alpha, params: MultiParams):
     if alpha.shape != stack.shape:
         raise ValueError("alpha map shape must match the stack")
     membership = multi_membership(alpha, params)
-    normed, norm_cache = _normalize_with_cache(membership, params.norm, channel_axis=-1)
+    normed, norm_cache = _normalize_with_cache(membership, params.norm)
     rect = np.maximum(normed, 0.0)
     pooled = rect.sum(axis=-1)
     gate = sigmoid(pooled)
@@ -435,7 +431,7 @@ def mono_backward(stack, params: MonoParams, upstream,
     # forward pass, caching every intermediate
     measures = box_measures(stack, scales, epsilon)
     alpha = slope_from_measures(measures, scales)
-    normed, norm_cache = _normalize_with_cache(alpha, params.norm, channel_axis=-1)
+    normed, norm_cache = _normalize_with_cache(alpha, params.norm)
     z = gap(normed)
     a1, h1, a2 = _mlp_logits(z, params)
     gates = sigmoid(a2)

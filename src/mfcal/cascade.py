@@ -77,10 +77,6 @@ class CascadeSpec:
     def binomial(cls, p: float, depth: int, dims: int = 1) -> "CascadeSpec":
         return cls(weights=(p, 1.0 - p), depth=depth, dims=dims)
 
-    @property
-    def p(self) -> float:
-        return self.weights[0]
-
 
 @dataclass(frozen=True)
 class SpectrumCurve:

@@ -23,7 +23,6 @@ from . import io as fio
 from .analysis import excitation_covariance, excitation_report
 from .attention import (
     fca_gates,
-    gap,
     init_mono_params,
     init_multi_params,
     lowest_frequency_pairs,

@@ -69,20 +69,15 @@ def window_anchor(side: int) -> int:
     return side // 2
 
 
-def _edge_indices(n: int, side: int, offset: int):
-    starts = np.arange(n) - offset
-    return np.clip(starts, 0, n), np.clip(starts + side, 0, n)
-
-
 def _window_sum_table(table: np.ndarray, side: int, offset: int) -> np.ndarray:
     h, w = table.shape[0] - 1, table.shape[1] - 1
-    r0, r1 = _edge_indices(h, side, offset)
-    c0, c1 = _edge_indices(w, side, offset)
-    top, bottom = table[r0], table[r1]
-    # four-corner difference, evaluated in a fixed order; take() keeps the
-    # corners (and so the result) C-contiguous, where [:, idx] would not
-    return (np.take(bottom, c1, axis=1) - np.take(bottom, c0, axis=1)
-            - np.take(top, c1, axis=1) + np.take(top, c0, axis=1))
+    # edge replication turns the border clip into a plain shift, so the
+    # four corners are slices; t[i] holds table[clip(i - offset, 0, h)]
+    spatial = ((offset, side - offset),) * 2
+    t = np.pad(table, spatial + ((0, 0),) * (table.ndim - 2), mode="edge")
+    # four-corner difference, evaluated in a fixed order
+    return (t[side:side + h, side:side + w] - t[side:side + h, :w]
+            - t[:h, side:side + w] + t[:h, :w])
 
 
 def window_sum(table: np.ndarray, side: int) -> np.ndarray:
@@ -106,6 +101,5 @@ def window_sum_adjoint(field, side: int) -> np.ndarray:
     again a clipped window sum, with the anchor mirrored so that even
     sides put their extra cell on the opposite edge.
     """
-    field = as_field(field)
     table = integral_image(field)
     return _window_sum_table(table, side, side - 1 - window_anchor(side))

@@ -60,10 +60,6 @@ class ScaleSet:
     def __len__(self):
         return len(self.sides)
 
-    @property
-    def largest(self) -> int:
-        return self.sides[-1]
-
 
 DEFAULT_SCALES = ScaleSet((2, 3, 4))
 
@@ -247,45 +243,32 @@ class NormState:
         return self.gamma.shape[0]
 
 
-def _stat_axes(ndim: int, channel_axis: int) -> tuple:
-    channel_axis %= ndim
-    return tuple(i for i in range(ndim) if i != channel_axis)
-
-
-def _axis_shape(ndim: int, channel_axis: int, channels: int) -> tuple:
-    shape = [1] * ndim
-    shape[channel_axis % ndim] = channels
-    return tuple(shape)
-
-
-def _normalize_with_cache(values, state: NormState, channel_axis: int = -1):
+def _normalize_with_cache(values, state: NormState):
     x = np.asarray(values, dtype=np.float64)
-    c = state.channels
-    if x.shape[channel_axis % x.ndim] != c:
+    if x.shape[-1] != state.channels:
         raise ValueError("channel axis length does not match the norm state")
-    axes = _stat_axes(x.ndim, channel_axis)
-    bshape = _axis_shape(x.ndim, channel_axis, c)
+    axes = tuple(range(x.ndim - 1))
     if state.mode == "frozen":
-        mean = state.running_mean.reshape(bshape)
-        var = state.running_var.reshape(bshape)
+        mean, var = state.running_mean, state.running_var
     else:
-        mean = x.mean(axis=axes, keepdims=True)
-        var = x.var(axis=axes, keepdims=True)
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
     sigma = np.sqrt(var + VAR_EPS)
     xhat = (x - mean) / sigma
-    out = state.gamma.reshape(bshape) * xhat + state.beta.reshape(bshape)
-    cache = (xhat, sigma, state.gamma.reshape(bshape), state.mode, axes)
+    out = state.gamma * xhat + state.beta
+    cache = (xhat, sigma, state.gamma, state.mode, axes)
     return out, cache
 
 
-def normalize(values, state: NormState, channel_axis: int = -1) -> np.ndarray:
+def normalize(values, state: NormState) -> np.ndarray:
     """Standardize per channel, then apply the learnable affine.
 
-    ``(x - mean) / sqrt(var + 1e-5) * gamma + beta`` with statistics
-    chosen by ``state.mode``.  A constant channel standardizes to zero
-    (the variance floor prevents blow-up).
+    The channel axis is the last one.  ``(x - mean) / sqrt(var + 1e-5)
+    * gamma + beta`` with statistics chosen by ``state.mode``.  A
+    constant channel standardizes to zero (the variance floor prevents
+    blow-up).
     """
-    out, _ = _normalize_with_cache(values, state, channel_axis)
+    out, _ = _normalize_with_cache(values, state)
     return out
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "read_field",
     "read_pgm",
     "write_spectrum_csv",
-    "read_spectrum_csv",
     "write_moments_csv",
     "excite_record_json",
 ]
@@ -44,7 +43,6 @@ __all__ = [
 MAGIC = b"MFR1"
 VERSION = 1
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_DTYPE_CODES = {"f4": 0, "f8": 1}
 
 
 class ContainerError(ValueError):
@@ -67,10 +65,8 @@ class ContainerDimsError(ContainerError):
     pass
 
 
-def write_field(field, dtype: str = "f8") -> bytes:
-    """Serialize an array of 2..4 dims.  float32 truncation is opt-in."""
-    if dtype not in _DTYPE_CODES:
-        raise ContainerDtypeError(f"unsupported dtype {dtype!r}, expected 'f4' or 'f8'")
+def write_field(field) -> bytes:
+    """Serialize an array of 2..4 dims as a float64 container."""
     arr = np.asarray(field, dtype=np.float64)
     if arr.ndim not in (2, 3, 4):
         raise ContainerDimsError(f"container holds 2..4 dims, got {arr.ndim}")
@@ -78,10 +74,9 @@ def write_field(field, dtype: str = "f8") -> bytes:
         raise ContainerDimsError("container dims must all be positive")
     if any(d > 0xFFFFFFFF for d in arr.shape):
         raise ContainerDimsError("dimension exceeds the u32 range")
-    code = _DTYPE_CODES[dtype]
-    header = MAGIC + struct.pack("<BBB", VERSION, code, arr.ndim)
+    header = MAGIC + struct.pack("<BBB", VERSION, 1, arr.ndim)  # dtype code 1: float64
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = np.ascontiguousarray(arr, dtype=_DTYPES[code]).tobytes()
+    payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
     return header + payload
 
 
@@ -191,16 +186,6 @@ def write_spectrum_csv(curve: SpectrumCurve) -> str:
     lines = ["alpha,f"]
     lines += [f"{_fmt(a)},{_fmt(f)}" for a, f in zip(curve.alpha, curve.f)]
     return "\n".join(lines) + "\n"
-
-
-def read_spectrum_csv(text: str) -> SpectrumCurve:
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines or lines[0] != "alpha,f":
-        raise ValueError("expected an 'alpha,f' header")
-    pairs = [ln.split(",") for ln in lines[1:]]
-    alpha = np.array([float(a) for a, _ in pairs])
-    f = np.array([float(b) for _, b in pairs])
-    return SpectrumCurve(alpha, f)
 
 
 def write_moments_csv(partition) -> str:

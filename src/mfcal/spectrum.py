@@ -158,8 +158,11 @@ def moments_spectrum(fields, q_values) -> tuple:
         mass = np.asarray(field, dtype=np.float64).ravel()
         mass = mass[mass > 0.0]
         log_mass = np.log2(mass)
+        # one scratch buffer per depth: nothing is allocated per moment order
+        buf = np.empty_like(log_mass)
         for i, qi in enumerate(q):
-            log2_z[i, j] = np.log2(np.exp2(qi * log_mass).sum())
+            np.multiply(qi, log_mass, out=buf)
+            log2_z[i, j] = np.log2(np.exp2(buf, out=buf).sum())
 
     x = -np.asarray(depths, dtype=np.float64)
     dev = x - x.mean()

@@ -148,3 +148,28 @@ class TestFieldValidation:
         first = window_sum(sat, 2)
         second = window_sum(sat, 2)
         assert np.array_equal(first, second)
+
+
+class TestAdjointKernel:
+    def test_checks_its_input_once(self, monkeypatch):
+        import mfcal.grid as grid
+
+        calls = []
+        checked = grid.as_field
+
+        def counting(values):
+            calls.append(1)
+            return checked(values)
+
+        monkeypatch.setattr(grid, "as_field", counting)
+        window_sum_adjoint(np.ones((5, 4, 2)), 3)
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="finite"):
+            window_sum_adjoint(np.array([[np.nan, 1.0], [0.0, 2.0]]), 2)
+
+    @pytest.mark.parametrize("side", [1, 2, 3, 4, 5, 6])
+    def test_is_the_mirrored_window_sum_exactly(self, side):
+        rng = np.random.default_rng(side + 200)
+        y = rng.integers(-9, 10, size=(9, 8, 2)).astype(np.float64)
+        mirrored = _brute_window_measures(y[::-1, ::-1], [side], 0.0)[0][::-1, ::-1]
+        assert np.array_equal(window_sum_adjoint(y, side), mirrored)

@@ -7,7 +7,6 @@ import pytest
 
 from mfcal.cascade import CascadeSpec, analytic_alpha, generate_binomial
 from mfcal.holder import (
-    DEFAULT_SCALES,
     NormState,
     ScaleSet,
     box_measures,

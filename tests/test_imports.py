@@ -1,0 +1,62 @@
+"""Every imported name in the package and its tests is used or re-exported."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(ROOT.glob("src/mfcal/*.py")) + sorted(ROOT.glob("tests/*.py"))
+
+
+def _bound_names(node):
+    """Names an import statement binds in its module, except ``__future__``."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    names = []
+    for alias in node.names:
+        if alias.asname:
+            names.append(alias.asname)
+        else:
+            # ``import a.b`` binds ``a``
+            names.append(alias.name.split(".")[0])
+    return names
+
+
+def _exported(tree) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = [
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in _bound_names(node)
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = _exported(tree)
+    return sorted(name for name in set(imported) if name not in used | exported)
+
+
+def test_the_checker_sees_unused_and_exported_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import numpy as np\n"
+        "from a import b, c\n"
+        "__all__ = ['c']\n"
+        "np.zeros(1)\n"
+    )
+    assert unused_imports(source) == ["b", "os"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_used_or_exported(path):
+    assert unused_imports(path.read_text()) == []
