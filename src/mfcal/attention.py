@@ -32,6 +32,7 @@ from .grid import as_field, window_sum_adjoint
 from .holder import (
     DEFAULT_EPSILON,
     DEFAULT_SCALES,
+    VAR_EPS,
     NormState,
     _normalize_with_cache,
     box_measures,
@@ -344,6 +345,29 @@ def fca_gates(stack, params: MonoParams, freq_pairs=None) -> np.ndarray:
 # stochastic level sets
 
 
+LEVEL_SET_BLOCK = 8192  # flattened positions per block of the level-set passes
+
+
+def _blocks(size: int):
+    """Fixed position blocks: the boundaries depend only on the size."""
+    return (slice(lo, lo + LEVEL_SET_BLOCK) for lo in range(0, size, LEVEL_SET_BLOCK))
+
+
+def _membership_block(alpha: np.ndarray, params: MultiParams):
+    """Memberships and distances ``alpha - centers`` of a flat block, both (Q, n).
+
+    The level-set axis comes first, so reductions over it run
+    elementwise across rows.
+    """
+    diff = alpha - params.centers[:, None]
+    member = np.square(diff)
+    member *= -params.sharpness[:, None]
+    member -= member.max(axis=0)
+    np.exp(member, out=member)
+    member /= member.sum(axis=0)
+    return member, diff
+
+
 def multi_membership(alpha, params: MultiParams) -> np.ndarray:
     """Soft assignment of each exponent to the Q level sets.
 
@@ -352,25 +376,65 @@ def multi_membership(alpha, params: MultiParams) -> np.ndarray:
     squared-distance logits leaves the result unchanged.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    logits = -params.sharpness * (alpha[..., None] - params.centers) ** 2
-    logits -= logits.max(axis=-1, keepdims=True)
-    expl = np.exp(logits)
-    return expl / expl.sum(axis=-1, keepdims=True)
+    flat = alpha.reshape(-1)
+    out = np.empty((flat.size, params.centers.size))
+    for block in _blocks(flat.size):
+        out[block] = _membership_block(flat[block], params)[0].T
+    return out.reshape(alpha.shape + (params.centers.size,))
 
 
-def _multi_forward_cache(stack, alpha, params: MultiParams):
+def _level_set_input(stack, alpha):
     stack = _as_stack(stack)
-    alpha = np.asarray(alpha, dtype=np.float64)
+    alpha = _as_stack(alpha)
     if alpha.shape != stack.shape:
         raise ValueError("alpha map shape must match the stack")
-    membership = multi_membership(alpha, params)
-    normed, norm_cache = _normalize_with_cache(membership, params.norm)
-    rect = np.maximum(normed, 0.0)
-    pooled = rect.sum(axis=-1)
-    gate = sigmoid(pooled)
-    out = stack + gate
-    cache = (alpha, membership, normed, norm_cache, gate)
-    return gate, out, cache
+    return stack, alpha.reshape(-1)
+
+
+def _level_set_statistics(alpha: np.ndarray, params: MultiParams):
+    """Per-level-set mean and sigma ``sqrt(var + VAR_EPS)`` as (Q, 1) columns.
+
+    Frozen statistics are the stored ones.  Per-instance statistics are
+    the memberships' population mean and variance over every position,
+    merged block by block in a fixed order (Chan et al.'s pairwise
+    update), so no (..., Q) membership tensor is ever held.
+    """
+    norm = params.norm
+    if norm.mode == "frozen":
+        mean, var = norm.running_mean, norm.running_var
+    else:
+        count, mean, m2 = 0, 0.0, 0.0
+        for block in _blocks(alpha.size):
+            member = _membership_block(alpha[block], params)[0]
+            n = member.shape[1]
+            block_mean = member.mean(axis=1)
+            member -= block_mean[:, None]
+            np.square(member, out=member)
+            delta = block_mean - mean
+            total = count + n
+            mean = mean + delta * (n / total)
+            m2 = m2 + member.sum(axis=1) + delta ** 2 * (count * n / total)
+            count = total
+        var = m2 / count
+    return mean[:, None], np.sqrt(var + VAR_EPS)[:, None]
+
+
+def _standardize(member: np.ndarray, mean, sigma) -> np.ndarray:
+    xhat = member - mean
+    xhat /= sigma
+    return xhat
+
+
+def _affine(xhat: np.ndarray, norm: NormState) -> np.ndarray:
+    normed = norm.gamma[:, None] * xhat
+    normed += norm.beta[:, None]
+    return normed
+
+
+def _rectified_gate(normed: np.ndarray) -> np.ndarray:
+    """Rectify ``normed`` in place; return the sigmoid of its sum over the level sets."""
+    np.maximum(normed, 0.0, out=normed)
+    return sigmoid(normed.sum(axis=0))
 
 
 def multi_forward(stack, alpha, params: MultiParams):
@@ -379,9 +443,20 @@ def multi_forward(stack, alpha, params: MultiParams):
     Per position: normalize each level set's membership, rectify, sum
     over the level sets, squash with a sigmoid, and add the resulting
     gate field to the stack.  Returns ``(gate_field, stack + gate_field)``.
+
+    Runs over fixed blocks of ``LEVEL_SET_BLOCK`` flattened positions:
+    one pass gathers the per-instance statistics (none when they are
+    frozen), a second gates each block, so memory is
+    O(H*W*C + LEVEL_SET_BLOCK*Q).
     """
-    gate, out, _ = _multi_forward_cache(stack, alpha, params)
-    return gate, out
+    stack, alpha = _level_set_input(stack, alpha)
+    mean, sigma = _level_set_statistics(alpha, params)
+    gate = np.empty(stack.shape)
+    flat_gate = gate.reshape(-1)
+    for block in _blocks(alpha.size):
+        xhat = _standardize(_membership_block(alpha[block], params)[0], mean, sigma)
+        flat_gate[block] = _rectified_gate(_affine(xhat, params.norm))
+    return gate, stack + gate
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +498,7 @@ def mono_backward(stack, params: MonoParams, upstream,
     pooling, and the MLP.  The rectifier subgradient at zero is zero.
     """
     stack = _as_stack(stack)
-    upstream = np.asarray(upstream, dtype=np.float64)
+    upstream = _as_stack(upstream)
     if upstream.shape != stack.shape:
         raise ValueError("upstream cotangent must match the stack shape")
     h, w, _ = stack.shape
@@ -472,30 +547,80 @@ def multi_backward(stack, alpha, params: MultiParams, upstream) -> MultiGradient
     returned so callers can chain it through an exponent-map backward of
     their choice.  The stack gradient of the additive head is the
     upstream cotangent itself.
+
+    Uses the blocks of :func:`multi_forward`.  After the statistics
+    pass, one pass accumulates the two per-level-set sums that the
+    normalization's reverse needs, and a second forms the parameter and
+    exponent gradients.
     """
-    stack = _as_stack(stack)
-    upstream = np.asarray(upstream, dtype=np.float64)
+    stack, alpha = _level_set_input(stack, alpha)
+    upstream = _as_stack(upstream)
     if upstream.shape != stack.shape:
         raise ValueError("upstream cotangent must match the stack shape")
+    flat_up = upstream.reshape(-1)
+    norm = params.norm
+    mean, sigma = _level_set_statistics(alpha, params)
+    d_pooled = np.empty(alpha.size)
 
-    _, _, cache = _multi_forward_cache(stack, alpha, params)
-    alpha_arr, membership, normed, norm_cache, gate = cache
+    def rectified_cotangent(block, normed):
+        """Overwrite ``normed``, or its rectified values, with d_pooled * (normed > 0)."""
+        np.greater(normed, 0.0, out=normed)
+        normed *= d_pooled[block]
+        return normed
 
-    d_pooled = upstream * gate * (1.0 - gate)
-    d_normed = d_pooled[..., None] * (normed > 0.0)
-    d_membership, d_gamma, d_beta = normalize_vjp(d_normed, norm_cache)
+    def normalization_sums(block):
+        """Gate cotangents of a block, and its share of sum(d_normed), sum(d_normed * xhat)."""
+        xhat = _standardize(_membership_block(alpha[block], params)[0], mean, sigma)
+        normed = _affine(xhat, norm)
+        gate = _rectified_gate(normed)
+        d_pooled[block] = flat_up[block] * gate * (1.0 - gate)
+        d_normed = rectified_cotangent(block, normed)
+        return d_normed.sum(axis=1), np.einsum("qn,qn->q", d_normed, xhat)
 
-    # softmax over the level-set axis
-    inner = (d_membership * membership).sum(axis=-1, keepdims=True)
-    d_logits = membership * (d_membership - inner)
+    d_beta = np.zeros(norm.channels)
+    d_gamma = np.zeros(norm.channels)
+    for block in _blocks(alpha.size):
+        beta_part, gamma_part = normalization_sums(block)
+        d_beta += beta_part
+        d_gamma += gamma_part
 
-    diff = alpha_arr[..., None] - params.centers
-    d_centers = (d_logits * 2.0 * params.sharpness * diff).sum(axis=(0, 1, 2))
-    d_sharpness = (d_logits * -(diff ** 2)).sum(axis=(0, 1, 2))
-    d_alpha = (d_logits * -2.0 * params.sharpness * diff).sum(axis=-1)
+    # per-instance statistics move with every membership: two correction terms
+    per_instance = norm.mode != "frozen"
+    shift = (norm.gamma * d_beta / alpha.size)[:, None]
+    tilt = (norm.gamma * d_gamma / alpha.size)[:, None]
+
+    def parameter_terms(block):
+        """Per-level-set sums of d_logits * diff and d_logits * diff**2, and d_alpha."""
+        member, diff = _membership_block(alpha[block], params)
+        xhat = _standardize(member, mean, sigma)
+        d_member = rectified_cotangent(block, _affine(xhat, norm))
+        d_member *= norm.gamma[:, None]
+        if per_instance:
+            d_member -= shift
+            xhat *= tilt
+            d_member -= xhat
+        d_member /= sigma
+        # softmax over the level-set axis: d_logits = member * (d_member - inner)
+        d_member -= np.einsum("qn,qn->n", d_member, member)
+        d_member *= member
+        d_member *= diff  # d_logits * diff from here on
+        centers = d_member.sum(axis=1)
+        sharpness = np.einsum("qn,qn->q", d_member, diff)
+        d_member *= params.sharpness[:, None]
+        return centers, sharpness, d_member.sum(axis=0)
+
+    d_centers = np.zeros(norm.channels)
+    d_sharpness = np.zeros(norm.channels)
+    d_alpha = np.empty(alpha.size)
+    for block in _blocks(alpha.size):
+        centers_part, sharpness_part, d_alpha[block] = parameter_terms(block)
+        d_centers += centers_part
+        d_sharpness -= sharpness_part
+    d_centers *= 2.0 * params.sharpness
+    d_alpha *= -2.0
 
     return MultiGradients(
         centers=d_centers, sharpness=d_sharpness,
         gamma=d_gamma, beta=d_beta,
-        stack=upstream.copy(), alpha=d_alpha,
+        stack=upstream.copy(), alpha=d_alpha.reshape(stack.shape),
     )

@@ -51,7 +51,11 @@ def integral_image(field) -> np.ndarray:
     fixed order (down columns, then across rows) so repeated calls are
     bit-identical.
     """
-    field = as_field(field)
+    return _summed_area(as_field(field))
+
+
+def _summed_area(field: np.ndarray) -> np.ndarray:
+    # the unchecked body of integral_image, for callers that checked the field
     shape = (field.shape[0] + 1, field.shape[1] + 1) + field.shape[2:]
     table = np.zeros(shape, dtype=np.float64)
     np.cumsum(field, axis=0, out=table[1:, 1:])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import integral_image, require_measure, window_sum
+from .grid import _summed_area, require_measure, window_sum
 
 __all__ = [
     "ScaleSet",
@@ -113,7 +113,7 @@ def box_measures(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
 
     def work(bounds):
         lo, hi = bounds
-        table = integral_image(stack[:, :, lo:hi])
+        table = _summed_area(stack[:, :, lo:hi])
         for out, side in zip(outs, scales):
             out[:, :, lo:hi] = window_sum(table, side)
 

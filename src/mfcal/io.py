@@ -160,7 +160,7 @@ def read_pgm(data: bytes) -> np.ndarray:
         raise PgmError(f"non-numeric header token: {exc}") from None
     if width < 1 or height < 1:
         raise PgmError("image dimensions must be positive")
-    if maxval == 0:
+    if maxval < 1:
         raise PgmMaxvalError("maxval must be positive")
     if maxval > 65535:
         raise PgmMaxvalError("maxval exceeds 65535")

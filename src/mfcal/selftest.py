@@ -542,6 +542,10 @@ def _selftest_artifacts(directory: Path, threads: int) -> list:
     # depended on the thread count would show here first
     means = [float(v) for v in mean_alpha(alpha_stack)]
     (directory / "alpha-stack-means.json").write_text(json.dumps(means) + "\n")
+    # its 64 * 64 * 8 positions span four blocks of the level-set passes
+    qparams = init_multi_params(16, float(alpha_stack.min()), float(alpha_stack.max()))
+    gate, _ = multi_forward(stack, alpha_stack, qparams)
+    (directory / "multi-gate.mfr").write_bytes(fio.write_field(gate))
 
     lines = [generate_binomial(CascadeSpec.binomial(_P, k)) for k in range(8, 12)]
     hist = histogram_spectrum(lines, bins=16)
@@ -555,7 +559,7 @@ def _selftest_artifacts(directory: Path, threads: int) -> list:
     (directory / "excite.json").write_text(fio.excite_record_json(record))
     return [
         "cascade-2d.mfr", "alpha-2d.mfr", "alpha-stack.mfr", "alpha-stack-means.json",
-        "histogram.csv", "moments.csv", "legendre.csv", "excite.json",
+        "multi-gate.mfr", "histogram.csv", "moments.csv", "legendre.csv", "excite.json",
     ]
 
 

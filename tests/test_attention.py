@@ -324,6 +324,14 @@ class TestMultiForward:
             multi_forward(np.ones((4, 4, 2)), np.ones((4, 4, 3)),
                           init_multi_params(2, 0.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_exponents_are_rejected(self, bad):
+        # per-instance statistics would spread one bad exponent to every gate
+        alpha = np.random.default_rng(24).normal(2.0, 0.3, (4, 4, 2))
+        alpha[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            multi_forward(np.ones((4, 4, 2)), alpha, init_multi_params(4, 1.0, 3.0))
+
 
 class TestInit:
     def test_mono_init_is_deterministic_and_fan_bounded(self):

@@ -200,6 +200,20 @@ class TestDeterminism:
             outputs.append((out.read_bytes(), means.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_level_set_recalibration_is_byte_identical_across_thread_counts(self, tmp_path):
+        # 48 * 48 * 4 positions: more than one block of the level-set passes
+        rng = np.random.default_rng(18)
+        src = tmp_path / "stack.mfr"
+        src.write_bytes(write_field(rng.uniform(0.1, 1.0, (48, 48, 4))))
+        outputs = []
+        for threads in (1, 4):
+            out = tmp_path / f"multi-{threads}.mfr"
+            gates = tmp_path / f"gates-{threads}.json"
+            assert run("--threads", threads, "recalibrate", "--method", "multi",
+                       "--input", src, "--out", out, "--gates", gates) == 0
+            outputs.append((out.read_bytes(), gates.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_seeded_recalibration_is_reproducible(self, tmp_path):
         rng = np.random.default_rng(19)
         src = tmp_path / "stack.mfr"

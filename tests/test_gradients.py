@@ -93,6 +93,13 @@ class TestMonoBackward:
         expected = 0.25 * stack.sum(axis=(0, 1))
         np.testing.assert_allclose(grads.b2, expected, rtol=1e-12)
 
+    def test_non_finite_upstream_is_rejected(self):
+        rng = np.random.default_rng(37)
+        stack, params, upstream = mono_fixture(rng, "frozen")
+        upstream[0, 1, 2] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            mono_backward(stack, params, upstream, SCALES, EPS)
+
     def test_strict_two_matrix_form_has_no_bias_gradients(self):
         rng = np.random.default_rng(32)
         stack, params, upstream = mono_fixture(rng, "frozen", use_bias=False)
@@ -119,23 +126,43 @@ def multi_fixture(rng):
     return stack, alpha, params, upstream
 
 
+def check_multi_against_fd(stack, alpha, params, upstream, rng):
+    grads = multi_backward(stack, alpha, params, upstream)
+
+    def loss():
+        _, out = multi_forward(stack, alpha, params)
+        return float((upstream * out).sum())
+
+    arrays = {"centers": params.centers, "sharpness": params.sharpness,
+              "gamma": params.norm.gamma, "beta": params.norm.beta,
+              "stack": stack, "alpha": alpha}
+    analytic = {"centers": grads.centers, "sharpness": grads.sharpness,
+                "gamma": grads.gamma, "beta": grads.beta,
+                "stack": grads.stack, "alpha": grads.alpha}
+    check_against_fd(loss, arrays, analytic, rng)
+
+
 class TestMultiBackward:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(33)
+        check_multi_against_fd(*multi_fixture(rng), rng)
+
+    def test_frozen_statistics_match_finite_differences(self):
+        rng = np.random.default_rng(38)
         stack, alpha, params, upstream = multi_fixture(rng)
-        grads = multi_backward(stack, alpha, params, upstream)
+        params.norm.mode = "frozen"
+        params.norm.running_mean = rng.uniform(0.1, 0.4, 4)
+        params.norm.running_var = rng.uniform(0.01, 0.1, 4)
+        check_multi_against_fd(stack, alpha, params, upstream, rng)
 
-        def loss():
-            _, out = multi_forward(stack, alpha, params)
-            return float((upstream * out).sum())
-
-        arrays = {"centers": params.centers, "sharpness": params.sharpness,
-                  "gamma": params.norm.gamma, "beta": params.norm.beta,
-                  "stack": stack, "alpha": alpha}
-        analytic = {"centers": grads.centers, "sharpness": grads.sharpness,
-                    "gamma": grads.gamma, "beta": grads.beta,
-                    "stack": grads.stack, "alpha": grads.alpha}
-        check_against_fd(loss, arrays, analytic, rng)
+    @pytest.mark.parametrize("name", ["alpha", "upstream"])
+    def test_non_finite_inputs_are_rejected(self, name):
+        # per-instance statistics would spread one bad entry to every gradient
+        rng = np.random.default_rng(39)
+        inputs = dict(zip(("stack", "alpha", "params", "upstream"), multi_fixture(rng)))
+        inputs[name][1, 0, 3] = np.nan if name == "alpha" else np.inf
+        with pytest.raises(ValueError, match="finite"):
+            multi_backward(**inputs)
 
     def test_zero_upstream_gives_zero_bundle(self):
         rng = np.random.default_rng(34)

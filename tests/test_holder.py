@@ -257,3 +257,20 @@ class TestNormalize:
                 down = loss(x)
                 arr[ch] = old
                 assert grad[ch] == pytest.approx((up - down) / (2 * h), rel=1e-5, abs=1e-8)
+
+
+class TestBoxMeasuresInputCheck:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_checks_its_input_once(self, threads, monkeypatch):
+        import mfcal.grid as grid
+
+        calls = []
+        checked = grid.as_field
+
+        def counting(values):
+            calls.append(1)
+            return checked(values)
+
+        monkeypatch.setattr(grid, "as_field", counting)
+        box_measures(np.ones((6, 5, 4)), SCALES, threads=threads)
+        assert len(calls) == 1

@@ -1,14 +1,20 @@
 """Container, PGM, CSV, and JSON serialization round trips."""
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mfcal.cascade import SpectrumCurve
+from mfcal.cli import main
 from mfcal.io import (
     ContainerDimsError,
+    ContainerError,
     ContainerDtypeError,
     ContainerMagicError,
     ContainerVersionError,
+    PgmError,
     PgmMagicError,
     PgmMaxvalError,
     PgmTruncatedError,
@@ -125,6 +131,92 @@ class TestPgm:
     def test_oversized_maxval(self):
         with pytest.raises(PgmMaxvalError):
             read_pgm(b"P5 1 1 70000 \x00\x00")
+
+
+def mutations(valid: bytes, rng: random.Random, count: int):
+    """Seeded variants of a valid blob: truncated, header bytes overwritten, junk inserted."""
+    for _ in range(count):
+        blob = bytearray(valid)
+        kind = rng.randrange(3)
+        if kind == 0:
+            del blob[rng.randrange(len(blob)):]
+        elif kind == 1:
+            for _ in range(rng.randint(1, 4)):
+                blob[rng.randrange(min(len(blob), 24))] = rng.randrange(256)
+        else:
+            at = rng.randrange(len(blob))
+            blob[at:at] = bytes(rng.randrange(256) for _ in range(rng.randint(1, 8)))
+        yield bytes(blob)
+
+
+def huge_headers(rng: random.Random, count: int):
+    """Well-formed headers that declare far more data than the few bytes that follow."""
+    for _ in range(count):
+        ndims = rng.randint(2, 4)
+        dims = [rng.randint(1 << 20, 0xFFFFFFFF) for _ in range(ndims)]
+        header = b"MFR1" + bytes([1, rng.randint(0, 1), ndims])
+        header += b"".join(d.to_bytes(4, "little") for d in dims)
+        yield header + bytes(rng.randrange(64))
+        width, height = rng.randint(1 << 20, 1 << 40), rng.randint(1, 1 << 40)
+        yield f"P5 {width} {height} {rng.choice([255, 65535])}\n".encode() + bytes(rng.randrange(64))
+
+
+def decode(blob: bytes):
+    """Decode as the CLI does; return the typed error raised, or None."""
+    try:
+        if blob[:2] == b"P5":
+            read_pgm(blob)
+        else:
+            read_field(blob)
+    except (ContainerError, PgmError) as exc:
+        return exc
+    return None
+
+
+class TestFuzz:
+    """Malformed inputs reach only the typed errors, and the CLI exits 3 on them."""
+
+    def _cli_exit(self, tmp_path, blob):
+        src = tmp_path / "fuzz.bin"
+        src.write_bytes(blob)
+        return main(["holder", "--input", str(src), "--out", str(tmp_path / "o.mfr")])
+
+    def _check(self, tmp_path, blobs, cli_runs=12):
+        failures = [blob for blob in blobs if decode(blob) is not None]
+        assert failures
+        for blob in failures[:cli_runs]:
+            assert self._cli_exit(tmp_path, blob) == 3
+
+    def test_mutated_containers(self, tmp_path):
+        rng = random.Random(41)
+        valid = write_field(np.arange(24.0).reshape(2, 3, 4))
+        self._check(tmp_path, list(mutations(valid, rng, 300)))
+
+    def test_mutated_pgm_streams(self, tmp_path):
+        rng = random.Random(42)
+        valid = b"P5\n# fixture\n3 2\n65535\n" + bytes(range(12))
+        self._check(tmp_path, list(mutations(valid, rng, 300)))
+
+    def test_bad_maxval(self, tmp_path):
+        rng = random.Random(43)
+        for _ in range(20):
+            maxval = rng.choice([0, rng.randint(65536, 1 << 40), -rng.randint(1, 99)])
+            blob = f"P5 1 1 {maxval} ".encode() + b"\x00\x00"
+            assert isinstance(decode(blob), PgmError)
+        assert self._cli_exit(tmp_path, b"P5 1 1 0 \x00") == 3
+        assert self._cli_exit(tmp_path, b"P5 1 1 -7 \x05") == 3  # not a field of -5/7
+
+    def test_huge_declared_sizes_are_rejected_before_allocation(self, tmp_path):
+        blobs = list(huge_headers(random.Random(44), 20))
+        tracemalloc.start()
+        try:
+            errors = [decode(blob) for blob in blobs]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(e, (ContainerDimsError, PgmTruncatedError)) for e in errors)
+        assert peak < 1 << 20
+        self._check(tmp_path, blobs[:4])
 
 
 class TestCsv:
