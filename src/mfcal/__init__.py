@@ -2,7 +2,7 @@
 
 Subpackage map:
 
-* :mod:`mfcal.grid` -- fields, summed-area tables, clipped window sums
+* :mod:`mfcal.grid` -- fields and direct clipped window sums
 * :mod:`mfcal.cascade` -- multiplicative cascades and their exact oracles
 * :mod:`mfcal.holder` -- local scaling-exponent maps and normalization
 * :mod:`mfcal.spectrum` -- spectrum and box-dimension estimators

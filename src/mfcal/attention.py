@@ -50,7 +50,6 @@ __all__ = [
     "init_mono_params",
     "init_multi_params",
     "gap",
-    "gsp",
     "sigmoid",
     "se_forward",
     "scse_forward",
@@ -93,7 +92,7 @@ def gap(stack) -> np.ndarray:
     return np.array([stack[:, :, c].mean() for c in range(stack.shape[2])])
 
 
-def gsp(stack) -> np.ndarray:
+def _gsp(stack) -> np.ndarray:
     """Global standard-deviation pooling (population std per channel)."""
     stack = _as_stack(stack)
     return np.array([stack[:, :, c].std() for c in range(stack.shape[2])])
@@ -281,7 +280,7 @@ def srm_gates(stack, w_mean, w_std, norm: NormState) -> np.ndarray:
     stack = _as_stack(stack)
     w_mean = np.asarray(w_mean, dtype=np.float64)
     w_std = np.asarray(w_std, dtype=np.float64)
-    t = w_mean * gap(stack) + w_std * gsp(stack)
+    t = w_mean * gap(stack) + w_std * _gsp(stack)
     return sigmoid(normalize(t, norm))
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "generate_product_2d",
     "bitcount_measure",
     "analytic_alpha",
-    "analytic_f",
     "analytic_spectrum",
     "analytic_tau",
     "analytic_alpha_q",
@@ -196,7 +195,7 @@ def analytic_alpha(phi: float, p: float) -> float:
     return -(phi * math.log2(p) + (1.0 - phi) * math.log2(1.0 - p))
 
 
-def analytic_f(phi: float) -> float:
+def _analytic_f(phi: float) -> float:
     """Binary entropy ``-(phi log2 phi + (1-phi) log2(1-phi))``, 0 log 0 := 0.
 
     This is the level-set dimension paired with ``analytic_alpha(phi, p)``:
@@ -228,7 +227,7 @@ def analytic_spectrum(p: float, n_points: int, dims: int = 1) -> SpectrumCurve:
         raise ValueError("dims must be 1 or 2")
     phis = np.linspace(0.0, 1.0, n_points)
     alpha = np.array([analytic_alpha(phi, p) for phi in phis])
-    f = np.array([analytic_f(phi) for phi in phis])
+    f = np.array([_analytic_f(phi) for phi in phis])
     if dims == 2:
         alpha = 2.0 * alpha
         f = 2.0 * f

@@ -1,10 +1,11 @@
-"""Dense 2-D fields, summed-area tables, and clipped sliding-window sums.
+"""Dense 2-D fields and clipped sliding-window sums.
 
-A field is a plain float64 ndarray of shape (H, W) or (H, W, C), and
-its summed-area table a plain ndarray of shape (H+1, W+1[, C]).  All
-windowed reductions here are pure, use a fixed association order, and
-clip windows to the image domain, so results are reproducible bit for
-bit regardless of how callers parallelize over channels.
+A field is a plain float64 ndarray of shape (H, W) or (H, W, C).  A
+window sum adds the field's cells directly, never subtracting, so a
+window of nonnegative cells holding a positive one has a positive sum.
+Window sums are pure, use a fixed association order, and clip windows
+to the image domain, so results are reproducible bit for bit regardless
+of how callers parallelize over channels.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ __all__ = [
     "integral_image",
     "window_sum",
     "window_sum_adjoint",
-    "window_anchor",
 ]
 
 
@@ -44,18 +44,10 @@ def require_measure(values) -> np.ndarray:
 def integral_image(field) -> np.ndarray:
     """Cumulative-sum table: ``SAT[i, j] = sum(field[:i, :j])`` per channel.
 
-    The table has shape (H+1, W+1[, C]); row 0 and column 0 are
-    identically zero so that any rectangle sum is a four-corner
-    difference.  For nonnegative fields the table is monotone
-    nondecreasing along both spatial axes.  Accumulation runs in a
-    fixed order (down columns, then across rows) so repeated calls are
-    bit-identical.
+    Shape (H+1, W+1[, C]), row 0 and column 0 zero, accumulated in a
+    fixed order (down columns, then across rows).  No window sum uses it.
     """
-    return _summed_area(as_field(field))
-
-
-def _summed_area(field: np.ndarray) -> np.ndarray:
-    # the unchecked body of integral_image, for callers that checked the field
+    field = as_field(field)
     shape = (field.shape[0] + 1, field.shape[1] + 1) + field.shape[2:]
     table = np.zeros(shape, dtype=np.float64)
     np.cumsum(field, axis=0, out=table[1:, 1:])
@@ -63,38 +55,36 @@ def _summed_area(field: np.ndarray) -> np.ndarray:
     return table
 
 
-def window_anchor(side: int) -> int:
-    """Leading extent of a window before its anchor pixel.
-
-    Odd sides are centered on the anchor; even sides cover
-    ``[h - side/2, h + side/2)``, i.e. the extra cell goes to the
-    bottom/right of the covered extent.
-    """
-    return side // 2
-
-
-def _window_sum_table(table: np.ndarray, side: int, offset: int) -> np.ndarray:
-    h, w = table.shape[0] - 1, table.shape[1] - 1
-    # edge replication turns the border clip into a plain shift, so the
-    # four corners are slices; t[i] holds table[clip(i - offset, 0, h)]
-    spatial = ((offset, side - offset),) * 2
-    t = np.pad(table, spatial + ((0, 0),) * (table.ndim - 2), mode="edge")
-    # four-corner difference, evaluated in a fixed order
-    return (t[side:side + h, side:side + w] - t[side:side + h, :w]
-            - t[:h, side:side + w] + t[:h, :w])
+def _shift_sum(field: np.ndarray, side: int, offset: int) -> np.ndarray:
+    # out[i] = sum(field[i - offset : i - offset + side]) per spatial axis;
+    # zero padding is the border clip.  The first add allocates the result
+    # (np.pad returns a fresh array, so side 1 needs no copy).
+    h, w = field.shape[0], field.shape[1]
+    spatial = ((offset, side - 1 - offset),) * 2
+    p = np.pad(field, spatial + ((0, 0),) * (field.ndim - 2))
+    rows = p[:h] + p[1:1 + h] if side > 1 else p
+    for k in range(2, side):
+        rows += p[k:k + h]
+    out = rows[:, :w] + rows[:, 1:1 + w] if side > 1 else rows
+    for k in range(2, side):
+        out += rows[:, k:k + w]
+    return out
 
 
-def window_sum(table: np.ndarray, side: int) -> np.ndarray:
+def window_sum(field: np.ndarray, side: int) -> np.ndarray:
     """Sum of the ``side x side`` window anchored at every pixel.
 
-    ``table`` is an :func:`integral_image` result.  Windows are clipped
-    to the image domain, so border outputs sum over the intersection
-    only.  A side exceeding twice the image extent degenerates to the
-    full-channel sum at every pixel; that is allowed, not an error.
+    ``field`` is a checked float64 array; it is not checked again.  Odd
+    sides are centered on the anchor; even sides cover ``[h - side/2,
+    h + side/2)``, so the extra cell goes before the anchor (top/left).
+    Windows are clipped to the image domain, so border outputs sum over
+    the intersection only; a side exceeding twice the image extent gives
+    the full-channel sum at every pixel.  Each output adds ``side`` row
+    terms, then ``side`` column terms: O(side) work per pixel.
     """
     if side < 1:
         raise ValueError("window side must be >= 1")
-    return _window_sum_table(table, side, window_anchor(side))
+    return _shift_sum(field, side, side // 2)
 
 
 def window_sum_adjoint(field, side: int) -> np.ndarray:
@@ -105,5 +95,4 @@ def window_sum_adjoint(field, side: int) -> np.ndarray:
     again a clipped window sum, with the anchor mirrored so that even
     sides put their extra cell on the opposite edge.
     """
-    table = integral_image(field)
-    return _window_sum_table(table, side, side - 1 - window_anchor(side))
+    return _shift_sum(as_field(field), side, side - 1 - side // 2)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _summed_area, require_measure, window_sum
+from .grid import require_measure, window_sum
 
 __all__ = [
     "ScaleSet",
@@ -29,7 +29,6 @@ __all__ = [
     "slope_from_measures",
     "holder_map",
     "mean_alpha",
-    "unclipped_interior",
     "interior_view",
     "normalize",
 ]
@@ -98,10 +97,10 @@ def box_measures(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
     C-contiguous outputs, one per scale.  It is filled chunk by chunk
     over ``min(threads, C)`` contiguous channel chunks (a 2-D field is
     one channel), the first on the calling thread and the rest on a
-    thread pool.  Each chunk builds one summed-area table and reuses it
-    for all scales.  Neither per-channel accumulation order nor output
-    layout depends on the chunks, so results are bit-identical for every
-    worker count.
+    thread pool.  Each chunk goes straight to one :func:`window_sum` per
+    scale, a direct sum with no subtraction.  Neither per-channel
+    accumulation order nor output layout depends on the chunks, so
+    results are bit-identical for every worker count.
     """
     field = require_measure(field)
     scales = _as_scales(scales)
@@ -113,9 +112,8 @@ def box_measures(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
 
     def work(bounds):
         lo, hi = bounds
-        table = _summed_area(stack[:, :, lo:hi])
         for out, side in zip(outs, scales):
-            out[:, :, lo:hi] = window_sum(table, side)
+            out[:, :, lo:hi] = window_sum(stack[:, :, lo:hi], side)
 
     # the calling thread fills the first chunk; a single chunk starts no thread
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
@@ -130,9 +128,9 @@ def box_measures(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
 def slope_from_measures(measures, scales) -> np.ndarray:
     """Per-pixel OLS slope of ``log mu`` against ``log k`` over the scale set.
 
-    Every windowed mass must be positive.  A mass <= 0 (a zero-mass
-    window at ``epsilon = 0``, or summed-area-table cancellation under a
-    large dynamic range) has no finite log and raises ``ValueError``.
+    Every windowed mass must be positive.  A mass <= 0 (a window of
+    zero mass at ``epsilon = 0``) has no finite log and raises
+    ``ValueError``.
     """
     scales = _as_scales(scales)
     if len(measures) != len(scales):
@@ -147,8 +145,7 @@ def slope_from_measures(measures, scales) -> np.ndarray:
     except FloatingPointError:
         raise ValueError(
             "some windowed masses are <= 0, so their log-log slopes are not finite "
-            "(zero-mass windows at epsilon = 0, or summed-area-table cancellation); "
-            "use epsilon > 0"
+            "(zero-mass windows at epsilon = 0); use epsilon > 0"
         ) from None
     return out
 
@@ -157,9 +154,9 @@ def holder_map(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
                threads: int = 1) -> np.ndarray:
     """Local exponent map: slope of log windowed mass vs. log window side.
 
-    Output has the field's shape.  Values are finite whenever
-    ``epsilon > 0``; with ``epsilon = 0`` a window without positive
-    mass raises ``ValueError`` (see :func:`slope_from_measures`).
+    Output has the field's shape.  Masses are direct window sums, so
+    values are finite whenever ``epsilon > 0``; with ``epsilon = 0`` a
+    window without positive mass raises ``ValueError``.
     """
     scales = _as_scales(scales)
     measures = box_measures(field, scales, epsilon, threads)
@@ -174,7 +171,7 @@ def mean_alpha(alpha_map) -> np.ndarray:
     return np.atleast_1d(alpha_map.mean(axis=(0, 1)))
 
 
-def unclipped_interior(shape, scales) -> tuple:
+def _unclipped_interior(shape, scales) -> tuple:
     """Row/column slices of pixels whose windows never clip at any scale."""
     scales = _as_scales(scales)
     h, w = shape[0], shape[1]
@@ -189,7 +186,7 @@ def unclipped_interior(shape, scales) -> tuple:
 def interior_view(alpha_map, scales) -> np.ndarray:
     """Restrict a map to the clipping-free interior (border slopes are biased)."""
     alpha_map = np.asarray(alpha_map)
-    rows, cols = unclipped_interior(alpha_map.shape, scales)
+    rows, cols = _unclipped_interior(alpha_map.shape, scales)
     return alpha_map[rows, cols]
 
 

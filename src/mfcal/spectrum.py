@@ -135,6 +135,28 @@ class PartitionFunction:
     one_sided: np.ndarray
 
 
+def _log2_partition(field, q: np.ndarray) -> np.ndarray:
+    """``log2 sum mu**q`` over the positive cells, for every order q.
+
+    Log-sum-exp: shifting by the largest log mass for q >= 0 and by the
+    smallest for q < 0 keeps every term in (0, 1], so no order overflows.
+    One scratch buffer serves every order; nothing is allocated per order.
+    """
+    mass = np.asarray(field, dtype=np.float64).ravel()
+    log_mass = mass[mass > 0.0]
+    np.log2(log_mass, out=log_mass)
+    top, bottom = log_mass.max(), log_mass.min()
+    below_top = log_mass - top
+    above_bottom = np.subtract(log_mass, bottom, out=log_mass)
+    buf = np.empty_like(log_mass)
+    out = np.empty(q.size)
+    for i, qi in enumerate(q):
+        shift, dev = (top, below_top) if qi >= 0.0 else (bottom, above_bottom)
+        np.multiply(qi, dev, out=buf)
+        out[i] = qi * shift + np.log2(np.exp2(buf, out=buf).sum())
+    return out
+
+
 def moments_spectrum(fields, q_values) -> tuple:
     """Method of moments: tau(q) scaling plus Legendre transform.
 
@@ -153,16 +175,7 @@ def moments_spectrum(fields, q_values) -> tuple:
         raise ValueError("moment order spacing must not exceed 0.5")
     depths = _check_depth_fields(fields)
 
-    log2_z = np.empty((q.size, len(depths)))
-    for j, (field, k) in enumerate(zip(fields, depths)):
-        mass = np.asarray(field, dtype=np.float64).ravel()
-        mass = mass[mass > 0.0]
-        log_mass = np.log2(mass)
-        # one scratch buffer per depth: nothing is allocated per moment order
-        buf = np.empty_like(log_mass)
-        for i, qi in enumerate(q):
-            np.multiply(qi, log_mass, out=buf)
-            log2_z[i, j] = np.log2(np.exp2(buf, out=buf).sum())
+    log2_z = np.stack([_log2_partition(field, q) for field in fields], axis=1)
 
     x = -np.asarray(depths, dtype=np.float64)
     dev = x - x.mean()

@@ -7,7 +7,6 @@ from mfcal.attention import (
     dct_basis,
     fca_gates,
     gap,
-    gsp,
     init_mono_params,
     init_multi_params,
     lowest_frequency_pairs,
@@ -17,6 +16,7 @@ from mfcal.attention import (
     se_forward,
     sigmoid,
     srm_gates,
+    _gsp,
 )
 from mfcal.holder import NormState, ScaleSet
 
@@ -49,11 +49,11 @@ class TestPooling:
         assert np.array_equal(gap(stack), brute)
 
     def test_gsp_constant_channel_is_zero(self):
-        assert gsp(np.full((4, 4, 1), 7.0))[0] == 0.0
+        assert _gsp(np.full((4, 4, 1), 7.0))[0] == 0.0
 
     def test_gsp_two_pixels(self):
         stack = np.array([[[0.0]], [[2.0]]])
-        assert gsp(stack)[0] == 1.0  # population convention
+        assert _gsp(stack)[0] == 1.0  # population convention
 
     def test_gsp_equals_brute_force_std(self):
         rng = np.random.default_rng(1)
@@ -62,7 +62,7 @@ class TestPooling:
             [np.sqrt(((stack[:, :, c] - stack[:, :, c].mean()) ** 2).mean())
              for c in range(3)]
         )
-        np.testing.assert_allclose(gsp(stack), brute, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_gsp(stack), brute, rtol=0, atol=1e-12)
 
 
 class TestSeForward:
@@ -188,7 +188,7 @@ class TestSrm:
         norm.running_mean = rng.normal(size=3) * 0.1
         norm.running_var = rng.uniform(0.5, 1.5, 3)
         gates = srm_gates(stack, w_mean, w_std, norm)
-        t = w_mean * gap(stack) + w_std * gsp(stack)
+        t = w_mean * gap(stack) + w_std * _gsp(stack)
         normed = (t - norm.running_mean) / np.sqrt(norm.running_var + 1e-5)
         expected_gates = sigmoid(norm.gamma * normed + norm.beta)
         np.testing.assert_allclose(gates, expected_gates, rtol=0, atol=1e-12)

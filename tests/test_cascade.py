@@ -10,13 +10,13 @@ from mfcal.cascade import (
     SpectrumCurve,
     analytic_alpha,
     analytic_alpha_q,
-    analytic_f,
     analytic_spectrum,
     analytic_tau,
     bitcount_measure,
     generate_binomial,
     generate_product_2d,
     make_curve,
+    _analytic_f,
 )
 
 # closed-form anchors for p = 2/3
@@ -118,12 +118,12 @@ class TestAnalyticForms:
     def test_alpha_tangency_point(self):
         # at phi = p the spectrum touches the diagonal: f(alpha) = alpha
         assert analytic_alpha(2 / 3, 2 / 3) == pytest.approx(ENTROPY_23, abs=1e-15)
-        assert analytic_f(2 / 3) == pytest.approx(ENTROPY_23, abs=1e-15)
+        assert _analytic_f(2 / 3) == pytest.approx(ENTROPY_23, abs=1e-15)
 
     def test_entropy_extremes(self):
-        assert analytic_f(0.5) == 1.0
-        assert analytic_f(0.0) == 0.0
-        assert analytic_f(1.0) == 0.0
+        assert _analytic_f(0.5) == 1.0
+        assert _analytic_f(0.0) == 0.0
+        assert _analytic_f(1.0) == 0.0
 
     def test_spectrum_peak_1d(self):
         curve = analytic_spectrum(2 / 3, 101)

@@ -17,8 +17,8 @@ from mfcal.holder import (
     normalize,
     normalize_vjp,
     slope_from_measures,
-    unclipped_interior,
     _normalize_with_cache,
+    _unclipped_interior,
 )
 
 SCALES = ScaleSet((2, 3, 4))
@@ -173,13 +173,13 @@ class TestHolderMap:
 
 class TestInterior:
     def test_unclipped_interior_slices(self):
-        rows, cols = unclipped_interior((128, 128), SCALES)
+        rows, cols = _unclipped_interior((128, 128), SCALES)
         assert rows == slice(2, 127)
         assert cols == slice(2, 127)
 
     def test_too_small_field_rejected(self):
         with pytest.raises(ValueError, match="too small"):
-            unclipped_interior((3, 3), SCALES)
+            _unclipped_interior((3, 3), SCALES)
 
 
 class TestMeanAlpha:

@@ -120,6 +120,15 @@ class TestMomentsSpectrum:
         flags = partition.one_sided
         assert flags[0] and flags[-1] and not flags[1:-1].any()
 
+    def test_extreme_orders_do_not_overflow(self):
+        # at p = 0.01 and depth 16 the smallest cell mass to the power -10 is
+        # about 2**1063, beyond float64; every shifted term stays in (0, 1]
+        q = np.arange(-10.0, 1e-9, 0.25)
+        with np.errstate(over="raise"):
+            partition, _ = moments_spectrum(line_cascades((16, 17, 18), p=0.01), q)
+        assert np.all(np.isfinite(partition.log2_z))
+        np.testing.assert_allclose(partition.tau, analytic_tau(0.01, q), rtol=1e-12)
+
     def test_needs_three_moments(self):
         with pytest.raises(ValueError, match="3 moment"):
             moments_spectrum(line_cascades((8, 9)), [0.0, 1.0])
