@@ -19,12 +19,18 @@ Each method computes its gates once: the forwards return
 
 The two exponent-driven paths also expose exact reverse-mode gradients
 with respect to every learnable parameter and the input stack, built
-for verification against central finite differences.
+for verification against central finite differences.  Their per-pixel
+passes take ``threads`` (default: every CPU this process may use): the
+exponent map splits over channel chunks, the level-set passes over
+groups of whole position blocks, both on the worker pool of
+:func:`mfcal.holder.box_measures`, and no output byte depends on the
+count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -35,6 +41,7 @@ from .holder import (
     VAR_EPS,
     NormState,
     _normalize_with_cache,
+    _run_ranges,
     box_measures,
     log_slope_weights,
     normalize,
@@ -227,7 +234,8 @@ def _gate_from_squeeze(z: np.ndarray, params: MonoParams) -> np.ndarray:
 
 
 def se_forward(stack, params: MonoParams, source: str = "features",
-               scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON):
+               scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
+               threads: int | None = None):
     """Channel gates from a squeezed descriptor; multiplicative output.
 
     ``source="features"`` squeezes the raw stack by its spatial mean.
@@ -241,7 +249,7 @@ def se_forward(stack, params: MonoParams, source: str = "features",
     if source == "features":
         z = gap(stack)
     elif source == "alpha-map":
-        alpha = slope_from_measures(box_measures(stack, scales, epsilon), scales)
+        alpha = slope_from_measures(box_measures(stack, scales, epsilon, threads), scales)
         z = gap(normalize(alpha, params.norm))
     else:
         raise ValueError(f"unknown squeeze source: {source!r}")
@@ -347,24 +355,39 @@ def fca_gates(stack, params: MonoParams, freq_pairs=None) -> np.ndarray:
 LEVEL_SET_BLOCK = 8192  # flattened positions per block of the level-set passes
 
 
-def _blocks(size: int):
+def _blocks(size: int) -> list:
     """Fixed position blocks: the boundaries depend only on the size."""
-    return (slice(lo, lo + LEVEL_SET_BLOCK) for lo in range(0, size, LEVEL_SET_BLOCK))
+    return [slice(lo, lo + LEVEL_SET_BLOCK) for lo in range(0, size, LEVEL_SET_BLOCK)]
 
 
-def _membership_block(alpha: np.ndarray, params: MultiParams):
-    """Memberships and distances ``alpha - centers`` of a flat block, both (Q, n).
+def _map_blocks(work, size: int, threads: int | None) -> list:
+    """``[work(block) for block in _blocks(size)]``, run on the worker pool.
+
+    Each worker takes a contiguous group of whole blocks, so block
+    boundaries never depend on ``threads``.  Callers merge the returned
+    partials serially in block order and write per-position outputs
+    into their block slices, so no output byte depends on ``threads``.
+    """
+    blocks = _blocks(size)
+
+    def group(lo, hi):
+        return [work(block) for block in blocks[lo:hi]]
+
+    return list(chain.from_iterable(_run_ranges(group, len(blocks), threads)))
+
+
+def _membership_block(alpha: np.ndarray, params: MultiParams) -> np.ndarray:
+    """Memberships of a flat block, (Q, n).
 
     The level-set axis comes first, so reductions over it run
     elementwise across rows.
     """
-    diff = alpha - params.centers[:, None]
-    member = np.square(diff)
+    member = np.square(alpha - params.centers[:, None])
     member *= -params.sharpness[:, None]
     member -= member.max(axis=0)
     np.exp(member, out=member)
     member /= member.sum(axis=0)
-    return member, diff
+    return member
 
 
 def multi_membership(alpha, params: MultiParams) -> np.ndarray:
@@ -378,7 +401,7 @@ def multi_membership(alpha, params: MultiParams) -> np.ndarray:
     flat = alpha.reshape(-1)
     out = np.empty((flat.size, params.centers.size))
     for block in _blocks(flat.size):
-        out[block] = _membership_block(flat[block], params)[0].T
+        out[block] = _membership_block(flat[block], params).T
     return out.reshape(alpha.shape + (params.centers.size,))
 
 
@@ -390,29 +413,32 @@ def _level_set_input(stack, alpha):
     return stack, alpha.reshape(-1)
 
 
-def _level_set_statistics(alpha: np.ndarray, params: MultiParams):
+def _level_set_statistics(alpha: np.ndarray, params: MultiParams, threads: int | None):
     """Per-level-set mean and sigma ``sqrt(var + VAR_EPS)`` as (Q, 1) columns.
 
     Frozen statistics are the stored ones.  Per-instance statistics are
-    the memberships' population mean and variance over every position,
-    merged block by block in a fixed order (Chan et al.'s pairwise
-    update), so no (..., Q) membership tensor is ever held.
+    the memberships' population mean and variance over every position:
+    each block's count, mean and sum of squared deviations, merged in
+    block order (Chan et al.'s pairwise update), so no (..., Q)
+    membership tensor is ever held.
     """
     norm = params.norm
     if norm.mode == "frozen":
         mean, var = norm.running_mean, norm.running_var
     else:
-        count, mean, m2 = 0, 0.0, 0.0
-        for block in _blocks(alpha.size):
-            member = _membership_block(alpha[block], params)[0]
-            n = member.shape[1]
+        def block_moments(block):
+            member = _membership_block(alpha[block], params)
             block_mean = member.mean(axis=1)
             member -= block_mean[:, None]
             np.square(member, out=member)
+            return member.shape[1], block_mean, member.sum(axis=1)
+
+        count, mean, m2 = 0, 0.0, 0.0
+        for n, block_mean, block_m2 in _map_blocks(block_moments, alpha.size, threads):
             delta = block_mean - mean
             total = count + n
             mean = mean + delta * (n / total)
-            m2 = m2 + member.sum(axis=1) + delta ** 2 * (count * n / total)
+            m2 = m2 + block_m2 + delta ** 2 * (count * n / total)
             count = total
         var = m2 / count
     return mean[:, None], np.sqrt(var + VAR_EPS)[:, None]
@@ -436,7 +462,7 @@ def _rectified_gate(normed: np.ndarray) -> np.ndarray:
     return sigmoid(normed.sum(axis=0))
 
 
-def multi_forward(stack, alpha, params: MultiParams):
+def multi_forward(stack, alpha, params: MultiParams, threads: int | None = None):
     """Additive recalibration by pooled level-set memberships.
 
     Per position: normalize each level set's membership, rectify, sum
@@ -445,16 +471,21 @@ def multi_forward(stack, alpha, params: MultiParams):
 
     Runs over fixed blocks of ``LEVEL_SET_BLOCK`` flattened positions:
     one pass gathers the per-instance statistics (none when they are
-    frozen), a second gates each block, so memory is
-    O(H*W*C + LEVEL_SET_BLOCK*Q).
+    frozen), a second gates each block.  Both passes spread groups of
+    whole blocks over ``threads`` workers (default: every CPU this
+    process may use), so memory is O(H*W*C + threads*LEVEL_SET_BLOCK*Q),
+    and the output bytes do not depend on ``threads``.
     """
     stack, alpha = _level_set_input(stack, alpha)
-    mean, sigma = _level_set_statistics(alpha, params)
+    mean, sigma = _level_set_statistics(alpha, params, threads)
     gate = np.empty(stack.shape)
     flat_gate = gate.reshape(-1)
-    for block in _blocks(alpha.size):
-        xhat = _standardize(_membership_block(alpha[block], params)[0], mean, sigma)
+
+    def gate_block(block):
+        xhat = _standardize(_membership_block(alpha[block], params), mean, sigma)
         flat_gate[block] = _rectified_gate(_affine(xhat, params.norm))
+
+    _map_blocks(gate_block, alpha.size, threads)
     return gate, stack + gate
 
 
@@ -488,7 +519,8 @@ class MultiGradients:
 
 
 def mono_backward(stack, params: MonoParams, upstream,
-                  scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON) -> MonoGradients:
+                  scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
+                  threads: int | None = None) -> MonoGradients:
     """Exact reverse-mode gradients through the exponent-gated pipeline.
 
     ``upstream`` is the loss cotangent of the recalibrated stack.  The
@@ -503,7 +535,7 @@ def mono_backward(stack, params: MonoParams, upstream,
     h, w, _ = stack.shape
 
     # forward pass, caching every intermediate
-    measures = box_measures(stack, scales, epsilon)
+    measures = box_measures(stack, scales, epsilon, threads)
     alpha = slope_from_measures(measures, scales)
     normed, norm_cache = _normalize_with_cache(alpha, params.norm)
     z = gap(normed)
@@ -539,7 +571,8 @@ def mono_backward(stack, params: MonoParams, upstream,
     )
 
 
-def multi_backward(stack, alpha, params: MultiParams, upstream) -> MultiGradients:
+def multi_backward(stack, alpha, params: MultiParams, upstream,
+                   threads: int | None = None) -> MultiGradients:
     """Exact reverse-mode gradients through the level-set pipeline.
 
     ``alpha`` is treated as an independent input; its gradient is
@@ -547,10 +580,10 @@ def multi_backward(stack, alpha, params: MultiParams, upstream) -> MultiGradient
     their choice.  The stack gradient of the additive head is the
     upstream cotangent itself.
 
-    Uses the blocks of :func:`multi_forward`.  After the statistics
-    pass, one pass accumulates the two per-level-set sums that the
-    normalization's reverse needs, and a second forms the parameter and
-    exponent gradients.
+    Uses the blocks and workers of :func:`multi_forward`.  After the
+    statistics pass, one pass accumulates the two per-level-set sums
+    that the normalization's reverse needs, and a second forms the
+    parameter and exponent gradients.
     """
     stack, alpha = _level_set_input(stack, alpha)
     upstream = _as_stack(upstream)
@@ -558,7 +591,7 @@ def multi_backward(stack, alpha, params: MultiParams, upstream) -> MultiGradient
         raise ValueError("upstream cotangent must match the stack shape")
     flat_up = upstream.reshape(-1)
     norm = params.norm
-    mean, sigma = _level_set_statistics(alpha, params)
+    mean, sigma = _level_set_statistics(alpha, params, threads)
     d_pooled = np.empty(alpha.size)
 
     def rectified_cotangent(block, normed):
@@ -569,7 +602,7 @@ def multi_backward(stack, alpha, params: MultiParams, upstream) -> MultiGradient
 
     def normalization_sums(block):
         """Gate cotangents of a block, and its share of sum(d_normed), sum(d_normed * xhat)."""
-        xhat = _standardize(_membership_block(alpha[block], params)[0], mean, sigma)
+        xhat = _standardize(_membership_block(alpha[block], params), mean, sigma)
         normed = _affine(xhat, norm)
         gate = _rectified_gate(normed)
         d_pooled[block] = flat_up[block] * gate * (1.0 - gate)
@@ -578,8 +611,7 @@ def multi_backward(stack, alpha, params: MultiParams, upstream) -> MultiGradient
 
     d_beta = np.zeros(norm.channels)
     d_gamma = np.zeros(norm.channels)
-    for block in _blocks(alpha.size):
-        beta_part, gamma_part = normalization_sums(block)
+    for beta_part, gamma_part in _map_blocks(normalization_sums, alpha.size, threads):
         d_beta += beta_part
         d_gamma += gamma_part
 
@@ -588,9 +620,11 @@ def multi_backward(stack, alpha, params: MultiParams, upstream) -> MultiGradient
     shift = (norm.gamma * d_beta / alpha.size)[:, None]
     tilt = (norm.gamma * d_gamma / alpha.size)[:, None]
 
+    d_alpha = np.empty(alpha.size)
+
     def parameter_terms(block):
-        """Per-level-set sums of d_logits * diff and d_logits * diff**2, and d_alpha."""
-        member, diff = _membership_block(alpha[block], params)
+        """Per-level-set sums of d_logits * diff and d_logits * diff**2; fills d_alpha."""
+        member = _membership_block(alpha[block], params)
         xhat = _standardize(member, mean, sigma)
         d_member = rectified_cotangent(block, _affine(xhat, norm))
         d_member *= norm.gamma[:, None]
@@ -602,17 +636,19 @@ def multi_backward(stack, alpha, params: MultiParams, upstream) -> MultiGradient
         # softmax over the level-set axis: d_logits = member * (d_member - inner)
         d_member -= np.einsum("qn,qn->n", d_member, member)
         d_member *= member
+        # the distances go into the spent xhat buffer, so a block never
+        # holds more than three (Q, n) arrays
+        diff = np.subtract(alpha[block], params.centers[:, None], out=xhat)
         d_member *= diff  # d_logits * diff from here on
         centers = d_member.sum(axis=1)
         sharpness = np.einsum("qn,qn->q", d_member, diff)
         d_member *= params.sharpness[:, None]
-        return centers, sharpness, d_member.sum(axis=0)
+        d_alpha[block] = d_member.sum(axis=0)
+        return centers, sharpness
 
     d_centers = np.zeros(norm.channels)
     d_sharpness = np.zeros(norm.channels)
-    d_alpha = np.empty(alpha.size)
-    for block in _blocks(alpha.size):
-        centers_part, sharpness_part, d_alpha[block] = parameter_terms(block)
+    for centers_part, sharpness_part in _map_blocks(parameter_terms, alpha.size, threads):
         d_centers += centers_part
         d_sharpness -= sharpness_part
     d_centers *= 2.0 * params.sharpness

@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 usage or flag validation, 3 I/O failure,
 4 numerical precondition violated at run time.  ``--config`` points at
 a ``key=value`` file whose entries act as subcommand defaults; explicit
 flags override them.  ``--threads`` caps worker parallelism (fallback:
-the ``MFCAL_THREADS`` environment variable, then the CPU count);
-results are byte-identical for every worker count.
+the ``MFCAL_THREADS`` environment variable, then the CPUs this process
+may use); results are byte-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .holder import (
     DEFAULT_EPSILON,
     NormState,
     ScaleSet,
+    _available_cpus,
     holder_map,
     interior_view,
     mean_alpha,
@@ -84,7 +85,7 @@ def _resolve_threads(args) -> int:
             except ValueError:
                 raise UsageError(f"MFCAL_THREADS must be an integer, got {env!r}") from None
         else:
-            value = os.cpu_count() or 1
+            value = _available_cpus()
     if value < 1:
         raise UsageError("--threads must be >= 1")
     return value
@@ -218,10 +219,11 @@ def _cmd_recalibrate(args) -> int:
     def mono_params():
         return init_mono_params(channels, args.reduction, rng=rng, use_bias=use_bias)
 
+    threads = _resolve_threads(args)
     if args.method == "multi":
-        alpha = holder_map(stack, scales, args.epsilon, threads=_resolve_threads(args))
+        alpha = holder_map(stack, scales, args.epsilon, threads=threads)
         params = init_multi_params(args.q, float(alpha.min()), float(alpha.max()))
-        gate, out = multi_forward(stack, alpha, params)
+        gate, out = multi_forward(stack, alpha, params, threads=threads)
         gates_record.update(
             gate_min=float(gate.min()),
             gate_max=float(gate.max()),
@@ -233,7 +235,7 @@ def _cmd_recalibrate(args) -> int:
         elif args.method == "mono":
             gates, out = se_forward(
                 stack, mono_params(), source="alpha-map", scales=scales,
-                epsilon=args.epsilon,
+                epsilon=args.epsilon, threads=threads,
             )
         elif args.method == "scse":
             params = mono_params()
@@ -310,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mfcal {__version__}")
     parser.add_argument("--config", help="key=value defaults file")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap (default: MFCAL_THREADS or CPU count)")
+                        help="worker cap (default: MFCAL_THREADS or the CPUs available)")
     parser.add_argument("--strict-paper-mode", action="store_true",
                         help="disable MLP biases and covariance centering")
     sub = parser.add_subparsers(dest="command", required=True)

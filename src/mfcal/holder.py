@@ -11,6 +11,7 @@ leaves the slope untouched.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -80,27 +81,49 @@ def log_slope_weights(scales) -> np.ndarray:
     return dev / np.dot(dev, dev)
 
 
-def _channel_chunks(channels: int, threads: int):
-    bounds = np.linspace(0, channels, max(min(threads, channels), 1) + 1).astype(int)
-    return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+def _available_cpus() -> int:
+    """The CPUs this process may run on: the default worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _run_ranges(work, count: int, threads: int | None) -> list:
+    """``work(lo, hi)`` over ``min(threads, count)`` contiguous ranges of ``range(count)``.
+
+    The first range runs on the calling thread and the rest on a thread
+    pool, so a single range starts no thread.  Results come back in
+    range order; an exception raised in a worker reaches the caller
+    unchanged.  ``threads=None`` means every CPU this process may use.
+    """
+    if threads is None:
+        threads = _available_cpus()
+    bounds = np.linspace(0, count, max(min(threads, count), 1) + 1).astype(int)
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+        rest = [pool.submit(work, lo, hi) for lo, hi in ranges[1:]]
+        first = work(*ranges[0])
+        return [first] + [future.result() for future in rest]
 
 
 def box_measures(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
-                 threads: int = 1) -> list:
+                 threads: int | None = None) -> list:
     """Windowed mass ``window_sum(field, k) + epsilon`` for every scale.
 
     The epsilon floor keeps logs finite on fields with exact zeros
     (feature maps, masked measures); pass ``epsilon=0`` for strictly
     positive measures where the floor would bias small masses.
 
-    One path for every ``threads``: one preallocated block holds the
-    C-contiguous outputs, one per scale.  It is filled chunk by chunk
-    over ``min(threads, C)`` contiguous channel chunks (a 2-D field is
-    one channel), the first on the calling thread and the rest on a
-    thread pool.  Each chunk goes straight to one :func:`window_sum` per
-    scale, a direct sum with no subtraction.  Neither per-channel
-    accumulation order nor output layout depends on the chunks, so
-    results are bit-identical for every worker count.
+    One path for every ``threads`` (default: every CPU this process may
+    use): one preallocated block holds the C-contiguous outputs, one per
+    scale.  It is filled over ``min(threads, C)`` contiguous channel
+    chunks (a 2-D field is one channel), the first on the calling thread
+    and the rest on the worker pool that the level-set passes of
+    :mod:`mfcal.attention` also use.  Each chunk goes straight to one
+    :func:`window_sum` per scale, a direct sum with no subtraction.
+    Neither per-channel accumulation order nor output layout depends on
+    the chunks, so results are bit-identical for every worker count.
     """
     field = require_measure(field)
     scales = _as_scales(scales)
@@ -108,18 +131,12 @@ def box_measures(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
         raise ValueError("epsilon must be >= 0")
     stack = field[:, :, None] if field.ndim == 2 else field
     outs = np.empty((len(scales),) + stack.shape)
-    chunks = _channel_chunks(stack.shape[2], threads)
 
-    def work(bounds):
-        lo, hi = bounds
+    def work(lo, hi):
         for out, side in zip(outs, scales):
             out[:, :, lo:hi] = window_sum(stack[:, :, lo:hi], side)
 
-    # the calling thread fills the first chunk; a single chunk starts no thread
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        rest = pool.map(work, chunks[1:])
-        work(chunks[0])
-        list(rest)
+    _run_ranges(work, stack.shape[2], threads)
     if epsilon > 0.0:
         outs += epsilon
     return list(outs.reshape((len(scales),) + field.shape))
@@ -151,7 +168,7 @@ def slope_from_measures(measures, scales) -> np.ndarray:
 
 
 def holder_map(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
-               threads: int = 1) -> np.ndarray:
+               threads: int | None = None) -> np.ndarray:
     """Local exponent map: slope of log windowed mass vs. log window side.
 
     Output has the field's shape.  Masses are direct window sums, so

@@ -351,7 +351,7 @@ def _criterion_recalibration_contracts(ctx):
     # exponent-driven channel gate
     mparams = randomized_mono()
     mgates, mout = se_forward(stack, mparams, source="alpha-map",
-                              scales=_SCALES, epsilon=1e-6)
+                              scales=_SCALES, epsilon=1e-6, threads=ctx["threads"])
     ref_alpha = _brute_holder(stack, _SCALES.sides, 1e-6)
     ref_norm = _brute_frozen_norm(ref_alpha, mparams.norm)
     ref_z = np.array([ref_norm[:, :, ch].mean() for ch in range(c)])
@@ -366,7 +366,7 @@ def _criterion_recalibration_contracts(ctx):
     qparams.sharpness = rng.uniform(0.5, 2.0, qn)
     qparams.norm.gamma = rng.uniform(0.5, 1.5, qn)
     qparams.norm.beta = rng.uniform(-0.5, 0.5, qn)
-    gate, mout = multi_forward(stack, alpha, qparams)
+    gate, mout = multi_forward(stack, alpha, qparams, threads=ctx["threads"])
     ref_member = np.zeros((h, w, c, qn))
     for i in range(h):
         for j in range(w):
@@ -423,6 +423,7 @@ def _probe_gradient(loss, arrays, analytic, rng, probes, step=1e-5):
 def _criterion_gradient_checks(ctx):
     rng = np.random.default_rng(1789)
     use_bias = not ctx["strict"]
+    threads = ctx["threads"]
     probes = 200
 
     # exponent-gated squeeze, frozen statistics (full chain incl. window adjoints)
@@ -437,17 +438,17 @@ def _criterion_gradient_checks(ctx):
         params.norm.running_mean = rng.uniform(-0.2, 0.2, 4)
         params.norm.running_var = rng.uniform(0.5, 1.5, 4)
         probe_z = normalize(
-            holder_map(stack, _SCALES, 1e-6), params.norm
+            holder_map(stack, _SCALES, 1e-6, threads), params.norm
         ).mean(axis=(0, 1))
         a1 = params.w1 @ probe_z + (params.b1 if use_bias else 0.0)
         if np.abs(a1).min() > 1e-3:  # keep clear of the rectifier kink
             break
     upstream = rng.normal(size=stack.shape)
-    grads = mono_backward(stack, params, upstream, _SCALES, 1e-6)
+    grads = mono_backward(stack, params, upstream, _SCALES, 1e-6, threads)
 
     def mono_loss():
         _, out = se_forward(stack, params, source="alpha-map",
-                            scales=_SCALES, epsilon=1e-6)
+                            scales=_SCALES, epsilon=1e-6, threads=threads)
         return float((upstream * out).sum())
 
     arrays = {"w1": params.w1, "w2": params.w2, "gamma": params.norm.gamma,
@@ -471,10 +472,10 @@ def _criterion_gradient_checks(ctx):
         if np.abs(normed).min() > 1e-3:  # keep clear of the rectifier kink
             break
     upstream = rng.normal(size=stack.shape)
-    qgrads = multi_backward(stack, alpha, qparams, upstream)
+    qgrads = multi_backward(stack, alpha, qparams, upstream, threads)
 
     def multi_loss():
-        _, out = multi_forward(stack, alpha, qparams)
+        _, out = multi_forward(stack, alpha, qparams, threads)
         return float((upstream * out).sum())
 
     arrays = {"centers": qparams.centers, "sharpness": qparams.sharpness,
@@ -542,9 +543,10 @@ def _selftest_artifacts(directory: Path, threads: int) -> list:
     # depended on the thread count would show here first
     means = [float(v) for v in mean_alpha(alpha_stack)]
     (directory / "alpha-stack-means.json").write_text(json.dumps(means) + "\n")
-    # its 64 * 64 * 8 positions span four blocks of the level-set passes
+    # its 64 * 64 * 8 positions span four blocks of the level-set passes,
+    # which split over the workers like the channels above
     qparams = init_multi_params(16, float(alpha_stack.min()), float(alpha_stack.max()))
-    gate, _ = multi_forward(stack, alpha_stack, qparams)
+    gate, _ = multi_forward(stack, alpha_stack, qparams, threads=threads)
     (directory / "multi-gate.mfr").write_bytes(fio.write_field(gate))
 
     lines = [generate_binomial(CascadeSpec.binomial(_P, k)) for k in range(8, 12)]

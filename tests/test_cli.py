@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: outputs, exit codes, determinism."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -291,6 +292,28 @@ class TestThreadsEnvironment:
         src.write_bytes(write_field(rng.uniform(0.1, 1.0, (8, 8, 2))))
         monkeypatch.setenv("MFCAL_THREADS", "many")
         assert run("holder", "--input", src, "--out", tmp_path / "o.mfr") == 2
+
+
+class TestThreadCap:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("method", ["mono", "multi"])
+    def test_recalibration_starts_threads_only_above_one(self, method, threads,
+                                                         tmp_path, monkeypatch):
+        # 48 * 48 * 4 positions: four channels and two level-set blocks to split
+        rng = np.random.default_rng(25)
+        src = tmp_path / "stack.mfr"
+        src.write_bytes(write_field(rng.uniform(0.1, 1.0, (48, 48, 4))))
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        assert run("--threads", threads, "recalibrate", "--method", method,
+                   "--input", src, "--out", tmp_path / "out.mfr") == 0
+        assert bool(started) == (threads > 1), f"{len(started)} threads started"
 
 
 class TestUsageSurface:

@@ -60,7 +60,17 @@ class TestMonoBackward:
     def test_matches_finite_differences(self, norm_mode, seed):
         rng = np.random.default_rng(seed)
         stack, params, upstream = mono_fixture(rng, norm_mode)
-        grads = mono_backward(stack, params, upstream, SCALES, EPS)
+        grads = mono_backward(stack, params, upstream, SCALES, EPS, threads=1)
+        forward = se_forward(stack, params, source="alpha-map", scales=SCALES,
+                             epsilon=EPS, threads=1)
+        # two and three channel chunks give the same bytes as one
+        for threads in (2, 3):
+            again = mono_backward(stack, params, upstream, SCALES, EPS, threads=threads)
+            for field, value in vars(grads).items():
+                assert np.array_equal(getattr(again, field), value), f"{field}, {threads} threads"
+            gates, out = se_forward(stack, params, source="alpha-map", scales=SCALES,
+                                    epsilon=EPS, threads=threads)
+            assert np.array_equal(gates, forward[0]) and np.array_equal(out, forward[1])
 
         def loss():
             _, out = se_forward(stack, params, source="alpha-map",

@@ -6,7 +6,8 @@ reference below materializes that tensor and applies the formulas
 directly: softmax memberships, channel normalization over every
 position, rectified pooling, and the matching reverse pass.  Only the
 summation order differs, so the two agree within 1e-12 of each output's
-largest entry.
+largest entry.  Groups of whole blocks run on worker threads, and the
+outputs are byte-equal for every thread count.
 """
 
 import tracemalloc
@@ -81,6 +82,8 @@ SHAPES = {
     "two-blocks-and-a-remainder": (ROWS + 1, 32, 4),
 }
 MODES = ["per-instance", "frozen"]
+# three threads split two blocks and a remainder into three groups
+THREADS = (2, 3)
 
 
 def test_the_shapes_straddle_the_block_boundaries():
@@ -94,30 +97,38 @@ def test_the_shapes_straddle_the_block_boundaries():
 @pytest.mark.parametrize("name", SHAPES)
 def test_forward_matches_the_dense_reference(name, mode):
     stack, alpha, params, _ = fixture(SHAPES[name], mode, seed=7)
-    gate, out = multi_forward(stack, alpha, params)
+    gate, out = multi_forward(stack, alpha, params, threads=1)
     ref_gate, ref_out, (ref_member, _, _) = dense_forward(stack, alpha, params)
     assert relative_deviation(gate, ref_gate) <= RTOL
     assert relative_deviation(out, ref_out) <= RTOL
     assert relative_deviation(multi_membership(alpha, params), ref_member) <= RTOL
+    for threads in THREADS:
+        again = multi_forward(stack, alpha, params, threads=threads)
+        assert np.array_equal(again[0], gate) and np.array_equal(again[1], out)
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", SHAPES)
 def test_backward_matches_the_dense_reference(name, mode):
     stack, alpha, params, upstream = fixture(SHAPES[name], mode, seed=8)
-    grads = multi_backward(stack, alpha, params, upstream)
+    grads = multi_backward(stack, alpha, params, upstream, threads=1)
     for field, expected in dense_backward(stack, alpha, params, upstream).items():
         deviation = relative_deviation(getattr(grads, field), expected)
         assert deviation <= RTOL, f"{field}: {deviation:.2e}"
+    for threads in THREADS:
+        again = multi_backward(stack, alpha, params, upstream, threads=threads)
+        for field, value in vars(grads).items():
+            assert np.array_equal(getattr(again, field), value), f"{field}, {threads} threads"
 
 
-def test_backward_peak_memory_stays_below_one_level_set_tensor():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_backward_peak_memory_stays_below_one_level_set_tensor(threads):
     shape, q = (64, 64, 16), 16
     stack, alpha, params, upstream = fixture(shape, "per-instance", seed=5, q=q)
     tensor_bytes = int(np.prod(shape)) * q * 8  # one (H, W, C, Q) float64 array
     tracemalloc.start()
     try:
-        multi_backward(stack, alpha, params, upstream)
+        multi_backward(stack, alpha, params, upstream, threads=threads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
