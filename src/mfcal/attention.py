@@ -23,7 +23,7 @@ for verification against central finite differences.  Their per-pixel
 passes take ``threads`` (default: every CPU this process may use): the
 exponent map splits over channel chunks, the level-set passes over
 groups of whole position blocks, both on the worker pool of
-:func:`mfcal.holder.box_measures`, and no output byte depends on the
+:func:`mfcal.holder.holder_map`, and no output byte depends on the
 count.
 """
 
@@ -43,6 +43,7 @@ from .holder import (
     _normalize_with_cache,
     _run_ranges,
     box_measures,
+    holder_map,
     log_slope_weights,
     normalize,
     normalize_vjp,
@@ -81,11 +82,11 @@ def _as_stack(values) -> np.ndarray:
 def sigmoid(x) -> np.ndarray:
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: e = e^-|x| is
+    # the exponential either branch takes, so neither overflows
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
 
 
@@ -249,7 +250,7 @@ def se_forward(stack, params: MonoParams, source: str = "features",
     if source == "features":
         z = gap(stack)
     elif source == "alpha-map":
-        alpha = slope_from_measures(box_measures(stack, scales, epsilon, threads), scales)
+        alpha = holder_map(stack, scales, epsilon, threads)
         z = gap(normalize(alpha, params.norm))
     else:
         raise ValueError(f"unknown squeeze source: {source!r}")

@@ -141,14 +141,15 @@ def _cmd_holder(args) -> int:
         raise UsageError("--epsilon must be >= 0")
     field = _as_stack(_read_input_field(args.input))
     alpha = holder_map(field, scales, args.epsilon, threads=_resolve_threads(args))
-    _write_container(args.out, alpha)
-    if args.means:
+    if args.means:  # before any write: a field with no unclipped interior exits 4
         record = {
             "mean_alpha": [float(v) for v in mean_alpha(alpha)],
             "interior_mean_alpha": [
                 float(v) for v in mean_alpha(interior_view(alpha, scales))
             ],
         }
+    _write_container(args.out, alpha)
+    if args.means:
         _write_text(args.means, json.dumps(record) + "\n")
     return EXIT_OK
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,10 @@ def box_measures(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
     (feature maps, masked measures); pass ``epsilon=0`` for strictly
     positive measures where the floor would bias small masses.
 
+    It serves callers that need the masses themselves (the adjoint in
+    :func:`mfcal.attention.mono_backward`); :func:`holder_map` never
+    holds them.
+
     One path for every ``threads`` (default: every CPU this process may
     use): one preallocated block holds the C-contiguous outputs, one per
     scale.  It is filled over ``min(threads, C)`` contiguous channel
@@ -142,28 +147,39 @@ def box_measures(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
     return list(outs.reshape((len(scales),) + field.shape))
 
 
-def slope_from_measures(measures, scales) -> np.ndarray:
-    """Per-pixel OLS slope of ``log mu`` against ``log k`` over the scale set.
+@contextmanager
+def _finite_logs():
+    """Raise ``ValueError`` where the log of a windowed mass is not finite.
 
-    Every windowed mass must be positive.  A mass <= 0 (a window of
-    zero mass at ``epsilon = 0``) has no finite log and raises
-    ``ValueError``.
+    A log of a mass <= 0 sets the divide/invalid flag, so no extra pass
+    over the data is needed.  The flag state is per thread: enter this
+    on the thread that takes the logs.
     """
-    scales = _as_scales(scales)
-    if len(measures) != len(scales):
-        raise ValueError("one measure field per scale required")
-    weights = log_slope_weights(scales)
     try:
-        # log of a mass <= 0 sets the divide/invalid flag; no extra pass over the data
         with np.errstate(divide="raise", invalid="raise"):
-            out = weights[0] * np.log(measures[0])
-            for w, mu in zip(weights[1:], measures[1:]):
-                out += w * np.log(mu)
+            yield
     except FloatingPointError:
         raise ValueError(
             "some windowed masses are <= 0, so their log-log slopes are not finite "
             "(zero-mass windows at epsilon = 0); use epsilon > 0"
         ) from None
+
+
+def slope_from_measures(measures, scales) -> np.ndarray:
+    """Per-pixel OLS slope of ``log mu`` against ``log k`` over the scale set.
+
+    Every windowed mass must be positive.  A mass <= 0 (a window of
+    zero mass at ``epsilon = 0``) has no finite log and raises
+    ``ValueError``.  The masses are left untouched.
+    """
+    scales = _as_scales(scales)
+    if len(measures) != len(scales):
+        raise ValueError("one measure field per scale required")
+    weights = log_slope_weights(scales)
+    with _finite_logs():
+        out = weights[0] * np.log(measures[0])
+        for w, mu in zip(weights[1:], measures[1:]):
+            out += w * np.log(mu)
     return out
 
 
@@ -174,10 +190,41 @@ def holder_map(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
     Output has the field's shape.  Masses are direct window sums, so
     values are finite whenever ``epsilon > 0``; with ``epsilon = 0`` a
     window without positive mass raises ``ValueError``.
+
+    One pass per channel chunk, on the worker pool and ``threads``
+    default of :func:`box_measures`: each chunk takes one window sum per
+    scale, its log in place, and adds the weighted log into the output
+    before the next scale.  The per-element operations
+    and their order are those of :func:`slope_from_measures` on
+    :func:`box_measures`, so the bytes are the same for every
+    ``threads``.  Peak memory is the output plus a few chunk-sized
+    temporaries per worker; the masses are never held for all scales.
     """
     scales = _as_scales(scales)
-    measures = box_measures(field, scales, epsilon, threads)
-    return slope_from_measures(measures, scales)
+    field = require_measure(field)
+    if epsilon < 0.0:
+        raise ValueError("epsilon must be >= 0")
+    weights = log_slope_weights(scales)
+    stack = field[:, :, None] if field.ndim == 2 else field
+    alpha = np.empty(stack.shape)
+
+    def work(lo, hi):
+        out = alpha[:, :, lo:hi]
+        with _finite_logs():
+            for k, (w, side) in enumerate(zip(weights, scales)):
+                mu = window_sum(stack[:, :, lo:hi], side)
+                if epsilon > 0.0:
+                    mu += epsilon
+                np.log(mu, out=mu)
+                if k == 0:
+                    np.multiply(mu, w, out=out)
+                else:
+                    mu *= w
+                    out += mu
+                del mu  # free this scale's masses before the next window sum
+
+    _run_ranges(work, stack.shape[2], threads)
+    return alpha.reshape(field.shape)
 
 
 def mean_alpha(alpha_map) -> np.ndarray:

@@ -76,8 +76,8 @@ def write_field(field) -> bytes:
         raise ContainerDimsError("dimension exceeds the u32 range")
     header = MAGIC + struct.pack("<BBB", VERSION, 1, arr.ndim)  # dtype code 1: float64
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return header + payload
+    payload = np.ascontiguousarray(arr, dtype="<f8")
+    return b"".join((header, memoryview(payload).cast("B")))
 
 
 def read_field(data: bytes) -> np.ndarray:
@@ -103,7 +103,7 @@ def read_field(data: bytes) -> np.ndarray:
         raise ContainerDimsError(
             f"payload holds {len(data) - offset} bytes, dims require {expected}"
         )
-    return np.frombuffer(data[offset:], dtype=dtype).reshape(dims).copy()
+    return np.frombuffer(data, dtype=dtype, offset=offset).reshape(dims).copy()
 
 
 # ---------------------------------------------------------------------------

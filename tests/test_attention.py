@@ -65,6 +65,33 @@ class TestPooling:
         np.testing.assert_allclose(_gsp(stack), brute, rtol=0, atol=1e-12)
 
 
+def masked_sigmoid(x):
+    """The branch-by-mask form of the stable logistic, as a byte reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_matches_the_masked_form_byte_for_byte(self):
+        rng = np.random.default_rng(19)
+        edges = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 -2.2250738585072014e-308, 709.8, -709.8, 745.2, -745.2]
+        x = np.concatenate([rng.normal(size=4096) * s for s in (1, 5, 50, 800)] + [edges])
+        assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+        for shape in ((3, 4), (2, 3, 5)):
+            grid = x[:np.prod(shape)].reshape(shape)
+            assert sigmoid(grid).tobytes() == masked_sigmoid(grid).tobytes()
+
+    def test_saturates_without_overflow(self):
+        with np.errstate(over="raise"):
+            out = sigmoid(np.array([-1e308, -800.0, 0.0, 800.0, 1e308]))
+        assert out.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+
+
 class TestSeForward:
     def test_zero_logits_halve_the_stack(self):
         rng = np.random.default_rng(2)

@@ -73,6 +73,16 @@ class TestHolderCommand:
         assert "windowed masses are <= 0" in capsys.readouterr().err
 
 
+    def test_field_without_an_unclipped_interior_writes_nothing(self, tmp_path, capsys):
+        src = tmp_path / "tiny.mfr"
+        src.write_bytes(write_field(np.full((3, 3), 0.5)))
+        out = tmp_path / "alpha.mfr"
+        means = tmp_path / "means.json"
+        assert run("holder", "--input", src, "--out", out, "--means", means) == 4
+        assert not out.exists() and not means.exists()
+        assert "too small" in capsys.readouterr().err
+
+
 class TestSpectrumCommand:
     def test_moments_tau_at_one_vanishes(self, tmp_path):
         out = tmp_path / "m.csv"

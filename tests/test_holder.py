@@ -1,6 +1,7 @@
 """Exponent maps: brute-force equality, scale laws, and normalization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,43 @@ class TestHolderMap:
         with pytest.raises(ValueError):
             holder_map(np.ones((8, 8)), ScaleSet((3,)))
 
+    def test_negative_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            holder_map(np.ones((4, 4)), SCALES, epsilon=-1.0)
+
+    @pytest.mark.parametrize("shape, threads", [
+        ((64, 64, 16), 1), ((64, 64, 16), 2), ((256, 256), 1), ((256, 256), 2),
+    ], ids=["stack-1", "stack-2", "2d-1", "2d-2"])
+    def test_peak_memory_is_the_output_plus_chunk_temporaries(self, shape, threads):
+        # no (S, H, W, C) block of masses: the output plus a padded copy,
+        # a row pass and a mass array of each worker's chunk
+        field = np.random.default_rng(14).uniform(0.1, 1.0, shape)
+        tracemalloc.start()
+        try:
+            holder_map(field, SCALES, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * field.nbytes
+
+
+class TestTwoRoutesAgree:
+    """``holder_map`` streams what ``slope_from_measures(box_measures(...))`` computes."""
+
+    @pytest.mark.parametrize("field, epsilons, threads", [
+        (np.random.default_rng(16).uniform(0.1, 1.0, (21, 17)), (0.0, 1e-6), (1, 2, 3)),
+        (np.random.default_rng(17).uniform(0.1, 1.0, (32, 32, 8)), (0.0, 1e-6), (1, 2, 3)),
+        (np.maximum(np.random.default_rng(15).normal(size=(48, 48, 5)), 0.0), (1e-6,), (1, 2, 3)),
+        (np.random.default_rng(18).uniform(0.1, 1.0, (40, 36, 2)), (0.0, 1e-6), (3,)),
+    ], ids=["2d", "uniform-stack", "relu-stack", "fewer-channels-than-threads"])
+    def test_byte_identical(self, field, epsilons, threads):
+        for epsilon in epsilons:
+            for t in threads:
+                streamed = holder_map(field, SCALES, epsilon, threads=t)
+                stored = slope_from_measures(box_measures(field, SCALES, epsilon, t), SCALES)
+                assert streamed.shape == field.shape
+                assert streamed.tobytes() == stored.tobytes()
+
 
 class TestInterior:
     def test_unclipped_interior_slices(self):
@@ -260,8 +298,10 @@ class TestNormalize:
 
 
 class TestBoxMeasuresInputCheck:
+    @pytest.mark.parametrize("compute", [box_measures, holder_map],
+                             ids=["box_measures", "holder_map"])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_checks_its_input_once(self, threads, monkeypatch):
+    def test_checks_its_input_once(self, threads, compute, monkeypatch):
         import mfcal.grid as grid
 
         calls = []
@@ -272,5 +312,5 @@ class TestBoxMeasuresInputCheck:
             return checked(values)
 
         monkeypatch.setattr(grid, "as_field", counting)
-        box_measures(np.ones((6, 5, 4)), SCALES, threads=threads)
+        compute(np.ones((6, 5, 4)), SCALES, threads=threads)
         assert len(calls) == 1

@@ -48,6 +48,27 @@ class TestFieldContainer:
         assert back.dtype == np.float64
         assert np.array_equal(back.view(np.uint64), field.view(np.uint64))
 
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 2), (2, 3, 4, 2)])
+    @pytest.mark.parametrize("layout", ["c", "fortran", "float32", "sliced"])
+    def test_payload_is_the_little_endian_row_major_copy(self, shape, layout):
+        base = np.random.default_rng(len(shape)).normal(size=tuple(2 * d for d in shape))
+        arr = {
+            "c": np.ascontiguousarray(base[tuple(slice(d) for d in shape)]),
+            "fortran": np.asfortranarray(base[tuple(slice(d) for d in shape)]),
+            "float32": base[tuple(slice(d) for d in shape)].astype(np.float32),
+            "sliced": base[tuple(slice(None, None, 2) for _ in shape)],
+        }[layout]
+        header = b"MFR1" + bytes([1, 1, len(shape)])
+        header += b"".join(d.to_bytes(4, "little") for d in shape)
+        blob = write_field(arr)
+        assert type(blob) is bytes
+        assert blob == header + np.ascontiguousarray(arr, "<f8").tobytes()
+
+    def test_read_returns_an_owned_writable_array(self):
+        back = read_field(write_field(np.arange(6.0).reshape(2, 3)))
+        assert back.flags.writeable and back.flags.owndata
+        back[0, 0] = -1.0
+
     def test_float32_container_is_read_as_float32(self):
         header = b"MFR1" + bytes([1, 0, 2])  # version 1, dtype code 0 (float32), 2 dims
         header += (1).to_bytes(4, "little") + (2).to_bytes(4, "little")
