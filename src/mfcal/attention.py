@@ -21,8 +21,8 @@ The two exponent-driven paths also expose exact reverse-mode gradients
 with respect to every learnable parameter and the input stack, built
 for verification against central finite differences.  Their per-pixel
 passes take ``threads`` (default: every CPU this process may use): the
-exponent map splits over channel chunks, the level-set passes over
-groups of whole position blocks, both on the worker pool of
+exponent map and its adjoint split over channel chunks, the level-set
+passes over groups of whole position blocks, both on the worker pool of
 :func:`mfcal.holder.holder_map`, and no output byte depends on the
 count.
 """
@@ -34,20 +34,18 @@ from itertools import chain
 
 import numpy as np
 
-from .grid import as_field, window_sum_adjoint
+from .grid import as_field
 from .holder import (
     DEFAULT_EPSILON,
     DEFAULT_SCALES,
     VAR_EPS,
     NormState,
+    _holder_map_vjp,
     _normalize_with_cache,
     _run_ranges,
-    box_measures,
     holder_map,
-    log_slope_weights,
     normalize,
     normalize_vjp,
-    slope_from_measures,
 )
 
 __all__ = [
@@ -234,6 +232,15 @@ def _gate_from_squeeze(z: np.ndarray, params: MonoParams) -> np.ndarray:
     return sigmoid(a2)
 
 
+def _mono_forward(stack, params: MonoParams, scales, epsilon: float, threads: int | None):
+    """Exponent-map gates, and ``(norm_cache, z, a1, h1)`` for :func:`mono_backward`."""
+    alpha = holder_map(stack, scales, epsilon, threads)
+    normed, norm_cache = _normalize_with_cache(alpha, params.norm)
+    z = gap(normed)
+    a1, h1, a2 = _mlp_logits(z, params)
+    return sigmoid(a2), (norm_cache, z, a1, h1)
+
+
 def se_forward(stack, params: MonoParams, source: str = "features",
                scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
                threads: int | None = None):
@@ -248,13 +255,11 @@ def se_forward(stack, params: MonoParams, source: str = "features",
     if stack.shape[2] != params.channels:
         raise ValueError("stack channel count does not match the parameters")
     if source == "features":
-        z = gap(stack)
+        gates = _gate_from_squeeze(gap(stack), params)
     elif source == "alpha-map":
-        alpha = holder_map(stack, scales, epsilon, threads)
-        z = gap(normalize(alpha, params.norm))
+        gates, _ = _mono_forward(stack, params, scales, epsilon, threads)
     else:
         raise ValueError(f"unknown squeeze source: {source!r}")
-    gates = _gate_from_squeeze(z, params)
     return gates, stack * gates
 
 
@@ -457,10 +462,12 @@ def _affine(xhat: np.ndarray, norm: NormState) -> np.ndarray:
     return normed
 
 
-def _rectified_gate(normed: np.ndarray) -> np.ndarray:
-    """Rectify ``normed`` in place; return the sigmoid of its sum over the level sets."""
+def _gated_block(alpha: np.ndarray, params: MultiParams, mean, sigma):
+    """Gate of a flat block, its rectified (Q, n) ``normed`` and its (Q, n) ``xhat``."""
+    xhat = _standardize(_membership_block(alpha, params), mean, sigma)
+    normed = _affine(xhat, params.norm)
     np.maximum(normed, 0.0, out=normed)
-    return sigmoid(normed.sum(axis=0))
+    return sigmoid(normed.sum(axis=0)), normed, xhat
 
 
 def multi_forward(stack, alpha, params: MultiParams, threads: int | None = None):
@@ -483,8 +490,7 @@ def multi_forward(stack, alpha, params: MultiParams, threads: int | None = None)
     flat_gate = gate.reshape(-1)
 
     def gate_block(block):
-        xhat = _standardize(_membership_block(alpha[block], params), mean, sigma)
-        flat_gate[block] = _rectified_gate(_affine(xhat, params.norm))
+        flat_gate[block] = _gated_block(alpha[block], params, mean, sigma)[0]
 
     _map_blocks(gate_block, alpha.size, threads)
     return gate, stack + gate
@@ -534,14 +540,7 @@ def mono_backward(stack, params: MonoParams, upstream,
     if upstream.shape != stack.shape:
         raise ValueError("upstream cotangent must match the stack shape")
     h, w, _ = stack.shape
-
-    # forward pass, caching every intermediate
-    measures = box_measures(stack, scales, epsilon, threads)
-    alpha = slope_from_measures(measures, scales)
-    normed, norm_cache = _normalize_with_cache(alpha, params.norm)
-    z = gap(normed)
-    a1, h1, a2 = _mlp_logits(z, params)
-    gates = sigmoid(a2)
+    gates, (norm_cache, z, a1, h1) = _mono_forward(stack, params, scales, epsilon, threads)
 
     # multiplicative head
     d_stack = upstream * gates
@@ -557,14 +556,10 @@ def mono_backward(stack, params: MonoParams, upstream,
     d_b1 = d_a1 if params.use_bias else np.zeros_like(params.b1)
     d_z = params.w1.T @ d_a1
 
-    # pooling and normalization
-    d_normed = np.broadcast_to(d_z / (h * w), alpha.shape)
+    # pooling, normalization, then slope fit and windowed masses
+    d_normed = np.broadcast_to(d_z / (h * w), stack.shape)
     d_alpha, d_gamma, d_beta = normalize_vjp(d_normed, norm_cache)
-
-    # slope fit and windowed masses
-    weights = log_slope_weights(scales)
-    for weight, side, mu in zip(weights, scales, measures):
-        d_stack = d_stack + window_sum_adjoint(weight * d_alpha / mu, side)
+    _holder_map_vjp(stack, d_alpha, d_stack, scales, epsilon, threads)
 
     return MonoGradients(
         w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2,
@@ -603,9 +598,7 @@ def multi_backward(stack, alpha, params: MultiParams, upstream,
 
     def normalization_sums(block):
         """Gate cotangents of a block, and its share of sum(d_normed), sum(d_normed * xhat)."""
-        xhat = _standardize(_membership_block(alpha[block], params), mean, sigma)
-        normed = _affine(xhat, norm)
-        gate = _rectified_gate(normed)
+        gate, normed, xhat = _gated_block(alpha[block], params, mean, sigma)
         d_pooled[block] = flat_up[block] * gate * (1.0 - gate)
         d_normed = rectified_cotangent(block, normed)
         return d_normed.sum(axis=1), np.einsum("qn,qn->q", d_normed, xhat)

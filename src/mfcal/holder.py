@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import require_measure, window_sum
+from .grid import require_measure, window_sum, window_sum_adjoint
 
 __all__ = [
     "ScaleSet",
@@ -108,43 +108,28 @@ def _run_ranges(work, count: int, threads: int | None) -> list:
         return [first] + [future.result() for future in rest]
 
 
-def box_measures(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
-                 threads: int | None = None) -> list:
+def _mass(field: np.ndarray, side: int, epsilon: float) -> np.ndarray:
+    mu = window_sum(field, side)
+    if epsilon > 0.0:
+        mu += epsilon
+    return mu
+
+
+def box_measures(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON) -> list:
     """Windowed mass ``window_sum(field, k) + epsilon`` for every scale.
 
     The epsilon floor keeps logs finite on fields with exact zeros
     (feature maps, masked measures); pass ``epsilon=0`` for strictly
     positive measures where the floor would bias small masses.
 
-    It serves callers that need the masses themselves (the adjoint in
-    :func:`mfcal.attention.mono_backward`); :func:`holder_map` never
-    holds them.
-
-    One path for every ``threads`` (default: every CPU this process may
-    use): one preallocated block holds the C-contiguous outputs, one per
-    scale.  It is filled over ``min(threads, C)`` contiguous channel
-    chunks (a 2-D field is one channel), the first on the calling thread
-    and the rest on the worker pool that the level-set passes of
-    :mod:`mfcal.attention` also use.  Each chunk goes straight to one
-    :func:`window_sum` per scale, a direct sum with no subtraction.
-    Neither per-channel accumulation order nor output layout depends on
-    the chunks, so results are bit-identical for every worker count.
+    The plain serial reference: :func:`holder_map` and its adjoint
+    re-derive these masses per channel chunk and never hold them all.
+    No shipping path calls it.
     """
     field = require_measure(field)
-    scales = _as_scales(scales)
     if epsilon < 0.0:
         raise ValueError("epsilon must be >= 0")
-    stack = field[:, :, None] if field.ndim == 2 else field
-    outs = np.empty((len(scales),) + stack.shape)
-
-    def work(lo, hi):
-        for out, side in zip(outs, scales):
-            out[:, :, lo:hi] = window_sum(stack[:, :, lo:hi], side)
-
-    _run_ranges(work, stack.shape[2], threads)
-    if epsilon > 0.0:
-        outs += epsilon
-    return list(outs.reshape((len(scales),) + field.shape))
+    return [_mass(field, side, epsilon) for side in _as_scales(scales)]
 
 
 @contextmanager
@@ -191,12 +176,11 @@ def holder_map(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
     values are finite whenever ``epsilon > 0``; with ``epsilon = 0`` a
     window without positive mass raises ``ValueError``.
 
-    One pass per channel chunk, on the worker pool and ``threads``
-    default of :func:`box_measures`: each chunk takes one window sum per
-    scale, its log in place, and adds the weighted log into the output
-    before the next scale.  The per-element operations
-    and their order are those of :func:`slope_from_measures` on
-    :func:`box_measures`, so the bytes are the same for every
+    One pass per channel chunk (a 2-D field is one channel), over
+    ``threads`` workers (default: every CPU this process may use): each
+    chunk takes one window sum per scale, its log in place, and adds
+    the weighted log into the output before the next scale.
+    The bytes equal ``slope_from_measures(box_measures(...))`` for every
     ``threads``.  Peak memory is the output plus a few chunk-sized
     temporaries per worker; the masses are never held for all scales.
     """
@@ -212,9 +196,7 @@ def holder_map(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
         out = alpha[:, :, lo:hi]
         with _finite_logs():
             for k, (w, side) in enumerate(zip(weights, scales)):
-                mu = window_sum(stack[:, :, lo:hi], side)
-                if epsilon > 0.0:
-                    mu += epsilon
+                mu = _mass(stack[:, :, lo:hi], side, epsilon)
                 np.log(mu, out=mu)
                 if k == 0:
                     np.multiply(mu, w, out=out)
@@ -225,6 +207,25 @@ def holder_map(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
 
     _run_ranges(work, stack.shape[2], threads)
     return alpha.reshape(field.shape)
+
+
+def _holder_map_vjp(stack, d_alpha, d_stack, scales, epsilon: float, threads: int | None):
+    """Add the vector-Jacobian product of :func:`holder_map` into ``d_stack``.
+
+    Per channel chunk of the (H, W, C) ``stack``, adds ``window_sum_adjoint(w
+    * d_alpha / mu, side)`` scale by scale, re-deriving the masses ``mu``
+    rather than holding them, so the bytes do not depend on ``threads``.
+    ``stack`` must be one that :func:`holder_map` accepted (positive masses).
+    """
+    weights = log_slope_weights(scales)
+
+    def work(lo, hi):
+        for w, side in zip(weights, scales):
+            mu = _mass(stack[:, :, lo:hi], side, epsilon)
+            np.divide(w * d_alpha[:, :, lo:hi], mu, out=mu)
+            d_stack[:, :, lo:hi] += window_sum_adjoint(mu, side)
+
+    _run_ranges(work, stack.shape[2], threads)
 
 
 def mean_alpha(alpha_map) -> np.ndarray:

@@ -548,6 +548,10 @@ def _selftest_artifacts(directory: Path, threads: int) -> list:
     qparams = init_multi_params(16, float(alpha_stack.min()), float(alpha_stack.max()))
     gate, _ = multi_forward(stack, alpha_stack, qparams, threads=threads)
     (directory / "multi-gate.mfr").write_bytes(fio.write_field(gate))
+    # the exponent map's adjoint splits over the same channel chunks as the map
+    cotangent = np.random.default_rng(8).normal(size=stack.shape)
+    grads = mono_backward(stack, init_mono_params(8, rng=9), cotangent, _SCALES, 1e-6, threads)
+    (directory / "mono-grad-stack.mfr").write_bytes(fio.write_field(grads.stack))
 
     lines = [generate_binomial(CascadeSpec.binomial(_P, k)) for k in range(8, 12)]
     hist = histogram_spectrum(lines, bins=16)
@@ -561,7 +565,8 @@ def _selftest_artifacts(directory: Path, threads: int) -> list:
     (directory / "excite.json").write_text(fio.excite_record_json(record))
     return [
         "cascade-2d.mfr", "alpha-2d.mfr", "alpha-stack.mfr", "alpha-stack-means.json",
-        "multi-gate.mfr", "histogram.csv", "moments.csv", "legendre.csv", "excite.json",
+        "multi-gate.mfr", "mono-grad-stack.mfr", "histogram.csv", "moments.csv",
+        "legendre.csv", "excite.json",
     ]
 
 

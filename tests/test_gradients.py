@@ -1,5 +1,7 @@
 """Analytic gradients of both recalibration pipelines vs. central differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,18 +42,28 @@ def check_against_fd(loss, arrays, analytic, rng, probes_per_array=5):
             )
 
 
-def mono_fixture(rng, norm_mode, use_bias=True):
-    stack = rng.uniform(0.5, 1.5, (2, 2, 4))
-    params = init_mono_params(4, 2, rng=rng, use_bias=use_bias)
+def mono_fixture(rng, norm_mode, use_bias=True, shape=(2, 2, 4)):
+    channels = shape[2]
+    stack = rng.uniform(0.5, 1.5, shape)
+    params = init_mono_params(channels, 2, rng=rng, use_bias=use_bias)
     params.norm.mode = norm_mode
     params.b1 = rng.normal(scale=0.2, size=params.b1.shape)
     params.b2 = rng.normal(scale=0.2, size=params.b2.shape)
-    params.norm.gamma = rng.uniform(0.5, 1.5, 4)
-    params.norm.beta = rng.uniform(-0.5, 0.5, 4)
-    params.norm.running_mean = rng.uniform(-0.2, 0.2, 4)
-    params.norm.running_var = rng.uniform(0.5, 1.5, 4)
+    params.norm.gamma = rng.uniform(0.5, 1.5, channels)
+    params.norm.beta = rng.uniform(-0.5, 0.5, channels)
+    params.norm.running_mean = rng.uniform(-0.2, 0.2, channels)
+    params.norm.running_var = rng.uniform(0.5, 1.5, channels)
     upstream = rng.normal(size=stack.shape)
     return stack, params, upstream
+
+
+def mono_bytes(stack, params, upstream, threads):
+    """Every MonoGradients field and both se_forward outputs, as bytes."""
+    grads = mono_backward(stack, params, upstream, SCALES, EPS, threads=threads)
+    forward = se_forward(stack, params, source="alpha-map", scales=SCALES,
+                         epsilon=EPS, threads=threads)
+    return {**{f: v.tobytes() for f, v in vars(grads).items()},
+            "gates": forward[0].tobytes(), "out": forward[1].tobytes()}
 
 
 class TestMonoBackward:
@@ -61,16 +73,15 @@ class TestMonoBackward:
         rng = np.random.default_rng(seed)
         stack, params, upstream = mono_fixture(rng, norm_mode)
         grads = mono_backward(stack, params, upstream, SCALES, EPS, threads=1)
-        forward = se_forward(stack, params, source="alpha-map", scales=SCALES,
-                             epsilon=EPS, threads=1)
-        # two and three channel chunks give the same bytes as one
-        for threads in (2, 3):
-            again = mono_backward(stack, params, upstream, SCALES, EPS, threads=threads)
-            for field, value in vars(grads).items():
-                assert np.array_equal(getattr(again, field), value), f"{field}, {threads} threads"
-            gates, out = se_forward(stack, params, source="alpha-map", scales=SCALES,
-                                    epsilon=EPS, threads=threads)
-            assert np.array_equal(gates, forward[0]) and np.array_equal(out, forward[1])
+        # two and three channel chunks give the same bytes as one, also when
+        # each chunk holds several channels (40x36x8)
+        wide = mono_fixture(np.random.default_rng(seed + 40), norm_mode, shape=(40, 36, 8))
+        for inputs in ((stack, params, upstream), wide):
+            one = mono_bytes(*inputs, threads=1)
+            for threads in (2, 3):
+                again = mono_bytes(*inputs, threads=threads)
+                for field, value in one.items():
+                    assert again[field] == value, f"{field}, {threads} threads"
 
         def loss():
             _, out = se_forward(stack, params, source="alpha-map",
@@ -109,6 +120,31 @@ class TestMonoBackward:
         upstream[0, 1, 2] = np.inf
         with pytest.raises(ValueError, match="finite"):
             mono_backward(stack, params, upstream, SCALES, EPS)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_zero_mass_windows_at_epsilon_zero_raise(self, threads):
+        rng = np.random.default_rng(41)
+        stack, params, upstream = mono_fixture(rng, "frozen", shape=(8, 8, 4))
+        stack[2:6, 2:6, 3] = 0.0  # side-2 and side-3 windows of zero mass
+        with pytest.raises(ValueError, match="windowed masses are <= 0"):
+            mono_backward(stack, params, upstream, SCALES, 0.0, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_memory_holds_no_block_of_masses(self, threads):
+        # The backward holds a handful of stack-sized arrays (exponent map,
+        # normalization cache and cotangents, about 7.4-7.7x the stack's
+        # bytes here) plus chunk temporaries of the adjoint.  Holding the
+        # masses of all three scales at once adds three more stack-sized
+        # arrays (about 12.4x), which this bound rejects.
+        rng = np.random.default_rng(42)
+        stack, params, upstream = mono_fixture(rng, "per-instance", shape=(64, 64, 16))
+        tracemalloc.start()
+        try:
+            mono_backward(stack, params, upstream, SCALES, EPS, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * stack.nbytes, f"peak {peak / stack.nbytes:.2f}x the stack"
 
     def test_strict_two_matrix_form_has_no_bias_gradients(self):
         rng = np.random.default_rng(32)

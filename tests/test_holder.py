@@ -103,11 +103,11 @@ class TestBoxMeasures:
         with pytest.raises(ValueError, match="epsilon"):
             box_measures(np.ones((4, 4)), SCALES, epsilon=-1.0)
 
-    @pytest.mark.parametrize("threads", [0, 1, 2])
-    def test_outputs_are_c_contiguous(self, threads):
-        rng = np.random.default_rng(3)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_outputs_are_c_contiguous(self, seed):
+        rng = np.random.default_rng(seed)
         for shape in ((10, 7), (10, 7, 5)):
-            for mu in box_measures(rng.uniform(size=shape), SCALES, threads=threads):
+            for mu in box_measures(rng.uniform(size=shape), SCALES):
                 assert mu.shape == shape
                 assert mu.flags.c_contiguous
 
@@ -192,7 +192,7 @@ class TestHolderMap:
 
 
 class TestTwoRoutesAgree:
-    """``holder_map`` streams what ``slope_from_measures(box_measures(...))`` computes."""
+    """``holder_map`` streams what serial ``slope_from_measures(box_measures(...))`` computes."""
 
     @pytest.mark.parametrize("field, epsilons, threads", [
         (np.random.default_rng(16).uniform(0.1, 1.0, (21, 17)), (0.0, 1e-6), (1, 2, 3)),
@@ -204,7 +204,7 @@ class TestTwoRoutesAgree:
         for epsilon in epsilons:
             for t in threads:
                 streamed = holder_map(field, SCALES, epsilon, threads=t)
-                stored = slope_from_measures(box_measures(field, SCALES, epsilon, t), SCALES)
+                stored = slope_from_measures(box_measures(field, SCALES, epsilon), SCALES)
                 assert streamed.shape == field.shape
                 assert streamed.tobytes() == stored.tobytes()
 
@@ -298,8 +298,12 @@ class TestNormalize:
 
 
 class TestBoxMeasuresInputCheck:
-    @pytest.mark.parametrize("compute", [box_measures, holder_map],
-                             ids=["box_measures", "holder_map"])
+    # ``box_measures`` is serial and takes no ``threads``; its case runs
+    # the same call under both thread ids.
+    @pytest.mark.parametrize("compute", [
+        lambda field, threads: box_measures(field, SCALES),
+        lambda field, threads: holder_map(field, SCALES, threads=threads),
+    ], ids=["box_measures", "holder_map"])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_checks_its_input_once(self, threads, compute, monkeypatch):
         import mfcal.grid as grid
@@ -312,5 +316,5 @@ class TestBoxMeasuresInputCheck:
             return checked(values)
 
         monkeypatch.setattr(grid, "as_field", counting)
-        compute(np.ones((6, 5, 4)), SCALES, threads=threads)
+        compute(np.ones((6, 5, 4)), threads)
         assert len(calls) == 1
