@@ -21,10 +21,10 @@ The two exponent-driven paths also expose exact reverse-mode gradients
 with respect to every learnable parameter and the input stack, built
 for verification against central finite differences.  Their per-pixel
 passes take ``threads`` (default: every CPU this process may use): the
-exponent map and its adjoint split over channel chunks, the level-set
-passes over groups of whole position blocks, both on the worker pool of
-:func:`mfcal.holder.holder_map`, and no output byte depends on the
-count.
+exponent map and its adjoint split over groups of row bands, the
+level-set passes over groups of whole position blocks, both on the
+worker pool of :func:`mfcal.holder.holder_map`, and no output byte
+depends on the count.
 """
 
 from __future__ import annotations

@@ -92,11 +92,13 @@ def _resolve_threads(args) -> int:
 
 
 def _read_input_field(path: str) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if data[:4] == fio.MAGIC:
-        return np.asarray(fio.read_field(data), dtype=np.float64)
-    if data[:2] == b"P5":
-        return fio.read_pgm(data)
+    with open(path, "rb") as file:
+        magic = file.read(4)
+        if magic == fio.MAGIC:
+            return np.asarray(fio.read_field_file(file), dtype=np.float64)
+        if magic[:2] == b"P5":
+            file.seek(0)
+            return fio.read_pgm(file.read())
     raise fio.ContainerMagicError(f"{path}: neither a field container nor a binary PGM")
 
 
@@ -112,7 +114,8 @@ def _write_container(path: str, field: np.ndarray) -> None:
     arr = np.asarray(field, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
-    Path(path).write_bytes(fio.write_field(arr))
+    with open(path, "wb") as file:
+        fio.write_field_file(file, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +267,7 @@ def _cmd_recalibrate(args) -> int:
 def _cmd_excite(args) -> int:
     if not (0.0 < args.delta <= 1.0):
         raise UsageError("--delta must lie in (0, 1]")
-    matrix = np.asarray(fio.read_field(Path(args.input).read_bytes()), dtype=np.float64)
+    matrix = _read_input_field(args.input)
     if matrix.ndim != 2:
         raise UsageError("--input must hold a 2-D instances-by-channels matrix")
     center = not args.strict_paper_mode if args.center is None else args.center

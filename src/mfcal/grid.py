@@ -55,17 +55,25 @@ def integral_image(field) -> np.ndarray:
     return table
 
 
-def _shift_sum(field: np.ndarray, side: int, offset: int) -> np.ndarray:
-    # out[i] = sum(field[i - offset : i - offset + side]) per spatial axis;
-    # zero padding is the border clip.  The first add allocates the result
-    # (np.pad returns a fresh array, so side 1 needs no copy).
-    h, w = field.shape[0], field.shape[1]
+def _pad(field: np.ndarray, side: int, offset: int) -> np.ndarray:
+    # ``offset`` zero rows and columns before the field, ``side - 1 - offset``
+    # after it: the border clip of a window anchored ``offset`` cells in
     spatial = ((offset, side - 1 - offset),) * 2
-    p = np.pad(field, spatial + ((0, 0),) * (field.ndim - 2))
-    rows = p[:h] + p[1:1 + h] if side > 1 else p
+    return np.pad(field, spatial + ((0, 0),) * (field.ndim - 2))
+
+
+def _padded_sum(p: np.ndarray, side: int) -> np.ndarray:
+    # out[i, j] = sum(p[i : i + side, j : j + side]) of an already padded
+    # array, as a fresh array: ``side`` row terms added in order, then
+    # ``side`` column terms.  Every window sum goes through here, so each
+    # output keeps one association order whatever array ``p`` is cut from.
+    if side == 1:
+        return p.copy()
+    h, w = p.shape[0] - side + 1, p.shape[1] - side + 1
+    rows = p[:h] + p[1:1 + h]
     for k in range(2, side):
         rows += p[k:k + h]
-    out = rows[:, :w] + rows[:, 1:1 + w] if side > 1 else rows
+    out = rows[:, :w] + rows[:, 1:1 + w]
     for k in range(2, side):
         out += rows[:, k:k + w]
     return out
@@ -84,7 +92,7 @@ def window_sum(field: np.ndarray, side: int) -> np.ndarray:
     """
     if side < 1:
         raise ValueError("window side must be >= 1")
-    return _shift_sum(field, side, side // 2)
+    return _padded_sum(_pad(field, side, side // 2), side)
 
 
 def window_sum_adjoint(field, side: int) -> np.ndarray:
@@ -95,4 +103,4 @@ def window_sum_adjoint(field, side: int) -> np.ndarray:
     again a clipped window sum, with the anchor mirrored so that even
     sides put their extra cell on the opposite edge.
     """
-    return _shift_sum(as_field(field), side, side - 1 - side // 2)
+    return _padded_sum(_pad(as_field(field), side, side - 1 - side // 2), side)

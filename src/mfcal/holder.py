@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import require_measure, window_sum, window_sum_adjoint
+from .grid import _padded_sum, require_measure, window_sum
 
 __all__ = [
     "ScaleSet",
@@ -37,6 +37,7 @@ __all__ = [
 
 DEFAULT_EPSILON = 1e-6  # mass floor added after window summation, before logs
 VAR_EPS = 1e-5          # variance floor of the channel normalization
+BAND_BYTES = 512 * 1024  # rows of one band of the exponent map and its adjoint, in bytes
 
 
 @dataclass(frozen=True)
@@ -108,11 +109,11 @@ def _run_ranges(work, count: int, threads: int | None) -> list:
         return [first] + [future.result() for future in rest]
 
 
-def _mass(field: np.ndarray, side: int, epsilon: float) -> np.ndarray:
-    mu = window_sum(field, side)
+def _mass(sums: np.ndarray, epsilon: float) -> np.ndarray:
+    # a windowed mass: window sums plus the epsilon floor, in place
     if epsilon > 0.0:
-        mu += epsilon
-    return mu
+        sums += epsilon
+    return sums
 
 
 def box_measures(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON) -> list:
@@ -123,13 +124,56 @@ def box_measures(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON)
     positive measures where the floor would bias small masses.
 
     The plain serial reference: :func:`holder_map` and its adjoint
-    re-derive these masses per channel chunk and never hold them all.
+    re-derive these masses per row band and never hold them all.
     No shipping path calls it.
     """
     field = require_measure(field)
     if epsilon < 0.0:
         raise ValueError("epsilon must be >= 0")
-    return [_mass(field, side, epsilon) for side in _as_scales(scales)]
+    return [_mass(window_sum(field, side), epsilon) for side in _as_scales(scales)]
+
+
+def _run_bands(work, stack: np.ndarray, halo: int, threads: int | None) -> None:
+    """``work(tile, lo, hi)`` for every row band ``[lo, hi)`` of the (H, W, C) ``stack``.
+
+    ``tile`` holds rows ``lo - halo`` to ``hi + halo`` and ``halo`` more
+    columns on either side, zero outside the image, so every window
+    reaching at most ``halo`` cells past the band is a slice of it.  A
+    band has as many padded rows as fit in ``BAND_BYTES`` (at least one),
+    so that the tile and the few band-sized temporaries of its window
+    sums stay in a core's L2 cache, and at most ``ceil(H / threads)``, so
+    that a field of ``threads`` rows splits over every worker and a small
+    field's tile is no larger than the field plus its halo.  Groups of
+    whole bands run on :func:`_run_ranges`, each worker reusing one tile.
+    """
+    if threads is None:
+        threads = _available_cpus()
+    h, w, c = stack.shape
+    row_bytes = (w + 2 * halo) * c * stack.itemsize
+    rows = min(max(BAND_BYTES // row_bytes, 1), -(-h // threads))
+    starts = range(0, h, rows)
+
+    def bands(first, last):
+        buffer = np.zeros((rows + 2 * halo, w + 2 * halo, c))  # one tile per worker
+        for lo in starts[first:last]:
+            hi = min(lo + rows, h)
+            tile = buffer[:hi - lo + 2 * halo]
+            top, bottom = max(lo - halo, 0), min(hi + halo, h)
+            tile[:top - lo + halo] = 0.0  # rows past the image's edges
+            tile[bottom - lo + halo:] = 0.0
+            tile[top - lo + halo:bottom - lo + halo, halo:halo + w] = stack[top:bottom]
+            work(tile, lo, hi)
+
+    _run_ranges(bands, len(starts), threads)
+
+
+def _tile_sums(tile: np.ndarray, first: int, last: int, side: int, halo: int) -> np.ndarray:
+    # window_sum(field, side) at rows lo + first to lo + last of the field,
+    # summed from a view of the tile that :func:`_run_bands` gives the band
+    # starting at row lo; first and last may reach into the halo
+    offset, width = side // 2, tile.shape[1] - 2 * halo
+    return _padded_sum(tile[halo + first - offset:halo + last - offset + side - 1,
+                            halo - offset:halo - offset + width + side - 1], side)
 
 
 @contextmanager
@@ -176,12 +220,14 @@ def holder_map(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
     values are finite whenever ``epsilon > 0``; with ``epsilon = 0`` a
     window without positive mass raises ``ValueError``.
 
-    One pass per channel chunk (a 2-D field is one channel), over
-    ``threads`` workers (default: every CPU this process may use): each
-    chunk takes one window sum per scale, its log in place, and adds
+    One pass per row band over all channels (a 2-D field is one
+    channel), on ``threads`` workers (default: every CPU this process
+    may use): each band's rows and a halo are copied into one
+    zero-bordered tile (see ``BAND_BYTES``), and while it stays in cache
+    the band takes one window sum per scale, its log in place, and adds
     the weighted log into the output before the next scale.
     The bytes equal ``slope_from_measures(box_measures(...))`` for every
-    ``threads``.  Peak memory is the output plus a few chunk-sized
+    ``threads``.  Peak memory is the output plus a few tile-sized
     temporaries per worker; the masses are never held for all scales.
     """
     scales = _as_scales(scales)
@@ -191,12 +237,13 @@ def holder_map(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
     weights = log_slope_weights(scales)
     stack = field[:, :, None] if field.ndim == 2 else field
     alpha = np.empty(stack.shape)
+    halo = max(scales) // 2
 
-    def work(lo, hi):
-        out = alpha[:, :, lo:hi]
+    def work(tile, lo, hi):
+        out = alpha[lo:hi]
         with _finite_logs():
             for k, (w, side) in enumerate(zip(weights, scales)):
-                mu = _mass(stack[:, :, lo:hi], side, epsilon)
+                mu = _mass(_tile_sums(tile, 0, hi - lo, side, halo), epsilon)
                 np.log(mu, out=mu)
                 if k == 0:
                     np.multiply(mu, w, out=out)
@@ -205,27 +252,37 @@ def holder_map(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
                     out += mu
                 del mu  # free this scale's masses before the next window sum
 
-    _run_ranges(work, stack.shape[2], threads)
+    _run_bands(work, stack, halo, threads)
     return alpha.reshape(field.shape)
 
 
 def _holder_map_vjp(stack, d_alpha, d_stack, scales, epsilon: float, threads: int | None):
     """Add the vector-Jacobian product of :func:`holder_map` into ``d_stack``.
 
-    Per channel chunk of the (H, W, C) ``stack``, adds ``window_sum_adjoint(w
+    Per row band of the (H, W, C) ``stack``, adds ``window_sum_adjoint(w
     * d_alpha / mu, side)`` scale by scale, re-deriving the masses ``mu``
-    rather than holding them, so the bytes do not depend on ``threads``.
-    ``stack`` must be one that :func:`holder_map` accepted (positive masses).
+    of the band and of the ``side - 1`` rows around it that its adjoint
+    windows reach, rather than holding them, so the bytes do not depend
+    on ``threads``.  ``stack`` must be one that :func:`holder_map`
+    accepted (positive masses).
     """
+    scales = _as_scales(scales)
     weights = log_slope_weights(scales)
+    h, w, c = stack.shape
+    halo = max(scales) - 1
 
-    def work(lo, hi):
-        for w, side in zip(weights, scales):
-            mu = _mass(stack[:, :, lo:hi], side, epsilon)
-            np.divide(w * d_alpha[:, :, lo:hi], mu, out=mu)
-            d_stack[:, :, lo:hi] += window_sum_adjoint(mu, side)
+    def work(tile, lo, hi):
+        for weight, side in zip(weights, scales):
+            back = side - 1 - side // 2  # anchor offset of the adjoint windows
+            first, last = max(lo - back, 0), min(hi + side - 1 - back, h)
+            mu = _mass(_tile_sums(tile, first - lo, last - lo, side, halo), epsilon)
+            np.divide(weight * d_alpha[first:last], mu, out=mu)
+            cotangent = np.zeros((hi - lo + side - 1, w + side - 1, c))
+            cotangent[first - lo + back:last - lo + back, back:back + w] = mu
+            del mu
+            d_stack[lo:hi] += _padded_sum(cotangent, side)
 
-    _run_ranges(work, stack.shape[2], threads)
+    _run_bands(work, stack, halo, threads)
 
 
 def mean_alpha(alpha_map) -> np.ndarray:

@@ -16,6 +16,7 @@ significant digits so parsed-back floats are bit-exact too.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -33,7 +34,9 @@ __all__ = [
     "PgmMaxvalError",
     "PgmTruncatedError",
     "write_field",
+    "write_field_file",
     "read_field",
+    "read_field_file",
     "read_pgm",
     "write_spectrum_csv",
     "write_moments_csv",
@@ -65,8 +68,8 @@ class ContainerDimsError(ContainerError):
     pass
 
 
-def write_field(field) -> bytes:
-    """Serialize an array of 2..4 dims as a float64 container."""
+def _container(field) -> tuple:
+    """The header bytes and the little-endian float64 payload array of ``field``."""
     arr = np.asarray(field, dtype=np.float64)
     if arr.ndim not in (2, 3, 4):
         raise ContainerDimsError(f"container holds 2..4 dims, got {arr.ndim}")
@@ -76,15 +79,39 @@ def write_field(field) -> bytes:
         raise ContainerDimsError("dimension exceeds the u32 range")
     header = MAGIC + struct.pack("<BBB", VERSION, 1, arr.ndim)  # dtype code 1: float64
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = np.ascontiguousarray(arr, dtype="<f8")
+    return header, np.ascontiguousarray(arr, dtype="<f8")
+
+
+def write_field(field) -> bytes:
+    """Serialize an array of 2..4 dims as a float64 container."""
+    header, payload = _container(field)
     return b"".join((header, memoryview(payload).cast("B")))
 
 
-def read_field(data: bytes) -> np.ndarray:
-    """Parse container bytes back into an ndarray (dtype per the header)."""
-    if len(data) < 7 or data[:4] != MAGIC:
+def write_field_file(file, field) -> None:
+    """Write ``write_field(field)`` to an open binary file without joining its bytes.
+
+    The header goes out first, then the payload straight from the
+    array's buffer, so no full-size copy of the container is made.
+    """
+    header, payload = _container(field)
+    file.write(header)
+    file.write(memoryview(payload).cast("B"))
+
+
+_MAX_HEADER = 7 + 4 * 4  # magic, version, dtype, ndims, then up to four u32 dims
+
+
+def _parse_header(head: bytes, size: int) -> tuple:
+    """``(dtype, dims, offset)`` of a ``size``-byte container that starts with ``head``.
+
+    Checks every header field and that the payload after ``offset`` is
+    exactly as long as the dims require, so callers allocate only what a
+    well-formed container holds.
+    """
+    if len(head) < 7 or head[:4] != MAGIC:
         raise ContainerMagicError("bad container magic (expected MFR1)")
-    version, code, ndims = struct.unpack_from("<BBB", data, 4)
+    version, code, ndims = struct.unpack_from("<BBB", head, 4)
     if version != VERSION:
         raise ContainerVersionError(f"unsupported container version {version}")
     if code not in _DTYPES:
@@ -92,18 +119,42 @@ def read_field(data: bytes) -> np.ndarray:
     if ndims not in (2, 3, 4):
         raise ContainerDimsError(f"container holds 2..4 dims, got {ndims}")
     offset = 7 + 4 * ndims
-    if len(data) < offset:
+    if len(head) < offset:
         raise ContainerDimsError("truncated container header")
-    dims = struct.unpack_from(f"<{ndims}I", data, 7)
+    dims = struct.unpack_from(f"<{ndims}I", head, 7)
     if any(d == 0 for d in dims):
         raise ContainerDimsError("container dims must all be positive")
     dtype = _DTYPES[code]
     expected = int(np.prod([int(d) for d in dims], dtype=object)) * dtype.itemsize
-    if len(data) - offset != expected:
+    if size - offset != expected:
         raise ContainerDimsError(
-            f"payload holds {len(data) - offset} bytes, dims require {expected}"
+            f"payload holds {size - offset} bytes, dims require {expected}"
         )
+    return dtype, dims, offset
+
+
+def read_field(data: bytes) -> np.ndarray:
+    """Parse container bytes back into an ndarray (dtype per the header)."""
+    dtype, dims, offset = _parse_header(data[:_MAX_HEADER], len(data))
     return np.frombuffer(data, dtype=dtype, offset=offset).reshape(dims).copy()
+
+
+def read_field_file(file) -> np.ndarray:
+    """Read a container from an open binary file, from its start, into one array.
+
+    The header and the payload length are checked against the file's
+    size before the payload is allocated; the payload is then read
+    straight into the returned array (dtype per the header), with no
+    copy of the file's bytes.
+    """
+    size = file.seek(0, os.SEEK_END)
+    file.seek(0)
+    dtype, dims, offset = _parse_header(file.read(_MAX_HEADER), size)
+    field = np.empty(dims, dtype=dtype)
+    file.seek(offset)
+    if file.readinto(memoryview(field).cast("B")) != field.nbytes:
+        raise ContainerDimsError("container payload ended early")
+    return field
 
 
 # ---------------------------------------------------------------------------

@@ -548,7 +548,7 @@ def _selftest_artifacts(directory: Path, threads: int) -> list:
     qparams = init_multi_params(16, float(alpha_stack.min()), float(alpha_stack.max()))
     gate, _ = multi_forward(stack, alpha_stack, qparams, threads=threads)
     (directory / "multi-gate.mfr").write_bytes(fio.write_field(gate))
-    # the exponent map's adjoint splits over the same channel chunks as the map
+    # the exponent map's adjoint splits over row bands like the map, with a taller halo
     cotangent = np.random.default_rng(8).normal(size=stack.shape)
     grads = mono_backward(stack, init_mono_params(8, rng=9), cotangent, _SCALES, 1e-6, threads)
     (directory / "mono-grad-stack.mfr").write_bytes(fio.write_field(grads.stack))

@@ -13,7 +13,9 @@ from mfcal.attention import (
     multi_forward,
     se_forward,
 )
-from mfcal.holder import ScaleSet
+from mfcal import holder
+from mfcal.grid import window_sum_adjoint
+from mfcal.holder import ScaleSet, _holder_map_vjp, box_measures, log_slope_weights
 
 SCALES = ScaleSet((2, 3, 4))
 EPS = 1e-6
@@ -95,6 +97,36 @@ class TestMonoBackward:
                     "b2": grads.b2, "gamma": grads.gamma,
                     "beta": grads.beta, "stack": grads.stack}
         check_against_fd(loss, arrays, analytic, rng)
+
+    @pytest.mark.parametrize("shape, sides", [
+        ((40, 36, 8), (2, 3, 4)),
+        ((7, 5, 3), (2, 3, 4)),    # 7 rows: no multiple of 2 or 3
+        ((11, 6, 1), (2, 5, 9)),   # one channel, as a 2-D field becomes
+        ((5, 4, 2), (1, 2)),
+        ((6, 5, 2), (3, 40)),      # a side past the image: the halo is taller than the field
+        ((2, 7, 2), (2, 5, 9)),
+        ((1, 9, 3), (2, 5, 9)),    # one row: more workers than bands
+    ], ids=["wide", "uneven-bands", "one-channel", "side-one", "side-past-image",
+            "shorter-than-halo", "one-row"])
+    def test_exponent_map_adjoint_matches_the_reference(self, shape, sides, monkeypatch):
+        # the banded adjoint adds, scale by scale, what window_sum_adjoint adds
+        # over the whole field, at any band height and thread count
+        rng = np.random.default_rng(sum(shape))
+        stack = rng.uniform(0.1, 1.0, shape)
+        d_alpha = rng.normal(size=shape)
+        start = rng.normal(size=shape)
+        scales = ScaleSet(sides)
+        expected = start.copy()
+        for w, side, mu in zip(log_slope_weights(scales), scales, box_measures(stack, scales, EPS)):
+            expected += window_sum_adjoint(w * d_alpha / mu, side)
+        row_bytes = (shape[1] + 2 * (max(sides) - 1)) * shape[2] * 8
+        for rows in (None, 1, 2, 3):
+            if rows is not None:
+                monkeypatch.setattr(holder, "BAND_BYTES", rows * row_bytes)
+            for threads in (1, 2, 3):
+                d_stack = start.copy()
+                _holder_map_vjp(stack, d_alpha, d_stack, scales, EPS, threads)
+                assert d_stack.tobytes() == expected.tobytes(), f"{rows} rows, {threads} threads"
 
     def test_zero_upstream_gives_zero_bundle(self):
         rng = np.random.default_rng(30)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mfcal import holder
 from mfcal.cascade import CascadeSpec, analytic_alpha, generate_binomial
 from mfcal.holder import (
     NormState,
@@ -190,23 +191,69 @@ class TestHolderMap:
             tracemalloc.stop()
         assert peak <= 5 * field.nbytes
 
+    def test_peak_memory_at_the_working_shape_is_the_output_plus_tiles(self):
+        # 224 x 224 x 64: the output is 25.7 MB; a worker's tile and its
+        # temporaries are a few band-sized arrays, whatever the field's size
+        field = np.random.default_rng(26).uniform(0.1, 1.0, (224, 224, 64))
+        tracemalloc.start()
+        try:
+            holder_map(field, SCALES, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= field.nbytes + (16 << 20), f"{(peak - field.nbytes) / 2**20:.1f} MiB"
+
+
+def band_bytes(shape, halo, rows):
+    """A ``BAND_BYTES`` that cuts a field of ``shape`` into bands of ``rows`` rows."""
+    channels = shape[2] if len(shape) == 3 else 1
+    return rows * (shape[1] + 2 * halo) * channels * 8
+
 
 class TestTwoRoutesAgree:
     """``holder_map`` streams what serial ``slope_from_measures(box_measures(...))`` computes."""
 
-    @pytest.mark.parametrize("field, epsilons, threads", [
-        (np.random.default_rng(16).uniform(0.1, 1.0, (21, 17)), (0.0, 1e-6), (1, 2, 3)),
-        (np.random.default_rng(17).uniform(0.1, 1.0, (32, 32, 8)), (0.0, 1e-6), (1, 2, 3)),
-        (np.maximum(np.random.default_rng(15).normal(size=(48, 48, 5)), 0.0), (1e-6,), (1, 2, 3)),
-        (np.random.default_rng(18).uniform(0.1, 1.0, (40, 36, 2)), (0.0, 1e-6), (3,)),
-    ], ids=["2d", "uniform-stack", "relu-stack", "fewer-channels-than-threads"])
-    def test_byte_identical(self, field, epsilons, threads):
-        for epsilon in epsilons:
-            for t in threads:
-                streamed = holder_map(field, SCALES, epsilon, threads=t)
-                stored = slope_from_measures(box_measures(field, SCALES, epsilon), SCALES)
-                assert streamed.shape == field.shape
-                assert streamed.tobytes() == stored.tobytes()
+    @pytest.mark.parametrize("field, sides, epsilons, threads, band_rows", [
+        (np.random.default_rng(16).uniform(0.1, 1.0, (21, 17)), (2, 3, 4), (0.0, 1e-6), (1, 2, 3),
+         (None, 1, 2, 3)),
+        (np.random.default_rng(17).uniform(0.1, 1.0, (32, 32, 8)), (2, 3, 4), (0.0, 1e-6), (1, 2, 3),
+         (None, 1, 3)),
+        (np.maximum(np.random.default_rng(15).normal(size=(48, 48, 5)), 0.0), (2, 3, 4), (1e-6,),
+         (1, 2, 3), (None,)),
+        (np.random.default_rng(18).uniform(0.1, 1.0, (40, 36, 2)), (2, 3, 4), (0.0, 1e-6), (3,),
+         (None,)),
+        # forced band heights: 7 and 11 rows are no multiple of 2 or 3
+        (np.random.default_rng(19).uniform(0.1, 1.0, (7, 5, 3)), (2, 3, 4), (0.0, 1e-6), (1, 2, 3),
+         (1, 2, 3)),
+        (np.random.default_rng(20).uniform(0.1, 1.0, (11, 6)), (2, 5, 9), (0.0, 1e-6), (1, 2, 3),
+         (1, 2, 3)),
+        (np.random.default_rng(21).uniform(0.1, 1.0, (5, 4, 2)), (1, 2), (0.0, 1e-6), (1, 2, 3),
+         (1, 2, 3)),
+        # a side past the image: the halo (20 rows) is taller than the field
+        (np.random.default_rng(22).uniform(0.1, 1.0, (6, 5, 2)), (3, 40), (0.0, 1e-6), (1, 2, 3),
+         (1, 2, 3)),
+        (np.random.default_rng(23).uniform(0.1, 1.0, (2, 7, 2)), (2, 5, 9), (0.0, 1e-6), (1, 2, 3),
+         (1, 2, 3)),
+        # one row: more workers than bands
+        (np.random.default_rng(24).uniform(0.1, 1.0, (1, 9, 3)), (2, 5, 9), (0.0, 1e-6), (1, 2, 3),
+         (1, 2, 3)),
+        (np.random.default_rng(25).uniform(0.1, 1.0, (1, 12)), (3, 40), (0.0, 1e-6), (1, 2, 3),
+         (1, 2, 3)),
+    ], ids=["2d", "uniform-stack", "relu-stack", "fewer-channels-than-threads",
+            "uneven-bands", "uneven-bands-2d", "side-one", "side-past-image",
+            "shorter-than-halo", "one-row", "one-row-2d"])
+    def test_byte_identical(self, field, sides, epsilons, threads, band_rows, monkeypatch):
+        scales = ScaleSet(sides)
+        for rows in band_rows:
+            if rows is not None:
+                monkeypatch.setattr(holder, "BAND_BYTES",
+                                    band_bytes(field.shape, max(sides) // 2, rows))
+            for epsilon in epsilons:
+                stored = slope_from_measures(box_measures(field, scales, epsilon), scales)
+                for t in threads:
+                    streamed = holder_map(field, scales, epsilon, threads=t)
+                    assert streamed.shape == field.shape
+                    assert streamed.tobytes() == stored.tobytes(), f"{rows} rows, {t} threads"
 
 
 class TestInterior:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mfcal.cascade import SpectrumCurve
-from mfcal.cli import main
+from mfcal.cli import _read_input_field, main
 from mfcal.io import (
     ContainerDimsError,
     ContainerError,
@@ -20,8 +20,10 @@ from mfcal.io import (
     PgmTruncatedError,
     excite_record_json,
     read_field,
+    read_field_file,
     read_pgm,
     write_field,
+    write_field_file,
     write_moments_csv,
     write_spectrum_csv,
 )
@@ -75,6 +77,33 @@ class TestFieldContainer:
         back = read_field(header + np.array([1.5, -2.0], dtype="<f4").tobytes())
         assert back.dtype == np.float32
         assert np.array_equal(back, np.array([[1.5, -2.0]], dtype=np.float32))
+
+    @pytest.mark.parametrize("layout", ["c", "fortran", "float32"])
+    def test_file_writer_writes_the_bytes_of_write_field(self, layout, tmp_path):
+        base = np.random.default_rng(5).normal(size=(3, 4, 2))
+        arr = {"c": base, "fortran": np.asfortranarray(base),
+               "float32": base.astype(np.float32)}[layout]
+        path = tmp_path / "out.mfr"
+        with open(path, "wb") as file:
+            write_field_file(file, arr)
+        assert path.read_bytes() == write_field(arr)
+        with open(path, "rb") as file:
+            back = read_field_file(file)
+        assert back.tobytes() == np.ascontiguousarray(arr, "<f8").tobytes()
+
+    def test_file_reader_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "long.mfr"
+        path.write_bytes(write_field(np.ones((2, 2))) + b"\x00")
+        with open(path, "rb") as file, pytest.raises(ContainerDimsError, match="payload"):
+            read_field_file(file)
+
+    def test_cli_reads_a_float32_container_as_float64(self, tmp_path):
+        header = b"MFR1" + bytes([1, 0, 2]) + (1).to_bytes(4, "little") + (2).to_bytes(4, "little")
+        path = tmp_path / "f32.mfr"
+        path.write_bytes(header + np.array([1.5, -2.0], dtype="<f4").tobytes())
+        back = _read_input_field(str(path))
+        assert back.dtype == np.float64
+        assert np.array_equal(back, [[1.5, -2.0]])
 
     def test_one_dimensional_arrays_are_rejected(self):
         with pytest.raises(ContainerDimsError):
@@ -183,13 +212,23 @@ def huge_headers(rng: random.Random, count: int):
 
 
 def decode(blob: bytes):
-    """Decode as the CLI does; return the typed error raised, or None."""
+    """Decode with the bytes readers; return the typed error raised, or None."""
     try:
         if blob[:2] == b"P5":
             read_pgm(blob)
         else:
             read_field(blob)
     except (ContainerError, PgmError) as exc:
+        return exc
+    return None
+
+
+def decode_file(path):
+    """Decode a container file with the CLI's file reader; the typed error, or None."""
+    try:
+        with open(path, "rb") as file:
+            read_field_file(file)
+    except ContainerError as exc:
         return exc
     return None
 
@@ -211,7 +250,18 @@ class TestFuzz:
     def test_mutated_containers(self, tmp_path):
         rng = random.Random(41)
         valid = write_field(np.arange(24.0).reshape(2, 3, 4))
-        self._check(tmp_path, list(mutations(valid, rng, 300)))
+        blobs = list(mutations(valid, rng, 300))
+        self._check(tmp_path, blobs)
+        # the file reader raises what the bytes reader raises, and reads
+        # what it reads
+        path = tmp_path / "mutated.mfr"
+        for blob in blobs:
+            path.write_bytes(blob)
+            error = decode(blob)
+            assert type(decode_file(path)) is type(error)
+            if error is None:
+                with open(path, "rb") as file:
+                    assert read_field_file(file).tobytes() == read_field(blob).tobytes()
 
     def test_mutated_pgm_streams(self, tmp_path):
         rng = random.Random(42)
@@ -229,13 +279,20 @@ class TestFuzz:
 
     def test_huge_declared_sizes_are_rejected_before_allocation(self, tmp_path):
         blobs = list(huge_headers(random.Random(44), 20))
+        paths = []
+        for i, blob in enumerate(blobs):
+            if blob[:2] != b"P5":
+                paths.append(tmp_path / f"huge{i}.mfr")
+                paths[-1].write_bytes(blob)
         tracemalloc.start()
         try:
             errors = [decode(blob) for blob in blobs]
+            file_errors = [decode_file(path) for path in paths]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert all(isinstance(e, (ContainerDimsError, PgmTruncatedError)) for e in errors)
+        assert paths and all(isinstance(e, ContainerDimsError) for e in file_errors)
         assert peak < 1 << 20
         self._check(tmp_path, blobs[:4])
 
