@@ -363,37 +363,47 @@ LEVEL_SET_BLOCK = 8192  # flattened positions per block of the level-set passes
 
 def _blocks(size: int) -> list:
     """Fixed position blocks: the boundaries depend only on the size."""
-    return [slice(lo, lo + LEVEL_SET_BLOCK) for lo in range(0, size, LEVEL_SET_BLOCK)]
+    return [slice(lo, min(lo + LEVEL_SET_BLOCK, size)) for lo in range(0, size, LEVEL_SET_BLOCK)]
 
 
-def _map_blocks(work, size: int, threads: int | None) -> list:
-    """``[work(block) for block in _blocks(size)]``, run on the worker pool.
+def _map_blocks(work, size: int, q: int, buffers: int, threads: int | None) -> list:
+    """``[work(block, *scratch) for block in _blocks(size)]``, run on the worker pool.
 
     Each worker takes a contiguous group of whole blocks, so block
-    boundaries never depend on ``threads``.  Callers merge the returned
-    partials serially in block order and write per-position outputs
-    into their block slices, so no output byte depends on ``threads``.
+    boundaries never depend on ``threads``.  It allocates ``buffers``
+    scratch arrays once, sized to the largest block of its group
+    (``min(size, LEVEL_SET_BLOCK)`` positions), and hands ``work`` them
+    as C-contiguous (q, n) views over the n positions of each block.
+    Callers merge the returned partials serially in block order and
+    write per-position outputs into their block slices, so no output
+    byte depends on ``threads``.
     """
     blocks = _blocks(size)
 
     def group(lo, hi):
-        return [work(block) for block in blocks[lo:hi]]
+        width = max((block.stop - block.start for block in blocks[lo:hi]), default=0)
+        flat = [np.empty(q * width) for _ in range(buffers)]
+        return [
+            work(block, *(buf[: q * (block.stop - block.start)].reshape(q, -1) for buf in flat))
+            for block in blocks[lo:hi]
+        ]
 
     return list(chain.from_iterable(_run_ranges(group, len(blocks), threads)))
 
 
-def _membership_block(alpha: np.ndarray, params: MultiParams) -> np.ndarray:
-    """Memberships of a flat block, (Q, n).
+def _membership_block(alpha: np.ndarray, params: MultiParams, out: np.ndarray) -> np.ndarray:
+    """Memberships of a flat block, written into and returned as the (Q, n) ``out``.
 
     The level-set axis comes first, so reductions over it run
     elementwise across rows.
     """
-    member = np.square(alpha - params.centers[:, None])
-    member *= -params.sharpness[:, None]
-    member -= member.max(axis=0)
-    np.exp(member, out=member)
-    member /= member.sum(axis=0)
-    return member
+    np.subtract(alpha, params.centers[:, None], out=out)
+    np.square(out, out=out)
+    out *= -params.sharpness[:, None]
+    out -= out.max(axis=0)
+    np.exp(out, out=out)
+    out /= out.sum(axis=0)
+    return out
 
 
 def multi_membership(alpha, params: MultiParams) -> np.ndarray:
@@ -405,10 +415,14 @@ def multi_membership(alpha, params: MultiParams) -> np.ndarray:
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     flat = alpha.reshape(-1)
-    out = np.empty((flat.size, params.centers.size))
-    for block in _blocks(flat.size):
-        out[block] = _membership_block(flat[block], params).T
-    return out.reshape(alpha.shape + (params.centers.size,))
+    q = params.centers.size
+    out = np.empty((flat.size, q))
+
+    def transpose_block(block, member):
+        out[block] = _membership_block(flat[block], params, member).T
+
+    _map_blocks(transpose_block, flat.size, q, 1, threads=1)
+    return out.reshape(alpha.shape + (q,))
 
 
 def _level_set_input(stack, alpha):
@@ -420,7 +434,11 @@ def _level_set_input(stack, alpha):
 
 
 def _level_set_statistics(alpha: np.ndarray, params: MultiParams, threads: int | None):
-    """Per-level-set mean and sigma ``sqrt(var + VAR_EPS)`` as (Q, 1) columns.
+    """Per-level-set ``(mean, sigma, scale, shift)``, each of shape (Q,).
+
+    ``sigma = sqrt(var + VAR_EPS)``; ``scale = gamma / sigma`` and
+    ``shift = beta - scale * mean`` fold the normalization and its
+    affine into one multiply-add, ``normed = member * scale + shift``.
 
     Frozen statistics are the stored ones.  Per-instance statistics are
     the memberships' population mean and variance over every position:
@@ -432,42 +450,47 @@ def _level_set_statistics(alpha: np.ndarray, params: MultiParams, threads: int |
     if norm.mode == "frozen":
         mean, var = norm.running_mean, norm.running_var
     else:
-        def block_moments(block):
-            member = _membership_block(alpha[block], params)
+        def block_moments(block, member):
+            _membership_block(alpha[block], params, member)
             block_mean = member.mean(axis=1)
             member -= block_mean[:, None]
-            np.square(member, out=member)
-            return member.shape[1], block_mean, member.sum(axis=1)
+            return member.shape[1], block_mean, np.einsum("qn,qn->q", member, member)
 
         count, mean, m2 = 0, 0.0, 0.0
-        for n, block_mean, block_m2 in _map_blocks(block_moments, alpha.size, threads):
+        moments = _map_blocks(block_moments, alpha.size, norm.channels, 1, threads)
+        for n, block_mean, block_m2 in moments:
             delta = block_mean - mean
             total = count + n
             mean = mean + delta * (n / total)
             m2 = m2 + block_m2 + delta ** 2 * (count * n / total)
             count = total
         var = m2 / count
-    return mean[:, None], np.sqrt(var + VAR_EPS)[:, None]
+    sigma = np.sqrt(var + VAR_EPS)
+    scale = norm.gamma / sigma
+    return mean, sigma, scale, norm.beta - scale * mean
 
 
-def _standardize(member: np.ndarray, mean, sigma) -> np.ndarray:
-    xhat = member - mean
-    xhat /= sigma
-    return xhat
+def _normed_block(member: np.ndarray, scale, shift, out: np.ndarray) -> np.ndarray:
+    """``member * scale + shift`` per level set, written into ``out`` (which may be ``member``)."""
+    np.multiply(member, scale[:, None], out=out)
+    out += shift[:, None]
+    return out
 
 
-def _affine(xhat: np.ndarray, norm: NormState) -> np.ndarray:
-    normed = norm.gamma[:, None] * xhat
-    normed += norm.beta[:, None]
-    return normed
+def _gated_block(alpha: np.ndarray, params: MultiParams, scale, shift, member, normed):
+    """Gate of a flat block.
 
-
-def _gated_block(alpha: np.ndarray, params: MultiParams, mean, sigma):
-    """Gate of a flat block, its rectified (Q, n) ``normed`` and its (Q, n) ``xhat``."""
-    xhat = _standardize(_membership_block(alpha, params), mean, sigma)
-    normed = _affine(xhat, params.norm)
-    np.maximum(normed, 0.0, out=normed)
-    return sigmoid(normed.sum(axis=0)), normed, xhat
+    Leaves the memberships in ``member`` and their rectified normalized
+    values in ``normed``; passing one buffer as both keeps only the latter.
+    """
+    _membership_block(alpha, params, member)
+    np.maximum(_normed_block(member, scale, shift, normed), 0.0, out=normed)
+    # the pooled sum is >= 0, where sigmoid() is 1 / (1 + exp(-x)): the same bytes, in place
+    gate = normed.sum(axis=0)
+    np.negative(gate, out=gate)
+    np.exp(gate, out=gate)
+    gate += 1.0
+    return np.reciprocal(gate, out=gate)
 
 
 def multi_forward(stack, alpha, params: MultiParams, threads: int | None = None):
@@ -479,20 +502,23 @@ def multi_forward(stack, alpha, params: MultiParams, threads: int | None = None)
 
     Runs over fixed blocks of ``LEVEL_SET_BLOCK`` flattened positions:
     one pass gathers the per-instance statistics (none when they are
-    frozen), a second gates each block.  Both passes spread groups of
-    whole blocks over ``threads`` workers (default: every CPU this
-    process may use), so memory is O(H*W*C + threads*LEVEL_SET_BLOCK*Q),
-    and the output bytes do not depend on ``threads``.
+    frozen) and folds them with ``gamma`` and ``beta`` into one scale
+    and one shift per level set; a second gates each block.  Both
+    passes spread groups of whole blocks over ``threads`` workers
+    (default: every CPU this process may use), and each worker computes
+    in place in one (Q, n) scratch array that it allocates once.  Memory
+    is O(H*W*C + threads*LEVEL_SET_BLOCK*Q), and the output bytes do not
+    depend on ``threads``.
     """
     stack, alpha = _level_set_input(stack, alpha)
-    mean, sigma = _level_set_statistics(alpha, params, threads)
+    _, _, scale, shift = _level_set_statistics(alpha, params, threads)
     gate = np.empty(stack.shape)
     flat_gate = gate.reshape(-1)
 
-    def gate_block(block):
-        flat_gate[block] = _gated_block(alpha[block], params, mean, sigma)[0]
+    def gate_block(block, member):
+        flat_gate[block] = _gated_block(alpha[block], params, scale, shift, member, member)
 
-    _map_blocks(gate_block, alpha.size, threads)
+    _map_blocks(gate_block, alpha.size, params.norm.channels, 1, threads)
     return gate, stack + gate
 
 
@@ -576,10 +602,13 @@ def multi_backward(stack, alpha, params: MultiParams, upstream,
     their choice.  The stack gradient of the additive head is the
     upstream cotangent itself.
 
-    Uses the blocks and workers of :func:`multi_forward`.  After the
-    statistics pass, one pass accumulates the two per-level-set sums
-    that the normalization's reverse needs, and a second forms the
-    parameter and exponent gradients.
+    Uses the blocks, workers and folded ``scale``/``shift`` of
+    :func:`multi_forward`.  After the statistics pass, one pass
+    accumulates two per-level-set gemv sums of the rectified cotangent,
+    from which the affine gradients follow without building the
+    standardized memberships.  A second pass forms the parameter and
+    exponent gradients, in place in three (Q, n) scratch arrays per
+    worker (two with frozen statistics).
     """
     stack, alpha = _level_set_input(stack, alpha)
     upstream = _as_stack(upstream)
@@ -587,62 +616,60 @@ def multi_backward(stack, alpha, params: MultiParams, upstream,
         raise ValueError("upstream cotangent must match the stack shape")
     flat_up = upstream.reshape(-1)
     norm = params.norm
-    mean, sigma = _level_set_statistics(alpha, params, threads)
+    q = norm.channels
+    mean, sigma, scale, shift = _level_set_statistics(alpha, params, threads)
     d_pooled = np.empty(alpha.size)
 
-    def rectified_cotangent(block, normed):
-        """Overwrite ``normed``, or its rectified values, with d_pooled * (normed > 0)."""
-        np.greater(normed, 0.0, out=normed)
-        normed *= d_pooled[block]
-        return normed
+    def normalization_sums(block, member, mask):
+        """Fills d_pooled; returns the block's mask @ d_pooled and (mask * member) @ d_pooled."""
+        gate = _gated_block(alpha[block], params, scale, shift, member, mask)
+        d_block = d_pooled[block]
+        d_block[:] = flat_up[block] * gate * (1.0 - gate)
+        np.greater(mask, 0.0, out=mask)
+        beta_part = mask @ d_block
+        mask *= member
+        return beta_part, mask @ d_block
 
-    def normalization_sums(block):
-        """Gate cotangents of a block, and its share of sum(d_normed), sum(d_normed * xhat)."""
-        gate, normed, xhat = _gated_block(alpha[block], params, mean, sigma)
-        d_pooled[block] = flat_up[block] * gate * (1.0 - gate)
-        d_normed = rectified_cotangent(block, normed)
-        return d_normed.sum(axis=1), np.einsum("qn,qn->q", d_normed, xhat)
-
-    d_beta = np.zeros(norm.channels)
-    d_gamma = np.zeros(norm.channels)
-    for beta_part, gamma_part in _map_blocks(normalization_sums, alpha.size, threads):
+    d_beta = np.zeros(q)
+    weighted = np.zeros(q)
+    for beta_part, weighted_part in _map_blocks(normalization_sums, alpha.size, q, 2, threads):
         d_beta += beta_part
-        d_gamma += gamma_part
+        weighted += weighted_part
+    # sum(d_normed * xhat) with xhat = (member - mean) / sigma
+    d_gamma = (weighted - mean * d_beta) / sigma
 
-    # per-instance statistics move with every membership: two correction terms
+    # per-instance statistics move with every membership: d_member gains
+    # offset - member * tilt, the correction terms of the normalization
     per_instance = norm.mode != "frozen"
-    shift = (norm.gamma * d_beta / alpha.size)[:, None]
-    tilt = (norm.gamma * d_gamma / alpha.size)[:, None]
+    tilt = norm.gamma * d_gamma / alpha.size / sigma ** 2
+    offset = mean * tilt - norm.gamma * d_beta / alpha.size / sigma
 
-    d_alpha = np.empty(alpha.size)
+    # each block's d_pooled is spent before its exponent gradient is
+    # written, so the gradient overwrites it block by block
+    d_alpha = d_pooled
 
-    def parameter_terms(block):
+    def parameter_terms(block, member, d_member, *spare):
         """Per-level-set sums of d_logits * diff and d_logits * diff**2; fills d_alpha."""
-        member = _membership_block(alpha[block], params)
-        xhat = _standardize(member, mean, sigma)
-        d_member = rectified_cotangent(block, _affine(xhat, norm))
-        d_member *= norm.gamma[:, None]
+        _membership_block(alpha[block], params, member)
+        np.greater(_normed_block(member, scale, shift, d_member), 0.0, out=d_member)
+        d_member *= d_pooled[block]
+        d_member *= scale[:, None]
         if per_instance:
-            d_member -= shift
-            xhat *= tilt
-            d_member -= xhat
-        d_member /= sigma
+            d_member -= np.multiply(member, tilt[:, None], out=spare[0])
+            d_member += offset[:, None]
         # softmax over the level-set axis: d_logits = member * (d_member - inner)
         d_member -= np.einsum("qn,qn->n", d_member, member)
         d_member *= member
-        # the distances go into the spent xhat buffer, so a block never
-        # holds more than three (Q, n) arrays
-        diff = np.subtract(alpha[block], params.centers[:, None], out=xhat)
+        # the distances go into the spent membership buffer
+        diff = np.subtract(alpha[block], params.centers[:, None], out=member)
         d_member *= diff  # d_logits * diff from here on
-        centers = d_member.sum(axis=1)
-        sharpness = np.einsum("qn,qn->q", d_member, diff)
-        d_member *= params.sharpness[:, None]
-        d_alpha[block] = d_member.sum(axis=0)
-        return centers, sharpness
+        np.matmul(params.sharpness, d_member, out=d_alpha[block])
+        return d_member.sum(axis=1), np.einsum("qn,qn->q", d_member, diff)
 
-    d_centers = np.zeros(norm.channels)
-    d_sharpness = np.zeros(norm.channels)
-    for centers_part, sharpness_part in _map_blocks(parameter_terms, alpha.size, threads):
+    d_centers = np.zeros(q)
+    d_sharpness = np.zeros(q)
+    parts = _map_blocks(parameter_terms, alpha.size, q, 3 if per_instance else 2, threads)
+    for centers_part, sharpness_part in parts:
         d_centers += centers_part
         d_sharpness -= sharpness_part
     d_centers *= 2.0 * params.sharpness

@@ -102,7 +102,7 @@ def _read_input_field(path: str) -> np.ndarray:
     raise fio.ContainerMagicError(f"{path}: neither a field container nor a binary PGM")
 
 
-def _as_stack(field: np.ndarray) -> np.ndarray:
+def _with_channel_axis(field: np.ndarray) -> np.ndarray:
     return field[:, :, None] if field.ndim == 2 else field
 
 
@@ -142,7 +142,7 @@ def _cmd_holder(args) -> int:
     scales = _parse_scales(args.scales)
     if args.epsilon < 0.0:
         raise UsageError("--epsilon must be >= 0")
-    field = _as_stack(_read_input_field(args.input))
+    field = _with_channel_axis(_read_input_field(args.input))
     alpha = holder_map(field, scales, args.epsilon, threads=_resolve_threads(args))
     if args.means:  # before any write: a field with no unclipped interior exits 4
         record = {
@@ -193,7 +193,7 @@ def _cmd_spectrum(args) -> int:
         spec = CascadeSpec.binomial(p, args.depth, dims=args.dims)
         field = generate_binomial(spec) if args.dims == 1 else generate_product_2d(spec)
         alpha = holder_map(
-            _as_stack(np.atleast_2d(field)), scales, epsilon=0.0,
+            _with_channel_axis(np.atleast_2d(field)), scales, epsilon=0.0,
             threads=_resolve_threads(args),
         )
         samples = interior_view(alpha, scales) if args.dims == 2 else alpha
@@ -212,7 +212,7 @@ def _cmd_recalibrate(args) -> int:
     if args.epsilon < 0.0:
         raise UsageError("--epsilon must be >= 0")
     scales = _parse_scales(args.scales)
-    stack = _as_stack(_read_input_field(args.input))
+    stack = _with_channel_axis(_read_input_field(args.input))
     channels = stack.shape[2]
     if args.method in ("cse", "scse", "fca", "mono") and args.reduction >= max(channels, 2):
         raise UsageError(f"--reduction must be below the channel count ({channels})")

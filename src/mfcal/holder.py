@@ -335,16 +335,19 @@ class NormState:
     _MODES = ("per-instance", "frozen")
 
     def __post_init__(self):
-        self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=np.float64))
-        self.beta = np.atleast_1d(np.asarray(self.beta, dtype=np.float64))
-        self.running_mean = np.atleast_1d(np.asarray(self.running_mean, dtype=np.float64))
-        self.running_var = np.atleast_1d(np.asarray(self.running_var, dtype=np.float64))
+        names = ("gamma", "beta", "running_mean", "running_var")
+        for name in names:
+            setattr(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=np.float64)))
         if self.mode not in self._MODES:
             raise ValueError(f"mode must be one of {self._MODES}")
+        shapes = {getattr(self, name).shape for name in names}
+        if len(shapes) != 1 or self.gamma.ndim != 1:
+            raise ValueError("gamma, beta, running_mean and running_var must share one 1-D shape")
+        for name in names:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(self.running_var < 0.0):
             raise ValueError("running variance must be >= 0")
-        if not np.all(np.isfinite(self.gamma)):
-            raise ValueError("gamma must be finite")
 
     @classmethod
     def identity(cls, channels: int, mode: str = "per-instance") -> "NormState":

@@ -10,6 +10,7 @@ from mfcal.attention import (
     init_mono_params,
     init_multi_params,
     lowest_frequency_pairs,
+    MultiParams,
     multi_forward,
     multi_membership,
     scse_forward,
@@ -345,6 +346,20 @@ class TestMultiForward:
         gate, out = multi_forward(stack, alpha, params)
         assert np.array_equal(out, stack + gate)
         assert np.all((gate > 0.0) & (gate < 1.0))
+
+    @pytest.mark.parametrize("mode", ["per-instance", "frozen"])
+    def test_folded_norm_cancels_at_the_variance_floor(self, mode):
+        # one level set: every membership is 1 and sigma is sqrt(VAR_EPS), so
+        # the folded scale gamma / sigma (about 538) cancels against the
+        # shift beta - scale * mean and leaves beta, up to rounding
+        rng = np.random.default_rng(25)
+        stack = rng.uniform(size=(5, 4, 3))
+        alpha = rng.normal(2.0, 0.3, (5, 4, 3))
+        norm = NormState(gamma=[1.7], beta=[0.3], running_mean=[1.0],
+                         running_var=[0.0], mode=mode)
+        params = MultiParams(centers=[2.0], sharpness=[1.0], norm=norm)
+        gate, _ = multi_forward(stack, alpha, params)
+        assert np.abs(gate - sigmoid(0.3)).max() <= 1e-13
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):

@@ -309,6 +309,34 @@ class TestNormalize:
         with pytest.raises(ValueError, match="mode"):
             NormState.identity(1, mode="training")
 
+    FIELDS = ("gamma", "beta", "running_mean", "running_var")
+
+    @pytest.mark.parametrize("field, bad", [
+        ("gamma", np.inf), ("beta", np.nan), ("running_mean", np.inf),
+        ("running_mean", -np.inf), ("running_var", np.nan), ("running_var", np.inf),
+    ])
+    def test_non_finite_state_rejected(self, field, bad):
+        # a NaN variance passes the sign check, and any of these makes NaN gates
+        values = {name: np.ones(3) for name in self.FIELDS}
+        values[field][1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            NormState(**values)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_mismatched_lengths_rejected(self, field):
+        values = {name: np.ones(3) for name in self.FIELDS}
+        values[field] = np.ones(2)
+        with pytest.raises(ValueError, match="one 1-D shape"):
+            NormState(**values)
+
+    def test_two_dimensional_state_rejected(self):
+        with pytest.raises(ValueError, match="one 1-D shape"):
+            NormState(**{name: np.ones((2, 2)) for name in self.FIELDS})
+
+    def test_negative_running_variance_rejected(self):
+        with pytest.raises(ValueError, match="variance"):
+            NormState(gamma=[1.0], beta=[0.0], running_mean=[0.0], running_var=[-1.0])
+
     @pytest.mark.parametrize("mode", ["per-instance", "frozen"])
     def test_vjp_matches_finite_differences(self, mode):
         rng = np.random.default_rng(6)

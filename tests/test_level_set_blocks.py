@@ -7,7 +7,9 @@ directly: softmax memberships, channel normalization over every
 position, rectified pooling, and the matching reverse pass.  Only the
 summation order differs, so the two agree within 1e-12 of each output's
 largest entry.  Groups of whole blocks run on worker threads, and the
-outputs are byte-equal for every thread count.
+outputs are byte-equal for every thread count.  Each worker computes in
+at most three (Q, n) scratch arrays sized to its largest block, so peak
+memory is the full-size outputs plus that scratch.
 """
 
 import tracemalloc
@@ -133,3 +135,28 @@ def test_backward_peak_memory_stays_below_one_level_set_tensor(threads):
     finally:
         tracemalloc.stop()
     assert peak < tensor_bytes, f"peak {peak / 2**20:.1f} MiB"
+
+
+# NumPy's iterator may copy each broadcast operand of a short-row (Q, n)
+# operation into a buffer of up to np.getbufsize() elements, two per call
+ITERATOR_BUFFER_BYTES = 2 * np.getbufsize() * 8
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("shape", [(64, 64, 16), SHAPES["below-one-block"]])
+def test_peak_memory_is_the_outputs_plus_per_worker_scratch(shape, mode, threads):
+    q = 16
+    stack, alpha, params, upstream = fixture(shape, mode, seed=5, q=q)
+    size = int(np.prod(shape))
+    outputs = 2 * size * 8  # (gate, stack + gate), or the stack and alpha gradients
+    scratch = threads * 3 * q * min(size, LEVEL_SET_BLOCK) * 8
+    for run in (lambda: multi_forward(stack, alpha, params, threads=threads),
+                lambda: multi_backward(stack, alpha, params, upstream, threads=threads)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= outputs + scratch + ITERATOR_BUFFER_BYTES, f"peak {peak / 2**20:.3f} MiB"
