@@ -4,7 +4,7 @@ Two recalibration families operate on a feature stack of shape
 (H, W, C):
 
 * scaling-exponent driven -- the stack's local exponent map is
-  normalized, squeezed to one value per channel, and run through a
+  squeezed to its mean per channel, normalized, and run through a
   bottleneck MLP with a sigmoid, gating each channel multiplicatively
   (``se_forward(source="alpha-map")``); or the exponent map is softly
   partitioned into Q learnable level sets whose normalized memberships
@@ -44,6 +44,7 @@ from .holder import (
     _normalize_with_cache,
     _run_ranges,
     holder_map,
+    mean_alpha,
     normalize,
     normalize_vjp,
 )
@@ -114,8 +115,8 @@ class MonoParams:
 
     ``w1`` maps C channels down to floor(C / reduction), ``w2`` maps
     back up; the sigmoid of the second layer is the per-channel gate.
-    ``norm`` standardizes the exponent map before pooling when the gate
-    is driven by local exponents.  ``use_bias=False`` drops ``b1``/``b2``
+    ``norm`` standardizes the pooled per-channel exponent means when the
+    gate is driven by local exponents.  ``use_bias=False`` drops ``b1``/``b2``
     from the evaluation (strict two-matrix form).
     """
 
@@ -235,8 +236,7 @@ def _gate_from_squeeze(z: np.ndarray, params: MonoParams) -> np.ndarray:
 def _mono_forward(stack, params: MonoParams, scales, epsilon: float, threads: int | None):
     """Exponent-map gates, and ``(norm_cache, z, a1, h1)`` for :func:`mono_backward`."""
     alpha = holder_map(stack, scales, epsilon, threads)
-    normed, norm_cache = _normalize_with_cache(alpha, params.norm)
-    z = gap(normed)
+    z, norm_cache = _normalize_with_cache(mean_alpha(alpha), params.norm)
     a1, h1, a2 = _mlp_logits(z, params)
     return sigmoid(a2), (norm_cache, z, a1, h1)
 
@@ -247,9 +247,14 @@ def se_forward(stack, params: MonoParams, source: str = "features",
     """Channel gates from a squeezed descriptor; multiplicative output.
 
     ``source="features"`` squeezes the raw stack by its spatial mean.
-    ``source="alpha-map"`` squeezes the normalized local-exponent map of
-    the stack instead, so the gate responds to each channel's scaling
-    behaviour rather than its magnitude.  Returns ``(gates, stack * gates)``.
+    ``source="alpha-map"`` squeezes the local-exponent map of the stack
+    to its spatial mean per channel instead and normalizes that, so the
+    gate responds to each channel's scaling behaviour rather than its
+    magnitude.  The squeeze vector has no spatial extent, so per-instance
+    statistics degenerate (each channel standardizes its single value to
+    zero, and the gate is exactly the MLP's gate of ``norm.beta`` for
+    every stack); use frozen running statistics for an informative gate.
+    Returns ``(gates, stack * gates)``.
     """
     stack = _as_stack(stack)
     if stack.shape[2] != params.channels:
@@ -294,6 +299,9 @@ def srm_gates(stack, w_mean, w_std, norm: NormState) -> np.ndarray:
     stack = _as_stack(stack)
     w_mean = np.asarray(w_mean, dtype=np.float64)
     w_std = np.asarray(w_std, dtype=np.float64)
+    for name, weights in (("w_mean", w_mean), ("w_std", w_std)):
+        if weights.shape != (stack.shape[2],):
+            raise ValueError(f"{name} needs one weight per channel, got shape {weights.shape}")
     t = w_mean * gap(stack) + w_std * _gsp(stack)
     return sigmoid(normalize(t, norm))
 
@@ -558,8 +566,12 @@ def mono_backward(stack, params: MonoParams, upstream,
 
     ``upstream`` is the loss cotangent of the recalibrated stack.  The
     stack gradient combines the direct multiplicative path with the
-    chain through windowed masses, logs, the slope fit, normalization,
-    pooling, and the MLP.  The rectifier subgradient at zero is zero.
+    chain through windowed masses, logs, the slope fit, pooling,
+    normalization, and the MLP.  The rectifier subgradient at zero is
+    zero.  The normalization is reversed on the (C,) squeeze, and each
+    channel's pixels share one exponent cotangent, ``d_mean / (H * W)``,
+    passed to the adjoint as a broadcast view, so no stack-sized
+    normalization array is built.
     """
     stack = _as_stack(stack)
     upstream = _as_stack(upstream)
@@ -582,9 +594,9 @@ def mono_backward(stack, params: MonoParams, upstream,
     d_b1 = d_a1 if params.use_bias else np.zeros_like(params.b1)
     d_z = params.w1.T @ d_a1
 
-    # pooling, normalization, then slope fit and windowed masses
-    d_normed = np.broadcast_to(d_z / (h * w), stack.shape)
-    d_alpha, d_gamma, d_beta = normalize_vjp(d_normed, norm_cache)
+    # normalization, pooling, then slope fit and windowed masses
+    d_mean, d_gamma, d_beta = normalize_vjp(d_z, norm_cache)
+    d_alpha = np.broadcast_to(d_mean / (h * w), stack.shape)
     _holder_map_vjp(stack, d_alpha, d_stack, scales, epsilon, threads)
 
     return MonoGradients(

@@ -438,8 +438,8 @@ def _criterion_gradient_checks(ctx):
         params.norm.running_mean = rng.uniform(-0.2, 0.2, 4)
         params.norm.running_var = rng.uniform(0.5, 1.5, 4)
         probe_z = normalize(
-            holder_map(stack, _SCALES, 1e-6, threads), params.norm
-        ).mean(axis=(0, 1))
+            mean_alpha(holder_map(stack, _SCALES, 1e-6, threads)), params.norm
+        )
         a1 = params.w1 @ probe_z + (params.b1 if use_bias else 0.0)
         if np.abs(a1).min() > 1e-3:  # keep clear of the rectifier kink
             break

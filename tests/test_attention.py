@@ -221,6 +221,14 @@ class TestSrm:
         expected_gates = sigmoid(norm.gamma * normed + norm.beta)
         np.testing.assert_allclose(gates, expected_gates, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("length", [1, 2], ids=["one", "channels-minus-one"])
+    @pytest.mark.parametrize("name", ["w_mean", "w_std"])
+    def test_weights_need_one_value_per_channel(self, name, length):
+        weights = {"w_mean": np.ones(3), "w_std": np.ones(3), name: np.ones(length)}
+        with pytest.raises(ValueError, match=f"{name} needs one weight per channel"):
+            srm_gates(np.ones((4, 4, 3)), weights["w_mean"], weights["w_std"],
+                      NormState.identity(3, mode="frozen"))
+
 
 class TestDctBasis:
     def test_zero_frequency_is_all_ones(self):

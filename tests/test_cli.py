@@ -1,11 +1,16 @@
 """End-to-end command-line behaviour: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mfcal import __version__
 from mfcal.cli import main
 from mfcal.io import read_field, write_field
 
@@ -333,6 +338,14 @@ class TestUsageSurface:
     def test_version_flag_exits_cleanly(self, capsys):
         assert run("--version") == 0
         assert "mfcal" in capsys.readouterr().out
+
+    def test_python_dash_m_runs_the_cli_from_a_checkout(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run([sys.executable, "-m", "mfcal", "--version"],
+                                env={**os.environ, "PYTHONPATH": str(src)},
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == f"mfcal {__version__}"
 
     def test_multi_with_one_level_set_adds_one_half(self, tmp_path):
         rng = np.random.default_rng(29)

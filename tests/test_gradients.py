@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mfcal.attention import (
+    _gate_from_squeeze,
     init_mono_params,
     init_multi_params,
     mono_backward,
@@ -57,6 +58,16 @@ def mono_fixture(rng, norm_mode, use_bias=True, shape=(2, 2, 4)):
     params.norm.running_var = rng.uniform(0.5, 1.5, channels)
     upstream = rng.normal(size=stack.shape)
     return stack, params, upstream
+
+
+def mono_backward_peak(stack, params, upstream, threads):
+    """tracemalloc peak of one mono_backward call, in bytes."""
+    tracemalloc.start()
+    try:
+        mono_backward(stack, params, upstream, SCALES, EPS, threads=threads)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def mono_bytes(stack, params, upstream, threads):
@@ -163,20 +174,40 @@ class TestMonoBackward:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_peak_memory_holds_no_block_of_masses(self, threads):
-        # The backward holds a handful of stack-sized arrays (exponent map,
-        # normalization cache and cotangents, about 7.4-7.7x the stack's
-        # bytes here) plus chunk temporaries of the adjoint.  Holding the
-        # masses of all three scales at once adds three more stack-sized
-        # arrays (about 12.4x), which this bound rejects.
+        # The backward holds the exponent map, then the stack cotangent,
+        # plus band temporaries of the map and its adjoint: about 5.3x the
+        # stack's bytes here at one thread, and 3.6-6.1x at two, as the
+        # workers' temporaries happen to overlap.  Holding the masses of
+        # all three scales at once adds three more stack-sized arrays (about
+        # 8.3x at one thread), which only the 6x bound of the next test rejects.
         rng = np.random.default_rng(42)
         stack, params, upstream = mono_fixture(rng, "per-instance", shape=(64, 64, 16))
-        tracemalloc.start()
-        try:
-            mono_backward(stack, params, upstream, SCALES, EPS, threads=threads)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = mono_backward_peak(stack, params, upstream, threads)
         assert peak <= 10 * stack.nbytes, f"peak {peak / stack.nbytes:.2f}x the stack"
+
+    def test_peak_memory_holds_no_stack_sized_normalization_cache(self):
+        # Normalization runs on the (C,) squeeze: about 5.3x the stack's bytes
+        # here.  A normalized (H, W, C) map or its cache adds 2x or more.
+        rng = np.random.default_rng(42)
+        stack, params, upstream = mono_fixture(rng, "frozen", shape=(64, 64, 16))
+        peak = mono_backward_peak(stack, params, upstream, threads=1)
+        assert peak <= 6 * stack.nbytes, f"peak {peak / stack.nbytes:.2f}x the stack"
+
+    def test_per_instance_statistics_give_the_gate_of_beta(self):
+        # Each channel standardizes its single squeezed value to exactly 0,
+        # so every stack gets the MLP's gate of beta and gamma no gradient.
+        rng = np.random.default_rng(43)
+        _, params, _ = mono_fixture(rng, "per-instance", shape=(40, 36, 8))
+        expected = _gate_from_squeeze(params.norm.beta, params)
+        for _ in range(5):
+            stack = rng.uniform(0.5, 1.5, (40, 36, 8))
+            upstream = rng.normal(size=stack.shape)
+            gates, _ = se_forward(stack, params, source="alpha-map",
+                                  scales=SCALES, epsilon=EPS, threads=1)
+            assert gates.tobytes() == expected.tobytes()
+            grads = mono_backward(stack, params, upstream, SCALES, EPS, threads=1)
+            assert np.all(grads.gamma == 0.0)
+            assert np.array_equal(grads.stack, upstream * gates)
 
     def test_strict_two_matrix_form_has_no_bias_gradients(self):
         rng = np.random.default_rng(32)
