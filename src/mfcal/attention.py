@@ -113,8 +113,9 @@ def _gsp(stack) -> np.ndarray:
 class MonoParams:
     """Bottleneck-MLP gate parameters shared by the squeeze-style methods.
 
-    ``w1`` maps C channels down to floor(C / reduction), ``w2`` maps
-    back up; the sigmoid of the second layer is the per-channel gate.
+    ``w1`` maps C channels down to a hidden width of ``w1.shape[0]``,
+    ``w2`` maps back up; the sigmoid of the second layer is the
+    per-channel gate.
     ``norm`` standardizes the pooled per-channel exponent means when the
     gate is driven by local exponents.  ``use_bias=False`` drops ``b1``/``b2``
     from the evaluation (strict two-matrix form).
@@ -124,7 +125,6 @@ class MonoParams:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    reduction: int
     norm: NormState
     use_bias: bool = True
 
@@ -138,8 +138,6 @@ class MonoParams:
             raise ValueError("w2 must map the hidden layer back to the channels")
         if self.b1.shape != (hidden,) or self.b2.shape != (channels,):
             raise ValueError("bias shapes must match their layers")
-        if not (1 <= self.reduction < max(channels, 2)):
-            raise ValueError("reduction must satisfy 1 <= reduction < channels")
 
     @property
     def channels(self) -> int:
@@ -173,7 +171,12 @@ class MultiParams:
 
 def init_mono_params(channels: int, reduction: int = 2, rng=None,
                      use_bias: bool = True) -> MonoParams:
-    """Fan-balanced uniform init for the bottleneck MLP, zero biases, frozen norm."""
+    """Fan-balanced uniform init for the bottleneck MLP, zero biases, frozen norm.
+
+    The hidden width is floor(C / reduction), at least 1.
+    """
+    if not (1 <= reduction < max(channels, 2)):
+        raise ValueError("reduction must satisfy 1 <= reduction < channels")
     rng = np.random.default_rng(rng)
     hidden = max(channels // reduction, 1)
 
@@ -186,7 +189,6 @@ def init_mono_params(channels: int, reduction: int = 2, rng=None,
         b1=np.zeros(hidden),
         w2=fan_uniform(channels, hidden),
         b2=np.zeros(channels),
-        reduction=reduction,
         norm=NormState.identity(channels, mode="frozen"),
         use_bias=use_bias,
     )

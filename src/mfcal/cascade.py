@@ -7,6 +7,10 @@ the cell whose binary address contains ``n0`` zeros carries mass
 spectrum of level-set dimensions are known exactly.  These closed forms
 are the ground truth that every estimator in this package is tested
 against.
+
+A cascade is named by ``(p, depth)``: :func:`generate_binomial` builds
+the line and :func:`generate_product_2d` the square.  Both reject ``p``
+outside (0, 1) and a depth outside [1, cap] before they allocate.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CascadeSpec",
     "SpectrumCurve",
     "make_curve",
     "generate_binomial",
@@ -39,42 +42,17 @@ MAX_DEPTH_2D = 14
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class CascadeSpec:
-    """Parameters of a deterministic multiplicative cascade.
+def _check(p: float, depth: int = 1, dims: int = 1) -> None:
+    """Reject a splitting ratio outside (0, 1) or a depth outside [1, cap].
 
-    ``weights`` are the splitting ratios (two entries for the binomial
-    case), ``depth`` the number of dyadic refinements, and ``dims``
-    selects a 1-D cascade or the 2-D product of two copies.
+    Runs before any allocation.  The analytic forms have no depth and
+    take the default, which always passes.
     """
-
-    weights: tuple
-    depth: int
-    dims: int = 1
-
-    def __post_init__(self):
-        weights = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        if len(weights) < 2:
-            raise ValueError("cascade needs at least two splitting weights")
-        if any(not (0.0 < w < 1.0) for w in weights):
-            raise ValueError("every splitting weight must lie strictly in (0, 1)")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError("splitting weights must sum to 1")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.dims not in (1, 2):
-            raise ValueError("dims must be 1 or 2")
-        limit = MAX_DEPTH_1D if self.dims == 1 else MAX_DEPTH_2D
-        if self.depth > limit:
-            raise ValueError(
-                f"depth {self.depth} exceeds the {self.dims}-D cap of {limit} "
-                f"({2 ** (self.depth * self.dims)} cells)"
-            )
-
-    @classmethod
-    def binomial(cls, p: float, depth: int, dims: int = 1) -> "CascadeSpec":
-        return cls(weights=(p, 1.0 - p), depth=depth, dims=dims)
+    if not (0.0 < p < 1.0):
+        raise ValueError(f"p must lie strictly in (0, 1), got {p}")
+    cap = MAX_DEPTH_1D if dims == 1 else MAX_DEPTH_2D
+    if not (1 <= depth <= cap):
+        raise ValueError(f"depth {depth} lies outside [1, {cap}], the {dims}-D cap")
 
 
 @dataclass(frozen=True)
@@ -134,24 +112,17 @@ def make_curve(alpha, f) -> SpectrumCurve:
     return SpectrumCurve(np.array(out_a), np.array(out_f))
 
 
-def _require_binomial(spec: CascadeSpec, dims: int):
-    if len(spec.weights) != 2:
-        raise ValueError("expected a binomial (two-weight) cascade")
-    if spec.dims != dims:
-        raise ValueError(f"expected a {dims}-D cascade spec, got dims={spec.dims}")
-
-
-def generate_binomial(spec: CascadeSpec) -> np.ndarray:
+def generate_binomial(p: float, depth: int) -> np.ndarray:
     """Materialize the 1-D binomial cascade, cell by dyadic cell.
 
     Cell ``i`` at depth ``k`` receives ``p**n0(i) * (1-p)**(k-n0(i))``
     where ``n0(i)`` counts the zero bits in the k-bit address of ``i``
     (most significant bit = first split).  The cells sum to one.
     """
-    _require_binomial(spec, dims=1)
-    p, q = spec.weights
+    _check(p, depth)
+    q = 1.0 - p
     cells = np.ones(1)
-    for _ in range(spec.depth):
+    for _ in range(depth):
         nxt = np.empty(2 * cells.size)
         nxt[0::2] = p * cells
         nxt[1::2] = q * cells
@@ -165,20 +136,17 @@ def bitcount_measure(p: float, depth: int) -> np.ndarray:
     Independent route to :func:`generate_binomial` (no sequential
     splitting); kept as the reference the generator is verified against.
     """
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie strictly in (0, 1)")
-    if not (1 <= depth <= MAX_DEPTH_1D):
-        raise ValueError(f"depth must lie in [1, {MAX_DEPTH_1D}]")
+    _check(p, depth)
     idx = np.arange(2 ** depth, dtype=np.uint64)
     ones = np.bitwise_count(idx).astype(np.int64)
     zeros = depth - ones
     return np.power(p, zeros) * np.power(1.0 - p, ones)
 
 
-def generate_product_2d(spec: CascadeSpec) -> np.ndarray:
+def generate_product_2d(p: float, depth: int) -> np.ndarray:
     """2-D product cascade: cell (i, j) carries ``mu1(i) * mu1(j)``."""
-    _require_binomial(spec, dims=2)
-    line = generate_binomial(CascadeSpec(spec.weights, spec.depth, dims=1))
+    _check(p, depth, dims=2)
+    line = generate_binomial(p, depth)
     return np.outer(line, line)
 
 
@@ -190,8 +158,7 @@ def analytic_alpha(phi: float, p: float) -> float:
     """
     if not (0.0 <= phi <= 1.0):
         raise ValueError("phi must lie in [0, 1]")
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie strictly in (0, 1)")
+    _check(p)
     return -(phi * math.log2(p) + (1.0 - phi) * math.log2(1.0 - p))
 
 
@@ -219,8 +186,7 @@ def analytic_spectrum(p: float, n_points: int, dims: int = 1) -> SpectrumCurve:
     The uniform case p = 1/2 collapses to the single point where the
     spectrum touches the support dimension.
     """
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie strictly in (0, 1)")
+    _check(p)
     if n_points < 3:
         raise ValueError("need at least 3 sample points")
     if dims not in (1, 2):
@@ -240,8 +206,7 @@ def analytic_tau(p: float, q) -> np.ndarray | float:
     ``tau(1) = 0`` (normalization) and ``tau(0) = -1`` (2**k cells of
     size 2**-k).  Accepts a scalar or an array of moments ``q``.
     """
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie strictly in (0, 1)")
+    _check(p)
     q = np.asarray(q, dtype=np.float64)
     tau = -np.log2(np.power(p, q) + np.power(1.0 - p, q))
     return float(tau) if tau.ndim == 0 else tau
@@ -254,8 +219,7 @@ def analytic_alpha_q(p: float, q) -> np.ndarray | float:
     moments-method estimator has an exact reference:
     ``alpha(q) = -(p^q ln p + r^q ln r) / ((p^q + r^q) ln 2)``, r = 1-p.
     """
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie strictly in (0, 1)")
+    _check(p)
     q = np.asarray(q, dtype=np.float64)
     r = 1.0 - p
     pq, rq = np.power(p, q), np.power(r, q)

@@ -31,14 +31,7 @@ from .attention import (
     se_forward,
     srm_gates,
 )
-from .cascade import (
-    MAX_DEPTH_1D,
-    MAX_DEPTH_2D,
-    CascadeSpec,
-    analytic_spectrum,
-    generate_binomial,
-    generate_product_2d,
-)
+from .cascade import analytic_spectrum, generate_binomial, generate_product_2d
 from .holder import (
     DEFAULT_EPSILON,
     NormState,
@@ -58,12 +51,6 @@ EXIT_NUMERIC = 4
 
 class UsageError(ValueError):
     """Flag combination that fails a module precondition."""
-
-
-def _positive_open_unit(value: float, name: str) -> float:
-    if not (0.0 < value < 1.0):
-        raise UsageError(f"{name} must lie strictly in (0, 1)")
-    return value
 
 
 def _parse_scales(text: str) -> ScaleSet:
@@ -122,18 +109,20 @@ def _write_container(path: str, field: np.ndarray) -> None:
 # subcommands
 
 
+def _cascade(p: float, depth: int, dims: int) -> np.ndarray:
+    """The binomial cascade of ``dims`` axes; a bad ``p`` or depth is a usage error."""
+    try:
+        return generate_binomial(p, depth) if dims == 1 else generate_product_2d(p, depth)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _cmd_cascade(args) -> int:
-    p = _positive_open_unit(args.p, "--p")
-    limit = MAX_DEPTH_1D if args.dims == 1 else MAX_DEPTH_2D
-    if not (1 <= args.depth <= limit):
-        raise UsageError(f"--depth must lie in [1, {limit}] for {args.dims}-D")
     if args.points < 3:
         raise UsageError("--points must be >= 3")
-    spec = CascadeSpec.binomial(p, args.depth, dims=args.dims)
-    field = generate_binomial(spec) if args.dims == 1 else generate_product_2d(spec)
-    _write_container(args.out, field)
+    _write_container(args.out, _cascade(args.p, args.depth, args.dims))
     if args.spectrum:
-        curve = analytic_spectrum(p, args.points, dims=args.dims)
+        curve = analytic_spectrum(args.p, args.points, dims=args.dims)
         _write_text(args.spectrum, fio.write_spectrum_csv(curve))
     return EXIT_OK
 
@@ -158,22 +147,18 @@ def _cmd_holder(args) -> int:
 
 
 def _cascade_fields(p: float, dims: int, depth_min: int, depth_max: int):
-    limit = MAX_DEPTH_1D if dims == 1 else MAX_DEPTH_2D
-    if not (1 <= depth_min < depth_max <= limit):
-        raise UsageError(f"depth range must satisfy 1 <= min < max <= {limit}")
-    make = generate_binomial if dims == 1 else generate_product_2d
-    return [
-        make(CascadeSpec.binomial(p, k, dims=dims))
-        for k in range(depth_min, depth_max + 1)
-    ]
+    if not (1 <= depth_min < depth_max):
+        raise UsageError("depth range must satisfy 1 <= --depth-min < --depth-max")
+    # deepest first, so an over-cap --depth-max fails before any field is built
+    fields = [_cascade(p, k, dims) for k in range(depth_max, depth_min - 1, -1)]
+    return fields[::-1]
 
 
 def _cmd_spectrum(args) -> int:
-    p = _positive_open_unit(args.p, "--p")
     if args.method == "histogram":
         if args.bins < 4:
             raise UsageError("--bins must be >= 4")
-        fields = _cascade_fields(p, args.dims, args.depth_min, args.depth_max)
+        fields = _cascade_fields(args.p, args.dims, args.depth_min, args.depth_max)
         curve = histogram_spectrum(fields, bins=args.bins)
         _write_text(args.out, fio.write_spectrum_csv(curve))
     elif args.method == "moments":
@@ -181,17 +166,13 @@ def _cmd_spectrum(args) -> int:
             raise UsageError("--q-step must lie in (0, 0.5]")
         if args.q_min >= args.q_max:
             raise UsageError("--q-min must be below --q-max")
-        fields = _cascade_fields(p, args.dims, args.depth_min, args.depth_max)
+        fields = _cascade_fields(args.p, args.dims, args.depth_min, args.depth_max)
         q = np.round(np.arange(args.q_min, args.q_max + 1e-9, args.q_step), 10)
         partition, _ = moments_spectrum(fields, q)
         _write_text(args.out, fio.write_moments_csv(partition))
     elif args.method == "clt":
         scales = _parse_scales(args.scales)
-        limit = MAX_DEPTH_1D if args.dims == 1 else MAX_DEPTH_2D
-        if not (1 <= args.depth <= limit):
-            raise UsageError(f"--depth must lie in [1, {limit}] for {args.dims}-D")
-        spec = CascadeSpec.binomial(p, args.depth, dims=args.dims)
-        field = generate_binomial(spec) if args.dims == 1 else generate_product_2d(spec)
+        field = _cascade(args.p, args.depth, args.dims)
         alpha = holder_map(
             _with_channel_axis(np.atleast_2d(field)), scales, epsilon=0.0,
             threads=_resolve_threads(args),

@@ -41,7 +41,6 @@ from .attention import (
     srm_gates,
 )
 from .cascade import (
-    CascadeSpec,
     analytic_alpha,
     analytic_tau,
     bitcount_measure,
@@ -169,7 +168,7 @@ def _spectrum_matrix(values, rng):
 def _criterion_cascade_exactness(ctx):
     worst = 0.0
     for depth in range(1, 13):
-        generated = generate_binomial(CascadeSpec.binomial(_P, depth))
+        generated = generate_binomial(_P, depth)
         closed_form = bitcount_measure(_P, depth)
         worst = max(worst, float(np.abs(generated - closed_form).max()))
         exponents = np.round(-np.log2(generated) / depth, 12)
@@ -192,15 +191,13 @@ def _criterion_monofractal_limit(ctx):
 
 
 def _criterion_multifractal_oracle(ctx):
-    field = generate_product_2d(CascadeSpec.binomial(_P, 10, dims=2))
+    field = generate_product_2d(_P, 10)
     alpha = holder_map(field, _SCALES, epsilon=0.0, threads=ctx["threads"])
     mean = float(interior_view(alpha, _SCALES).mean())
     mean_err = abs(mean - _ALPHA_2D)
     del field, alpha
 
-    depth_fields = [
-        generate_product_2d(CascadeSpec.binomial(_P, k, dims=2)) for k in range(8, 13)
-    ]
+    depth_fields = [generate_product_2d(_P, k) for k in range(8, 13)]
     # odd bin count centers one bin exactly on the modal exponent
     curve = histogram_spectrum(depth_fields, bins=33)
     del depth_fields
@@ -217,7 +214,7 @@ def _criterion_multifractal_oracle(ctx):
 
 
 def _criterion_moments_method(ctx):
-    fields = [generate_binomial(CascadeSpec.binomial(_P, k)) for k in range(8, 13)]
+    fields = [generate_binomial(_P, k) for k in range(8, 13)]
     q = np.round(np.arange(-5.0, 5.0 + 1e-9, 0.25), 10)
     partition, curve = moments_spectrum(fields, q)
     tau_err = float(np.abs(partition.tau - analytic_tau(_P, q)).max())
@@ -530,7 +527,7 @@ def _criterion_excitation_threshold(ctx):
 def _selftest_artifacts(directory: Path, threads: int) -> list:
     """Deterministic artifact set exercised by the determinism criterion."""
     directory.mkdir(parents=True, exist_ok=True)
-    field2 = generate_product_2d(CascadeSpec.binomial(_P, 8, dims=2))
+    field2 = generate_product_2d(_P, 8)
     (directory / "cascade-2d.mfr").write_bytes(fio.write_field(field2))
     alpha = holder_map(field2, _SCALES, epsilon=0.0, threads=threads)
     (directory / "alpha-2d.mfr").write_bytes(fio.write_field(alpha))
@@ -553,7 +550,7 @@ def _selftest_artifacts(directory: Path, threads: int) -> list:
     grads = mono_backward(stack, init_mono_params(8, rng=9), cotangent, _SCALES, 1e-6, threads)
     (directory / "mono-grad-stack.mfr").write_bytes(fio.write_field(grads.stack))
 
-    lines = [generate_binomial(CascadeSpec.binomial(_P, k)) for k in range(8, 12)]
+    lines = [generate_binomial(_P, k) for k in range(8, 12)]
     hist = histogram_spectrum(lines, bins=16)
     (directory / "histogram.csv").write_text(fio.write_spectrum_csv(hist))
     partition, curve = moments_spectrum(lines, np.arange(-2.0, 2.01, 0.25))

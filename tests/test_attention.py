@@ -393,6 +393,11 @@ class TestInit:
         assert np.all(a.b1 == 0.0) and np.all(a.b2 == 0.0)
         assert a.w1.shape == (4, 8) and a.w2.shape == (8, 4)
 
+    @pytest.mark.parametrize("reduction", [0, -1, 8])
+    def test_mono_init_rejects_a_reduction_outside_one_to_channels(self, reduction):
+        with pytest.raises(ValueError, match="1 <= reduction < channels"):
+            init_mono_params(8, reduction, rng=0)
+
     def test_multi_init_spans_the_calibration_range(self):
         params = init_multi_params(4, 1.0, 3.0)
         np.testing.assert_allclose(params.centers, [1.0, 5 / 3, 7 / 3, 3.0])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mfcal.cascade import (
-    CascadeSpec,
+    MAX_DEPTH_1D,
+    MAX_DEPTH_2D,
     SpectrumCurve,
     analytic_alpha,
     analytic_alpha_q,
@@ -26,33 +27,33 @@ ENTROPY_23 = 0.9182958340544896      # binary entropy of 2/3
 
 class TestGenerateBinomial:
     def test_uniform_case(self):
-        cells = generate_binomial(CascadeSpec.binomial(0.5, 3))
+        cells = generate_binomial(0.5, 3)
         np.testing.assert_allclose(cells, np.full(8, 0.125), rtol=0, atol=0)
 
     def test_depth_one_splits_mass(self):
-        cells = generate_binomial(CascadeSpec.binomial(2 / 3, 1))
+        cells = generate_binomial(2 / 3, 1)
         np.testing.assert_allclose(cells, [2 / 3, 1 / 3], rtol=1e-15)
 
     def test_depth_two_hand_expansion(self):
-        cells = generate_binomial(CascadeSpec.binomial(2 / 3, 2))
+        cells = generate_binomial(2 / 3, 2)
         np.testing.assert_allclose(cells, [4 / 9, 2 / 9, 2 / 9, 1 / 9], rtol=1e-15)
 
     @pytest.mark.parametrize("depth", range(1, 11))
     def test_unit_mass(self, depth):
         rng = np.random.default_rng(depth)
         p = float(rng.uniform(0.05, 0.95))
-        cells = generate_binomial(CascadeSpec.binomial(p, depth))
+        cells = generate_binomial(p, depth)
         assert abs(cells.sum() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("depth", [1, 4, 7, 10, 12])
     def test_matches_bit_count_closed_form(self, depth):
         p = 2 / 3
-        generated = generate_binomial(CascadeSpec.binomial(p, depth))
+        generated = generate_binomial(p, depth)
         assert np.abs(generated - bitcount_measure(p, depth)).max() < 1e-12
 
     def test_exponent_histogram_counts_are_binomial_coefficients(self):
         depth, p = 10, 2 / 3
-        cells = generate_binomial(CascadeSpec.binomial(p, depth))
+        cells = generate_binomial(p, depth)
         exponents = np.round(-np.log2(cells) / depth, 12)
         _, counts = np.unique(exponents, return_counts=True)
         # exponent grows as the zero count drops, so counts run n0 = k..0
@@ -60,7 +61,7 @@ class TestGenerateBinomial:
 
     def test_coarse_exponents_match_analytic_alpha(self):
         depth, p = 10, 2 / 3
-        cells = generate_binomial(CascadeSpec.binomial(p, depth))
+        cells = generate_binomial(p, depth)
         ones = np.bitwise_count(np.arange(2 ** depth, dtype=np.uint64)).astype(int)
         expected = np.array([analytic_alpha((depth - o) / depth, p) for o in ones])
         np.testing.assert_allclose(-np.log2(cells) / depth, expected, rtol=0, atol=1e-12)
@@ -68,43 +69,35 @@ class TestGenerateBinomial:
 
 class TestGenerateProduct2d:
     def test_uniform_product(self):
-        field = generate_product_2d(CascadeSpec.binomial(0.5, 2, dims=2))
+        field = generate_product_2d(0.5, 2)
         np.testing.assert_allclose(field, np.full((4, 4), 1 / 16), rtol=0, atol=0)
 
     def test_depth_one_outer_product(self):
-        field = generate_product_2d(CascadeSpec.binomial(2 / 3, 1, dims=2))
+        field = generate_product_2d(2 / 3, 1)
         np.testing.assert_allclose(field, [[4 / 9, 2 / 9], [2 / 9, 1 / 9]], rtol=1e-15)
 
     def test_row_sums_marginalize_to_the_line(self):
-        spec = CascadeSpec.binomial(0.3, 5, dims=2)
-        field = generate_product_2d(spec)
-        line = generate_binomial(CascadeSpec.binomial(0.3, 5))
+        field = generate_product_2d(0.3, 5)
+        line = generate_binomial(0.3, 5)
         np.testing.assert_allclose(field.sum(axis=1), line, rtol=1e-12)
         assert abs(field.sum() - 1.0) < 1e-12
 
 
 class TestSpecValidation:
-    def test_weights_must_be_interior(self):
-        with pytest.raises(ValueError):
-            CascadeSpec.binomial(1.0, 3)
-        with pytest.raises(ValueError):
-            CascadeSpec.binomial(0.0, 3)
+    CAPS = {generate_binomial: MAX_DEPTH_1D, generate_product_2d: MAX_DEPTH_2D,
+            bitcount_measure: MAX_DEPTH_1D}
 
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            CascadeSpec(weights=(0.5, 0.4), depth=3)
+    def test_weights_must_be_interior(self):
+        for make in self.CAPS:
+            for p in (1.0, 0.0, -0.5, 1.5):
+                with pytest.raises(ValueError, match="p must lie"):
+                    make(p, 3)
 
     def test_depth_caps(self):
-        with pytest.raises(ValueError, match="cap"):
-            CascadeSpec.binomial(0.5, 15, dims=2)
-        with pytest.raises(ValueError, match="cap"):
-            CascadeSpec.binomial(0.5, 27, dims=1)
-
-    def test_dims_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            generate_binomial(CascadeSpec.binomial(0.5, 3, dims=2))
-        with pytest.raises(ValueError):
-            generate_product_2d(CascadeSpec.binomial(0.5, 3, dims=1))
+        for make, cap in self.CAPS.items():
+            for depth in (0, -1, cap + 1):
+                with pytest.raises(ValueError, match="cap"):
+                    make(0.5, depth)
 
 
 class TestAnalyticForms:

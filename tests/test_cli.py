@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mfcal import __version__
+from mfcal.cascade import generate_product_2d
 from mfcal.cli import main
 from mfcal.io import read_field, write_field
 
@@ -119,6 +120,37 @@ class TestSpectrumCommand:
         curve = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert np.all(np.isfinite(curve))
         assert curve[:, 1].max() == 2.0
+
+
+class TestCascadePreconditions:
+    @pytest.mark.parametrize("argv", [
+        ["cascade", "--depth", 27],
+        ["spectrum", "--method", "histogram", "--dims", 2, "--depth-max", 15],
+        ["spectrum", "--method", "moments", "--p", 0],
+        ["spectrum", "--method", "clt", "--dims", 2, "--depth", 15],
+        ["spectrum", "--method", "clt", "--depth", 0],
+        ["spectrum", "--method", "histogram", "--depth-min", 9, "--depth-max", 9],
+    ], ids=lambda argv: " ".join(str(a) for a in argv))
+    def test_bad_p_or_depth_is_a_usage_error_that_writes_nothing(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        p = [] if "--p" in argv else ["--p", 0.6]
+        assert run(*argv, *p, "--out", out) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("mfcal: ")
+
+    def test_an_over_cap_depth_range_fails_before_building_a_field(self, tmp_path, monkeypatch):
+        import mfcal.cli as cli
+
+        depths = []
+
+        def product(p, depth):
+            depths.append(depth)
+            return generate_product_2d(p, depth)
+
+        monkeypatch.setattr(cli, "generate_product_2d", product)
+        assert run("spectrum", "--method", "histogram", "--p", 0.6, "--dims", 2,
+                   "--depth-min", 8, "--depth-max", 15, "--out", tmp_path / "h.csv") == 2
+        assert depths == [15]
 
 
 class TestRecalibrateCommand:

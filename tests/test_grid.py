@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mfcal.cascade import CascadeSpec, generate_product_2d
+from mfcal.cascade import generate_product_2d
 from mfcal.grid import (
     as_field,
     integral_image,
@@ -104,7 +104,7 @@ class TestWindowSum:
         # depth-10 product cascade at p = 0.95: cell masses span about 26
         # decades, where a summed-area table's four-corner differences
         # cancel to masses <= 0
-        field = generate_product_2d(CascadeSpec.binomial(0.95, 10, dims=2))
+        field = generate_product_2d(0.95, 10)
         scales = ScaleSet((2, 3, 4))
         sums = [window_sum(field, side) for side in scales]
         assert all(np.all(s > 0.0) for s in sums)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mfcal import holder
-from mfcal.cascade import CascadeSpec, analytic_alpha, generate_binomial
+from mfcal.cascade import analytic_alpha, generate_binomial
 from mfcal.holder import (
     NormState,
     ScaleSet,
@@ -159,7 +159,7 @@ class TestHolderMap:
         # distribution stays centered on the closed form (bound frozen
         # from the oracle run: mean error 0.012, mean |error| 0.33).
         depth, p = 10, 2 / 3
-        line = generate_binomial(CascadeSpec.binomial(p, depth))
+        line = generate_binomial(p, depth)
         est = holder_map(line[None, :], SCALES, epsilon=0.0)[0]
         ones = np.bitwise_count(np.arange(2 ** depth, dtype=np.uint64)).astype(int)
         exact = np.array([analytic_alpha((depth - o) / depth, p) for o in ones])

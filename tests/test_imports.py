@@ -1,6 +1,7 @@
-"""Every imported name in the package and its tests is used or re-exported."""
+"""Every imported name is used or re-exported, and every exported name exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,13 @@ def test_the_checker_sees_unused_and_exported_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used_or_exported(path):
     assert unused_imports(path.read_text()) == []
+
+
+MODULES = sorted(ROOT.glob("src/mfcal/*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_exported_name_exists(path):
+    module = importlib.import_module(f"mfcal.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+    assert missing == []

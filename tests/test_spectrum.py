@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mfcal.cascade import (
-    CascadeSpec,
     analytic_alpha_q,
     analytic_tau,
     generate_binomial,
@@ -23,7 +22,7 @@ P = 2 / 3
 
 
 def line_cascades(depths, p=P):
-    return [generate_binomial(CascadeSpec.binomial(p, k)) for k in depths]
+    return [generate_binomial(p, k) for k in depths]
 
 
 class TestHistogramSpectrum:
@@ -58,7 +57,7 @@ class TestHistogramSpectrum:
 
     def test_two_dimensional_peak(self):
         fields = [
-            generate_product_2d(CascadeSpec.binomial(P, k, dims=2))
+            generate_product_2d(P, k)
             for k in (8, 9, 10, 11)
         ]
         # 33 bins put a bin center exactly on the modal exponent
@@ -160,7 +159,7 @@ class TestCltSpectrum:
 
     def test_product_cascade_cell_exponents(self):
         depth = 10
-        field = generate_product_2d(CascadeSpec.binomial(P, depth, dims=2))
+        field = generate_product_2d(P, depth)
         samples = -np.log2(field.ravel()) / depth
         curve = clt_spectrum(samples, k=depth, support_dim=2.0)
         alpha_peak, f_peak = curve.peak
