@@ -89,20 +89,27 @@ def sigmoid(x) -> np.ndarray:
     return out
 
 
+def _channel_rows(stack: np.ndarray) -> np.ndarray:
+    """An (H, W, C) stack as one contiguous (C, H*W) copy, channels row by row."""
+    h, w, c = stack.shape
+    return np.ascontiguousarray(stack.transpose(2, 0, 1)).reshape(c, h * w)
+
+
 def gap(stack) -> np.ndarray:
     """Global average pooling: spatial mean per channel.
 
-    Channels are reduced one at a time so the result is bit-identical
-    to a per-channel mean of the same pixel sequence.
+    Each channel is reduced as one contiguous row of its pixels in
+    row-major order: NumPy's pairwise sum then adds the same sequence in
+    the same tree as ``stack[:, :, c].mean()`` on a C-ordered stack, so
+    the means are bit-identical to that per-channel loop, also above
+    NumPy's 8192-element reduction buffer.
     """
-    stack = _as_stack(stack)
-    return np.array([stack[:, :, c].mean() for c in range(stack.shape[2])])
+    return _channel_rows(_as_stack(stack)).mean(axis=1)
 
 
 def _gsp(stack) -> np.ndarray:
     """Global standard-deviation pooling (population std per channel)."""
-    stack = _as_stack(stack)
-    return np.array([stack[:, :, c].std() for c in range(stack.shape[2])])
+    return _channel_rows(_as_stack(stack)).std(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +311,8 @@ def srm_gates(stack, w_mean, w_std, norm: NormState) -> np.ndarray:
     for name, weights in (("w_mean", w_mean), ("w_std", w_std)):
         if weights.shape != (stack.shape[2],):
             raise ValueError(f"{name} needs one weight per channel, got shape {weights.shape}")
-    t = w_mean * gap(stack) + w_std * _gsp(stack)
+    rows = _channel_rows(stack)
+    t = w_mean * rows.mean(axis=1) + w_std * rows.std(axis=1)
     return sigmoid(normalize(t, norm))
 
 
@@ -328,13 +336,20 @@ def dct_basis(height: int, width: int, i: int, j: int) -> np.ndarray:
 
 
 def lowest_frequency_pairs(count: int, height: int, width: int) -> list:
-    """The ``count`` lowest cosine frequency pairs, lowest sum first."""
-    pairs = sorted(
-        ((i, j) for i in range(height) for j in range(width)),
-        key=lambda p: (p[0] + p[1], max(p), p[0]),
-    )
-    if count > len(pairs):
+    """The ``count`` lowest cosine frequency pairs, lowest sum first.
+
+    Pairs are ordered by ``(i + j, max(i, j), i)``.  The diagonals
+    ``i + j = 0, 1, 2, ...`` are walked in turn until ``count`` pairs are
+    found, so the work grows with ``count``, not with H*W.
+    """
+    if count > height * width:
         raise ValueError("not enough frequency pairs for this spatial extent")
+    pairs = []
+    diagonal = 0  # i + j
+    while len(pairs) < count:
+        i_values = range(max(0, diagonal - width + 1), min(diagonal, height - 1) + 1)
+        pairs.extend(sorted(((i, diagonal - i) for i in i_values), key=lambda p: (max(p), p[0])))
+        diagonal += 1
     return pairs[:count]
 
 
@@ -354,13 +369,13 @@ def fca_gates(stack, params: MonoParams, freq_pairs=None) -> np.ndarray:
     if groups < 1 or c % groups != 0:
         raise ValueError(f"channel count {c} is not divisible by {groups} groups")
     size = c // groups
+    rows = _channel_rows(stack)
     z = np.empty(c)
     for g, (i, j) in enumerate(freq_pairs):
-        basis = dct_basis(h, w, i, j)
-        for ch in range(g * size, (g + 1) * size):
-            # summed like gap() so the zero-frequency squeeze is bit-equal
-            # to H*W*GAP
-            z[ch] = (stack[:, :, ch] * basis).sum()
+        group = slice(g * size, (g + 1) * size)
+        # each product row is summed like a row in gap(), so the
+        # zero-frequency squeeze is bit-equal to H*W*GAP
+        z[group] = (rows[group] * dct_basis(h, w, i, j).ravel()).sum(axis=1)
     return _gate_from_squeeze(z, params)
 
 

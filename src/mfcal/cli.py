@@ -11,6 +11,7 @@ may use); results are byte-identical for every worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -195,14 +196,15 @@ def _cmd_recalibrate(args) -> int:
     scales = _parse_scales(args.scales)
     stack = _with_channel_axis(_read_input_field(args.input))
     channels = stack.shape[2]
-    if args.method in ("cse", "scse", "fca", "mono") and args.reduction >= max(channels, 2):
-        raise UsageError(f"--reduction must be below the channel count ({channels})")
     rng = np.random.default_rng(args.seed)
     use_bias = not args.strict_paper_mode
     gates_record: dict = {"method": args.method}
 
     def mono_params():
-        return init_mono_params(channels, args.reduction, rng=rng, use_bias=use_bias)
+        try:
+            return init_mono_params(channels, args.reduction, rng=rng, use_bias=use_bias)
+        except ValueError as exc:
+            raise UsageError(f"--reduction with {channels} channels: {exc}") from None
 
     threads = _resolve_threads(args)
     if args.method == "multi":
@@ -233,9 +235,10 @@ def _cmd_recalibrate(args) -> int:
             gates = srm_gates(stack, w_mean, w_std, norm)
             out = stack * gates
         else:  # fca; argparse restricts the choices
+            params = mono_params()  # a bad --reduction is reported before a bad --groups
             groups = args.groups if args.groups else min(16, channels)
             pairs = lowest_frequency_pairs(groups, stack.shape[0], stack.shape[1])
-            gates = fca_gates(stack, mono_params(), freq_pairs=pairs)
+            gates = fca_gates(stack, params, freq_pairs=pairs)
             out = stack * gates
         gates_record["gates"] = [float(g) for g in gates]
 
@@ -289,7 +292,9 @@ def _cmd_selftest(args) -> int:
 # parser plumbing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: ``parse_args`` leaves a parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="mfcal",
         description="Cascade generation, exponent maps, spectra, recalibration.",

@@ -65,6 +65,14 @@ class TestPooling:
         )
         np.testing.assert_allclose(_gsp(stack), brute, rtol=0, atol=1e-12)
 
+    # above 8192 pixels, NumPy's reductions work through more than one buffer
+    @pytest.mark.parametrize("shape", [(100, 100, 3), (224, 224, 2)])
+    def test_pooling_is_byte_equal_to_a_per_channel_loop(self, shape):
+        stack = np.random.default_rng(2).normal(size=shape)
+        channels = range(shape[2])
+        assert np.array_equal(gap(stack), np.array([stack[:, :, c].mean() for c in channels]))
+        assert np.array_equal(_gsp(stack), np.array([stack[:, :, c].std() for c in channels]))
+
 
 def masked_sigmoid(x):
     """The branch-by-mask form of the stable logistic, as a byte reference."""
@@ -260,7 +268,54 @@ class TestDctBasis:
         assert len(set(pairs)) == 16
 
 
+def sorted_frequency_pairs(count, height, width):
+    """Every pair sorted by (i + j, max(i, j), i), then cut: the oracle."""
+    pairs = sorted(
+        ((i, j) for i in range(height) for j in range(width)),
+        key=lambda p: (p[0] + p[1], max(p), p[0]),
+    )
+    return pairs[:count]
+
+
+class TestLowestFrequencyPairs:
+    @pytest.mark.parametrize("height, width", [(1, 1), (1, 7), (7, 1), (3, 3), (2, 50)])
+    def test_every_count_matches_the_sorted_oracle(self, height, width):
+        for count in range(1, height * width + 1):
+            assert (lowest_frequency_pairs(count, height, width)
+                    == sorted_frequency_pairs(count, height, width))
+
+    @pytest.mark.parametrize("side", [56, 224])
+    def test_sixteen_pairs_match_the_sorted_oracle(self, side):
+        assert lowest_frequency_pairs(16, side, side) == sorted_frequency_pairs(16, side, side)
+
+    @pytest.mark.parametrize("height, width", [(1, 1), (1, 7), (7, 1), (3, 3), (2, 50)])
+    def test_one_pair_too_many_raises(self, height, width):
+        with pytest.raises(ValueError, match="not enough frequency pairs"):
+            lowest_frequency_pairs(height * width + 1, height, width)
+
+
 class TestFca:
+    @pytest.mark.parametrize("groups", ["one", "per-channel"])
+    @pytest.mark.parametrize("shape", [(100, 100, 3), (224, 224, 2)])
+    def test_squeeze_is_byte_equal_to_a_per_channel_loop(self, shape, groups, monkeypatch):
+        import mfcal.attention as attention
+
+        h, w, c = shape
+        stack = np.random.default_rng(3).uniform(size=shape)
+        pairs = lowest_frequency_pairs(1 if groups == "one" else c, h, w)
+        size = c // len(pairs)
+        expected = np.empty(c)
+        for g, (i, j) in enumerate(pairs):
+            basis = dct_basis(h, w, i, j)
+            for ch in range(g * size, (g + 1) * size):
+                expected[ch] = (stack[:, :, ch] * basis).sum()
+        squeezes = []
+        gate = attention._gate_from_squeeze
+        monkeypatch.setattr(attention, "_gate_from_squeeze",
+                            lambda z, params: squeezes.append(z.copy()) or gate(z, params))
+        fca_gates(stack, init_mono_params(c, 1, rng=0), freq_pairs=pairs)
+        assert len(squeezes) == 1 and np.array_equal(squeezes[0], expected)
+
     def test_all_zero_frequencies_reduce_to_scaled_se(self):
         rng = np.random.default_rng(15)
         stack = rng.uniform(size=(8, 8, 4))

@@ -153,16 +153,17 @@ class TestCascadePreconditions:
         assert depths == [15]
 
 
-class TestRecalibrateCommand:
-    def _input(self, tmp_path, channels=4):
-        rng = np.random.default_rng(5)
-        src = tmp_path / "stack.mfr"
-        src.write_bytes(write_field(rng.uniform(0.1, 1.0, (8, 8, channels))))
-        return src
+def stack_file(tmp_path, channels=4):
+    rng = np.random.default_rng(5)
+    src = tmp_path / "stack.mfr"
+    src.write_bytes(write_field(rng.uniform(0.1, 1.0, (8, 8, channels))))
+    return src
 
+
+class TestRecalibrateCommand:
     @pytest.mark.parametrize("method", ["cse", "scse", "srm", "fca", "mono", "multi"])
     def test_gates_live_in_the_open_unit_interval(self, method, tmp_path):
-        src = self._input(tmp_path)
+        src = stack_file(tmp_path)
         out = tmp_path / "out.mfr"
         gates = tmp_path / "gates.json"
         assert run("recalibrate", "--method", method, "--input", src,
@@ -180,7 +181,7 @@ class TestRecalibrateCommand:
     def test_mono_zeroed_mlp_halves_the_stack(self, tmp_path):
         # seed-initialized weights are irrelevant once the second layer is
         # zeroed, so drive the gate to exactly one half through strict mode
-        src = self._input(tmp_path)
+        src = stack_file(tmp_path)
         out = tmp_path / "out.mfr"
         rng_stack = read_field(src.read_bytes())
         assert run("--strict-paper-mode", "recalibrate", "--method", "mono",
@@ -195,6 +196,27 @@ def _counted(fn, calls):
         calls.append(fn.__name__)
         return fn(*args, **kwargs)
     return wrapper
+
+
+class TestReductionRange:
+    METHODS = ["cse", "scse", "srm", "fca", "mono", "multi"]
+
+    @pytest.mark.parametrize("method, reduction", [(m, 0) for m in METHODS]
+                             + [(m, 64) for m in ("cse", "scse", "fca", "mono")])
+    def test_out_of_range_reduction_is_a_usage_error_that_writes_nothing(
+            self, method, reduction, tmp_path, capsys):
+        src = stack_file(tmp_path, channels=64)
+        out, gates = tmp_path / "out.mfr", tmp_path / "gates.json"
+        assert run("recalibrate", "--method", method, "--input", src, "--out", out,
+                   "--gates", gates, "--reduction", reduction, "--Q", 4) == 2
+        assert not out.exists() and not gates.exists()
+        assert "--reduction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["cse", "scse", "fca", "mono"])
+    def test_a_reduction_one_below_the_channel_count_runs(self, method, tmp_path):
+        src = stack_file(tmp_path, channels=64)
+        assert run("recalibrate", "--method", method, "--input", src,
+                   "--out", tmp_path / "out.mfr", "--reduction", 63) == 0
 
 
 class TestGatePasses:
@@ -361,6 +383,77 @@ class TestThreadCap:
         assert run("--threads", threads, "recalibrate", "--method", method,
                    "--input", src, "--out", tmp_path / "out.mfr") == 0
         assert bool(started) == (threads > 1), f"{len(started)} threads started"
+
+
+class TestParserReuse:
+    """main() keeps one parser per process; no call's flags reach the next call."""
+
+    @staticmethod
+    def fresh(*argv):
+        import mfcal.cli as cli
+
+        cli._build_parser.cache_clear()
+        return run(*argv)
+
+    def test_the_parser_is_built_once(self):
+        import mfcal.cli as cli
+
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_a_seed_does_not_outlive_its_call(self, tmp_path):
+        src = stack_file(tmp_path)
+        outs = [tmp_path / f"{name}.mfr" for name in ("seeded", "second", "fresh")]
+        assert run("recalibrate", "--method", "cse", "--input", src,
+                   "--out", outs[0], "--seed", 7) == 0
+        assert run("recalibrate", "--method", "cse", "--input", src, "--out", outs[1]) == 0
+        assert self.fresh("recalibrate", "--method", "cse", "--input", src, "--out", outs[2]) == 0
+        seeded, second, fresh = (out.read_bytes() for out in outs)
+        assert second == fresh != seeded
+
+    @pytest.mark.parametrize("mode, flag", [([], "--no-center"),
+                                            (["--strict-paper-mode"], "--center")])
+    def test_a_centering_flag_does_not_outlive_its_call(self, mode, flag, tmp_path):
+        src = tmp_path / "e.mfr"
+        src.write_bytes(write_field(np.random.default_rng(12).uniform(0.2, 0.8, (40, 6))))
+        outs = [tmp_path / f"{name}.json" for name in ("flagged", "second", "fresh")]
+        assert run(*mode, "excite", "--input", src, flag, "--out", outs[0]) == 0
+        assert run(*mode, "excite", "--input", src, "--out", outs[1]) == 0
+        assert self.fresh(*mode, "excite", "--input", src, "--out", outs[2]) == 0
+        flagged, second, fresh = (out.read_text() for out in outs)
+        assert second == fresh != flagged
+
+    @pytest.mark.parametrize("bad", [["--method", "bogus"], ["--method", "cse", "--reduction", 0]])
+    def test_a_usage_error_leaves_the_next_call_valid(self, bad, tmp_path):
+        src = stack_file(tmp_path)
+        assert run("recalibrate", *bad, "--input", src, "--out", tmp_path / "bad.mfr") == 2
+        assert run("recalibrate", "--method", "cse", "--input", src,
+                   "--out", tmp_path / "second.mfr") == 0
+        assert self.fresh("recalibrate", "--method", "cse", "--input", src,
+                          "--out", tmp_path / "fresh.mfr") == 0
+        assert (tmp_path / "second.mfr").read_bytes() == (tmp_path / "fresh.mfr").read_bytes()
+
+    def test_a_thread_count_does_not_outlive_its_call(self, tmp_path, monkeypatch):
+        import mfcal.cli as cli
+
+        seen = []
+        holder_map = cli.holder_map
+
+        def recording(*args, threads, **kwargs):
+            seen.append(threads)
+            return holder_map(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(cli, "holder_map", recording)
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
+        src = tmp_path / "f.mfr"
+        src.write_bytes(write_field(np.random.default_rng(13).uniform(0.1, 1.0, (8, 8, 2))))
+        holder = ("holder", "--input", src, "--out", tmp_path / "o.mfr")
+        monkeypatch.setenv("MFCAL_THREADS", "3")
+        assert run("--threads", 1, *holder) == 0
+        assert run(*holder) == 0
+        monkeypatch.delenv("MFCAL_THREADS")
+        assert run("--threads", 1, *holder) == 0
+        assert run(*holder) == 0
+        assert seen == [1, 3, 1, 4]
 
 
 class TestUsageSurface:
