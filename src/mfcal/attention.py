@@ -42,6 +42,7 @@ from .holder import (
     NormState,
     _holder_map_vjp,
     _normalize_with_cache,
+    _require_frozen,
     _run_ranges,
     holder_map,
     mean_alpha,
@@ -107,11 +108,6 @@ def gap(stack) -> np.ndarray:
     return _channel_rows(_as_stack(stack)).mean(axis=1)
 
 
-def _gsp(stack) -> np.ndarray:
-    """Global standard-deviation pooling (population std per channel)."""
-    return _channel_rows(_as_stack(stack)).std(axis=1)
-
-
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -124,8 +120,9 @@ class MonoParams:
     ``w2`` maps back up; the sigmoid of the second layer is the
     per-channel gate.
     ``norm`` standardizes the pooled per-channel exponent means when the
-    gate is driven by local exponents.  ``use_bias=False`` drops ``b1``/``b2``
-    from the evaluation (strict two-matrix form).
+    gate is driven by local exponents; that squeeze holds one value per
+    channel, so ``norm`` must hold frozen statistics.  ``use_bias=False``
+    drops ``b1``/``b2`` from the evaluation (strict two-matrix form).
     """
 
     w1: np.ndarray
@@ -158,7 +155,7 @@ class MultiParams:
     Membership of an exponent value in level set q is a softmax over
     ``-sharpness_q * (alpha - centers_q)**2``; ``norm`` is the per-set
     normalization applied to memberships before pooling (its channel
-    axis is the level-set axis).
+    axis is the level-set axis), with frozen or per-instance statistics.
     """
 
     centers: np.ndarray
@@ -244,6 +241,7 @@ def _gate_from_squeeze(z: np.ndarray, params: MonoParams) -> np.ndarray:
 
 def _mono_forward(stack, params: MonoParams, scales, epsilon: float, threads: int | None):
     """Exponent-map gates, and ``(norm_cache, z, a1, h1)`` for :func:`mono_backward`."""
+    _require_frozen(params.norm)  # before the exponent map, the costly part
     alpha = holder_map(stack, scales, epsilon, threads)
     z, norm_cache = _normalize_with_cache(mean_alpha(alpha), params.norm)
     a1, h1, a2 = _mlp_logits(z, params)
@@ -259,11 +257,10 @@ def se_forward(stack, params: MonoParams, source: str = "features",
     ``source="alpha-map"`` squeezes the local-exponent map of the stack
     to its spatial mean per channel instead and normalizes that, so the
     gate responds to each channel's scaling behaviour rather than its
-    magnitude.  The squeeze vector has no spatial extent, so per-instance
-    statistics degenerate (each channel standardizes its single value to
-    zero, and the gate is exactly the MLP's gate of ``norm.beta`` for
-    every stack); use frozen running statistics for an informative gate.
-    Returns ``(gates, stack * gates)``.
+    magnitude.  The squeeze holds one value per channel, which
+    per-instance statistics would standardize to zero, so ``params.norm``
+    must hold frozen statistics; per-instance ones raise ``ValueError``
+    before the exponent map is computed.  Returns ``(gates, stack * gates)``.
     """
     stack = _as_stack(stack)
     if stack.shape[2] != params.channels:
@@ -300,10 +297,9 @@ def srm_gates(stack, w_mean, w_std, norm: NormState) -> np.ndarray:
     """Per-channel gate from a learned blend of mean and std pooling.
 
     ``t_c = w_mean_c * GAP_c + w_std_c * GSP_c`` followed by the channel
-    normalization and a sigmoid.  The squeeze vector has no spatial
-    extent, so per-instance statistics degenerate (each channel
-    standardizes its single value to zero); use frozen running
-    statistics for an informative gate.
+    normalization and a sigmoid.  The squeeze holds one value per
+    channel, so ``norm`` must hold frozen statistics; per-instance ones
+    raise ``ValueError``.
     """
     stack = _as_stack(stack)
     w_mean = np.asarray(w_mean, dtype=np.float64)
@@ -588,7 +584,7 @@ def mono_backward(stack, params: MonoParams, upstream,
     zero.  The normalization is reversed on the (C,) squeeze, and each
     channel's pixels share one exponent cotangent, ``d_mean / (H * W)``,
     passed to the adjoint as a broadcast view, so no stack-sized
-    normalization array is built.
+    normalization array is built.  Per-instance statistics raise ``ValueError`` first.
     """
     stack = _as_stack(stack)
     upstream = _as_stack(upstream)

@@ -237,6 +237,9 @@ def _cmd_recalibrate(args) -> int:
         else:  # fca; argparse restricts the choices
             params = mono_params()  # a bad --reduction is reported before a bad --groups
             groups = args.groups if args.groups else min(16, channels)
+            if groups < 1 or channels % groups or groups > stack.shape[0] * stack.shape[1]:
+                raise UsageError(f"--groups {groups} must divide the {channels} channels "
+                                 "and be at most H*W (0 means min(16, channels))")
             pairs = lowest_frequency_pairs(groups, stack.shape[0], stack.shape[1])
             gates = fca_gates(stack, params, freq_pairs=pairs)
             out = stack * gates

@@ -313,7 +313,7 @@ def interior_view(alpha_map, scales) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# channel normalization of exponent maps
+# channel normalization
 
 
 @dataclass
@@ -321,9 +321,10 @@ class NormState:
     """Learnable per-channel affine plus stored statistics.
 
     ``mode`` selects where the standardizing statistics come from:
-    ``per-instance`` uses the current map, ``frozen`` the stored
-    ``running_mean``/``running_var``.  Normalizing never updates the
-    stored values.
+    ``frozen`` uses the stored ``running_mean``/``running_var``,
+    ``per-instance`` the current input.  A (C,) squeeze needs frozen
+    statistics; the level-set path takes either mode.  Normalizing never
+    updates the stored values.
     """
 
     gamma: np.ndarray
@@ -365,52 +366,40 @@ class NormState:
         return self.gamma.shape[0]
 
 
+def _require_frozen(state: NormState) -> None:
+    """Reject per-instance statistics, which standardize a (C,) squeeze to 0."""
+    if state.mode != "frozen":
+        raise ValueError("per-instance statistics standardize a squeeze's single value "
+                         "per channel to 0; use frozen statistics")
+
+
 def _normalize_with_cache(values, state: NormState):
+    _require_frozen(state)
     x = np.asarray(values, dtype=np.float64)
-    if x.shape[-1] != state.channels:
-        raise ValueError("channel axis length does not match the norm state")
-    axes = tuple(range(x.ndim - 1))
-    if state.mode == "frozen":
-        mean, var = state.running_mean, state.running_var
-    else:
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
-    sigma = np.sqrt(var + VAR_EPS)
-    xhat = (x - mean) / sigma
-    out = state.gamma * xhat + state.beta
-    cache = (xhat, sigma, state.gamma, state.mode, axes)
-    return out, cache
+    if x.shape != (state.channels,):
+        raise ValueError(f"expected one value per channel, ({state.channels},), got {x.shape}")
+    sigma = np.sqrt(state.running_var + VAR_EPS)
+    xhat = (x - state.running_mean) / sigma
+    return state.gamma * xhat + state.beta, (xhat, sigma, state.gamma)
 
 
 def normalize(values, state: NormState) -> np.ndarray:
-    """Standardize per channel, then apply the learnable affine.
+    """Standardize a (C,) squeeze by the stored statistics, then apply the affine.
 
-    The channel axis is the last one.  ``(x - mean) / sqrt(var + 1e-5)
-    * gamma + beta`` with statistics chosen by ``state.mode``.  A
-    constant channel standardizes to zero (the variance floor prevents
-    blow-up).
+    ``(x - running_mean) / sqrt(running_var + 1e-5) * gamma + beta``.
+    Per-instance statistics (which would standardize each value to 0)
+    and any shape but ``(C,)`` raise ``ValueError``.
     """
-    out, _ = _normalize_with_cache(values, state)
-    return out
+    return _normalize_with_cache(values, state)[0]
 
 
 def normalize_vjp(grad_out, cache):
     """Reverse-mode derivatives of :func:`normalize`.
 
     Returns ``(grad_values, grad_gamma, grad_beta)`` for the upstream
-    cotangent ``grad_out``.  In ``per-instance`` mode the mean and
-    variance depend on the input, which contributes the usual two
-    correction terms.
+    cotangent ``grad_out``: the stored statistics do not depend on the
+    input, so the reverse of the affine is elementwise.
     """
-    xhat, sigma, gamma, mode, axes = cache
+    xhat, sigma, gamma = cache
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    grad_gamma = (grad_out * xhat).sum(axis=axes)
-    grad_beta = grad_out.sum(axis=axes)
-    gxhat = grad_out * gamma
-    if mode == "frozen":
-        grad_x = gxhat / sigma
-    else:
-        m = gxhat.mean(axis=axes, keepdims=True)
-        mx = (gxhat * xhat).mean(axis=axes, keepdims=True)
-        grad_x = (gxhat - m - xhat * mx) / sigma
-    return grad_x, grad_gamma, grad_beta
+    return grad_out * gamma / sigma, grad_out * xhat, grad_out

@@ -17,9 +17,8 @@ from mfcal.attention import (
     se_forward,
     sigmoid,
     srm_gates,
-    _gsp,
 )
-from mfcal.holder import NormState, ScaleSet
+from mfcal.holder import NormState, ScaleSet, normalize
 
 SCALES = ScaleSet((2, 3, 4))
 
@@ -49,29 +48,19 @@ class TestPooling:
         brute = np.array([stack[:, :, c].ravel().mean() for c in range(3)])
         assert np.array_equal(gap(stack), brute)
 
-    def test_gsp_constant_channel_is_zero(self):
-        assert _gsp(np.full((4, 4, 1), 7.0))[0] == 0.0
-
-    def test_gsp_two_pixels(self):
-        stack = np.array([[[0.0]], [[2.0]]])
-        assert _gsp(stack)[0] == 1.0  # population convention
-
-    def test_gsp_equals_brute_force_std(self):
-        rng = np.random.default_rng(1)
-        stack = rng.normal(size=(8, 8, 3))
-        brute = np.array(
-            [np.sqrt(((stack[:, :, c] - stack[:, :, c].mean()) ** 2).mean())
-             for c in range(3)]
-        )
-        np.testing.assert_allclose(_gsp(stack), brute, rtol=0, atol=1e-12)
-
     # above 8192 pixels, NumPy's reductions work through more than one buffer
     @pytest.mark.parametrize("shape", [(100, 100, 3), (224, 224, 2)])
     def test_pooling_is_byte_equal_to_a_per_channel_loop(self, shape):
         stack = np.random.default_rng(2).normal(size=shape)
         channels = range(shape[2])
-        assert np.array_equal(gap(stack), np.array([stack[:, :, c].mean() for c in channels]))
-        assert np.array_equal(_gsp(stack), np.array([stack[:, :, c].std() for c in channels]))
+        means = np.array([stack[:, :, c].mean() for c in channels])
+        assert np.array_equal(gap(stack), means)
+        # srm_gates pools the std alongside the mean
+        stds = np.array([stack[:, :, c].std() for c in channels])
+        w_mean, w_std = np.full(shape[2], 0.5), np.full(shape[2], 2.0)
+        norm = NormState.identity(shape[2], mode="frozen")
+        expected = sigmoid(normalize(w_mean * means + w_std * stds, norm))
+        assert np.array_equal(srm_gates(stack, w_mean, w_std, norm), expected)
 
 
 def masked_sigmoid(x):
@@ -224,10 +213,24 @@ class TestSrm:
         norm.running_mean = rng.normal(size=3) * 0.1
         norm.running_var = rng.uniform(0.5, 1.5, 3)
         gates = srm_gates(stack, w_mean, w_std, norm)
-        t = w_mean * gap(stack) + w_std * _gsp(stack)
+        brute_std = np.array(
+            [np.sqrt(((stack[:, :, c] - stack[:, :, c].mean()) ** 2).mean()) for c in range(3)]
+        )
+        t = w_mean * gap(stack) + w_std * brute_std
         normed = (t - norm.running_mean) / np.sqrt(norm.running_var + 1e-5)
         expected_gates = sigmoid(norm.gamma * normed + norm.beta)
         np.testing.assert_allclose(gates, expected_gates, rtol=0, atol=1e-12)
+
+    def test_std_term_uses_the_population_convention(self):
+        stack = np.array([[[0.0]], [[2.0]]])  # std 1, where the sample std is sqrt(2)
+        norm = NormState.identity(1, mode="frozen")
+        gates = srm_gates(stack, np.zeros(1), np.ones(1), norm)
+        assert np.array_equal(gates, sigmoid(normalize(np.ones(1), norm)))
+
+    def test_per_instance_statistics_rejected(self):
+        # each channel's single pooled value would standardize to exactly 0
+        with pytest.raises(ValueError, match="frozen"):
+            srm_gates(np.ones((4, 4, 3)), np.ones(3), np.ones(3), NormState.identity(3))
 
     @pytest.mark.parametrize("length", [1, 2], ids=["one", "channels-minus-one"])
     @pytest.mark.parametrize("name", ["w_mean", "w_std"])

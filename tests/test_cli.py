@@ -219,6 +219,18 @@ class TestReductionRange:
                    "--out", tmp_path / "out.mfr", "--reduction", 63) == 0
 
 
+class TestFcaGroups:
+    @pytest.mark.parametrize("groups, code", [(-1, 2), (3, 2), (65, 2), (0, 0), (2, 0)])
+    def test_a_bad_group_count_is_a_usage_error_that_writes_nothing(
+            self, groups, code, tmp_path, capsys):
+        src = stack_file(tmp_path)  # 8x8x4: 64 frequency pairs, group counts 1, 2 and 4
+        out, gates = tmp_path / "out.mfr", tmp_path / "gates.json"
+        assert run("recalibrate", "--method", "fca", "--input", src, "--out", out,
+                   "--gates", gates, "--groups", groups) == code
+        assert out.exists() == gates.exists() == (code == 0)
+        assert ("--groups" in capsys.readouterr().err) == (code != 0)
+
+
 class TestGatePasses:
     @pytest.mark.parametrize("method", ["cse", "scse", "srm", "fca", "mono", "multi"])
     def test_each_method_computes_its_gates_once(self, method, tmp_path, monkeypatch):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mfcal.attention import (
-    _gate_from_squeeze,
     init_mono_params,
     init_multi_params,
     mono_backward,
@@ -45,11 +44,10 @@ def check_against_fd(loss, arrays, analytic, rng, probes_per_array=5):
             )
 
 
-def mono_fixture(rng, norm_mode, use_bias=True, shape=(2, 2, 4)):
+def mono_fixture(rng, use_bias=True, shape=(2, 2, 4)):
     channels = shape[2]
     stack = rng.uniform(0.5, 1.5, shape)
     params = init_mono_params(channels, 2, rng=rng, use_bias=use_bias)
-    params.norm.mode = norm_mode
     params.b1 = rng.normal(scale=0.2, size=params.b1.shape)
     params.b2 = rng.normal(scale=0.2, size=params.b2.shape)
     params.norm.gamma = rng.uniform(0.5, 1.5, channels)
@@ -80,15 +78,13 @@ def mono_bytes(stack, params, upstream, threads):
 
 
 class TestMonoBackward:
-    @pytest.mark.parametrize("norm_mode, seed", [("frozen", 0), ("per-instance", 1)],
-                             ids=["frozen", "per-instance"])
-    def test_matches_finite_differences(self, norm_mode, seed):
-        rng = np.random.default_rng(seed)
-        stack, params, upstream = mono_fixture(rng, norm_mode)
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(0)
+        stack, params, upstream = mono_fixture(rng)
         grads = mono_backward(stack, params, upstream, SCALES, EPS, threads=1)
         # two and three channel chunks give the same bytes as one, also when
         # each chunk holds several channels (40x36x8)
-        wide = mono_fixture(np.random.default_rng(seed + 40), norm_mode, shape=(40, 36, 8))
+        wide = mono_fixture(np.random.default_rng(40), shape=(40, 36, 8))
         for inputs in ((stack, params, upstream), wide):
             one = mono_bytes(*inputs, threads=1)
             for threads in (2, 3):
@@ -141,7 +137,7 @@ class TestMonoBackward:
 
     def test_zero_upstream_gives_zero_bundle(self):
         rng = np.random.default_rng(30)
-        stack, params, _ = mono_fixture(rng, "frozen")
+        stack, params, _ = mono_fixture(rng)
         grads = mono_backward(stack, params, np.zeros_like(stack), SCALES, EPS)
         for field in ("w1", "b1", "w2", "b2", "gamma", "beta", "stack"):
             assert np.all(getattr(grads, field) == 0.0)
@@ -150,7 +146,7 @@ class TestMonoBackward:
         # with w2 = 0 the gate is sigma(b2); for loss = sum(output) the b2
         # derivative is sigma'(b2) * sum of the channel's stack values
         rng = np.random.default_rng(31)
-        stack, params, _ = mono_fixture(rng, "frozen")
+        stack, params, _ = mono_fixture(rng)
         params.w2[:] = 0.0
         params.b2[:] = 0.0
         grads = mono_backward(stack, params, np.ones_like(stack), SCALES, EPS)
@@ -159,7 +155,7 @@ class TestMonoBackward:
 
     def test_non_finite_upstream_is_rejected(self):
         rng = np.random.default_rng(37)
-        stack, params, upstream = mono_fixture(rng, "frozen")
+        stack, params, upstream = mono_fixture(rng)
         upstream[0, 1, 2] = np.inf
         with pytest.raises(ValueError, match="finite"):
             mono_backward(stack, params, upstream, SCALES, EPS)
@@ -167,7 +163,7 @@ class TestMonoBackward:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_zero_mass_windows_at_epsilon_zero_raise(self, threads):
         rng = np.random.default_rng(41)
-        stack, params, upstream = mono_fixture(rng, "frozen", shape=(8, 8, 4))
+        stack, params, upstream = mono_fixture(rng, shape=(8, 8, 4))
         stack[2:6, 2:6, 3] = 0.0  # side-2 and side-3 windows of zero mass
         with pytest.raises(ValueError, match="windowed masses are <= 0"):
             mono_backward(stack, params, upstream, SCALES, 0.0, threads=threads)
@@ -181,7 +177,7 @@ class TestMonoBackward:
         # all three scales at once adds three more stack-sized arrays (about
         # 8.3x at one thread), which only the 6x bound of the next test rejects.
         rng = np.random.default_rng(42)
-        stack, params, upstream = mono_fixture(rng, "per-instance", shape=(64, 64, 16))
+        stack, params, upstream = mono_fixture(rng, shape=(64, 64, 16))
         peak = mono_backward_peak(stack, params, upstream, threads)
         assert peak <= 10 * stack.nbytes, f"peak {peak / stack.nbytes:.2f}x the stack"
 
@@ -189,29 +185,32 @@ class TestMonoBackward:
         # Normalization runs on the (C,) squeeze: about 5.3x the stack's bytes
         # here.  A normalized (H, W, C) map or its cache adds 2x or more.
         rng = np.random.default_rng(42)
-        stack, params, upstream = mono_fixture(rng, "frozen", shape=(64, 64, 16))
+        stack, params, upstream = mono_fixture(rng, shape=(64, 64, 16))
         peak = mono_backward_peak(stack, params, upstream, threads=1)
         assert peak <= 6 * stack.nbytes, f"peak {peak / stack.nbytes:.2f}x the stack"
 
-    def test_per_instance_statistics_give_the_gate_of_beta(self):
-        # Each channel standardizes its single squeezed value to exactly 0,
-        # so every stack gets the MLP's gate of beta and gamma no gradient.
-        rng = np.random.default_rng(43)
-        _, params, _ = mono_fixture(rng, "per-instance", shape=(40, 36, 8))
-        expected = _gate_from_squeeze(params.norm.beta, params)
-        for _ in range(5):
-            stack = rng.uniform(0.5, 1.5, (40, 36, 8))
-            upstream = rng.normal(size=stack.shape)
-            gates, _ = se_forward(stack, params, source="alpha-map",
-                                  scales=SCALES, epsilon=EPS, threads=1)
-            assert gates.tobytes() == expected.tobytes()
-            grads = mono_backward(stack, params, upstream, SCALES, EPS, threads=1)
-            assert np.all(grads.gamma == 0.0)
-            assert np.array_equal(grads.stack, upstream * gates)
+    @pytest.mark.parametrize("call", [
+        lambda stack, params, upstream: se_forward(stack, params, source="alpha-map",
+                                                   scales=SCALES, epsilon=EPS),
+        lambda stack, params, upstream: mono_backward(stack, params, upstream, SCALES, EPS),
+    ], ids=["se_forward", "mono_backward"])
+    def test_per_instance_statistics_raise_before_the_exponent_map(self, call, monkeypatch):
+        # each channel's single squeezed value would standardize to exactly 0,
+        # so every stack would get the MLP's gate of beta
+        import mfcal.attention as attention
+
+        def no_exponent_map(*args, **kwargs):
+            raise AssertionError("the exponent map was computed")
+
+        monkeypatch.setattr(attention, "holder_map", no_exponent_map)
+        stack, params, upstream = mono_fixture(np.random.default_rng(43), shape=(8, 8, 4))
+        params.norm.mode = "per-instance"
+        with pytest.raises(ValueError, match="frozen"):
+            call(stack, params, upstream)
 
     def test_strict_two_matrix_form_has_no_bias_gradients(self):
         rng = np.random.default_rng(32)
-        stack, params, upstream = mono_fixture(rng, "frozen", use_bias=False)
+        stack, params, upstream = mono_fixture(rng, use_bias=False)
         grads = mono_backward(stack, params, upstream, SCALES, EPS)
         assert np.all(grads.b1 == 0.0) and np.all(grads.b2 == 0.0)
 

@@ -276,34 +276,47 @@ class TestMeanAlpha:
         np.testing.assert_allclose(mean_alpha(alpha), [1.0, 2.0])
 
 
+def frozen_state(rng, channels):
+    state = NormState.identity(channels, mode="frozen")
+    state.gamma = rng.uniform(0.5, 1.5, channels)
+    state.beta = rng.normal(size=channels)
+    state.running_mean = rng.normal(size=channels) * 0.1
+    state.running_var = rng.uniform(0.5, 1.5, channels)
+    return state
+
+
 class TestNormalize:
-    def test_per_instance_standardizes(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(3.0, 2.5, (16, 16, 4))
-        out = normalize(x, NormState.identity(4))
-        np.testing.assert_allclose(out.mean(axis=(0, 1)), 0.0, atol=1e-6)
-        np.testing.assert_allclose(out.var(axis=(0, 1)), 1.0, atol=1e-4)
-
-    def test_constant_channel_maps_to_zero(self):
-        out = normalize(np.full((8, 8, 2), 5.0), NormState.identity(2))
-        assert np.all(out == 0.0)
-
-    def test_affine_contract(self):
+    def test_is_the_stored_statistics_affine(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(32, 32, 1))
-        state = NormState.identity(1)
-        state.gamma = np.array([2.0])
-        state.beta = np.array([3.0])
-        out = normalize(x, state)
-        assert out.mean() == pytest.approx(3.0, abs=1e-6)
-        assert out.std() == pytest.approx(2.0, abs=1e-3)
+        state = frozen_state(rng, 5)
+        x = rng.normal(size=5)
+        expected = [(x[c] - state.running_mean[c]) / math.sqrt(state.running_var[c] + 1e-5)
+                    * state.gamma[c] + state.beta[c] for c in range(5)]
+        np.testing.assert_allclose(normalize(x, state), expected, rtol=0, atol=1e-14)
+
+    def test_value_at_the_running_mean_maps_to_beta(self):
+        state = NormState.identity(2, mode="frozen")
+        state.running_mean = np.array([5.0, -1.0])
+        state.beta = np.array([0.25, 3.0])
+        assert np.array_equal(normalize(np.array([5.0, -1.0]), state), state.beta)
 
     def test_frozen_mode_uses_running_statistics(self):
         state = NormState.identity(1, mode="frozen")
         state.running_mean = np.array([10.0])
         state.running_var = np.array([4.0])
-        out = normalize(np.full((2, 2, 1), 12.0), state)
+        out = normalize(np.array([12.0]), state)
         np.testing.assert_allclose(out, 2.0 / math.sqrt(4.0 + 1e-5), rtol=1e-12)
+
+    def test_per_instance_statistics_rejected(self):
+        # one value per channel would standardize to exactly 0
+        with pytest.raises(ValueError, match="frozen"):
+            normalize(np.ones(3), NormState.identity(3))
+
+    @pytest.mark.parametrize("shape", [(4, 4, 3), (2,), (4,), (1, 3)],
+                             ids=["stack", "short", "long", "row"])
+    def test_anything_but_one_value_per_channel_rejected(self, shape):
+        with pytest.raises(ValueError, match="one value per channel"):
+            normalize(np.ones(shape), NormState.identity(3, mode="frozen"))
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
@@ -337,16 +350,11 @@ class TestNormalize:
         with pytest.raises(ValueError, match="variance"):
             NormState(gamma=[1.0], beta=[0.0], running_mean=[0.0], running_var=[-1.0])
 
-    @pytest.mark.parametrize("mode", ["per-instance", "frozen"])
-    def test_vjp_matches_finite_differences(self, mode):
+    def test_vjp_matches_finite_differences(self):
         rng = np.random.default_rng(6)
-        x = rng.normal(size=(3, 3, 2))
-        state = NormState.identity(2, mode=mode)
-        state.gamma = rng.uniform(0.5, 1.5, 2)
-        state.beta = rng.normal(size=2)
-        state.running_mean = rng.normal(size=2) * 0.1
-        state.running_var = rng.uniform(0.5, 1.5, 2)
-        upstream = rng.normal(size=x.shape)
+        x = rng.normal(size=3)
+        state = frozen_state(rng, 3)
+        upstream = rng.normal(size=3)
 
         def loss(xx):
             return float((upstream * normalize(xx, state)).sum())
@@ -354,14 +362,13 @@ class TestNormalize:
         _, cache = _normalize_with_cache(x, state)
         grad_x, grad_gamma, grad_beta = normalize_vjp(upstream, cache)
         h = 1e-6
-        for idx in [(0, 0, 0), (1, 2, 1), (2, 1, 0)]:
+        for ch in range(3):
             bumped = x.copy()
-            bumped[idx] += h
+            bumped[ch] += h
             dipped = x.copy()
-            dipped[idx] -= h
+            dipped[ch] -= h
             fd = (loss(bumped) - loss(dipped)) / (2 * h)
-            assert grad_x[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
-        for ch in range(2):
+            assert grad_x[ch] == pytest.approx(fd, rel=1e-5, abs=1e-8)
             for arr, grad in ((state.gamma, grad_gamma), (state.beta, grad_beta)):
                 old = arr[ch]
                 arr[ch] = old + h

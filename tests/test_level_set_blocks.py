@@ -25,9 +25,40 @@ from mfcal.attention import (
     multi_membership,
     sigmoid,
 )
-from mfcal.holder import _normalize_with_cache, normalize_vjp
+from mfcal.holder import VAR_EPS
 
 RTOL = 1e-12  # max |blocked - dense| over max |dense|, per output array
+
+
+def dense_normalize(x, norm):
+    """Per-level-set normalization of an (..., Q) tensor, and the cache of its reverse.
+
+    Per-instance statistics are taken over every leading axis.
+    """
+    axes = tuple(range(x.ndim - 1))
+    if norm.mode == "frozen":
+        mean, var = norm.running_mean, norm.running_var
+    else:
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+    sigma = np.sqrt(var + VAR_EPS)
+    xhat = (x - mean) / sigma
+    return norm.gamma * xhat + norm.beta, (xhat, sigma, norm.gamma, norm.mode, axes)
+
+
+def dense_normalize_vjp(grad_out, cache):
+    """``(grad_x, grad_gamma, grad_beta)``; per-instance statistics add two correction terms."""
+    xhat, sigma, gamma, mode, axes = cache
+    grad_gamma = (grad_out * xhat).sum(axis=axes)
+    grad_beta = grad_out.sum(axis=axes)
+    gxhat = grad_out * gamma
+    if mode == "frozen":
+        grad_x = gxhat / sigma
+    else:
+        m = gxhat.mean(axis=axes, keepdims=True)
+        mx = (gxhat * xhat).mean(axis=axes, keepdims=True)
+        grad_x = (gxhat - m - xhat * mx) / sigma
+    return grad_x, grad_gamma, grad_beta
 
 
 def dense_forward(stack, alpha, params):
@@ -35,7 +66,7 @@ def dense_forward(stack, alpha, params):
     logits -= logits.max(axis=-1, keepdims=True)
     expl = np.exp(logits)
     member = expl / expl.sum(axis=-1, keepdims=True)
-    normed, norm_cache = _normalize_with_cache(member, params.norm)
+    normed, norm_cache = dense_normalize(member, params.norm)
     gate = sigmoid(np.maximum(normed, 0.0).sum(axis=-1))
     return gate, stack + gate, (member, normed, norm_cache)
 
@@ -44,7 +75,7 @@ def dense_backward(stack, alpha, params, upstream):
     gate, _, (member, normed, norm_cache) = dense_forward(stack, alpha, params)
     d_pooled = upstream * gate * (1.0 - gate)
     d_normed = d_pooled[..., None] * (normed > 0.0)
-    d_member, d_gamma, d_beta = normalize_vjp(d_normed, norm_cache)
+    d_member, d_gamma, d_beta = dense_normalize_vjp(d_normed, norm_cache)
     inner = (d_member * member).sum(axis=-1, keepdims=True)
     d_logits = member * (d_member - inner)
     diff = alpha[..., None] - params.centers
