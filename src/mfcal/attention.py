@@ -42,7 +42,6 @@ from .holder import (
     NormState,
     _holder_map_vjp,
     _normalize_with_cache,
-    _require_frozen,
     _run_ranges,
     holder_map,
     mean_alpha,
@@ -119,10 +118,10 @@ class MonoParams:
     ``w1`` maps C channels down to a hidden width of ``w1.shape[0]``,
     ``w2`` maps back up; the sigmoid of the second layer is the
     per-channel gate.
-    ``norm`` standardizes the pooled per-channel exponent means when the
-    gate is driven by local exponents; that squeeze holds one value per
-    channel, so ``norm`` must hold frozen statistics.  ``use_bias=False``
-    drops ``b1``/``b2`` from the evaluation (strict two-matrix form).
+    ``norm`` standardizes the pooled per-channel exponent means, one value
+    per channel, by its stored statistics when the gate is driven by
+    local exponents.  ``use_bias=False`` drops ``b1``/``b2`` from the
+    evaluation (strict two-matrix form).
     """
 
     w1: np.ndarray
@@ -155,7 +154,8 @@ class MultiParams:
     Membership of an exponent value in level set q is a softmax over
     ``-sharpness_q * (alpha - centers_q)**2``; ``norm`` is the per-set
     normalization applied to memberships before pooling (its channel
-    axis is the level-set axis), with frozen or per-instance statistics.
+    axis is the level-set axis).  Memberships are standardized by their
+    own statistics, so only ``norm.gamma`` and ``norm.beta`` are read.
     """
 
     centers: np.ndarray
@@ -175,7 +175,7 @@ class MultiParams:
 
 def init_mono_params(channels: int, reduction: int = 2, rng=None,
                      use_bias: bool = True) -> MonoParams:
-    """Fan-balanced uniform init for the bottleneck MLP, zero biases, frozen norm.
+    """Fan-balanced uniform init for the bottleneck MLP, zero biases, identity norm.
 
     The hidden width is floor(C / reduction), at least 1.
     """
@@ -193,13 +193,13 @@ def init_mono_params(channels: int, reduction: int = 2, rng=None,
         b1=np.zeros(hidden),
         w2=fan_uniform(channels, hidden),
         b2=np.zeros(channels),
-        norm=NormState.identity(channels, mode="frozen"),
+        norm=NormState.identity(channels),
         use_bias=use_bias,
     )
 
 
 def init_multi_params(q: int, alpha_low: float, alpha_high: float) -> MultiParams:
-    """Centers spread over the observed exponent range, unit sharpness, per-instance norm.
+    """Centers spread over the observed exponent range, unit sharpness, identity affine.
 
     Spanning the calibration range keeps every level set reachable at
     the start (dead memberships never recover under ReLU pooling).
@@ -241,7 +241,6 @@ def _gate_from_squeeze(z: np.ndarray, params: MonoParams) -> np.ndarray:
 
 def _mono_forward(stack, params: MonoParams, scales, epsilon: float, threads: int | None):
     """Exponent-map gates, and ``(norm_cache, z, a1, h1)`` for :func:`mono_backward`."""
-    _require_frozen(params.norm)  # before the exponent map, the costly part
     alpha = holder_map(stack, scales, epsilon, threads)
     z, norm_cache = _normalize_with_cache(mean_alpha(alpha), params.norm)
     a1, h1, a2 = _mlp_logits(z, params)
@@ -257,10 +256,8 @@ def se_forward(stack, params: MonoParams, source: str = "features",
     ``source="alpha-map"`` squeezes the local-exponent map of the stack
     to its spatial mean per channel instead and normalizes that, so the
     gate responds to each channel's scaling behaviour rather than its
-    magnitude.  The squeeze holds one value per channel, which
-    per-instance statistics would standardize to zero, so ``params.norm``
-    must hold frozen statistics; per-instance ones raise ``ValueError``
-    before the exponent map is computed.  Returns ``(gates, stack * gates)``.
+    magnitude; ``params.norm`` standardizes that one value per channel by
+    its stored statistics.  Returns ``(gates, stack * gates)``.
     """
     stack = _as_stack(stack)
     if stack.shape[2] != params.channels:
@@ -297,9 +294,7 @@ def srm_gates(stack, w_mean, w_std, norm: NormState) -> np.ndarray:
     """Per-channel gate from a learned blend of mean and std pooling.
 
     ``t_c = w_mean_c * GAP_c + w_std_c * GSP_c`` followed by the channel
-    normalization and a sigmoid.  The squeeze holds one value per
-    channel, so ``norm`` must hold frozen statistics; per-instance ones
-    raise ``ValueError``.
+    normalization by ``norm``'s stored statistics and a sigmoid.
     """
     stack = _as_stack(stack)
     w_mean = np.asarray(w_mean, dtype=np.float64)
@@ -349,7 +344,7 @@ def lowest_frequency_pairs(count: int, height: int, width: int) -> list:
     return pairs[:count]
 
 
-def fca_gates(stack, params: MonoParams, freq_pairs=None) -> np.ndarray:
+def fca_gates(stack, params: MonoParams, freq_pairs) -> np.ndarray:
     """Gates from per-group cosine squeezes through the bottleneck MLP.
 
     Channels split into one contiguous group per frequency pair; each
@@ -359,8 +354,6 @@ def fca_gates(stack, params: MonoParams, freq_pairs=None) -> np.ndarray:
     """
     stack = _as_stack(stack)
     h, w, c = stack.shape
-    if freq_pairs is None:
-        freq_pairs = lowest_frequency_pairs(16, h, w)
     groups = len(freq_pairs)
     if groups < 1 or c % groups != 0:
         raise ValueError(f"channel count {c} is not divisible by {groups} groups")
@@ -461,31 +454,28 @@ def _level_set_statistics(alpha: np.ndarray, params: MultiParams, threads: int |
     ``shift = beta - scale * mean`` fold the normalization and its
     affine into one multiply-add, ``normed = member * scale + shift``.
 
-    Frozen statistics are the stored ones.  Per-instance statistics are
-    the memberships' population mean and variance over every position:
-    each block's count, mean and sum of squared deviations, merged in
-    block order (Chan et al.'s pairwise update), so no (..., Q)
-    membership tensor is ever held.
+    The statistics are the memberships' population mean and variance
+    over every position: each block's count, mean and sum of squared
+    deviations, merged in block order (Chan et al.'s pairwise update),
+    so no (..., Q) membership tensor is ever held.
     """
     norm = params.norm
-    if norm.mode == "frozen":
-        mean, var = norm.running_mean, norm.running_var
-    else:
-        def block_moments(block, member):
-            _membership_block(alpha[block], params, member)
-            block_mean = member.mean(axis=1)
-            member -= block_mean[:, None]
-            return member.shape[1], block_mean, np.einsum("qn,qn->q", member, member)
 
-        count, mean, m2 = 0, 0.0, 0.0
-        moments = _map_blocks(block_moments, alpha.size, norm.channels, 1, threads)
-        for n, block_mean, block_m2 in moments:
-            delta = block_mean - mean
-            total = count + n
-            mean = mean + delta * (n / total)
-            m2 = m2 + block_m2 + delta ** 2 * (count * n / total)
-            count = total
-        var = m2 / count
+    def block_moments(block, member):
+        _membership_block(alpha[block], params, member)
+        block_mean = member.mean(axis=1)
+        member -= block_mean[:, None]
+        return member.shape[1], block_mean, np.einsum("qn,qn->q", member, member)
+
+    count, mean, m2 = 0, 0.0, 0.0
+    moments = _map_blocks(block_moments, alpha.size, norm.channels, 1, threads)
+    for n, block_mean, block_m2 in moments:
+        delta = block_mean - mean
+        total = count + n
+        mean = mean + delta * (n / total)
+        m2 = m2 + block_m2 + delta ** 2 * (count * n / total)
+        count = total
+    var = m2 / count
     sigma = np.sqrt(var + VAR_EPS)
     scale = norm.gamma / sigma
     return mean, sigma, scale, norm.beta - scale * mean
@@ -517,14 +507,15 @@ def _gated_block(alpha: np.ndarray, params: MultiParams, scale, shift, member, n
 def multi_forward(stack, alpha, params: MultiParams, threads: int | None = None):
     """Additive recalibration by pooled level-set memberships.
 
-    Per position: normalize each level set's membership, rectify, sum
-    over the level sets, squash with a sigmoid, and add the resulting
-    gate field to the stack.  Returns ``(gate_field, stack + gate_field)``.
+    Per position: normalize each level set's membership by its statistics
+    over every position, rectify, sum over the level sets, squash with a
+    sigmoid, and add the resulting gate field to the stack.  Returns
+    ``(gate_field, stack + gate_field)``.
 
     Runs over fixed blocks of ``LEVEL_SET_BLOCK`` flattened positions:
-    one pass gathers the per-instance statistics (none when they are
-    frozen) and folds them with ``gamma`` and ``beta`` into one scale
-    and one shift per level set; a second gates each block.  Both
+    one pass gathers the statistics and folds them with ``gamma`` and
+    ``beta`` into one scale and one shift per level set; a second gates
+    each block.  Both
     passes spread groups of whole blocks over ``threads`` workers
     (default: every CPU this process may use), and each worker computes
     in place in one (Q, n) scratch array that it allocates once.  Memory
@@ -584,7 +575,7 @@ def mono_backward(stack, params: MonoParams, upstream,
     zero.  The normalization is reversed on the (C,) squeeze, and each
     channel's pixels share one exponent cotangent, ``d_mean / (H * W)``,
     passed to the adjoint as a broadcast view, so no stack-sized
-    normalization array is built.  Per-instance statistics raise ``ValueError`` first.
+    normalization array is built.
     """
     stack = _as_stack(stack)
     upstream = _as_stack(upstream)
@@ -632,8 +623,8 @@ def multi_backward(stack, alpha, params: MultiParams, upstream,
     accumulates two per-level-set gemv sums of the rectified cotangent,
     from which the affine gradients follow without building the
     standardized memberships.  A second pass forms the parameter and
-    exponent gradients, in place in three (Q, n) scratch arrays per
-    worker (two with frozen statistics).
+    exponent gradients, with the normalization's correction terms, in
+    place in three (Q, n) scratch arrays per worker.
     """
     stack, alpha = _level_set_input(stack, alpha)
     upstream = _as_stack(upstream)
@@ -663,9 +654,8 @@ def multi_backward(stack, alpha, params: MultiParams, upstream,
     # sum(d_normed * xhat) with xhat = (member - mean) / sigma
     d_gamma = (weighted - mean * d_beta) / sigma
 
-    # per-instance statistics move with every membership: d_member gains
+    # the statistics move with every membership: d_member gains
     # offset - member * tilt, the correction terms of the normalization
-    per_instance = norm.mode != "frozen"
     tilt = norm.gamma * d_gamma / alpha.size / sigma ** 2
     offset = mean * tilt - norm.gamma * d_beta / alpha.size / sigma
 
@@ -673,15 +663,14 @@ def multi_backward(stack, alpha, params: MultiParams, upstream,
     # written, so the gradient overwrites it block by block
     d_alpha = d_pooled
 
-    def parameter_terms(block, member, d_member, *spare):
+    def parameter_terms(block, member, d_member, spare):
         """Per-level-set sums of d_logits * diff and d_logits * diff**2; fills d_alpha."""
         _membership_block(alpha[block], params, member)
         np.greater(_normed_block(member, scale, shift, d_member), 0.0, out=d_member)
         d_member *= d_pooled[block]
         d_member *= scale[:, None]
-        if per_instance:
-            d_member -= np.multiply(member, tilt[:, None], out=spare[0])
-            d_member += offset[:, None]
+        d_member -= np.multiply(member, tilt[:, None], out=spare)
+        d_member += offset[:, None]
         # softmax over the level-set axis: d_logits = member * (d_member - inner)
         d_member -= np.einsum("qn,qn->n", d_member, member)
         d_member *= member
@@ -693,8 +682,7 @@ def multi_backward(stack, alpha, params: MultiParams, upstream,
 
     d_centers = np.zeros(q)
     d_sharpness = np.zeros(q)
-    parts = _map_blocks(parameter_terms, alpha.size, q, 3 if per_instance else 2, threads)
-    for centers_part, sharpness_part in parts:
+    for centers_part, sharpness_part in _map_blocks(parameter_terms, alpha.size, q, 3, threads):
         d_centers += centers_part
         d_sharpness -= sharpness_part
     d_centers *= 2.0 * params.sharpness

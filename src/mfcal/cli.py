@@ -1,7 +1,8 @@
 """Command-line surface: generation, estimation, recalibration, analysis.
 
 Exit codes: 0 success, 2 usage or flag validation, 3 I/O failure,
-4 numerical precondition violated at run time.  ``--config`` points at
+4 numerical precondition violated at run time (a non-finite output
+included), in which case no file is written.  ``--config`` points at
 a ``key=value`` file whose entries act as subcommand defaults; explicit
 flags override them.  ``--threads`` caps worker parallelism (fallback:
 the ``MFCAL_THREADS`` environment variable, then the CPUs this process
@@ -94,12 +95,26 @@ def _with_channel_axis(field: np.ndarray) -> np.ndarray:
     return field[:, :, None] if field.ndim == 2 else field
 
 
+_OVERFLOW = "holds non-finite values (a float64 overflow on this input); nothing was written"
+
+
 def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text)
 
 
+def _json_line(record: dict, what: str) -> str:
+    """``record`` as one line of strict JSON; a NaN or infinity raises ``ValueError``."""
+    try:
+        return json.dumps(record, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError(f"the {what} record {_OVERFLOW}") from None
+
+
 def _write_container(path: str, field: np.ndarray) -> None:
+    """Write ``field``, refusing a non-finite one with ``ValueError`` before the file opens."""
     arr = np.asarray(field, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"the output {_OVERFLOW}")
     if arr.ndim == 1:
         arr = arr[None, :]
     with open(path, "wb") as file:
@@ -121,10 +136,12 @@ def _cascade(p: float, depth: int, dims: int) -> np.ndarray:
 def _cmd_cascade(args) -> int:
     if args.points < 3:
         raise UsageError("--points must be >= 3")
-    _write_container(args.out, _cascade(args.p, args.depth, args.dims))
+    field = _cascade(args.p, args.depth, args.dims)
     if args.spectrum:
-        curve = analytic_spectrum(args.p, args.points, dims=args.dims)
-        _write_text(args.spectrum, fio.write_spectrum_csv(curve))
+        csv = fio.write_spectrum_csv(analytic_spectrum(args.p, args.points, dims=args.dims))
+    _write_container(args.out, field)
+    if args.spectrum:
+        _write_text(args.spectrum, csv)
     return EXIT_OK
 
 
@@ -135,15 +152,15 @@ def _cmd_holder(args) -> int:
     field = _with_channel_axis(_read_input_field(args.input))
     alpha = holder_map(field, scales, args.epsilon, threads=_resolve_threads(args))
     if args.means:  # before any write: a field with no unclipped interior exits 4
-        record = {
+        means = _json_line({
             "mean_alpha": [float(v) for v in mean_alpha(alpha)],
             "interior_mean_alpha": [
                 float(v) for v in mean_alpha(interior_view(alpha, scales))
             ],
-        }
+        }, "means")
     _write_container(args.out, alpha)
     if args.means:
-        _write_text(args.means, json.dumps(record) + "\n")
+        _write_text(args.means, means)
     return EXIT_OK
 
 
@@ -231,8 +248,7 @@ def _cmd_recalibrate(args) -> int:
         elif args.method == "srm":
             w_mean = rng.normal(size=channels)
             w_std = rng.normal(size=channels)
-            norm = NormState.identity(channels, mode="frozen")
-            gates = srm_gates(stack, w_mean, w_std, norm)
+            gates = srm_gates(stack, w_mean, w_std, NormState.identity(channels))
             out = stack * gates
         else:  # fca; argparse restricts the choices
             params = mono_params()  # a bad --reduction is reported before a bad --groups
@@ -245,9 +261,10 @@ def _cmd_recalibrate(args) -> int:
             out = stack * gates
         gates_record["gates"] = [float(g) for g in gates]
 
+    gates_text = _json_line(gates_record, "gate")  # before the first file is written
     _write_container(args.out, out)
     if args.gates:
-        _write_text(args.gates, json.dumps(gates_record) + "\n")
+        _write_text(args.gates, gates_text)
     return EXIT_OK
 
 

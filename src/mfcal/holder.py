@@ -320,27 +320,21 @@ def interior_view(alpha_map, scales) -> np.ndarray:
 class NormState:
     """Learnable per-channel affine plus stored statistics.
 
-    ``mode`` selects where the standardizing statistics come from:
-    ``frozen`` uses the stored ``running_mean``/``running_var``,
-    ``per-instance`` the current input.  A (C,) squeeze needs frozen
-    statistics; the level-set path takes either mode.  Normalizing never
-    updates the stored values.
+    A squeeze (:func:`normalize`) standardizes its one value per channel
+    by the stored ``running_mean``/``running_var``; the level-set path
+    standardizes memberships by their own statistics and reads only
+    ``gamma`` and ``beta``.  Normalizing never updates the stored values.
     """
 
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    mode: str = "per-instance"
-
-    _MODES = ("per-instance", "frozen")
 
     def __post_init__(self):
         names = ("gamma", "beta", "running_mean", "running_var")
         for name in names:
             setattr(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=np.float64)))
-        if self.mode not in self._MODES:
-            raise ValueError(f"mode must be one of {self._MODES}")
         shapes = {getattr(self, name).shape for name in names}
         if len(shapes) != 1 or self.gamma.ndim != 1:
             raise ValueError("gamma, beta, running_mean and running_var must share one 1-D shape")
@@ -351,14 +345,13 @@ class NormState:
             raise ValueError("running variance must be >= 0")
 
     @classmethod
-    def identity(cls, channels: int, mode: str = "per-instance") -> "NormState":
+    def identity(cls, channels: int) -> "NormState":
         """gamma = 1, beta = 0, running stats at the standard normal."""
         return cls(
             gamma=np.ones(channels),
             beta=np.zeros(channels),
             running_mean=np.zeros(channels),
             running_var=np.ones(channels),
-            mode=mode,
         )
 
     @property
@@ -366,15 +359,7 @@ class NormState:
         return self.gamma.shape[0]
 
 
-def _require_frozen(state: NormState) -> None:
-    """Reject per-instance statistics, which standardize a (C,) squeeze to 0."""
-    if state.mode != "frozen":
-        raise ValueError("per-instance statistics standardize a squeeze's single value "
-                         "per channel to 0; use frozen statistics")
-
-
 def _normalize_with_cache(values, state: NormState):
-    _require_frozen(state)
     x = np.asarray(values, dtype=np.float64)
     if x.shape != (state.channels,):
         raise ValueError(f"expected one value per channel, ({state.channels},), got {x.shape}")
@@ -387,8 +372,7 @@ def normalize(values, state: NormState) -> np.ndarray:
     """Standardize a (C,) squeeze by the stored statistics, then apply the affine.
 
     ``(x - running_mean) / sqrt(running_var + 1e-5) * gamma + beta``.
-    Per-instance statistics (which would standardize each value to 0)
-    and any shape but ``(C,)`` raise ``ValueError``.
+    Any shape but ``(C,)`` raises ``ValueError``.
     """
     return _normalize_with_cache(values, state)[0]
 

@@ -251,10 +251,13 @@ def write_moments_csv(partition) -> str:
 
 
 def excite_record_json(record: dict) -> str:
-    """Fixed key order {delta, k, singular_values} for diff-stable files."""
+    """Fixed key order {delta, k, singular_values} for diff-stable files.
+
+    Strict JSON: a NaN or infinity raises ``ValueError``.
+    """
     ordered = {
         "delta": record["delta"],
         "k": record["k"],
         "singular_values": record["singular_values"],
     }
-    return json.dumps(ordered) + "\n"
+    return json.dumps(ordered, allow_nan=False) + "\n"

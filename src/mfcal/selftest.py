@@ -299,7 +299,7 @@ def _criterion_recalibration_contracts(ctx):
     # mean/std-pooled gate
     w_mean = rng.normal(size=c)
     w_std = rng.normal(size=c)
-    norm = NormState.identity(c, mode="frozen")
+    norm = NormState.identity(c)
     norm.gamma = rng.uniform(0.5, 1.5, c)
     norm.beta = rng.uniform(-0.5, 0.5, c)
     norm.running_mean = rng.uniform(-0.2, 0.2, c)

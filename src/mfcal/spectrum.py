@@ -37,6 +37,7 @@ _LN2 = np.log(2.0)
 # values rendered at different depths (hence with different float noise)
 # always land in the same bin, even when a value sits on a bin edge.
 _BIN_DECIMALS = 12
+CLT_POINTS = 64  # abscissae of the parabolic spectrum
 
 
 def _dyadic_depth(field: np.ndarray) -> int:
@@ -201,30 +202,27 @@ def moments_spectrum(fields, q_values) -> tuple:
     return pf, make_curve(alpha, np.maximum(f, 0.0))
 
 
-def clt_spectrum(alpha_samples, k: int, support_dim: float,
-                 n_points: int = 64) -> SpectrumCurve:
+def clt_spectrum(alpha_samples, k: int, support_dim: float) -> SpectrumCurve:
     """Parabolic spectrum from the empirical exponent distribution.
 
     Treating the depth-k exponent as approximately Gaussian, the curve
     ``f(alpha) = D + (1/k) log2 (p(alpha) / p(alpha0))`` is a parabola
     with apex (sample mean, support dimension) and curvature set by the
-    sample spread.  Sampled over mean +/- 3 std; the center sample is
-    pinned to the mean so the emitted peak sits exactly at the apex.
-    Zero spread collapses the curve to the single apex point.
+    sample spread, sampled at ``CLT_POINTS`` points over mean +/- 3 std.
+    The center sample is pinned to the mean so the emitted peak sits
+    exactly at the apex; zero spread collapses the curve to one point.
     """
     samples = np.asarray(alpha_samples, dtype=np.float64).ravel()
     if samples.size < 16:
         raise ValueError("need at least 16 exponent samples")
     if k < 1:
         raise ValueError("depth k must be >= 1")
-    if n_points < 3:
-        raise ValueError("need at least 3 sample points")
     center = float(samples.mean())
     spread = float(samples.std())
     if spread == 0.0:
         return SpectrumCurve(np.array([center]), np.array([float(support_dim)]))
-    alpha = np.linspace(center - 3.0 * spread, center + 3.0 * spread, n_points)
-    alpha[n_points // 2] = center
+    alpha = np.linspace(center - 3.0 * spread, center + 3.0 * spread, CLT_POINTS)
+    alpha[CLT_POINTS // 2] = center
     f = support_dim - (alpha - center) ** 2 / (2.0 * spread ** 2 * k * _LN2)
     return make_curve(alpha, np.maximum(f, 0.0))
 

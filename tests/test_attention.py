@@ -58,7 +58,7 @@ class TestPooling:
         # srm_gates pools the std alongside the mean
         stds = np.array([stack[:, :, c].std() for c in channels])
         w_mean, w_std = np.full(shape[2], 0.5), np.full(shape[2], 2.0)
-        norm = NormState.identity(shape[2], mode="frozen")
+        norm = NormState.identity(shape[2])
         expected = sigmoid(normalize(w_mean * means + w_std * stds, norm))
         assert np.array_equal(srm_gates(stack, w_mean, w_std, norm), expected)
 
@@ -191,14 +191,14 @@ class TestSrm:
         rng = np.random.default_rng(12)
         stack = rng.uniform(size=(6, 6, 3))
         w_mean = rng.normal(size=3)
-        norm = NormState.identity(3, mode="frozen")
+        norm = NormState.identity(3)
         gates = srm_gates(stack, w_mean, np.zeros(3), norm)
         expected = sigmoid((w_mean * gap(stack)) / np.sqrt(1.0 + 1e-5))
         np.testing.assert_allclose(gates, expected, rtol=0, atol=1e-12)
 
     def test_constant_stack_kills_the_std_term(self):
         stack = np.full((4, 4, 2), 3.0)
-        norm = NormState.identity(2, mode="frozen")
+        norm = NormState.identity(2)
         with_std = srm_gates(stack, np.ones(2), np.full(2, 5.0), norm)
         without = srm_gates(stack, np.ones(2), np.zeros(2), norm)
         np.testing.assert_allclose(with_std, without, rtol=0, atol=0)
@@ -207,7 +207,7 @@ class TestSrm:
         rng = np.random.default_rng(13)
         stack = rng.uniform(size=(7, 5, 3))
         w_mean, w_std = rng.normal(size=3), rng.normal(size=3)
-        norm = NormState.identity(3, mode="frozen")
+        norm = NormState.identity(3)
         norm.gamma = rng.uniform(0.5, 1.5, 3)
         norm.beta = rng.normal(size=3)
         norm.running_mean = rng.normal(size=3) * 0.1
@@ -223,14 +223,27 @@ class TestSrm:
 
     def test_std_term_uses_the_population_convention(self):
         stack = np.array([[[0.0]], [[2.0]]])  # std 1, where the sample std is sqrt(2)
-        norm = NormState.identity(1, mode="frozen")
+        norm = NormState.identity(1)
         gates = srm_gates(stack, np.zeros(1), np.ones(1), norm)
         assert np.array_equal(gates, sigmoid(normalize(np.ones(1), norm)))
 
-    def test_per_instance_statistics_rejected(self):
-        # each channel's single pooled value would standardize to exactly 0
-        with pytest.raises(ValueError, match="frozen"):
-            srm_gates(np.ones((4, 4, 3)), np.ones(3), np.ones(3), NormState.identity(3))
+    def test_a_pooled_value_at_the_running_mean_gates_at_sigmoid_beta(self):
+        # standardizing by the stored mean sends t_c = running_mean_c to 0,
+        # whatever gamma and running_var; any other stored mean moves the gate
+        rng = np.random.default_rng(14)
+        stack = rng.uniform(size=(6, 5, 3))
+        w_mean, w_std = rng.normal(size=3), rng.normal(size=3)
+        norm = NormState.identity(3)
+        norm.gamma = rng.uniform(0.5, 1.5, 3)
+        norm.beta = rng.normal(size=3)
+        norm.running_var = rng.uniform(0.5, 2.0, 3)
+        rows = np.ascontiguousarray(stack.transpose(2, 0, 1)).reshape(3, -1)
+        pooled = w_mean * rows.mean(axis=1) + w_std * rows.std(axis=1)
+        norm.running_mean = pooled.copy()
+        assert np.array_equal(srm_gates(stack, w_mean, w_std, norm), sigmoid(norm.beta))
+        norm.running_mean = pooled + 0.1
+        moved = srm_gates(stack, w_mean, w_std, norm)
+        assert not np.any(moved == sigmoid(norm.beta))
 
     @pytest.mark.parametrize("length", [1, 2], ids=["one", "channels-minus-one"])
     @pytest.mark.parametrize("name", ["w_mean", "w_std"])
@@ -238,7 +251,7 @@ class TestSrm:
         weights = {"w_mean": np.ones(3), "w_std": np.ones(3), name: np.ones(length)}
         with pytest.raises(ValueError, match=f"{name} needs one weight per channel"):
             srm_gates(np.ones((4, 4, 3)), weights["w_mean"], weights["w_std"],
-                      NormState.identity(3, mode="frozen"))
+                      NormState.identity(3))
 
 
 class TestDctBasis:
@@ -346,6 +359,10 @@ class TestFca:
         expected = sigmoid(params.w2 @ hidden + params.b2)
         np.testing.assert_allclose(gates, expected, rtol=0, atol=1e-9)
 
+    def test_the_frequency_pairs_are_required(self):
+        with pytest.raises(TypeError, match="freq_pairs"):
+            fca_gates(np.ones((8, 8, 8)), init_mono_params(8, 2, rng=0))
+
     def test_indivisible_grouping_rejected(self):
         rng = np.random.default_rng(17)
         with pytest.raises(ValueError, match="divisible"):
@@ -413,16 +430,14 @@ class TestMultiForward:
         assert np.array_equal(out, stack + gate)
         assert np.all((gate > 0.0) & (gate < 1.0))
 
-    @pytest.mark.parametrize("mode", ["per-instance", "frozen"])
-    def test_folded_norm_cancels_at_the_variance_floor(self, mode):
+    def test_folded_norm_cancels_at_the_variance_floor(self):
         # one level set: every membership is 1 and sigma is sqrt(VAR_EPS), so
         # the folded scale gamma / sigma (about 538) cancels against the
         # shift beta - scale * mean and leaves beta, up to rounding
         rng = np.random.default_rng(25)
         stack = rng.uniform(size=(5, 4, 3))
         alpha = rng.normal(2.0, 0.3, (5, 4, 3))
-        norm = NormState(gamma=[1.7], beta=[0.3], running_mean=[1.0],
-                         running_var=[0.0], mode=mode)
+        norm = NormState(gamma=[1.7], beta=[0.3], running_mean=[0.0], running_var=[1.0])
         params = MultiParams(centers=[2.0], sharpness=[1.0], norm=norm)
         gate, _ = multi_forward(stack, alpha, params)
         assert np.abs(gate - sigmoid(0.3)).max() <= 1e-13
@@ -434,7 +449,7 @@ class TestMultiForward:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_exponents_are_rejected(self, bad):
-        # per-instance statistics would spread one bad exponent to every gate
+        # statistics over every position would spread one bad exponent to every gate
         alpha = np.random.default_rng(24).normal(2.0, 0.3, (4, 4, 2))
         alpha[1, 2, 0] = bad
         with pytest.raises(ValueError, match="finite"):

@@ -191,6 +191,41 @@ class TestRecalibrateCommand:
         assert np.all((gates > 0.0) & (gates < 1.0))
 
 
+class TestFiniteOutput:
+    # NumPy's overflow warnings are not part of the exit contract checked here
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["cse", "scse", "srm", "fca", "mono", "multi"])
+    def test_an_overflow_on_finite_input_exits_4_and_writes_nothing(
+            self, method, tmp_path, capsys):
+        # every entry is finite, but window sums and pooled means overflow
+        stack = np.ones((16, 16, 4))
+        stack[np.indices((16, 16)).sum(axis=0) % 2 == 1] = 1e308
+        src = tmp_path / "in.mfr"
+        src.write_bytes(write_field(stack))
+        out, gates = tmp_path / "out.mfr", tmp_path / "gates.json"
+        assert run("recalibrate", "--method", method, "--input", src, "--out", out,
+                   "--gates", gates) == 4
+        assert not out.exists() and not gates.exists()
+        assert capsys.readouterr().err.startswith("mfcal:")
+
+    def test_a_non_finite_container_is_refused_before_its_file_opens(self, tmp_path):
+        from mfcal.cli import _write_container
+
+        out = tmp_path / "out.mfr"
+        with pytest.raises(ValueError, match="non-finite"):
+            _write_container(str(out), np.array([[1.0, np.inf]]))
+        assert not out.exists()
+
+    def test_a_non_finite_json_record_is_refused(self):
+        from mfcal.cli import _json_line
+        from mfcal.io import excite_record_json
+
+        with pytest.raises(ValueError, match="non-finite"):
+            _json_line({"gates": [0.5, float("nan")]}, "gate")
+        with pytest.raises(ValueError):
+            excite_record_json({"delta": 0.95, "k": 1, "singular_values": [float("inf")]})
+
+
 def _counted(fn, calls):
     def wrapper(*args, **kwargs):
         calls.append(fn.__name__)
@@ -262,6 +297,19 @@ class TestExciteCommand:
         record = json.loads(out.read_text())
         assert list(record) == ["delta", "k", "singular_values"]
         assert 1 <= record["k"] <= 6
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("center", ["--center", "--no-center"])
+    def test_an_overflowing_matrix_exits_4_and_writes_nothing(self, center, tmp_path, capsys):
+        # every entry is finite, but the covariance overflows
+        rows = np.ones((16, 4))
+        rows[::2] = 1e308
+        src = tmp_path / "e.mfr"
+        src.write_bytes(write_field(rows))
+        out = tmp_path / "e.json"
+        assert run("excite", "--input", src, center, "--out", out) == 4
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("mfcal:")
 
     def test_delta_bounds_are_usage_errors(self, tmp_path):
         src = tmp_path / "e.mfr"

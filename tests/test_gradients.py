@@ -12,6 +12,7 @@ from mfcal.attention import (
     multi_backward,
     multi_forward,
     se_forward,
+    sigmoid,
 )
 from mfcal import holder
 from mfcal.grid import window_sum_adjoint
@@ -189,24 +190,27 @@ class TestMonoBackward:
         peak = mono_backward_peak(stack, params, upstream, threads=1)
         assert peak <= 6 * stack.nbytes, f"peak {peak / stack.nbytes:.2f}x the stack"
 
-    @pytest.mark.parametrize("call", [
-        lambda stack, params, upstream: se_forward(stack, params, source="alpha-map",
-                                                   scales=SCALES, epsilon=EPS),
-        lambda stack, params, upstream: mono_backward(stack, params, upstream, SCALES, EPS),
-    ], ids=["se_forward", "mono_backward"])
-    def test_per_instance_statistics_raise_before_the_exponent_map(self, call, monkeypatch):
-        # each channel's single squeezed value would standardize to exactly 0,
-        # so every stack would get the MLP's gate of beta
-        import mfcal.attention as attention
+    def test_a_squeeze_at_the_running_mean_gates_by_the_mlp_of_beta(self):
+        # the stored mean standardizes the exponent mean to 0 exactly, so the
+        # normalized squeeze is beta whatever gamma and running_var
+        stack, params, _ = mono_fixture(np.random.default_rng(43), shape=(8, 8, 4))
+        squeeze = holder.mean_alpha(holder.holder_map(stack, SCALES, EPS))
+        params.norm.running_mean = squeeze.copy()
+        gates, _ = se_forward(stack, params, source="alpha-map", scales=SCALES, epsilon=EPS)
+        hidden = np.maximum(params.w1 @ params.norm.beta + params.b1, 0.0)
+        assert np.array_equal(gates, sigmoid(params.w2 @ hidden + params.b2))
+        params.norm.running_mean = squeeze + 0.1
+        moved, _ = se_forward(stack, params, source="alpha-map", scales=SCALES, epsilon=EPS)
+        assert not np.array_equal(moved, gates)
 
-        def no_exponent_map(*args, **kwargs):
-            raise AssertionError("the exponent map was computed")
-
-        monkeypatch.setattr(attention, "holder_map", no_exponent_map)
-        stack, params, upstream = mono_fixture(np.random.default_rng(43), shape=(8, 8, 4))
-        params.norm.mode = "per-instance"
-        with pytest.raises(ValueError, match="frozen"):
-            call(stack, params, upstream)
+    def test_the_gamma_gradient_vanishes_where_the_squeeze_is_the_running_mean(self):
+        # d gamma_c = d z_c * (squeeze_c - running_mean_c) / sigma_c
+        stack, params, upstream = mono_fixture(np.random.default_rng(44), shape=(8, 8, 4))
+        params.norm.running_mean = holder.mean_alpha(holder.holder_map(stack, SCALES, EPS))
+        params.norm.running_mean[0] += 0.1
+        grads = mono_backward(stack, params, upstream, SCALES, EPS)
+        assert np.all(grads.gamma[1:] == 0.0)
+        assert grads.gamma[0] != 0.0
 
     def test_strict_two_matrix_form_has_no_bias_gradients(self):
         rng = np.random.default_rng(32)
@@ -255,17 +259,9 @@ class TestMultiBackward:
         rng = np.random.default_rng(33)
         check_multi_against_fd(*multi_fixture(rng), rng)
 
-    def test_frozen_statistics_match_finite_differences(self):
-        rng = np.random.default_rng(38)
-        stack, alpha, params, upstream = multi_fixture(rng)
-        params.norm.mode = "frozen"
-        params.norm.running_mean = rng.uniform(0.1, 0.4, 4)
-        params.norm.running_var = rng.uniform(0.01, 0.1, 4)
-        check_multi_against_fd(stack, alpha, params, upstream, rng)
-
     @pytest.mark.parametrize("name", ["alpha", "upstream"])
     def test_non_finite_inputs_are_rejected(self, name):
-        # per-instance statistics would spread one bad entry to every gradient
+        # statistics over every position would spread one bad entry to every gradient
         rng = np.random.default_rng(39)
         inputs = dict(zip(("stack", "alpha", "params", "upstream"), multi_fixture(rng)))
         inputs[name][1, 0, 3] = np.nan if name == "alpha" else np.inf

@@ -276,8 +276,8 @@ class TestMeanAlpha:
         np.testing.assert_allclose(mean_alpha(alpha), [1.0, 2.0])
 
 
-def frozen_state(rng, channels):
-    state = NormState.identity(channels, mode="frozen")
+def stored_state(rng, channels):
+    state = NormState.identity(channels)
     state.gamma = rng.uniform(0.5, 1.5, channels)
     state.beta = rng.normal(size=channels)
     state.running_mean = rng.normal(size=channels) * 0.1
@@ -288,39 +288,40 @@ def frozen_state(rng, channels):
 class TestNormalize:
     def test_is_the_stored_statistics_affine(self):
         rng = np.random.default_rng(4)
-        state = frozen_state(rng, 5)
+        state = stored_state(rng, 5)
         x = rng.normal(size=5)
         expected = [(x[c] - state.running_mean[c]) / math.sqrt(state.running_var[c] + 1e-5)
                     * state.gamma[c] + state.beta[c] for c in range(5)]
         np.testing.assert_allclose(normalize(x, state), expected, rtol=0, atol=1e-14)
 
     def test_value_at_the_running_mean_maps_to_beta(self):
-        state = NormState.identity(2, mode="frozen")
+        state = NormState.identity(2)
         state.running_mean = np.array([5.0, -1.0])
         state.beta = np.array([0.25, 3.0])
         assert np.array_equal(normalize(np.array([5.0, -1.0]), state), state.beta)
 
-    def test_frozen_mode_uses_running_statistics(self):
-        state = NormState.identity(1, mode="frozen")
+    def test_uses_the_running_statistics(self):
+        state = NormState.identity(1)
         state.running_mean = np.array([10.0])
         state.running_var = np.array([4.0])
         out = normalize(np.array([12.0]), state)
         np.testing.assert_allclose(out, 2.0 / math.sqrt(4.0 + 1e-5), rtol=1e-12)
 
-    def test_per_instance_statistics_rejected(self):
-        # one value per channel would standardize to exactly 0
-        with pytest.raises(ValueError, match="frozen"):
-            normalize(np.ones(3), NormState.identity(3))
+    @pytest.mark.parametrize("build", [
+        lambda: NormState(gamma=[1.0], beta=[0.0], running_mean=[0.0], running_var=[1.0],
+                          mode="frozen"),
+        lambda: NormState.identity(1, mode="frozen"),
+    ], ids=["constructor", "identity"])
+    def test_there_is_no_statistics_mode_to_choose(self, build):
+        # a squeeze always uses the stored statistics, a level set its own
+        with pytest.raises(TypeError, match="mode"):
+            build()
 
     @pytest.mark.parametrize("shape", [(4, 4, 3), (2,), (4,), (1, 3)],
                              ids=["stack", "short", "long", "row"])
     def test_anything_but_one_value_per_channel_rejected(self, shape):
         with pytest.raises(ValueError, match="one value per channel"):
-            normalize(np.ones(shape), NormState.identity(3, mode="frozen"))
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            NormState.identity(1, mode="training")
+            normalize(np.ones(shape), NormState.identity(3))
 
     FIELDS = ("gamma", "beta", "running_mean", "running_var")
 
@@ -353,7 +354,7 @@ class TestNormalize:
     def test_vjp_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=3)
-        state = frozen_state(rng, 3)
+        state = stored_state(rng, 3)
         upstream = rng.normal(size=3)
 
         def loss(xx):

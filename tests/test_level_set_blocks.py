@@ -3,8 +3,9 @@
 ``multi_forward`` and ``multi_backward`` stream over fixed blocks of
 flattened positions and never hold a (H, W, C, Q) tensor.  The
 reference below materializes that tensor and applies the formulas
-directly: softmax memberships, channel normalization over every
-position, rectified pooling, and the matching reverse pass.  Only the
+directly: softmax memberships, normalization by the memberships'
+statistics over every position, rectified pooling, and the matching
+reverse pass.  Only the
 summation order differs, so the two agree within 1e-12 of each output's
 largest entry.  Groups of whole blocks run on worker threads, and the
 outputs are byte-equal for every thread count.  Each worker computes in
@@ -33,32 +34,23 @@ RTOL = 1e-12  # max |blocked - dense| over max |dense|, per output array
 def dense_normalize(x, norm):
     """Per-level-set normalization of an (..., Q) tensor, and the cache of its reverse.
 
-    Per-instance statistics are taken over every leading axis.
+    The statistics are taken over every leading axis.
     """
     axes = tuple(range(x.ndim - 1))
-    if norm.mode == "frozen":
-        mean, var = norm.running_mean, norm.running_var
-    else:
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
-    sigma = np.sqrt(var + VAR_EPS)
-    xhat = (x - mean) / sigma
-    return norm.gamma * xhat + norm.beta, (xhat, sigma, norm.gamma, norm.mode, axes)
+    sigma = np.sqrt(x.var(axis=axes) + VAR_EPS)
+    xhat = (x - x.mean(axis=axes)) / sigma
+    return norm.gamma * xhat + norm.beta, (xhat, sigma, norm.gamma, axes)
 
 
 def dense_normalize_vjp(grad_out, cache):
-    """``(grad_x, grad_gamma, grad_beta)``; per-instance statistics add two correction terms."""
-    xhat, sigma, gamma, mode, axes = cache
+    """``(grad_x, grad_gamma, grad_beta)``; the moving statistics add two correction terms."""
+    xhat, sigma, gamma, axes = cache
     grad_gamma = (grad_out * xhat).sum(axis=axes)
     grad_beta = grad_out.sum(axis=axes)
     gxhat = grad_out * gamma
-    if mode == "frozen":
-        grad_x = gxhat / sigma
-    else:
-        m = gxhat.mean(axis=axes, keepdims=True)
-        mx = (gxhat * xhat).mean(axis=axes, keepdims=True)
-        grad_x = (gxhat - m - xhat * mx) / sigma
-    return grad_x, grad_gamma, grad_beta
+    m = gxhat.mean(axis=axes, keepdims=True)
+    mx = (gxhat * xhat).mean(axis=axes, keepdims=True)
+    return (gxhat - m - xhat * mx) / sigma, grad_gamma, grad_beta
 
 
 def dense_forward(stack, alpha, params):
@@ -89,7 +81,7 @@ def dense_backward(stack, alpha, params, upstream):
     }
 
 
-def fixture(shape, norm_mode, seed, q=16):
+def fixture(shape, seed, q=16):
     rng = np.random.default_rng(seed)
     stack = rng.uniform(0.1, 1.0, shape)
     alpha = rng.normal(2.0, 0.4, shape)
@@ -98,8 +90,7 @@ def fixture(shape, norm_mode, seed, q=16):
     params.norm.gamma = rng.uniform(0.5, 1.5, q)
     params.norm.beta = rng.uniform(-0.5, 0.5, q)
     params.norm.running_mean = rng.uniform(0.0, 0.2, q)
-    params.norm.running_var = rng.uniform(0.005, 0.05, q)
-    params.norm.mode = norm_mode
+    params.norm.running_var = rng.uniform(0.005, 0.05, q)  # never read
     return stack, alpha, params, rng.normal(size=shape)
 
 
@@ -114,7 +105,6 @@ SHAPES = {
     "two-blocks": (ROWS, 32, 4),
     "two-blocks-and-a-remainder": (ROWS + 1, 32, 4),
 }
-MODES = ["per-instance", "frozen"]
 # three threads split two blocks and a remainder into three groups
 THREADS = (2, 3)
 
@@ -126,10 +116,9 @@ def test_the_shapes_straddle_the_block_boundaries():
     assert 0 < sizes["two-blocks-and-a-remainder"] - 2 * LEVEL_SET_BLOCK < LEVEL_SET_BLOCK
 
 
-@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", SHAPES)
-def test_forward_matches_the_dense_reference(name, mode):
-    stack, alpha, params, _ = fixture(SHAPES[name], mode, seed=7)
+def test_forward_matches_the_dense_reference(name):
+    stack, alpha, params, _ = fixture(SHAPES[name], seed=7)
     gate, out = multi_forward(stack, alpha, params, threads=1)
     ref_gate, ref_out, (ref_member, _, _) = dense_forward(stack, alpha, params)
     assert relative_deviation(gate, ref_gate) <= RTOL
@@ -140,10 +129,9 @@ def test_forward_matches_the_dense_reference(name, mode):
         assert np.array_equal(again[0], gate) and np.array_equal(again[1], out)
 
 
-@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", SHAPES)
-def test_backward_matches_the_dense_reference(name, mode):
-    stack, alpha, params, upstream = fixture(SHAPES[name], mode, seed=8)
+def test_backward_matches_the_dense_reference(name):
+    stack, alpha, params, upstream = fixture(SHAPES[name], seed=8)
     grads = multi_backward(stack, alpha, params, upstream, threads=1)
     for field, expected in dense_backward(stack, alpha, params, upstream).items():
         deviation = relative_deviation(getattr(grads, field), expected)
@@ -154,10 +142,22 @@ def test_backward_matches_the_dense_reference(name, mode):
             assert np.array_equal(getattr(again, field), value), f"{field}, {threads} threads"
 
 
+def test_the_stored_statistics_are_never_read():
+    stack, alpha, params, upstream = fixture(SHAPES["below-one-block"], seed=9)
+    forward = multi_forward(stack, alpha, params)
+    backward = multi_backward(stack, alpha, params, upstream)
+    params.norm.running_mean = params.norm.running_mean + 0.5
+    params.norm.running_var = params.norm.running_var * 4.0
+    again = multi_forward(stack, alpha, params)
+    assert all(np.array_equal(a, b) for a, b in zip(again, forward))
+    for field, value in vars(multi_backward(stack, alpha, params, upstream)).items():
+        assert np.array_equal(value, getattr(backward, field)), field
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_backward_peak_memory_stays_below_one_level_set_tensor(threads):
     shape, q = (64, 64, 16), 16
-    stack, alpha, params, upstream = fixture(shape, "per-instance", seed=5, q=q)
+    stack, alpha, params, upstream = fixture(shape, seed=5, q=q)
     tensor_bytes = int(np.prod(shape)) * q * 8  # one (H, W, C, Q) float64 array
     tracemalloc.start()
     try:
@@ -174,11 +174,10 @@ ITERATOR_BUFFER_BYTES = 2 * np.getbufsize() * 8
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("shape", [(64, 64, 16), SHAPES["below-one-block"]])
-def test_peak_memory_is_the_outputs_plus_per_worker_scratch(shape, mode, threads):
+def test_peak_memory_is_the_outputs_plus_per_worker_scratch(shape, threads):
     q = 16
-    stack, alpha, params, upstream = fixture(shape, mode, seed=5, q=q)
+    stack, alpha, params, upstream = fixture(shape, seed=5, q=q)
     size = int(np.prod(shape))
     outputs = 2 * size * 8  # (gate, stack + gate), or the stack and alpha gradients
     scratch = threads * 3 * q * min(size, LEVEL_SET_BLOCK) * 8

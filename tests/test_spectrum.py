@@ -11,6 +11,7 @@ from mfcal.cascade import (
 )
 from mfcal.holder import ScaleSet
 from mfcal.spectrum import (
+    CLT_POINTS,
     box_dimension,
     clt_spectrum,
     histogram_spectrum,
@@ -168,6 +169,14 @@ class TestCltSpectrum:
         # the quadratic form only approximates the true concave spectrum, so
         # it may cross the f = alpha diagonal by O(1/k); check that scale
         assert np.max(curve.f - curve.alpha) <= 0.5 / depth
+
+    def test_samples_clt_points_evenly_over_three_spreads(self):
+        samples = np.random.default_rng(14).normal(1.3, 0.2, size=400)
+        curve = clt_spectrum(samples, k=9, support_dim=1.0)
+        center, spread = samples.mean(), samples.std()
+        expected = np.linspace(center - 3.0 * spread, center + 3.0 * spread, CLT_POINTS)
+        expected[CLT_POINTS // 2] = center
+        assert np.array_equal(curve.alpha, expected)
 
     def test_needs_sixteen_samples(self):
         with pytest.raises(ValueError, match="16"):
