@@ -46,8 +46,11 @@ def excitation_covariance(excitations, center: bool = False) -> np.ndarray:
         raise ValueError("need at least 2 instances")
     if not np.all(np.isfinite(rows)):
         raise ValueError("excitations must be finite")
-    x = rows - rows.mean(axis=0) if center else rows
-    a = x.T @ x / (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
+        x = rows - rows.mean(axis=0) if center else rows
+        a = x.T @ x / (n - 1)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("the excitation covariance is not finite (it overflows float64)")
     return (a + a.T) / 2.0
 
 

@@ -20,17 +20,16 @@ Each method computes its gates once: the forwards return
 The two exponent-driven paths also expose exact reverse-mode gradients
 with respect to every learnable parameter and the input stack, built
 for verification against central finite differences.  Their per-pixel
-passes take ``threads`` (default: every CPU this process may use): the
-exponent map and its adjoint split over groups of row bands, the
-level-set passes over groups of whole position blocks, both on the
-worker pool of :func:`mfcal.holder.holder_map`, and no output byte
-depends on the count.
+passes run over units that the input fixes: the row bands of the
+exponent map and its adjoint, and the position blocks of the level-set
+passes.  ``threads`` (default: every CPU this process may use) only
+caps how many workers share them, an input of one unit runs on the
+calling thread, and no output byte depends on the count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .holder import (
     NormState,
     _holder_map_vjp,
     _normalize_with_cache,
-    _run_ranges,
+    _run_units,
     holder_map,
     mean_alpha,
     normalize,
@@ -381,28 +380,23 @@ def _blocks(size: int) -> list:
 
 
 def _map_blocks(work, size: int, q: int, buffers: int, threads: int | None) -> list:
-    """``[work(block, *scratch) for block in _blocks(size)]``, run on the worker pool.
+    """``[work(block, *scratch) for block in _blocks(size)]``, run on :func:`_run_units`.
 
-    Each worker takes a contiguous group of whole blocks, so block
-    boundaries never depend on ``threads``.  It allocates ``buffers``
-    scratch arrays once, sized to the largest block of its group
-    (``min(size, LEVEL_SET_BLOCK)`` positions), and hands ``work`` them
-    as C-contiguous (q, n) views over the n positions of each block.
-    Callers merge the returned partials serially in block order and
-    write per-position outputs into their block slices, so no output
-    byte depends on ``threads``.
+    The blocks are the units, so the size alone fixes them and a size
+    of one block runs on the calling thread.  Each worker allocates
+    ``buffers`` scratch arrays of ``min(size, LEVEL_SET_BLOCK)``
+    positions once, and hands ``work`` them as C-contiguous (q, n) views
+    over the n positions of each block.  Callers merge the returned
+    partials serially in block order and write per-position outputs
+    into their block slices, so no output byte depends on ``threads``.
     """
-    blocks = _blocks(size)
+    width = q * min(size, LEVEL_SET_BLOCK)
 
-    def group(lo, hi):
-        width = max((block.stop - block.start for block in blocks[lo:hi]), default=0)
-        flat = [np.empty(q * width) for _ in range(buffers)]
-        return [
-            work(block, *(buf[: q * (block.stop - block.start)].reshape(q, -1) for buf in flat))
-            for block in blocks[lo:hi]
-        ]
+    def block_work(block, *flat):
+        return work(block, *(buf[:q * (block.stop - block.start)].reshape(q, -1) for buf in flat))
 
-    return list(chain.from_iterable(_run_ranges(group, len(blocks), threads)))
+    return _run_units(block_work, _blocks(size),
+                      lambda: [np.empty(width) for _ in range(buffers)], threads)
 
 
 def _membership_block(alpha: np.ndarray, params: MultiParams, out: np.ndarray) -> np.ndarray:
@@ -515,12 +509,11 @@ def multi_forward(stack, alpha, params: MultiParams, threads: int | None = None)
     Runs over fixed blocks of ``LEVEL_SET_BLOCK`` flattened positions:
     one pass gathers the statistics and folds them with ``gamma`` and
     ``beta`` into one scale and one shift per level set; a second gates
-    each block.  Both
-    passes spread groups of whole blocks over ``threads`` workers
-    (default: every CPU this process may use), and each worker computes
-    in place in one (Q, n) scratch array that it allocates once.  Memory
-    is O(H*W*C + threads*LEVEL_SET_BLOCK*Q), and the output bytes do not
-    depend on ``threads``.
+    each block.  Both passes spread groups of whole blocks over at most
+    ``threads`` workers (default: every CPU this process may use), and
+    each worker computes in place in one (Q, n) scratch array that it
+    allocates once.  Memory is O(H*W*C + threads*LEVEL_SET_BLOCK*Q), and
+    the output bytes do not depend on ``threads``.
     """
     stack, alpha = _level_set_input(stack, alpha)
     _, _, scale, shift = _level_set_statistics(alpha, params, threads)
@@ -574,7 +567,7 @@ def mono_backward(stack, params: MonoParams, upstream,
     normalization, and the MLP.  The rectifier subgradient at zero is
     zero.  The normalization is reversed on the (C,) squeeze, and each
     channel's pixels share one exponent cotangent, ``d_mean / (H * W)``,
-    passed to the adjoint as a broadcast view, so no stack-sized
+    which the adjoint takes as a (C,) vector, so no stack-sized
     normalization array is built.
     """
     stack = _as_stack(stack)
@@ -600,8 +593,7 @@ def mono_backward(stack, params: MonoParams, upstream,
 
     # normalization, pooling, then slope fit and windowed masses
     d_mean, d_gamma, d_beta = normalize_vjp(d_z, norm_cache)
-    d_alpha = np.broadcast_to(d_mean / (h * w), stack.shape)
-    _holder_map_vjp(stack, d_alpha, d_stack, scales, epsilon, threads)
+    _holder_map_vjp(stack, d_mean / (h * w), d_stack, scales, epsilon, threads)
 
     return MonoGradients(
         w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2,

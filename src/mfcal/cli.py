@@ -1,12 +1,13 @@
 """Command-line surface: generation, estimation, recalibration, analysis.
 
 Exit codes: 0 success, 2 usage or flag validation, 3 I/O failure,
-4 numerical precondition violated at run time (a non-finite output
-included), in which case no file is written.  ``--config`` points at
-a ``key=value`` file whose entries act as subcommand defaults; explicit
-flags override them.  ``--threads`` caps worker parallelism (fallback:
-the ``MFCAL_THREADS`` environment variable, then the CPUs this process
-may use); results are byte-identical for every worker count.
+4 numerical precondition violated at run time (a float64 overflow or
+invalid operation, or a non-finite output, included), in which case no
+file is written.  ``--config`` points at a ``key=value`` file whose
+entries act as subcommand defaults; explicit flags override them.
+``--threads`` caps worker parallelism (fallback: the ``MFCAL_THREADS``
+environment variable, then the CPUs this process may use); results are
+byte-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -447,7 +448,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
+    except FloatingPointError as exc:
+        print(f"mfcal: float64 arithmetic failed on this input ({exc}); nothing was written",
+              file=sys.stderr)
+        return EXIT_NUMERIC
     except UsageError as exc:
         print(f"mfcal: {exc}", file=sys.stderr)
         return EXIT_USAGE

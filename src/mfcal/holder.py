@@ -91,22 +91,30 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_ranges(work, count: int, threads: int | None) -> list:
-    """``work(lo, hi)`` over ``min(threads, count)`` contiguous ranges of ``range(count)``.
+def _run_units(work, units, scratch, threads: int | None) -> list:
+    """``[work(unit, *scratch()) for unit in units]`` over at most ``threads`` workers.
 
-    The first range runs on the calling thread and the rest on a thread
-    pool, so a single range starts no thread.  Results come back in
-    range order; an exception raised in a worker reaches the caller
-    unchanged.  ``threads=None`` means every CPU this process may use.
+    The input fixes ``units``; ``threads`` only caps how many workers
+    share them (default: every CPU this process may use).  Each worker
+    takes a contiguous group of units and calls ``scratch()`` once for
+    buffers it reuses across its group.  The first group runs on the
+    calling thread, so a single unit starts no thread.  Results come
+    back in unit order; an exception raised in a worker reaches the
+    caller unchanged.
     """
     if threads is None:
         threads = _available_cpus()
-    bounds = np.linspace(0, count, max(min(threads, count), 1) + 1).astype(int)
-    ranges = list(zip(bounds[:-1], bounds[1:]))
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        rest = [pool.submit(work, lo, hi) for lo, hi in ranges[1:]]
-        first = work(*ranges[0])
-        return [first] + [future.result() for future in rest]
+    bounds = np.linspace(0, len(units), max(min(threads, len(units)), 1) + 1).astype(int)
+    groups = [units[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def run(group):
+        buffers = scratch()
+        return [work(unit, *buffers) for unit in group]
+
+    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+        rest = [pool.submit(run, group) for group in groups[1:]]
+        first = run(groups[0])
+        return first + [result for future in rest for result in future.result()]
 
 
 def _mass(sums: np.ndarray, epsilon: float) -> np.ndarray:
@@ -138,33 +146,29 @@ def _run_bands(work, stack: np.ndarray, halo: int, threads: int | None) -> None:
 
     ``tile`` holds rows ``lo - halo`` to ``hi + halo`` and ``halo`` more
     columns on either side, zero outside the image, so every window
-    reaching at most ``halo`` cells past the band is a slice of it.  A
-    band has as many padded rows as fit in ``BAND_BYTES`` (at least one),
-    so that the tile and the few band-sized temporaries of its window
-    sums stay in a core's L2 cache, and at most ``ceil(H / threads)``, so
-    that a field of ``threads`` rows splits over every worker and a small
-    field's tile is no larger than the field plus its halo.  Groups of
-    whole bands run on :func:`_run_ranges`, each worker reusing one tile.
+    reaching at most ``halo`` cells past the band is a slice of it.  The
+    bands are the fewest of equal height (the last may be shorter) whose
+    padded rows fit in ``BAND_BYTES`` (at least one row each), so that
+    the tile and the few band-sized temporaries of its window sums stay
+    in a core's L2 cache.  The shape alone fixes them; they run on
+    :func:`_run_units`, each worker reusing one tile.
     """
-    if threads is None:
-        threads = _available_cpus()
     h, w, c = stack.shape
-    row_bytes = (w + 2 * halo) * c * stack.itemsize
-    rows = min(max(BAND_BYTES // row_bytes, 1), -(-h // threads))
-    starts = range(0, h, rows)
+    fit = max(BAND_BYTES // ((w + 2 * halo) * c * stack.itemsize), 1)
+    bands = -(-h // fit)  # the fewest bands of at most fit rows,
+    rows = -(-h // bands)  # of equal height
 
-    def bands(first, last):
-        buffer = np.zeros((rows + 2 * halo, w + 2 * halo, c))  # one tile per worker
-        for lo in starts[first:last]:
-            hi = min(lo + rows, h)
-            tile = buffer[:hi - lo + 2 * halo]
-            top, bottom = max(lo - halo, 0), min(hi + halo, h)
-            tile[:top - lo + halo] = 0.0  # rows past the image's edges
-            tile[bottom - lo + halo:] = 0.0
-            tile[top - lo + halo:bottom - lo + halo, halo:halo + w] = stack[top:bottom]
-            work(tile, lo, hi)
+    def band(lo, buffer):
+        hi = min(lo + rows, h)
+        tile = buffer[:hi - lo + 2 * halo]
+        top, bottom = max(lo - halo, 0), min(hi + halo, h)
+        tile[:top - lo + halo] = 0.0  # rows past the image's edges
+        tile[bottom - lo + halo:] = 0.0
+        tile[top - lo + halo:bottom - lo + halo, halo:halo + w] = stack[top:bottom]
+        work(tile, lo, hi)
 
-    _run_ranges(bands, len(starts), threads)
+    _run_units(band, range(0, h, rows),
+               lambda: [np.zeros((rows + 2 * halo, w + 2 * halo, c))], threads)
 
 
 def _tile_sums(tile: np.ndarray, first: int, last: int, side: int, halo: int) -> np.ndarray:
@@ -178,16 +182,20 @@ def _tile_sums(tile: np.ndarray, first: int, last: int, side: int, halo: int) ->
 
 @contextmanager
 def _finite_logs():
-    """Raise ``ValueError`` where the log of a windowed mass is not finite.
+    """Raise ``ValueError`` where a windowed mass or its log is not finite.
 
-    A log of a mass <= 0 sets the divide/invalid flag, so no extra pass
-    over the data is needed.  The flag state is per thread: enter this
-    on the thread that takes the logs.
+    A window sum that overflows sets the overflow flag, and a log of a
+    mass <= 0 the divide/invalid flag, so no extra pass over the data is
+    needed.  The flag state is per thread: enter this on the thread that
+    sums the windows and takes the logs.
     """
     try:
-        with np.errstate(divide="raise", invalid="raise"):
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
             yield
-    except FloatingPointError:
+    except FloatingPointError as exc:
+        if str(exc).startswith("overflow"):
+            raise ValueError("some windowed masses overflow float64, so their log-log "
+                             "slopes are not finite; rescale the input") from None
         raise ValueError(
             "some windowed masses are <= 0, so their log-log slopes are not finite "
             "(zero-mass windows at epsilon = 0); use epsilon > 0"
@@ -216,13 +224,13 @@ def holder_map(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
                threads: int | None = None) -> np.ndarray:
     """Local exponent map: slope of log windowed mass vs. log window side.
 
-    Output has the field's shape.  Masses are direct window sums, so
-    values are finite whenever ``epsilon > 0``; with ``epsilon = 0`` a
-    window without positive mass raises ``ValueError``.
+    Output has the field's shape.  Masses are direct window sums; a
+    window sum that overflows float64, or with ``epsilon = 0`` a window
+    without positive mass, raises ``ValueError``.
 
     One pass per row band over all channels (a 2-D field is one
-    channel), on ``threads`` workers (default: every CPU this process
-    may use): each band's rows and a halo are copied into one
+    channel), on at most ``threads`` workers (default: every CPU this
+    process may use): each band's rows and a halo are copied into one
     zero-bordered tile (see ``BAND_BYTES``), and while it stays in cache
     the band takes one window sum per scale, its log in place, and adds
     the weighted log into the output before the next scale.
@@ -259,11 +267,12 @@ def holder_map(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
 def _holder_map_vjp(stack, d_alpha, d_stack, scales, epsilon: float, threads: int | None):
     """Add the vector-Jacobian product of :func:`holder_map` into ``d_stack``.
 
-    Per row band of the (H, W, C) ``stack``, adds ``window_sum_adjoint(w
-    * d_alpha / mu, side)`` scale by scale, re-deriving the masses ``mu``
-    of the band and of the ``side - 1`` rows around it that its adjoint
-    windows reach, rather than holding them, so the bytes do not depend
-    on ``threads``.  ``stack`` must be one that :func:`holder_map`
+    ``d_alpha`` is the (C,) exponent cotangent that every pixel of a
+    channel shares.  Per row band of the (H, W, C) ``stack``, adds
+    ``window_sum_adjoint(w * d_alpha / mu, side)`` scale by scale,
+    re-deriving the masses ``mu`` of the band and of the ``side - 1``
+    rows around it that its adjoint windows reach, so the bytes do not
+    depend on ``threads``.  ``stack`` must be one that :func:`holder_map`
     accepted (positive masses).
     """
     scales = _as_scales(scales)
@@ -276,7 +285,7 @@ def _holder_map_vjp(stack, d_alpha, d_stack, scales, epsilon: float, threads: in
             back = side - 1 - side // 2  # anchor offset of the adjoint windows
             first, last = max(lo - back, 0), min(hi + side - 1 - back, h)
             mu = _mass(_tile_sums(tile, first - lo, last - lo, side, halo), epsilon)
-            np.divide(weight * d_alpha[first:last], mu, out=mu)
+            np.divide(weight * d_alpha, mu, out=mu)
             cotangent = np.zeros((hi - lo + side - 1, w + side - 1, c))
             cotangent[first - lo + back:last - lo + back, back:back + w] = mu
             del mu

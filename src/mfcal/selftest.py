@@ -534,7 +534,7 @@ def _selftest_artifacts(directory: Path, threads: int) -> list:
     alpha = holder_map(field2, _SCALES, epsilon=0.0, threads=threads)
     (directory / "alpha-2d.mfr").write_bytes(fio.write_field(alpha))
 
-    # multi-channel map: this is the input shape the channel-parallel path splits
+    # a multi-channel map of one row band, so it runs on the calling thread
     stack = np.random.default_rng(7).uniform(0.1, 1.0, (64, 64, 8))
     alpha_stack = holder_map(stack, _SCALES, epsilon=1e-6, threads=threads)
     (directory / "alpha-stack.mfr").write_bytes(fio.write_field(alpha_stack))
@@ -543,14 +543,19 @@ def _selftest_artifacts(directory: Path, threads: int) -> list:
     means = [float(v) for v in mean_alpha(alpha_stack)]
     (directory / "alpha-stack-means.json").write_text(json.dumps(means) + "\n")
     # its 64 * 64 * 8 positions span four blocks of the level-set passes,
-    # which split over the workers like the channels above
+    # which split over the workers
     qparams = init_multi_params(16, float(alpha_stack.min()), float(alpha_stack.max()))
     gate, _ = multi_forward(stack, alpha_stack, qparams, threads=threads)
     (directory / "multi-gate.mfr").write_bytes(fio.write_field(gate))
-    # the exponent map's adjoint splits over row bands like the map, with a taller halo
     cotangent = np.random.default_rng(8).normal(size=stack.shape)
     grads = mono_backward(stack, init_mono_params(8, rng=9), cotangent, _SCALES, 1e-6, threads)
     (directory / "mono-grad-stack.mfr").write_bytes(fio.write_field(grads.stack))
+    # 64 channels make five row bands of 13 rows, for the map and for its
+    # adjoint (taller halo), so both split over the workers
+    wide = np.random.default_rng(10).uniform(0.1, 1.0, (64, 64, 64))
+    cotangent = np.random.default_rng(11).normal(size=wide.shape)
+    grads = mono_backward(wide, init_mono_params(64, rng=12), cotangent, _SCALES, 1e-6, threads)
+    (directory / "mono-grad-banded.mfr").write_bytes(fio.write_field(grads.stack))
 
     lines = [generate_binomial(_P, k) for k in range(8, 12)]
     hist = histogram_spectrum(lines, bins=16)
@@ -564,8 +569,8 @@ def _selftest_artifacts(directory: Path, threads: int) -> list:
     (directory / "excite.json").write_text(fio.excite_record_json(record))
     return [
         "cascade-2d.mfr", "alpha-2d.mfr", "alpha-stack.mfr", "alpha-stack-means.json",
-        "multi-gate.mfr", "mono-grad-stack.mfr", "histogram.csv", "moments.csv",
-        "legendre.csv", "excite.json",
+        "multi-gate.mfr", "mono-grad-stack.mfr", "mono-grad-banded.mfr", "histogram.csv",
+        "moments.csv", "legendre.csv", "excite.json",
     ]
 
 

@@ -191,9 +191,56 @@ class TestRecalibrateCommand:
         assert np.all((gates > 0.0) & (gates < 1.0))
 
 
+def extreme_input(kind, shape):
+    """Finite inputs at the edges of float64; the last axis holds the channels."""
+    values = np.ones(shape)
+    if kind == "checkerboard":
+        values[np.indices(shape[:2]).sum(axis=0) % 2 == 1] = 1e308
+    elif kind == "mixed":
+        values[..., :2] = 1e300  # channels of 1e300 beside channels of 1.0
+    else:
+        values[:] = {"huge": 1e308, "subnormal": 1e-320, "zeros": 0.0, "constant": 0.7}[kind]
+    return values
+
+
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestFiniteOutput:
-    # NumPy's overflow warnings are not part of the exit contract checked here
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["checkerboard", "huge", "mixed", "subnormal", "zeros",
+                                      "constant"])
+    @pytest.mark.parametrize("command", ["holder", "cse", "scse", "srm", "fca", "mono", "multi",
+                                         "excite"])
+    def test_an_extreme_input_exits_0_with_finite_outputs_or_4_naming_the_overflow(
+            self, command, kind, tmp_path, capsys):
+        # a NumPy RuntimeWarning raises here (see pyproject.toml), so none reaches stderr
+        src = tmp_path / "in.mfr"
+        src.write_bytes(write_field(extreme_input(kind, (6, 4) if command == "excite"
+                                                  else (16, 16, 4))))
+        out, record = tmp_path / "out.mfr", tmp_path / "record.json"
+        if command == "holder":
+            argv = ["holder", "--input", src, "--out", out, "--means", record]
+        elif command == "excite":
+            argv = ["excite", "--input", src, "--out", record]
+        else:
+            argv = ["recalibrate", "--method", command, "--input", src, "--out", out,
+                    "--gates", record]
+        code = run(*argv)
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+            if out.exists():
+                assert np.isfinite(read_field(out.read_bytes())).all()
+            strict_json(record.read_text())
+        else:
+            assert code == 4, err
+            assert not out.exists() and not record.exists()
+            assert err.count("\n") == 1 and err.startswith("mfcal:") and "overflow" in err, err
+
     @pytest.mark.parametrize("method", ["cse", "scse", "srm", "fca", "mono", "multi"])
     def test_an_overflow_on_finite_input_exits_4_and_writes_nothing(
             self, method, tmp_path, capsys):
@@ -298,7 +345,6 @@ class TestExciteCommand:
         assert list(record) == ["delta", "k", "singular_values"]
         assert 1 <= record["k"] <= 6
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("center", ["--center", "--no-center"])
     def test_an_overflowing_matrix_exits_4_and_writes_nothing(self, center, tmp_path, capsys):
         # every entry is finite, but the covariance overflows
@@ -322,9 +368,10 @@ class TestExciteCommand:
 
 class TestDeterminism:
     def test_outputs_are_byte_identical_across_thread_counts(self, tmp_path):
+        # 160 rows of 48 x 8: two row bands of the exponent map
         rng = np.random.default_rng(17)
         src = tmp_path / "stack.mfr"
-        src.write_bytes(write_field(rng.uniform(0.1, 1.0, (48, 48, 8))))
+        src.write_bytes(write_field(rng.uniform(0.1, 1.0, (160, 48, 8))))
         outputs = []
         for threads in (1, 4):
             out = tmp_path / f"alpha-{threads}.mfr"
@@ -424,14 +471,13 @@ class TestThreadsEnvironment:
 
 
 class TestThreadCap:
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("method", ["mono", "multi"])
-    def test_recalibration_starts_threads_only_above_one(self, method, threads,
-                                                         tmp_path, monkeypatch):
-        # 48 * 48 * 4 positions: four channels and two level-set blocks to split
+    """Threads start only at ``--threads`` > 1 and for an input of two or more units."""
+
+    @staticmethod
+    def started_threads(command, shape, threads, tmp_path, monkeypatch):
         rng = np.random.default_rng(25)
         src = tmp_path / "stack.mfr"
-        src.write_bytes(write_field(rng.uniform(0.1, 1.0, (48, 48, 4))))
+        src.write_bytes(write_field(rng.uniform(0.1, 1.0, shape)))
         started = []
         start = threading.Thread.start
 
@@ -440,9 +486,27 @@ class TestThreadCap:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
-        assert run("--threads", threads, "recalibrate", "--method", method,
-                   "--input", src, "--out", tmp_path / "out.mfr") == 0
-        assert bool(started) == (threads > 1), f"{len(started)} threads started"
+        argv = ["holder"] if command == "holder" else ["recalibrate", "--method", command]
+        assert run("--threads", threads, *argv, "--input", src, "--out", tmp_path / "out.mfr") == 0
+        return len(started)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("method, shape", [
+        ("mono", (96, 96, 16)),  # three row bands of the exponent map
+        ("multi", (48, 48, 4)),  # one band, but two level-set blocks
+    ], ids=["mono", "multi"])
+    def test_recalibration_starts_threads_only_above_one(self, method, shape, threads,
+                                                         tmp_path, monkeypatch):
+        started = self.started_threads(method, shape, threads, tmp_path, monkeypatch)
+        assert bool(started) == (threads > 1), f"{started} threads started"
+
+    @pytest.mark.parametrize("command, shape", [
+        ("holder", (48, 48, 4)),  # one row band
+        ("mono", (48, 48, 4)),
+        ("multi", (32, 32, 4)),   # one band, and one level-set block of 4096 positions
+    ], ids=["holder", "mono", "multi"])
+    def test_a_one_unit_input_starts_no_thread(self, command, shape, tmp_path, monkeypatch):
+        assert self.started_threads(command, shape, 2, tmp_path, monkeypatch) == 0
 
 
 class TestParserReuse:

@@ -79,14 +79,16 @@ def mono_bytes(stack, params, upstream, threads):
 
 
 class TestMonoBackward:
-    def test_matches_finite_differences(self):
+    def test_matches_finite_differences(self, monkeypatch):
         rng = np.random.default_rng(0)
         stack, params, upstream = mono_fixture(rng)
         grads = mono_backward(stack, params, upstream, SCALES, EPS, threads=1)
-        # two and three channel chunks give the same bytes as one, also when
-        # each chunk holds several channels (40x36x8)
+        # two and three workers give the same bytes as one; each input is one
+        # band at the default BAND_BYTES, so force bands of one row (2x2x4)
+        # and of six (40x36x8), for the map and its adjoint alike
         wide = mono_fixture(np.random.default_rng(40), shape=(40, 36, 8))
-        for inputs in ((stack, params, upstream), wide):
+        for inputs, band_bytes in (((stack, params, upstream), 256), (wide, 1 << 14)):
+            monkeypatch.setattr(holder, "BAND_BYTES", band_bytes)
             one = mono_bytes(*inputs, threads=1)
             for threads in (2, 3):
                 again = mono_bytes(*inputs, threads=threads)
@@ -118,10 +120,11 @@ class TestMonoBackward:
             "shorter-than-halo", "one-row"])
     def test_exponent_map_adjoint_matches_the_reference(self, shape, sides, monkeypatch):
         # the banded adjoint adds, scale by scale, what window_sum_adjoint adds
-        # over the whole field, at any band height and thread count
+        # over the whole field, at any band height and thread count; the
+        # exponent cotangent is one value per channel, shared by its pixels
         rng = np.random.default_rng(sum(shape))
         stack = rng.uniform(0.1, 1.0, shape)
-        d_alpha = rng.normal(size=shape)
+        d_alpha = rng.normal(size=shape[2])
         start = rng.normal(size=shape)
         scales = ScaleSet(sides)
         expected = start.copy()

@@ -146,9 +146,11 @@ class TestHolderMap:
         scaled = holder_map(173.25 * field, SCALES, epsilon=0.0)
         np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-9)
 
-    def test_threaded_path_is_bit_identical(self):
+    def test_threaded_path_is_bit_identical(self, monkeypatch):
         rng = np.random.default_rng(10)
         field = rng.uniform(0.1, 1.0, (32, 32, 8))
+        # one band at the default BAND_BYTES: force seven, so the workers split them
+        monkeypatch.setattr(holder, "BAND_BYTES", band_bytes(field.shape, 2, 5))
         single = holder_map(field, SCALES, threads=1)
         for threads in (2, 3, 8):
             assert np.array_equal(holder_map(field, SCALES, threads=threads), single)
@@ -205,9 +207,51 @@ class TestHolderMap:
 
 
 def band_bytes(shape, halo, rows):
-    """A ``BAND_BYTES`` that cuts a field of ``shape`` into bands of ``rows`` rows."""
+    """A ``BAND_BYTES`` that cuts a field of ``shape`` into the fewest equal bands of <= ``rows`` rows."""
     channels = shape[2] if len(shape) == 3 else 1
     return rows * (shape[1] + 2 * halo) * channels * 8
+
+
+class TestBandLayout:
+    """The shape alone fixes the bands; ``threads`` only shares them out."""
+
+    @staticmethod
+    def bands(shape, halo, threads):
+        seen = []  # list.append is atomic, so workers may share it
+        holder._run_bands(lambda tile, lo, hi: seen.append((lo, hi)), np.zeros(shape), halo, threads)
+        return sorted(seen)
+
+    @pytest.mark.parametrize("shape, halo, heights", [
+        ((224, 224, 32), 2, [8] * 28),          # exponent-map and train-step, map
+        ((224, 224, 32), 3, [8] * 28),          # and adjoint
+        ((56, 56, 64), 2, [14] * 4),            # validation-sweep, map
+        ((56, 56, 64), 3, [14] * 4),            # and adjoint
+        ((1024, 1024, 1), 2, [61] * 16 + [48]),  # spectrum's clt field
+        ((64, 64, 64), 2, [13] * 4 + [12]),     # selftest's banded stack
+        ((64, 64, 8), 2, [64]),                 # one band: the calling thread alone
+        ((1, 9, 3), 4, [1]),
+    ], ids=["224x32-map", "224x32-adjoint", "56x64-map", "56x64-adjoint", "clt-1024",
+            "64x64-map", "64x8-one-band", "one-row"])
+    def test_bands_depend_on_the_shape_alone(self, shape, halo, heights):
+        expected, lo = [], 0
+        for height in heights:
+            expected.append((lo, lo + height))
+            lo += height
+        for threads in (1, 2, 3, 8):
+            assert self.bands(shape, halo, threads) == expected, f"{threads} threads"
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 6])
+    def test_forced_bands_are_the_fewest_of_equal_height(self, rows, monkeypatch):
+        shape = (17, 5, 2)
+        monkeypatch.setattr(holder, "BAND_BYTES", band_bytes(shape, 2, rows))
+        layout = self.bands(shape, 2, 1)
+        heights = [hi - lo for lo, hi in layout]
+        assert len(layout) == -(-17 // rows)  # the fewest bands of at most rows rows
+        assert all(height == heights[0] for height in heights[:-1]) and heights[-1] <= heights[0]
+        assert [lo for lo, _ in layout] == [0] + [hi for _, hi in layout[:-1]]
+        assert layout[-1][1] == 17
+        for threads in (2, 3, 8):
+            assert self.bands(shape, 2, threads) == layout
 
 
 class TestTwoRoutesAgree:
@@ -219,9 +263,9 @@ class TestTwoRoutesAgree:
         (np.random.default_rng(17).uniform(0.1, 1.0, (32, 32, 8)), (2, 3, 4), (0.0, 1e-6), (1, 2, 3),
          (None, 1, 3)),
         (np.maximum(np.random.default_rng(15).normal(size=(48, 48, 5)), 0.0), (2, 3, 4), (1e-6,),
-         (1, 2, 3), (None,)),
+         (1, 2, 3), (None, 7)),
         (np.random.default_rng(18).uniform(0.1, 1.0, (40, 36, 2)), (2, 3, 4), (0.0, 1e-6), (3,),
-         (None,)),
+         (None, 4)),
         # forced band heights: 7 and 11 rows are no multiple of 2 or 3
         (np.random.default_rng(19).uniform(0.1, 1.0, (7, 5, 3)), (2, 3, 4), (0.0, 1e-6), (1, 2, 3),
          (1, 2, 3)),
