@@ -3,8 +3,10 @@
 Exit codes: 0 success, 2 usage or flag validation, 3 I/O failure,
 4 numerical precondition violated at run time (a float64 overflow or
 invalid operation, or a non-finite output, included), in which case no
-file is written.  ``--config`` points at a ``key=value`` file whose
-entries act as subcommand defaults; explicit flags override them.
+file is written.  Every output goes through ``io.write_file``, which
+rewrites an existing file in place.  ``--config`` points at a
+``key=value`` file whose entries act as subcommand defaults; explicit
+flags override them.
 ``--threads`` caps worker parallelism (fallback: the ``MFCAL_THREADS``
 environment variable, then the CPUs this process may use); results are
 byte-identical for every worker count.
@@ -100,7 +102,7 @@ _OVERFLOW = "holds non-finite values (a float64 overflow on this input); nothing
 
 
 def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text)
+    fio.write_file(path, text.encode())
 
 
 def _json_line(record: dict, what: str) -> str:
@@ -116,10 +118,7 @@ def _write_container(path: str, field: np.ndarray) -> None:
     arr = np.asarray(field, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise ValueError(f"the output {_OVERFLOW}")
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    with open(path, "wb") as file:
-        fio.write_field_file(file, arr)
+    fio.write_field_file(path, arr[None, :] if arr.ndim == 1 else arr)
 
 
 # ---------------------------------------------------------------------------

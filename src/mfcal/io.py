@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import struct
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "PgmMagicError",
     "PgmMaxvalError",
     "PgmTruncatedError",
+    "write_file",
     "write_field",
     "write_field_file",
     "read_field",
@@ -88,15 +90,47 @@ def write_field(field) -> bytes:
     return b"".join((header, memoryview(payload).cast("B")))
 
 
-def write_field_file(file, field) -> None:
-    """Write ``write_field(field)`` to an open binary file without joining its bytes.
+def _no_truncate(path, flags: int) -> int:
+    """``os.open`` without ``O_TRUNC``: an existing file keeps its blocks until rewritten."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
-    The header goes out first, then the payload straight from the
-    array's buffer, so no full-size copy of the container is made.
+
+def write_file(path, body, header: bytes = b"") -> None:
+    """Write ``header + body`` to ``path``, rewriting an existing file in place.
+
+    On a regular file, zeros the length of ``header`` go first, then
+    ``body``, then the file is cut to its new length, and only then is
+    ``header`` written.  Truncating a large file to zero and refilling
+    it costs several times more than writing over its blocks.  A
+    non-regular target (``/dev/null``, a pipe) gets plain sequential
+    writes, with no seek or truncate.
+    """
+    with open(path, "wb", opener=_no_truncate) as file:
+        if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+            file.write(header)
+            file.write(body)
+            return
+        file.write(bytes(len(header)))
+        file.write(body)
+        file.truncate()
+        file.seek(0)
+        file.write(header)
+
+
+def write_field_file(path, field) -> None:
+    """Write ``write_field(field)`` to ``path`` without joining its bytes.
+
+    The payload goes out straight from the array's buffer, so no
+    full-size copy of the container is made.  An existing file is
+    rewritten in place and cut to its new length (see ``write_file``).
+    The header is written last, so a write that fails part way leaves a
+    zeroed magic that every reader rejects with ``ContainerMagicError``,
+    never an old header over a mixed payload.  That holds for errors
+    raised while writing, not for a power loss: nothing forces the
+    payload to disk before the header.
     """
     header, payload = _container(field)
-    file.write(header)
-    file.write(memoryview(payload).cast("B"))
+    write_file(path, memoryview(payload).cast("B"), header)
 
 
 _MAX_HEADER = 7 + 4 * 4  # magic, version, dtype, ndims, then up to four u32 dims

@@ -1,7 +1,10 @@
 """End-to-end command-line behaviour: outputs, exit codes, determinism."""
 
+import builtins
+import errno
 import json
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -12,8 +15,9 @@ import pytest
 
 from mfcal import __version__
 from mfcal.cascade import generate_product_2d
+from mfcal import io as fio
 from mfcal.cli import main
-from mfcal.io import read_field, write_field
+from mfcal.io import ContainerMagicError, read_field, read_field_file, write_field
 
 
 def run(*argv):
@@ -211,26 +215,32 @@ def strict_json(text):
 
 
 class TestFiniteOutput:
-    @pytest.mark.parametrize("kind", ["checkerboard", "huge", "mixed", "subnormal", "zeros",
-                                      "constant"])
+    # input -> whether every command must exit 4 on it: every entry is finite, but
+    # window sums, pooled means and the covariance overflow float64
+    MUST_EXIT_4 = {"checkerboard": True, "huge": True, "mixed": False, "subnormal": False,
+                   "zeros": False, "constant": False}
+
+    @pytest.mark.parametrize("kind", list(MUST_EXIT_4))
     @pytest.mark.parametrize("command", ["holder", "cse", "scse", "srm", "fca", "mono", "multi",
-                                         "excite"])
+                                         "excite", "excite-no-center"])
     def test_an_extreme_input_exits_0_with_finite_outputs_or_4_naming_the_overflow(
             self, command, kind, tmp_path, capsys):
         # a NumPy RuntimeWarning raises here (see pyproject.toml), so none reaches stderr
+        excite = command.startswith("excite")
         src = tmp_path / "in.mfr"
-        src.write_bytes(write_field(extreme_input(kind, (6, 4) if command == "excite"
-                                                  else (16, 16, 4))))
+        src.write_bytes(write_field(extreme_input(kind, (6, 4) if excite else (16, 16, 4))))
         out, record = tmp_path / "out.mfr", tmp_path / "record.json"
         if command == "holder":
             argv = ["holder", "--input", src, "--out", out, "--means", record]
-        elif command == "excite":
-            argv = ["excite", "--input", src, "--out", record]
+        elif excite:
+            center = "--no-center" if command == "excite-no-center" else "--center"
+            argv = ["excite", "--input", src, center, "--out", record]
         else:
             argv = ["recalibrate", "--method", command, "--input", src, "--out", out,
                     "--gates", record]
         code = run(*argv)
         err = capsys.readouterr().err
+        assert code == 4 or not self.MUST_EXIT_4[kind], err
         if code == 0:
             assert err == ""
             if out.exists():
@@ -240,20 +250,6 @@ class TestFiniteOutput:
             assert code == 4, err
             assert not out.exists() and not record.exists()
             assert err.count("\n") == 1 and err.startswith("mfcal:") and "overflow" in err, err
-
-    @pytest.mark.parametrize("method", ["cse", "scse", "srm", "fca", "mono", "multi"])
-    def test_an_overflow_on_finite_input_exits_4_and_writes_nothing(
-            self, method, tmp_path, capsys):
-        # every entry is finite, but window sums and pooled means overflow
-        stack = np.ones((16, 16, 4))
-        stack[np.indices((16, 16)).sum(axis=0) % 2 == 1] = 1e308
-        src = tmp_path / "in.mfr"
-        src.write_bytes(write_field(stack))
-        out, gates = tmp_path / "out.mfr", tmp_path / "gates.json"
-        assert run("recalibrate", "--method", method, "--input", src, "--out", out,
-                   "--gates", gates) == 4
-        assert not out.exists() and not gates.exists()
-        assert capsys.readouterr().err.startswith("mfcal:")
 
     def test_a_non_finite_container_is_refused_before_its_file_opens(self, tmp_path):
         from mfcal.cli import _write_container
@@ -345,18 +341,6 @@ class TestExciteCommand:
         assert list(record) == ["delta", "k", "singular_values"]
         assert 1 <= record["k"] <= 6
 
-    @pytest.mark.parametrize("center", ["--center", "--no-center"])
-    def test_an_overflowing_matrix_exits_4_and_writes_nothing(self, center, tmp_path, capsys):
-        # every entry is finite, but the covariance overflows
-        rows = np.ones((16, 4))
-        rows[::2] = 1e308
-        src = tmp_path / "e.mfr"
-        src.write_bytes(write_field(rows))
-        out = tmp_path / "e.json"
-        assert run("excite", "--input", src, center, "--out", out) == 4
-        assert not out.exists()
-        assert capsys.readouterr().err.startswith("mfcal:")
-
     def test_delta_bounds_are_usage_errors(self, tmp_path):
         src = tmp_path / "e.mfr"
         src.write_bytes(write_field(np.eye(3)))
@@ -364,6 +348,143 @@ class TestExciteCommand:
                    "--out", tmp_path / "x.json") == 2
         assert run("excite", "--input", src, "--delta", 1.5,
                    "--out", tmp_path / "x.json") == 2
+
+
+class TestOutputRewrite:
+    """An existing output is rewritten in place and cut to its new length."""
+
+    # command -> (argv before the outputs, whether it reads --input, output flags)
+    COMMANDS = {
+        "holder": (["holder", "--scales", "2,3"], True, ("--out", "--means")),
+        "recalibrate": (["recalibrate", "--method", "mono"], True, ("--out", "--gates")),
+        "spectrum": (["spectrum", "--method", "moments", "--p", 0.7, "--depth-min", 4,
+                      "--depth-max", 6], False, ("--out",)),
+        "cascade": (["cascade", "--p", 0.7, "--depth", 5, "--dims", 2], False,
+                    ("--out", "--spectrum")),
+        "excite": (["excite"], True, ("--out",)),
+    }
+
+    @staticmethod
+    def write_input(path, shape=(12, 12, 4)):
+        path.write_bytes(write_field(np.random.default_rng(3).uniform(0.1, 1.0, shape)))
+        return path
+
+    def run_into(self, command, src, outputs):
+        head, reads_input, flags = self.COMMANDS[command]
+        argv = head + (["--input", src] if reads_input else [])
+        for flag, path in zip(flags, outputs):
+            argv += [flag, path]
+        return run(*argv)
+
+    def fresh_bytes(self, command, src, directory):
+        directory.mkdir()
+        outputs = [directory / flag.strip("-") for flag in self.COMMANDS[command][2]]
+        assert self.run_into(command, src, outputs) == 0
+        return [path.read_bytes() for path in outputs]
+
+    @pytest.mark.parametrize("state", ["absent", "longer", "shorter"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_an_output_ends_byte_equal_to_a_fresh_write(self, command, state, tmp_path):
+        src = self.write_input(tmp_path / "in.mfr", (10, 4) if command == "excite"
+                               else (12, 12, 4))
+        expected = self.fresh_bytes(command, src, tmp_path / "fresh")
+        outputs = [tmp_path / f"{flag.strip('-')}.out" for flag in self.COMMANDS[command][2]]
+        for path, blob in zip(outputs, expected):
+            size = {"absent": 0, "longer": 2 * len(blob) + 3, "shorter": len(blob) // 2}[state]
+            if size:
+                path.write_bytes(bytes(range(256)) * (size // 256) + b"\xa5" * (size % 256))
+        assert self.run_into(command, src, outputs) == 0
+        assert [path.read_bytes() for path in outputs] == expected
+
+    def test_dev_null_takes_the_output_without_a_seek_or_truncate(self, tmp_path):
+        if not os.path.exists("/dev/null"):
+            pytest.skip("no /dev/null")
+        src = self.write_input(tmp_path / "in.mfr")
+        assert run("holder", "--input", src, "--out", "/dev/null", "--means", "/dev/null") == 0
+
+    def test_a_pipe_takes_the_bytes_of_a_fresh_write(self, tmp_path):
+        if not os.path.exists("/dev/stdout"):
+            pytest.skip("no /dev/stdout")
+        src = self.write_input(tmp_path / "in.mfr")
+        [expected, _] = self.fresh_bytes("holder", src, tmp_path / "fresh")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "mfcal", "holder", "--scales", "2,3", "--input", str(src),
+             "--out", "/dev/stdout"], stdout=subprocess.PIPE, env=env, check=True)
+        assert done.stdout == expected
+
+    def test_a_symlinked_output_rewrites_its_target_and_keeps_the_link_and_mode(self, tmp_path):
+        src = self.write_input(tmp_path / "in.mfr")
+        [expected, _] = self.fresh_bytes("holder", src, tmp_path / "fresh")
+        target, link = tmp_path / "target.mfr", tmp_path / "link.mfr"
+        target.write_bytes(b"stale" * len(expected))
+        target.chmod(0o640)
+        link.symlink_to(target)
+        assert run("holder", "--scales", "2,3", "--input", src, "--out", link) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == expected
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_an_input_rewritten_as_its_own_output_gives_the_fresh_bytes(self, tmp_path):
+        src = self.write_input(tmp_path / "in.mfr")
+        [expected, _] = self.fresh_bytes("holder", src, tmp_path / "fresh")
+        # the map has the input's dims, so the old payload is the input itself
+        assert run("holder", "--scales", "2,3", "--input", src, "--out", src) == 0
+        assert src.read_bytes() == expected
+
+    def test_a_write_that_fails_part_way_leaves_a_file_every_reader_rejects(
+            self, tmp_path, monkeypatch, capsys):
+        src = self.write_input(tmp_path / "in.mfr")
+        out = tmp_path / "out.mfr"
+        old = write_field(np.full((12, 12, 4), 0.5))  # the dims of the new map
+        out.write_bytes(old)
+
+        class PayloadFails:
+            """The real file, except that every write after the zeroed header raises."""
+
+            def __init__(self, file):
+                self.file, self.writes = file, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.file.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.file, name)
+
+        monkeypatch.setattr(fio, "open", lambda *a, **k: PayloadFails(builtins.open(*a, **k)),
+                            raising=False)
+        assert run("holder", "--scales", "2,3", "--input", src, "--out", out) == 3
+        assert capsys.readouterr().err.startswith("mfcal:")
+        assert out.stat().st_size == len(old)
+        with open(out, "rb") as file, pytest.raises(ContainerMagicError):
+            read_field_file(file)
+
+    def test_a_command_that_exits_4_never_opens_an_existing_output(
+            self, tmp_path, monkeypatch):
+        src = tmp_path / "in.mfr"
+        src.write_bytes(write_field(extreme_input("checkerboard", (16, 16, 4))))
+        out, means = tmp_path / "out.mfr", tmp_path / "means.json"
+        out.write_bytes(b"old map")
+        means.write_bytes(b"old means")
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(args)
+            return builtins.open(*args, **kwargs)
+
+        monkeypatch.setattr(fio, "open", recording_open, raising=False)
+        assert run("holder", "--input", src, "--out", out, "--means", means) == 4
+        assert opened == []
+        assert out.read_bytes() == b"old map" and means.read_bytes() == b"old means"
 
 
 class TestDeterminism:

@@ -84,8 +84,8 @@ class TestFieldContainer:
         arr = {"c": base, "fortran": np.asfortranarray(base),
                "float32": base.astype(np.float32)}[layout]
         path = tmp_path / "out.mfr"
-        with open(path, "wb") as file:
-            write_field_file(file, arr)
+        path.write_bytes(b"stale" * 100)  # longer than the container: cut to its length
+        write_field_file(path, arr)
         assert path.read_bytes() == write_field(arr)
         with open(path, "rb") as file:
             back = read_field_file(file)
