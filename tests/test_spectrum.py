@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from mfcal.cascade import (
+    SpectrumCurve,
     analytic_alpha_q,
     analytic_tau,
     generate_binomial,
     generate_product_2d,
+    make_curve,
 )
 from mfcal.holder import ScaleSet
 from mfcal.spectrum import (
@@ -181,6 +183,115 @@ class TestCltSpectrum:
     def test_needs_sixteen_samples(self):
         with pytest.raises(ValueError, match="16"):
             clt_spectrum(np.ones(15), k=8, support_dim=1.0)
+
+
+def per_cell_log2_partition(field, q):
+    """Reference: ``log2 sum mu**q`` as one log-sum-exp pass over every positive cell."""
+    mass = np.asarray(field, dtype=np.float64).ravel()
+    log_mass = np.log2(mass[mass > 0.0])
+    top, bottom = log_mass.max(), log_mass.min()
+    out = np.empty(q.size)
+    for i, qi in enumerate(q):
+        shift = top if qi >= 0.0 else bottom
+        out[i] = qi * shift + np.log2(np.exp2(qi * (log_mass - shift)).sum())
+    return out
+
+
+def per_cell_histogram(fields, bins):
+    """Reference: the histogram estimator binning every positive cell's exponent."""
+    depths = [int(round(np.log2(field.shape[0]))) for field in fields]
+    per_depth = []
+    for field, k in zip(fields, depths):
+        mass = np.asarray(field, dtype=np.float64).ravel()
+        per_depth.append(np.round(-np.log2(mass[mass > 0.0]) / k, 12))
+    lo, hi = float(per_depth[-1].min()), float(per_depth[-1].max())
+    x = np.asarray(depths, dtype=np.float64) * np.log(2.0)
+    dev = x - x.mean()
+    if hi <= lo:
+        counts = np.array([a.size for a in per_depth], dtype=np.float64)
+        slope = float(dev @ np.log(counts) / np.dot(dev, dev))
+        return SpectrumCurve(np.array([lo]), np.array([max(slope, 0.0)]))
+    edges = np.linspace(lo, hi, bins + 1)
+    counts = np.stack([np.histogram(a, bins=edges)[0] for a in per_depth])
+    keep = np.all(counts > 0, axis=0)
+    centers = 0.5 * (edges[:-1] + edges[1:])[keep]
+    slopes = dev @ np.log(counts[:, keep].astype(np.float64)) / np.dot(dev, dev)
+    return make_curve(centers, np.maximum(slopes, 0.0))
+
+
+def sparse_cascades(depths, p=P):
+    """Unit-mass dyadic measures whose odd cells are empty."""
+    fields = []
+    for k in depths:
+        field = np.zeros(2 ** (k + 1))
+        field[::2] = generate_binomial(p, k)
+        fields.append(field)
+    return fields
+
+
+def distinct_measures(depths, seed=7):
+    """Unit-mass dyadic measures whose cell masses are all distinct."""
+    rng = np.random.default_rng(seed)
+    fields = []
+    for k in depths:
+        field = rng.uniform(0.1, 1.0, 2 ** k)
+        fields.append(field / field.sum())
+    assert all(np.unique(f).size == f.size for f in fields)
+    return fields
+
+
+MEASURES = {
+    "line p=0.1": lambda: line_cascades(range(8, 13), p=0.1),
+    "line p=0.3": lambda: line_cascades(range(8, 13), p=0.3),
+    "line p=2/3": lambda: line_cascades(range(8, 13)),
+    "line p=0.85": lambda: line_cascades(range(8, 13), p=0.85),
+    "uniform line": lambda: line_cascades(range(8, 13), p=0.5),
+    "plane p=0.3": lambda: [generate_product_2d(0.3, k) for k in range(4, 8)],
+    "plane p=2/3": lambda: [generate_product_2d(P, k) for k in range(4, 8)],
+    "uniform plane": lambda: [generate_product_2d(0.5, k) for k in range(4, 8)],
+    "zero cells": lambda: sparse_cascades(range(8, 12)),
+    "all distinct": lambda: distinct_measures(range(8, 11)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+class TestAgainstPerCellReferences:
+    def test_log2_partition_matches_the_per_cell_sum(self, name):
+        fields = MEASURES[name]()
+        partition, _ = moments_spectrum(fields, Q_GRID)
+        expected = np.stack([per_cell_log2_partition(f, Q_GRID) for f in fields], axis=1)
+        np.testing.assert_allclose(partition.log2_z, expected, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("bins", [8, 16])
+    def test_histogram_matches_binning_every_cell(self, name, bins):
+        fields = MEASURES[name]()
+        curve = histogram_spectrum(fields, bins=bins)
+        expected = per_cell_histogram(fields, bins)
+        assert np.array_equal(curve.alpha, expected.alpha)
+        assert np.array_equal(curve.f, expected.f)
+
+
+class TestCellOrderIsIrrelevant:
+    @staticmethod
+    def permuted(fields, seed=3):
+        rng = np.random.default_rng(seed)
+        return [rng.permutation(f.ravel()).reshape(f.shape) for f in fields]
+
+    @pytest.mark.parametrize("fields", [
+        pytest.param(line_cascades(range(8, 13), p=0.3), id="line p=0.3"),
+        pytest.param([generate_product_2d(P, k) for k in range(4, 8)], id="plane p=2/3"),
+    ])
+    def test_permuting_cells_keeps_every_byte(self, fields):
+        shuffled = self.permuted(fields)
+        partition, legendre = moments_spectrum(fields, Q_GRID)
+        partition_p, legendre_p = moments_spectrum(shuffled, Q_GRID)
+        assert partition.log2_z.tobytes() == partition_p.log2_z.tobytes()
+        assert partition.tau.tobytes() == partition_p.tau.tobytes()
+        assert legendre.f.tobytes() == legendre_p.f.tobytes()
+        hist = histogram_spectrum(fields, bins=16)
+        hist_p = histogram_spectrum(shuffled, bins=16)
+        assert hist.alpha.tobytes() == hist_p.alpha.tobytes()
+        assert hist.f.tobytes() == hist_p.f.tobytes()
 
 
 class TestEstimatorConsistency:
