@@ -9,8 +9,11 @@ are the ground truth that every estimator in this package is tested
 against.
 
 A cascade is named by ``(p, depth)``: :func:`generate_binomial` builds
-the line and :func:`generate_product_2d` the square.  Both reject ``p``
-outside (0, 1) and a depth outside [1, cap] before they allocate.
+the line and :func:`generate_product_2d` the square.  Both are the
+one-depth case of :func:`binomial_lines`, which keeps every level of one
+doubling run, so a range of depths costs one run to the deepest.  All
+reject ``p`` outside (0, 1) and a depth outside [1, cap] before they
+allocate.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 __all__ = [
     "SpectrumCurve",
     "make_curve",
+    "binomial_lines",
     "generate_binomial",
     "generate_product_2d",
     "bitcount_measure",
@@ -112,22 +116,38 @@ def make_curve(alpha, f) -> SpectrumCurve:
     return SpectrumCurve(np.array(out_a), np.array(out_f))
 
 
-def generate_binomial(p: float, depth: int) -> np.ndarray:
-    """Materialize the 1-D binomial cascade, cell by dyadic cell.
+def binomial_lines(p: float, depth_min: int, depth_max: int, dims: int = 1) -> list:
+    """The 1-D binomial cascades of depths ``depth_min..depth_max``, from one doubling run.
 
     Cell ``i`` at depth ``k`` receives ``p**n0(i) * (1-p)**(k-n0(i))``
     where ``n0(i)`` counts the zero bits in the k-bit address of ``i``
-    (most significant bit = first split).  The cells sum to one.
+    (most significant bit = first split).  The cells of each depth sum
+    to one.  Each level is written in place from the one before it, left
+    children at even cells and right children at odd ones, and every
+    level from ``depth_min`` on is kept.  ``dims`` names the cascade the
+    lines are for, whose cap ``depth_max`` must meet (a line of a 2-D
+    product cascade is capped at ``MAX_DEPTH_2D``); it is checked before
+    anything is allocated.
     """
-    _check(p, depth)
+    _check(p, depth_max, dims)
+    if not 1 <= depth_min <= depth_max:
+        raise ValueError(f"depth range {depth_min}..{depth_max} is empty or starts below 1")
     q = 1.0 - p
     cells = np.ones(1)
-    for _ in range(depth):
+    lines = []
+    for depth in range(1, depth_max + 1):
         nxt = np.empty(2 * cells.size)
-        nxt[0::2] = p * cells
-        nxt[1::2] = q * cells
+        np.multiply(p, cells, out=nxt[0::2])
+        np.multiply(q, cells, out=nxt[1::2])
         cells = nxt
-    return cells
+        if depth >= depth_min:
+            lines.append(cells)
+    return lines
+
+
+def generate_binomial(p: float, depth: int) -> np.ndarray:
+    """The 1-D binomial cascade of one depth: :func:`binomial_lines` of that depth alone."""
+    return binomial_lines(p, depth, depth)[0]
 
 
 def bitcount_measure(p: float, depth: int) -> np.ndarray:
@@ -144,9 +164,11 @@ def bitcount_measure(p: float, depth: int) -> np.ndarray:
 
 
 def generate_product_2d(p: float, depth: int) -> np.ndarray:
-    """2-D product cascade: cell (i, j) carries ``mu1(i) * mu1(j)``."""
-    _check(p, depth, dims=2)
-    line = generate_binomial(p, depth)
+    """2-D product cascade: cell (i, j) carries ``mu1(i) * mu1(j)``.
+
+    The line comes from :func:`binomial_lines` under the 2-D cap.
+    """
+    line = binomial_lines(p, depth, depth, dims=2)[0]
     return np.outer(line, line)
 
 

@@ -36,7 +36,7 @@ from .attention import (
     se_forward,
     srm_gates,
 )
-from .cascade import analytic_spectrum, generate_binomial, generate_product_2d
+from .cascade import analytic_spectrum, binomial_lines, generate_binomial, generate_product_2d
 from .holder import (
     DEFAULT_EPSILON,
     NormState,
@@ -167,9 +167,11 @@ def _cmd_holder(args) -> int:
 def _cascade_fields(p: float, dims: int, depth_min: int, depth_max: int):
     if not (1 <= depth_min < depth_max):
         raise UsageError("depth range must satisfy 1 <= --depth-min < --depth-max")
-    # deepest first, so an over-cap --depth-max fails before any field is built
-    fields = [_cascade(p, k, dims) for k in range(depth_max, depth_min - 1, -1)]
-    return fields[::-1]
+    try:
+        lines = binomial_lines(p, depth_min, depth_max, dims)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return lines if dims == 1 else [np.outer(line, line) for line in lines]
 
 
 def _cmd_spectrum(args) -> int:

@@ -21,24 +21,32 @@ __all__ = [
 ]
 
 
-def as_field(values) -> np.ndarray:
-    """Coerce ``values`` to a finite float64 array of shape (H, W[, C])."""
+def _checked(values, measure: bool) -> np.ndarray:
+    # the one input check: a float64 (H, W[, C]) array whose smallest and
+    # largest values are finite (both reductions propagate NaN, so two
+    # read-only passes decide it without a bool array) and, for a
+    # measure, whose smallest value is >= 0 (``-0.0`` passes)
     field = np.asarray(values, dtype=np.float64)
     if field.ndim not in (2, 3):
         raise ValueError(f"field must have shape (H, W) or (H, W, C), got {field.shape}")
     if field.size == 0:
         raise ValueError("field must be non-empty")
-    if not np.all(np.isfinite(field)):
+    lo, hi = field.min(), field.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("field values must be finite")
+    if measure and lo < 0.0:
+        raise ValueError("measure must be nonnegative")
     return field
+
+
+def as_field(values) -> np.ndarray:
+    """Coerce ``values`` to a finite float64 array of shape (H, W[, C])."""
+    return _checked(values, measure=False)
 
 
 def require_measure(values) -> np.ndarray:
     """Like :func:`as_field` but additionally rejects negative values."""
-    field = as_field(values)
-    if np.any(field < 0.0):
-        raise ValueError("measure must be nonnegative")
-    return field
+    return _checked(values, measure=True)
 
 
 def integral_image(field) -> np.ndarray:
@@ -62,21 +70,41 @@ def _pad(field: np.ndarray, side: int, offset: int) -> np.ndarray:
     return np.pad(field, spatial + ((0, 0),) * (field.ndim - 2))
 
 
-def _padded_sum(p: np.ndarray, side: int) -> np.ndarray:
-    # out[i, j] = sum(p[i : i + side, j : j + side]) of an already padded
-    # array, as a fresh array: ``side`` row terms added in order, then
-    # ``side`` column terms.  Every window sum goes through here, so each
-    # output keeps one association order whatever array ``p`` is cut from.
-    if side == 1:
-        return p.copy()
-    h, w = p.shape[0] - side + 1, p.shape[1] - side + 1
-    rows = p[:h] + p[1:1 + h]
-    for k in range(2, side):
-        rows += p[k:k + h]
-    out = rows[:, :w] + rows[:, 1:1 + w]
-    for k in range(2, side):
-        out += rows[:, k:k + w]
+def _add_terms(p: np.ndarray, side: int, out: np.ndarray, axis: int, done: int = 0) -> np.ndarray:
+    # out[..., i, ...] = p[..., i, ...] + p[..., i + 1, ...] + ... + p[..., i + side - 1, ...]
+    # along ``axis`` (0 or 1), the terms added in ascending order.  With
+    # ``done`` > 0, ``out`` already holds the sums of the first ``done``
+    # terms and only the rest are added: the same adds in the same order.
+    n = out.shape[axis]
+
+    def term(k):
+        return p[(slice(None),) * axis + (slice(k, k + n),)]
+
+    if done == 0:
+        if side == 1:
+            np.copyto(out, term(0))
+        else:
+            np.add(term(0), term(1), out=out)
+        done = min(side, 2)
+    for k in range(done, side):
+        out += term(k)
     return out
+
+
+def _padded_sum(p: np.ndarray, side: int, out: np.ndarray | None = None,
+                rows: np.ndarray | None = None) -> np.ndarray:
+    # out[i, j] = sum(p[i : i + side, j : j + side]) of an already padded
+    # array: ``side`` row terms added in order, then ``side`` column terms.
+    # Every window sum adds in this order (the exponent map's band kernel
+    # chains the same row adds across sides), so each output keeps one
+    # association order whatever array ``p`` is cut from.  ``rows`` is
+    # scratch for the row sums; either buffer is allocated when not given.
+    h, w = p.shape[0] - side + 1, p.shape[1] - side + 1
+    if rows is None:
+        rows = np.empty((h,) + p.shape[1:])
+    if out is None:
+        out = np.empty((h, w) + p.shape[2:])
+    return _add_terms(_add_terms(p, side, rows, 0), side, out, 1)
 
 
 def window_sum(field: np.ndarray, side: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _padded_sum, require_measure, window_sum
+from .grid import _add_terms, _padded_sum, require_measure, window_sum
 
 __all__ = [
     "ScaleSet",
@@ -141,43 +141,61 @@ def box_measures(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON)
     return [_mass(window_sum(field, side), epsilon) for side in _as_scales(scales)]
 
 
-def _run_bands(work, stack: np.ndarray, halo: int, threads: int | None) -> None:
-    """``work(tile, lo, hi)`` for every row band ``[lo, hi)`` of the (H, W, C) ``stack``.
+def _run_bands(work, stack: np.ndarray, halo: int, threads: int | None, scratch) -> None:
+    """``work(tile, lo, hi, *buffers)`` for every row band ``[lo, hi)`` of the (H, W, C) ``stack``.
 
     ``tile`` holds rows ``lo - halo`` to ``hi + halo`` and ``halo`` more
     columns on either side, zero outside the image, so every window
     reaching at most ``halo`` cells past the band is a slice of it.  The
     bands are the fewest of equal height (the last may be shorter) whose
     padded rows fit in ``BAND_BYTES`` (at least one row each), so that
-    the tile and the few band-sized temporaries of its window sums stay
-    in a core's L2 cache.  The shape alone fixes them; they run on
-    :func:`_run_units`, each worker reusing one tile.
+    the tile and the band-sized buffers of its window sums stay in a
+    core's L2 cache.  The shape alone fixes them; they run on
+    :func:`_run_units`, each worker reusing one tile and the ``buffers``
+    that ``scratch(rows)`` makes for bands of at most ``rows`` rows.
     """
     h, w, c = stack.shape
     fit = max(BAND_BYTES // ((w + 2 * halo) * c * stack.itemsize), 1)
     bands = -(-h // fit)  # the fewest bands of at most fit rows,
     rows = -(-h // bands)  # of equal height
 
-    def band(lo, buffer):
+    def band(lo, buffer, *buffers):
         hi = min(lo + rows, h)
         tile = buffer[:hi - lo + 2 * halo]
         top, bottom = max(lo - halo, 0), min(hi + halo, h)
         tile[:top - lo + halo] = 0.0  # rows past the image's edges
         tile[bottom - lo + halo:] = 0.0
         tile[top - lo + halo:bottom - lo + halo, halo:halo + w] = stack[top:bottom]
-        work(tile, lo, hi)
+        work(tile, lo, hi, *buffers)
 
     _run_units(band, range(0, h, rows),
-               lambda: [np.zeros((rows + 2 * halo, w + 2 * halo, c))], threads)
+               lambda: [np.zeros((rows + 2 * halo, w + 2 * halo, c)), *scratch(rows)], threads)
 
 
-def _tile_sums(tile: np.ndarray, first: int, last: int, side: int, halo: int) -> np.ndarray:
-    # window_sum(field, side) at rows lo + first to lo + last of the field,
-    # summed from a view of the tile that :func:`_run_bands` gives the band
-    # starting at row lo; first and last may reach into the halo
-    offset, width = side // 2, tile.shape[1] - 2 * halo
-    return _padded_sum(tile[halo + first - offset:halo + last - offset + side - 1,
-                            halo - offset:halo - offset + width + side - 1], side)
+def _band_masses(tile: np.ndarray, halo: int, scales: ScaleSet, spans, epsilon: float,
+                 rows: np.ndarray, mass: np.ndarray):
+    """Yield the windowed masses of a band at each side in turn, in ``mass``.
+
+    ``spans[k] = (first, last)`` are the rows, counted from the band's
+    first row, whose side-k masses the caller wants; they may reach into
+    the halo of the ``tile`` that :func:`_run_bands` gives the band.  The
+    row sums live in ``rows``, as wide as the tile and indexed by the
+    tile row where a window starts.  Sides ascend, so a side's row sums
+    are the previous side's plus the rows between them, added in place
+    and in order: the adds of a fresh row pass, so no byte moves.  Each
+    side updates only the rows that it and the larger sides still read.
+    Each yielded array is a leading slice of ``mass``, overwritten by
+    the next.
+    """
+    starts = [halo + first - side // 2 for side, (first, _) in zip(scales, spans)]
+    stops = [start + last - first for start, (first, last) in zip(starts, spans)]
+    done = 0
+    for k, side in enumerate(scales):
+        lo, hi = min(starts[k:]), max(stops[k:])
+        _add_terms(tile[lo:], side, rows[lo:hi], 0, done)
+        done = side
+        sums = rows[starts[k]:stops[k], halo - side // 2:]
+        yield _mass(_add_terms(sums, side, mass[:stops[k] - starts[k]], 1), epsilon)
 
 
 @contextmanager
@@ -233,10 +251,15 @@ def holder_map(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
     process may use): each band's rows and a halo are copied into one
     zero-bordered tile (see ``BAND_BYTES``), and while it stays in cache
     the band takes one window sum per scale, its log in place, and adds
-    the weighted log into the output before the next scale.
+    the weighted log into the output before the next scale.  A side's
+    row sums extend the previous side's by the rows between them, in
+    place and in order, so the default sides (2, 3, 4) take 3 row adds
+    per output rather than 6 (see :func:`_band_masses`).
     The bytes equal ``slope_from_measures(box_measures(...))`` for every
-    ``threads``.  Peak memory is the output plus a few tile-sized
-    temporaries per worker; the masses are never held for all scales.
+    ``threads``.  Each worker reuses one tile, one row-sum buffer and one
+    mass buffer for all its bands, so peak memory is the output plus
+    those three band-sized buffers per worker; nothing is allocated per
+    band or per scale, and the masses are never held for all scales.
     """
     scales = _as_scales(scales)
     field = require_measure(field)
@@ -246,21 +269,25 @@ def holder_map(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
     stack = field[:, :, None] if field.ndim == 2 else field
     alpha = np.empty(stack.shape)
     halo = max(scales) // 2
+    _, w, c = stack.shape
 
-    def work(tile, lo, hi):
+    def work(tile, lo, hi, rows, mass):
         out = alpha[lo:hi]
+        spans = [(0, hi - lo)] * len(scales)
         with _finite_logs():
-            for k, (w, side) in enumerate(zip(weights, scales)):
-                mu = _mass(_tile_sums(tile, 0, hi - lo, side, halo), epsilon)
+            masses = _band_masses(tile, halo, scales, spans, epsilon, rows, mass)
+            for k, (weight, mu) in enumerate(zip(weights, masses)):
                 np.log(mu, out=mu)
                 if k == 0:
-                    np.multiply(mu, w, out=out)
+                    np.multiply(mu, weight, out=out)
                 else:
-                    mu *= w
+                    mu *= weight
                     out += mu
-                del mu  # free this scale's masses before the next window sum
 
-    _run_bands(work, stack, halo, threads)
+    _run_bands(work, stack, halo, threads, lambda rows: [
+        np.empty((rows + halo - min(scales) // 2, w + 2 * halo, c)),  # row sums
+        np.empty((rows, w, c)),                                       # masses
+    ])
     return alpha.reshape(field.shape)
 
 
@@ -272,26 +299,40 @@ def _holder_map_vjp(stack, d_alpha, d_stack, scales, epsilon: float, threads: in
     ``window_sum_adjoint(w * d_alpha / mu, side)`` scale by scale,
     re-deriving the masses ``mu`` of the band and of the ``side - 1``
     rows around it that its adjoint windows reach, so the bytes do not
-    depend on ``threads``.  ``stack`` must be one that :func:`holder_map`
-    accepted (positive masses).
+    depend on ``threads``.  The masses come from the band kernel of
+    :func:`holder_map`, with its chained row sums; each worker reuses
+    one set of buffers for them, for the zero-bordered cotangent and for
+    its adjoint window sum.  ``stack`` must be one that
+    :func:`holder_map` accepted (positive masses).
     """
     scales = _as_scales(scales)
     weights = log_slope_weights(scales)
     h, w, c = stack.shape
     halo = max(scales) - 1
+    backs = [side - 1 - side // 2 for side in scales]  # anchor offsets of the adjoint windows
 
-    def work(tile, lo, hi):
-        for weight, side in zip(weights, scales):
-            back = side - 1 - side // 2  # anchor offset of the adjoint windows
-            first, last = max(lo - back, 0), min(hi + side - 1 - back, h)
-            mu = _mass(_tile_sums(tile, first - lo, last - lo, side, halo), epsilon)
-            np.divide(weight * d_alpha, mu, out=mu)
-            cotangent = np.zeros((hi - lo + side - 1, w + side - 1, c))
-            cotangent[first - lo + back:last - lo + back, back:back + w] = mu
-            del mu
-            d_stack[lo:hi] += _padded_sum(cotangent, side)
+    def work(tile, lo, hi, rows, mass, cotangent, adjoint_rows, adjoint):
+        n = hi - lo
+        spans = [(max(lo - back, 0) - lo, min(hi + side - 1 - back, h) - lo)
+                 for side, back in zip(scales, backs)]
+        masses = _band_masses(tile, halo, scales, spans, epsilon, rows, mass)
+        for weight, side, back, (first, last), mu in zip(weights, scales, backs, spans, masses):
+            cot = cotangent[:n + side - 1, :w + side - 1]
+            top, bottom = first + back, last + back
+            cot[:top] = 0.0
+            cot[bottom:] = 0.0
+            cot[top:bottom, :back] = 0.0
+            cot[top:bottom, back + w:] = 0.0
+            np.divide(weight * d_alpha, mu, out=cot[top:bottom, back:back + w])
+            d_stack[lo:hi] += _padded_sum(cot, side, adjoint[:n], adjoint_rows[:n, :w + side - 1])
 
-    _run_bands(work, stack, halo, threads)
+    _run_bands(work, stack, halo, threads, lambda rows: [
+        np.empty((rows + halo, w + 2 * halo, c)),      # row sums
+        np.empty((rows + halo, w, c)),                 # masses
+        np.empty((rows + halo, w + halo, c)),          # cotangent
+        np.empty((rows, w + halo, c)),                 # its row sums
+        np.empty((rows, w, c)),                        # its window sums
+    ])
 
 
 def mean_alpha(alpha_map) -> np.ndarray:

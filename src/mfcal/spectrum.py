@@ -16,10 +16,11 @@ distinct from the sliding windows used for local exponents).
 
 The histogram and moments estimators see a measure only as its distinct
 positive masses and how many cells hold each (a binomial cascade of
-depth k has k + 1 mass levels in 2**k cells).  Their sums run over the
-levels in ascending mass order, so the cells' order never changes a
-byte.  A measure whose masses are all distinct costs one sort of its
-cells, which is slower than a per-cell pass; no caller passes one.
+depth k has k + 1 mass levels in 2**k cells).  The levels come from one
+sorted copy of the cells, and the sums run over them in ascending mass
+order, so the cells' order never changes a byte.  A measure whose
+masses are all distinct costs that one sort and a sum per cell; no
+caller passes one.
 """
 
 from __future__ import annotations
@@ -65,7 +66,10 @@ def _check_depth_fields(fields) -> list:
     depths = []
     for field in fields:
         field = np.asarray(field, dtype=np.float64)
-        if np.any(field < 0.0):
+        lo, hi = field.min(), field.max()  # both NaN if any cell is
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError("measure values must be finite")
+        if lo < 0.0:
             raise ValueError("measure must be nonnegative")
         if abs(field.sum() - 1.0) > 1e-9:
             raise ValueError("measure must be normalized to unit mass")
@@ -76,9 +80,18 @@ def _check_depth_fields(fields) -> list:
 
 
 def _mass_levels(field) -> tuple:
-    """Distinct positive masses, ascending, and how many cells hold each."""
-    mass = np.asarray(field, dtype=np.float64).ravel()
-    return np.unique(mass[mass > 0.0], return_counts=True)
+    """Distinct positive masses, ascending, and how many cells hold each.
+
+    One sorted copy of the cells: the cells <= 0 (``-0.0`` too) sort to
+    its front and are skipped, and each run of equal masses gives one
+    level, counted by the distance to the next run's start.  The field
+    must be finite (NaN would sort last and count as a level).  An
+    all-distinct measure costs that one sort and as many levels as cells.
+    """
+    mass = np.sort(np.asarray(field, dtype=np.float64), axis=None)
+    mass = mass[np.searchsorted(mass, 0.0, side="right"):]
+    starts = np.flatnonzero(np.concatenate(([True], mass[1:] != mass[:-1])))
+    return mass[starts], np.diff(starts, append=mass.size)
 
 
 def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:

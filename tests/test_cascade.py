@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import mfcal.cascade as cascade
 from mfcal.cascade import (
     MAX_DEPTH_1D,
     MAX_DEPTH_2D,
@@ -13,6 +14,7 @@ from mfcal.cascade import (
     analytic_alpha_q,
     analytic_spectrum,
     analytic_tau,
+    binomial_lines,
     bitcount_measure,
     generate_binomial,
     generate_product_2d,
@@ -65,6 +67,45 @@ class TestGenerateBinomial:
         ones = np.bitwise_count(np.arange(2 ** depth, dtype=np.uint64)).astype(int)
         expected = np.array([analytic_alpha((depth - o) / depth, p) for o in ones])
         np.testing.assert_allclose(-np.log2(cells) / depth, expected, rtol=0, atol=1e-12)
+
+
+def per_depth_doubling(p, depth):
+    """Reference: one doubling run to ``depth`` alone, each level built from a temporary."""
+    q = 1.0 - p
+    cells = np.ones(1)
+    for _ in range(depth):
+        nxt = np.empty(2 * cells.size)
+        nxt[0::2] = p * cells
+        nxt[1::2] = q * cells
+        cells = nxt
+    return cells
+
+
+class TestBinomialLines:
+    # caps lowered so that a range ending at the cap stays a few MiB
+    @pytest.mark.parametrize("dims, cap", [(1, 16), (2, 9)])
+    @pytest.mark.parametrize("first, last", [(1, 2), (1, None), (2, None), (-3, None), (0, None)],
+                             ids=["1..2", "1..cap", "2..cap", "cap-3..cap", "cap..cap"])
+    def test_one_run_equals_a_run_per_depth(self, dims, cap, first, last, monkeypatch):
+        monkeypatch.setattr(cascade, "MAX_DEPTH_1D", 16)
+        monkeypatch.setattr(cascade, "MAX_DEPTH_2D", 9)
+        depth_min = first if first > 0 else cap + first
+        depth_max = cap if last is None else last
+        p = 0.37
+        lines = binomial_lines(p, depth_min, depth_max, dims)
+        assert len(lines) == depth_max - depth_min + 1
+        for depth, line in zip(range(depth_min, depth_max + 1), lines):
+            assert line.tobytes() == per_depth_doubling(p, depth).tobytes()
+            assert line.tobytes() == generate_binomial(p, depth).tobytes()
+            if dims == 2:
+                assert np.array_equal(np.outer(line, line), generate_product_2d(p, depth))
+        with pytest.raises(ValueError, match="cap"):
+            binomial_lines(p, depth_min, cap + 1, dims)
+
+    @pytest.mark.parametrize("depth_min, depth_max", [(0, 3), (4, 3), (-1, 2)])
+    def test_an_empty_range_or_one_below_depth_one_is_rejected(self, depth_min, depth_max):
+        with pytest.raises(ValueError, match="depth range"):
+            binomial_lines(0.3, depth_min, depth_max)
 
 
 class TestGenerateProduct2d:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from mfcal import __version__
-from mfcal.cascade import generate_product_2d
 from mfcal import io as fio
 from mfcal.cli import main
 from mfcal.io import ContainerMagicError, read_field, read_field_file, write_field
@@ -142,19 +141,28 @@ class TestCascadePreconditions:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("mfcal: ")
 
-    def test_an_over_cap_depth_range_fails_before_building_a_field(self, tmp_path, monkeypatch):
-        import mfcal.cli as cli
+    @pytest.mark.parametrize("dims, depth_max", [(1, 27), (2, 15)])
+    def test_an_over_cap_depth_range_fails_before_building_a_field(self, dims, depth_max,
+                                                                   tmp_path, monkeypatch):
+        # the cascade module touches NumPy only to allocate and double cells,
+        # so an over-cap range must fail without one NumPy call there; the
+        # first call raises, so a regression fails without building a field
+        import mfcal.cascade as cascade
 
-        depths = []
+        used = []
 
-        def product(p, depth):
-            depths.append(depth)
-            return generate_product_2d(p, depth)
+        class Refusing:
+            def __getattr__(self, name):
+                used.append(name)
+                raise AssertionError(f"np.{name} reached before the depth cap check")
 
-        monkeypatch.setattr(cli, "generate_product_2d", product)
-        assert run("spectrum", "--method", "histogram", "--p", 0.6, "--dims", 2,
-                   "--depth-min", 8, "--depth-max", 15, "--out", tmp_path / "h.csv") == 2
-        assert depths == [15]
+        monkeypatch.setattr(cascade, "np", Refusing())
+        out = tmp_path / "h.csv"
+        code = run("spectrum", "--method", "histogram", "--p", 0.6, "--dims", dims,
+                   "--depth-min", 8, "--depth-max", depth_max, "--out", out)
+        assert used == []
+        assert code == 2
+        assert not out.exists()
 
 
 def stack_file(tmp_path, channels=4):

@@ -116,8 +116,10 @@ class TestMonoBackward:
         ((6, 5, 2), (3, 40)),      # a side past the image: the halo is taller than the field
         ((2, 7, 2), (2, 5, 9)),
         ((1, 9, 3), (2, 5, 9)),    # one row: more workers than bands
+        ((23, 19, 3), (2, 4)),     # sides that skip rows in the chained row sums
+        ((19, 13, 2), (1, 3, 5, 8)),
     ], ids=["wide", "uneven-bands", "one-channel", "side-one", "side-past-image",
-            "shorter-than-halo", "one-row"])
+            "shorter-than-halo", "one-row", "even-sides", "four-sides"])
     def test_exponent_map_adjoint_matches_the_reference(self, shape, sides, monkeypatch):
         # the banded adjoint adds, scale by scale, what window_sum_adjoint adds
         # over the whole field, at any band height and thread count; the

@@ -132,9 +132,19 @@ class TestAdjoint:
 
 
 class TestFieldValidation:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            as_field(np.array([[np.nan, 1.0]]))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("check", [as_field, require_measure])
+    def test_rejects_non_finite(self, bad, check):
+        with pytest.raises(ValueError, match="field values must be finite"):
+            check(np.array([[bad, 1.0]]))
+
+    def test_measure_reports_non_finite_before_negative(self):
+        with pytest.raises(ValueError, match="field values must be finite"):
+            require_measure(np.array([[-1.0, np.nan], [2.0, 0.5]]))
+
+    def test_measure_accepts_negative_zero(self):
+        field = np.array([[-0.0, 1.0], [0.0, 2.0]])
+        assert require_measure(field) is field
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):

@@ -218,7 +218,8 @@ class TestBandLayout:
     @staticmethod
     def bands(shape, halo, threads):
         seen = []  # list.append is atomic, so workers may share it
-        holder._run_bands(lambda tile, lo, hi: seen.append((lo, hi)), np.zeros(shape), halo, threads)
+        holder._run_bands(lambda tile, lo, hi: seen.append((lo, hi)), np.zeros(shape), halo,
+                          threads, lambda rows: [])
         return sorted(seen)
 
     @pytest.mark.parametrize("shape, halo, heights", [
@@ -283,9 +284,17 @@ class TestTwoRoutesAgree:
          (1, 2, 3)),
         (np.random.default_rng(25).uniform(0.1, 1.0, (1, 12)), (3, 40), (0.0, 1e-6), (1, 2, 3),
          (1, 2, 3)),
+        # sides that skip rows: each side's row sums extend the last one's by several rows
+        (np.random.default_rng(26).uniform(0.1, 1.0, (23, 19, 3)), (2, 4), (0.0, 1e-6), (1, 2, 3),
+         (None, 1, 2, 5)),
+        (np.random.default_rng(27).uniform(0.1, 1.0, (19, 13, 2)), (1, 3, 5, 8), (0.0, 1e-6),
+         (1, 2, 3), (None, 1, 3, 4)),
+        (np.maximum(np.random.default_rng(28).normal(size=(17, 15, 2)), 0.0), (1, 3, 5, 8),
+         (1e-6,), (1, 2), (None, 2)),
     ], ids=["2d", "uniform-stack", "relu-stack", "fewer-channels-than-threads",
             "uneven-bands", "uneven-bands-2d", "side-one", "side-past-image",
-            "shorter-than-halo", "one-row", "one-row-2d"])
+            "shorter-than-halo", "one-row", "one-row-2d", "even-sides", "four-sides",
+            "four-sides-relu"])
     def test_byte_identical(self, field, sides, epsilons, threads, band_rows, monkeypatch):
         scales = ScaleSet(sides)
         for rows in band_rows:
@@ -435,13 +444,14 @@ class TestBoxMeasuresInputCheck:
     def test_checks_its_input_once(self, threads, compute, monkeypatch):
         import mfcal.grid as grid
 
+        # as_field and require_measure both check through grid._checked
         calls = []
-        checked = grid.as_field
+        checked = grid._checked
 
-        def counting(values):
-            calls.append(1)
-            return checked(values)
+        def counting(values, measure):
+            calls.append(measure)
+            return checked(values, measure)
 
-        monkeypatch.setattr(grid, "as_field", counting)
+        monkeypatch.setattr(grid, "_checked", counting)
         compute(np.ones((6, 5, 4)), threads)
-        assert len(calls) == 1
+        assert calls == [True]

@@ -14,6 +14,7 @@ from mfcal.cascade import (
 from mfcal.holder import ScaleSet
 from mfcal.spectrum import (
     CLT_POINTS,
+    _mass_levels,
     box_dimension,
     clt_spectrum,
     histogram_spectrum,
@@ -240,6 +241,14 @@ def distinct_measures(depths, seed=7):
     return fields
 
 
+def signed_zero_cascades(depths, p=0.3):
+    """Unit-mass dyadic measures whose odd cells alternate 0.0 and -0.0."""
+    fields = sparse_cascades(depths, p)
+    for field in fields:
+        field[1::4] = -0.0
+    return fields
+
+
 MEASURES = {
     "line p=0.1": lambda: line_cascades(range(8, 13), p=0.1),
     "line p=0.3": lambda: line_cascades(range(8, 13), p=0.3),
@@ -250,6 +259,7 @@ MEASURES = {
     "plane p=2/3": lambda: [generate_product_2d(P, k) for k in range(4, 8)],
     "uniform plane": lambda: [generate_product_2d(0.5, k) for k in range(4, 8)],
     "zero cells": lambda: sparse_cascades(range(8, 12)),
+    "signed zero cells": lambda: signed_zero_cascades(range(8, 12)),
     "all distinct": lambda: distinct_measures(range(8, 11)),
 }
 
@@ -269,6 +279,41 @@ class TestAgainstPerCellReferences:
         expected = per_cell_histogram(fields, bins)
         assert np.array_equal(curve.alpha, expected.alpha)
         assert np.array_equal(curve.f, expected.f)
+
+
+def unique_mass_levels(field):
+    """Reference: ``np.unique`` over a copy of the positive cells."""
+    mass = np.asarray(field, dtype=np.float64).ravel()
+    return np.unique(mass[mass > 0.0], return_counts=True)
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_mass_levels_match_unique_over_the_positive_cells(name):
+    for field in MEASURES[name]():
+        levels, cells = _mass_levels(field)
+        expected_levels, expected_cells = unique_mass_levels(field)
+        assert levels.tobytes() == expected_levels.tobytes()
+        assert cells.dtype == expected_cells.dtype
+        assert np.array_equal(cells, expected_cells)
+
+
+class TestNonFiniteMeasures:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("estimate", [
+        lambda fields: moments_spectrum(fields, Q_GRID),
+        lambda fields: histogram_spectrum(fields, bins=16),
+    ], ids=["moments", "histogram"])
+    def test_a_non_finite_cell_is_rejected(self, bad, estimate):
+        fields = line_cascades(range(8, 11))
+        fields[-1][5] = bad
+        with pytest.raises(ValueError, match="measure values must be finite"):
+            estimate(fields)
+
+    def test_non_finite_is_reported_before_negative(self):
+        fields = line_cascades(range(8, 11))
+        fields[0][[1, 2]] = [-0.25, np.nan]
+        with pytest.raises(ValueError, match="finite"):
+            moments_spectrum(fields, Q_GRID)
 
 
 class TestCellOrderIsIrrelevant:
