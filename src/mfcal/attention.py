@@ -16,6 +16,14 @@ Two recalibration families operate on a feature stack of shape
 Each method computes its gates once: the forwards return
 ``(gates, output)``, and the gate-only squeezes (``srm_gates``,
 ``fca_gates``) leave the multiplication ``stack * gates`` to the caller.
+The forwards take NumPy's ``out=``, so a caller that no longer needs its
+input can pass ``out=stack`` and receive the same bytes in the stack's
+own buffer.  The channel squeezes (``gap``, ``srm_gates``, ``fca_gates``)
+reduce each channel as one contiguous row of its pixels, copied a chunk
+of channels at a time into one reused buffer of at most ``CHUNK_BYTES``,
+and the scSE maxout runs over chunks of rows the same way, so no method
+builds a stack-sized temporary beyond its output (and the exponent map
+or gate field of the two exponent-driven paths).
 
 The two exponent-driven paths also expose exact reverse-mode gradients
 with respect to every learnable parameter and the input stack, built
@@ -88,10 +96,25 @@ def sigmoid(x) -> np.ndarray:
     return out
 
 
-def _channel_rows(stack: np.ndarray) -> np.ndarray:
-    """An (H, W, C) stack as one contiguous (C, H*W) copy, channels row by row."""
+CHUNK_BYTES = 256 * 1024  # the buffer the channel squeezes and the scSE maxout reuse, in bytes
+
+
+def _channel_chunks(stack: np.ndarray):
+    """Yield ``(channels, rows)`` over consecutive chunks of an (H, W, C) stack's channels.
+
+    ``rows`` is a C-contiguous (k, H*W) copy of the k channels in the
+    ``channels`` slice, one row of pixels in row-major order per
+    channel.  Every chunk is copied into the same buffer of at most
+    ``CHUNK_BYTES`` (and at least one row), so a chunk's rows are spent
+    before the next is yielded.
+    """
     h, w, c = stack.shape
-    return np.ascontiguousarray(stack.transpose(2, 0, 1)).reshape(c, h * w)
+    per = min(max(CHUNK_BYTES // (h * w * stack.itemsize), 1), c)
+    buffer = np.empty((per, h, w))
+    for lo in range(0, c, per):
+        hi = min(lo + per, c)
+        np.copyto(buffer[:hi - lo], stack[:, :, lo:hi].transpose(2, 0, 1))
+        yield slice(lo, hi), buffer[:hi - lo].reshape(hi - lo, h * w)
 
 
 def gap(stack) -> np.ndarray:
@@ -101,9 +124,15 @@ def gap(stack) -> np.ndarray:
     row-major order: NumPy's pairwise sum then adds the same sequence in
     the same tree as ``stack[:, :, c].mean()`` on a C-ordered stack, so
     the means are bit-identical to that per-channel loop, also above
-    NumPy's 8192-element reduction buffer.
+    NumPy's 8192-element reduction buffer.  The rows are copied a chunk
+    of channels at a time into one reused buffer of at most
+    ``CHUNK_BYTES`` (or one row), so no stack-sized copy is made.
     """
-    return _channel_rows(_as_stack(stack)).mean(axis=1)
+    stack = _as_stack(stack)
+    means = np.empty(stack.shape[2])
+    for channels, rows in _channel_chunks(stack):
+        means[channels] = rows.mean(axis=1)
+    return means
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +277,7 @@ def _mono_forward(stack, params: MonoParams, scales, epsilon: float, threads: in
 
 def se_forward(stack, params: MonoParams, source: str = "features",
                scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
-               threads: int | None = None):
+               threads: int | None = None, out: np.ndarray | None = None):
     """Channel gates from a squeezed descriptor; multiplicative output.
 
     ``source="features"`` squeezes the raw stack by its spatial mean.
@@ -256,7 +285,10 @@ def se_forward(stack, params: MonoParams, source: str = "features",
     to its spatial mean per channel instead and normalizes that, so the
     gate responds to each channel's scaling behaviour rather than its
     magnitude; ``params.norm`` standardizes that one value per channel by
-    its stored statistics.  Returns ``(gates, stack * gates)``.
+    its stored statistics.  Returns ``(gates, stack * gates)``, the
+    product written into ``out`` as NumPy's ``out=`` does: ``None``
+    allocates it, and ``out=stack`` gates the stack in place, after the
+    gates are formed, with the same bytes.
     """
     stack = _as_stack(stack)
     if stack.shape[2] != params.channels:
@@ -267,33 +299,52 @@ def se_forward(stack, params: MonoParams, source: str = "features",
         gates, _ = _mono_forward(stack, params, scales, epsilon, threads)
     else:
         raise ValueError(f"unknown squeeze source: {source!r}")
-    return gates, stack * gates
+    return gates, np.multiply(stack, gates, out=out)
 
 
 def scse_forward(stack, channel_params: MonoParams, spatial_weights,
-                 spatial_bias: float = 0.0):
+                 spatial_bias: float = 0.0, out: np.ndarray | None = None):
     """Element-wise maxout of the channel-gated and spatially-gated stack.
 
     The spatial branch projects each pixel's channel vector to a scalar
     logit (a 1x1 projection) and gates by its sigmoid.  Returns
     ``(channel_gates, maxout)``, the channel gates being those of
     ``se_forward(source="features")``.
+
+    Both gates are formed from the whole stack first.  The maxout then
+    runs over chunks of rows: each chunk's channel branch goes into one
+    reused buffer of at most ``CHUNK_BYTES`` (or one row), and its
+    spatial branch and the maxout into ``out``.  ``out`` follows NumPy's
+    ``out=``: ``None`` allocates it, and ``out=stack`` overwrites the
+    stack with the maxout, with the same bytes.
     """
     stack = _as_stack(stack)
+    h, w, c = stack.shape
     spatial_weights = np.asarray(spatial_weights, dtype=np.float64)
-    if spatial_weights.shape != (stack.shape[2],):
+    if spatial_weights.shape != (c,):
         raise ValueError("spatial projection needs one weight per channel")
-    gates, channel_branch = se_forward(stack, channel_params, source="features")
-    logits = stack @ spatial_weights + spatial_bias
-    spatial_branch = stack * sigmoid(logits)[:, :, None]
-    return gates, np.maximum(channel_branch, spatial_branch)
+    if c != channel_params.channels:
+        raise ValueError("stack channel count does not match the parameters")
+    gates = _gate_from_squeeze(gap(stack), channel_params)
+    spatial = sigmoid(stack @ spatial_weights + spatial_bias)[:, :, None]
+    if out is None:
+        out = np.empty(stack.shape)
+    per = min(max(CHUNK_BYTES // (w * c * stack.itemsize), 1), h)
+    buffer = np.empty((per, w, c))
+    for lo in range(0, h, per):
+        rows = slice(lo, min(lo + per, h))
+        channel_branch = np.multiply(stack[rows], gates, out=buffer[:rows.stop - lo])
+        spatial_branch = np.multiply(stack[rows], spatial[rows], out=out[rows])
+        np.maximum(channel_branch, spatial_branch, out=spatial_branch)
+    return gates, out
 
 
 def srm_gates(stack, w_mean, w_std, norm: NormState) -> np.ndarray:
     """Per-channel gate from a learned blend of mean and std pooling.
 
     ``t_c = w_mean_c * GAP_c + w_std_c * GSP_c`` followed by the channel
-    normalization by ``norm``'s stored statistics and a sigmoid.
+    normalization by ``norm``'s stored statistics and a sigmoid.  Both
+    poolings reduce the channel rows of :func:`gap`, a chunk at a time.
     """
     stack = _as_stack(stack)
     w_mean = np.asarray(w_mean, dtype=np.float64)
@@ -301,8 +352,15 @@ def srm_gates(stack, w_mean, w_std, norm: NormState) -> np.ndarray:
     for name, weights in (("w_mean", w_mean), ("w_std", w_std)):
         if weights.shape != (stack.shape[2],):
             raise ValueError(f"{name} needs one weight per channel, got shape {weights.shape}")
-    rows = _channel_rows(stack)
-    t = w_mean * rows.mean(axis=1) + w_std * rows.std(axis=1)
+    t = np.empty(stack.shape[2])
+    for channels, rows in _channel_chunks(stack):
+        mean = rows.mean(axis=1)
+        # the steps of rows.std(axis=1), in place in the spent chunk: the
+        # same bytes without a chunk-sized temporary
+        rows -= mean[:, None]
+        np.multiply(rows, rows, out=rows)
+        std = np.sqrt(rows.sum(axis=1) / rows.shape[1])
+        t[channels] = w_mean[channels] * mean + w_std[channels] * std
     return sigmoid(normalize(t, norm))
 
 
@@ -357,13 +415,15 @@ def fca_gates(stack, params: MonoParams, freq_pairs) -> np.ndarray:
     if groups < 1 or c % groups != 0:
         raise ValueError(f"channel count {c} is not divisible by {groups} groups")
     size = c // groups
-    rows = _channel_rows(stack)
     z = np.empty(c)
     for g, (i, j) in enumerate(freq_pairs):
         group = slice(g * size, (g + 1) * size)
-        # each product row is summed like a row in gap(), so the
-        # zero-frequency squeeze is bit-equal to H*W*GAP
-        z[group] = (rows[group] * dct_basis(h, w, i, j).ravel()).sum(axis=1)
+        basis = dct_basis(h, w, i, j).ravel()
+        squeezes = z[group]
+        for channels, rows in _channel_chunks(stack[:, :, group]):
+            # each product row is summed like a row in gap(), so the
+            # zero-frequency squeeze is bit-equal to H*W*GAP
+            squeezes[channels] = np.multiply(rows, basis, out=rows).sum(axis=1)
     return _gate_from_squeeze(z, params)
 
 
@@ -498,13 +558,16 @@ def _gated_block(alpha: np.ndarray, params: MultiParams, scale, shift, member, n
     return np.reciprocal(gate, out=gate)
 
 
-def multi_forward(stack, alpha, params: MultiParams, threads: int | None = None):
+def multi_forward(stack, alpha, params: MultiParams, threads: int | None = None,
+                  out: np.ndarray | None = None):
     """Additive recalibration by pooled level-set memberships.
 
     Per position: normalize each level set's membership by its statistics
     over every position, rectify, sum over the level sets, squash with a
     sigmoid, and add the resulting gate field to the stack.  Returns
-    ``(gate_field, stack + gate_field)``.
+    ``(gate_field, stack + gate_field)``, the sum written into ``out`` as
+    NumPy's ``out=`` does: ``None`` allocates it, and ``out=stack`` adds
+    the gate field to the stack in place, with the same bytes.
 
     Runs over fixed blocks of ``LEVEL_SET_BLOCK`` flattened positions:
     one pass gathers the statistics and folds them with ``gamma`` and
@@ -524,7 +587,7 @@ def multi_forward(stack, alpha, params: MultiParams, threads: int | None = None)
         flat_gate[block] = _gated_block(alpha[block], params, scale, shift, member, member)
 
     _map_blocks(gate_block, alpha.size, params.norm.channels, 1, threads)
-    return gate, stack + gate
+    return gate, np.add(stack, gate, out=out)
 
 
 # ---------------------------------------------------------------------------

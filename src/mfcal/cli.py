@@ -225,11 +225,12 @@ def _cmd_recalibrate(args) -> int:
         except ValueError as exc:
             raise UsageError(f"--reduction with {channels} channels: {exc}") from None
 
+    # every method writes its output into ``stack``, the array the input was read into
     threads = _resolve_threads(args)
     if args.method == "multi":
         alpha = holder_map(stack, scales, args.epsilon, threads=threads)
         params = init_multi_params(args.q, float(alpha.min()), float(alpha.max()))
-        gate, out = multi_forward(stack, alpha, params, threads=threads)
+        gate, _ = multi_forward(stack, alpha, params, threads=threads, out=stack)
         gates_record.update(
             gate_min=float(gate.min()),
             gate_max=float(gate.max()),
@@ -237,21 +238,21 @@ def _cmd_recalibrate(args) -> int:
         )
     else:
         if args.method == "cse":
-            gates, out = se_forward(stack, mono_params(), source="features")
+            gates, _ = se_forward(stack, mono_params(), source="features", out=stack)
         elif args.method == "mono":
-            gates, out = se_forward(
+            gates, _ = se_forward(
                 stack, mono_params(), source="alpha-map", scales=scales,
-                epsilon=args.epsilon, threads=threads,
+                epsilon=args.epsilon, threads=threads, out=stack,
             )
         elif args.method == "scse":
             params = mono_params()
             spatial = rng.normal(scale=1.0 / np.sqrt(channels), size=channels)
-            gates, out = scse_forward(stack, params, spatial)
+            gates, _ = scse_forward(stack, params, spatial, out=stack)
         elif args.method == "srm":
             w_mean = rng.normal(size=channels)
             w_std = rng.normal(size=channels)
             gates = srm_gates(stack, w_mean, w_std, NormState.identity(channels))
-            out = stack * gates
+            stack *= gates
         else:  # fca; argparse restricts the choices
             params = mono_params()  # a bad --reduction is reported before a bad --groups
             groups = args.groups if args.groups else min(16, channels)
@@ -260,11 +261,11 @@ def _cmd_recalibrate(args) -> int:
                                  "and be at most H*W (0 means min(16, channels))")
             pairs = lowest_frequency_pairs(groups, stack.shape[0], stack.shape[1])
             gates = fca_gates(stack, params, freq_pairs=pairs)
-            out = stack * gates
+            stack *= gates
         gates_record["gates"] = [float(g) for g in gates]
 
     gates_text = _json_line(gates_record, "gate")  # before the first file is written
-    _write_container(args.out, out)
+    _write_container(args.out, stack)
     if args.gates:
         _write_text(args.gates, gates_text)
     return EXIT_OK

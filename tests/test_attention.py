@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mfcal import attention
 from mfcal.attention import (
     dct_basis,
     fca_gates,
@@ -18,7 +19,7 @@ from mfcal.attention import (
     sigmoid,
     srm_gates,
 )
-from mfcal.holder import NormState, ScaleSet, normalize
+from mfcal.holder import NormState, ScaleSet, holder_map, normalize
 
 SCALES = ScaleSet((2, 3, 4))
 
@@ -48,8 +49,10 @@ class TestPooling:
         brute = np.array([stack[:, :, c].ravel().mean() for c in range(3)])
         assert np.array_equal(gap(stack), brute)
 
-    # above 8192 pixels, NumPy's reductions work through more than one buffer
-    @pytest.mark.parametrize("shape", [(100, 100, 3), (224, 224, 2)])
+    # above 8192 pixels, NumPy's reductions work through more than one
+    # buffer; a 224x224 channel row is larger than the chunk buffer, and
+    # 56x56x64 copies several channels a chunk, with a shorter last chunk
+    @pytest.mark.parametrize("shape", [(100, 100, 3), (224, 224, 2), (224, 224, 3), (56, 56, 64)])
     def test_pooling_is_byte_equal_to_a_per_channel_loop(self, shape):
         stack = np.random.default_rng(2).normal(size=shape)
         channels = range(shape[2])
@@ -312,10 +315,8 @@ class TestLowestFrequencyPairs:
 
 class TestFca:
     @pytest.mark.parametrize("groups", ["one", "per-channel"])
-    @pytest.mark.parametrize("shape", [(100, 100, 3), (224, 224, 2)])
+    @pytest.mark.parametrize("shape", [(100, 100, 3), (224, 224, 2), (224, 224, 3), (56, 56, 64)])
     def test_squeeze_is_byte_equal_to_a_per_channel_loop(self, shape, groups, monkeypatch):
-        import mfcal.attention as attention
-
         h, w, c = shape
         stack = np.random.default_rng(3).uniform(size=shape)
         pairs = lowest_frequency_pairs(1 if groups == "one" else c, h, w)
@@ -454,6 +455,111 @@ class TestMultiForward:
         alpha[1, 2, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             multi_forward(np.ones((4, 4, 2)), alpha, init_multi_params(4, 1.0, 3.0))
+
+
+def reference_squeezes(stack, pairs):
+    """Per-channel loops over ``stack[:, :, c]``: the means, stds and cosine squeezes."""
+    h, w, c = stack.shape
+    size = c // len(pairs)
+    cosine = [(stack[:, :, ch] * dct_basis(h, w, *pairs[ch // size])).sum() for ch in range(c)]
+    return (np.array([stack[:, :, ch].mean() for ch in range(c)]),
+            np.array([stack[:, :, ch].std() for ch in range(c)]), np.array(cosine))
+
+
+class TestChunkedSqueezes:
+    """The channel squeezes copy a chunk of channel rows at a time into one buffer."""
+
+    def test_the_default_chunk_splits_the_pooling_shapes_as_their_comment_says(self):
+        per_chunk = attention.CHUNK_BYTES // (56 * 56 * 8)
+        assert attention.CHUNK_BYTES < 224 * 224 * 8 and 1 < per_chunk < 64 and 64 % per_chunk
+
+    # 3000 bytes hold 3 channels of 13x9 (a last chunk of 2) and 2 rows of
+    # 9x20 in the scSE maxout (a last chunk of 1); 56x56 then takes one
+    # channel or one row a chunk
+    @pytest.mark.parametrize("chunk_bytes", [None, 3000])
+    @pytest.mark.parametrize("shape", [(13, 9, 20), (56, 56, 64)])
+    def test_squeezes_are_byte_equal_to_per_channel_loops(self, shape, chunk_bytes, monkeypatch):
+        if chunk_bytes is not None:
+            monkeypatch.setattr(attention, "CHUNK_BYTES", chunk_bytes)
+        h, w, c = shape
+        stack = np.random.default_rng(30).normal(size=shape)
+        pairs = lowest_frequency_pairs(4, h, w)
+        means, stds, cosine = reference_squeezes(stack, pairs)
+        assert gap(stack).tobytes() == means.tobytes()
+        w_mean, w_std = np.full(c, 0.5), np.full(c, 2.0)
+        norm = NormState.identity(c)
+        expected = sigmoid(normalize(w_mean * means + w_std * stds, norm))
+        assert srm_gates(stack, w_mean, w_std, norm).tobytes() == expected.tobytes()
+        squeezes = []
+        gate = attention._gate_from_squeeze
+        monkeypatch.setattr(attention, "_gate_from_squeeze",
+                            lambda z, params: squeezes.append(z.copy()) or gate(z, params))
+        fca_gates(stack, init_mono_params(c, 1, rng=0), freq_pairs=pairs)
+        assert squeezes[0].tobytes() == cosine.tobytes()
+
+    # srm and fca work in place in their chunk; one channel is the shape
+    # whose channel rows are already contiguous in the stack
+    @pytest.mark.parametrize("channels", [20, 1])
+    def test_the_input_stack_is_left_unchanged(self, channels):
+        stack = np.random.default_rng(31).normal(size=(13, 9, channels))
+        before = stack.tobytes()
+        gap(stack)
+        srm_gates(stack, np.ones(channels), np.ones(channels), NormState.identity(channels))
+        fca_gates(stack, init_mono_params(channels, 1, rng=0), lowest_frequency_pairs(1, 13, 9))
+        assert stack.tobytes() == before
+
+
+def forward_cases(stack, rng):
+    """``name -> (forward(x, out) -> (gates, output), reference(x, gates) -> output)``.
+
+    Each reference is the method's output formed from whole-stack
+    temporaries, the way it was computed before the forwards took ``out=``.
+    """
+    c = stack.shape[2]
+    params = mono_fixture(c, rng)
+    weights, bias = rng.normal(size=c) / np.sqrt(c), 0.2
+    alpha = holder_map(stack, SCALES, threads=1)
+    level_sets = init_multi_params(4, float(alpha.min()), float(alpha.max()))
+    return {
+        "cse": (lambda x, out: se_forward(x, params, out=out),
+                lambda x, gates: x * gates),
+        "mono": (lambda x, out: se_forward(x, params, source="alpha-map", scales=SCALES,
+                                           threads=2, out=out),
+                 lambda x, gates: x * gates),
+        "scse": (lambda x, out: scse_forward(x, params, weights, bias, out=out),
+                 lambda x, gates: np.maximum(x * gates,
+                                             x * sigmoid(x @ weights + bias)[:, :, None])),
+        "multi": (lambda x, out: multi_forward(x, alpha, level_sets, threads=2, out=out),
+                  lambda x, gate: x + gate),
+    }
+
+
+class TestOutIntoTheStack:
+    @pytest.mark.parametrize("chunk_bytes", [None, 3000])
+    @pytest.mark.parametrize("method", ["cse", "mono", "scse", "multi"])
+    @pytest.mark.parametrize("shape", [(13, 9, 20), (56, 56, 64)])
+    def test_out_stack_gives_the_bytes_of_out_none(self, shape, method, chunk_bytes,
+                                                   monkeypatch):
+        if chunk_bytes is not None:
+            monkeypatch.setattr(attention, "CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(32)
+        stack = np.maximum(rng.normal(size=shape), 0.0)
+        forward, reference = forward_cases(stack, rng)[method]
+        gates, fresh = forward(stack, None)
+        assert fresh is not stack
+        own = stack.copy()
+        own_gates, out = forward(own, own)
+        assert out is own
+        assert own_gates.tobytes() == gates.tobytes()
+        assert out.tobytes() == fresh.tobytes() == reference(stack, gates).tobytes()
+
+    def test_out_none_leaves_the_stack_unchanged(self):
+        rng = np.random.default_rng(33)
+        stack = np.maximum(rng.normal(size=(13, 9, 20)), 0.0)
+        before = stack.tobytes()
+        for forward, _ in forward_cases(stack, rng).values():
+            forward(stack, None)
+        assert stack.tobytes() == before
 
 
 class TestInit:
