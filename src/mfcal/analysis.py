@@ -22,7 +22,6 @@ __all__ = [
     "excitation_covariance",
     "jacobi_eigh",
     "singular_values",
-    "linear_excitation_threshold",
     "excitation_report",
 ]
 
@@ -78,9 +77,6 @@ def jacobi_eigh(matrix, tol: float = _JACOBI_TOL, max_sweeps: int = _JACOBI_MAX_
     n = a.shape[0]
     v = np.eye(n)
     scale = np.linalg.norm(a)
-    if scale == 0.0 or n == 1:
-        return np.diag(a).copy(), v
-
     sweeps = 0
     while np.sqrt(np.sum(np.triu(a, 1) ** 2) * 2.0) > tol * scale:
         if sweeps == max_sweeps:
@@ -114,37 +110,24 @@ def singular_values(matrix) -> np.ndarray:
     return -np.sort(-np.abs(np.linalg.eigvalsh(_symmetric(matrix))))
 
 
-def _energy_rank(s: np.ndarray, delta: float) -> int:
+def excitation_report(matrix, delta: float) -> dict:
+    """Threshold record ``{delta, k, singular_values}`` for JSON emission.
+
+    ``k`` is the smallest rank whose squared singular values reach
+    ``delta`` of the total.  ``delta`` lies in (0, 1]; the comparison
+    carries a 1e-12 relative slack so that ``delta = 1`` returns the
+    rank despite cumulative-sum rounding.  A zero matrix has rank 0 by
+    convention.
+    """
+    s = singular_values(matrix)
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
     s2 = s ** 2
     total = float(s2.sum())
-    if total == 0.0:
-        return 0
-    target = delta * total
-    slack = 1e-12 * total
-    energy = np.cumsum(s2)
-    for k, e in enumerate(energy, start=1):
-        if e >= target - slack:
-            return k
-    return int(s2.size)  # unreachable: energy[-1] == total
-
-
-def linear_excitation_threshold(matrix, delta: float) -> int:
-    """Smallest rank whose squared singular values reach ``delta`` of the total.
-
-    ``delta`` lies in (0, 1]; comparisons carry a 1e-12 relative slack
-    so that ``delta = 1`` returns the rank despite cumulative-sum
-    rounding.  A zero matrix has rank 0 by convention.
-    """
-    return _energy_rank(singular_values(matrix), delta)
-
-
-def excitation_report(matrix, delta: float) -> dict:
-    """Threshold record ``{delta, k, singular_values}`` for JSON emission."""
-    s = singular_values(matrix)
+    # the cumulative energy never decreases: the first index reaching the target
+    k = int(np.searchsorted(np.cumsum(s2), delta * total - 1e-12 * total)) + 1 if total else 0
     return {
         "delta": float(delta),
-        "k": _energy_rank(s, delta),
+        "k": k,
         "singular_values": [float(v) for v in s],
     }

@@ -25,9 +25,12 @@ and the scSE maxout runs over chunks of rows the same way, so no method
 builds a stack-sized temporary beyond its output (and the exponent map
 or gate field of the two exponent-driven paths).
 
-The two exponent-driven paths also expose exact reverse-mode gradients
-with respect to every learnable parameter and the input stack, built
-for verification against central finite differences.  Their per-pixel
+The two exponent-driven paths also expose exact reverse-mode gradients,
+built for verification against central finite differences: the channel
+gate's with respect to every learnable parameter and the input stack,
+and the level sets' with respect to their parameters, the stack and the
+exponent map, taken as an input (the stack gradient leaves out the
+chain back through the map; see ROADMAP item 10).  Their per-pixel
 passes run over units that the input fixes: the row bands of the
 exponent map and its adjoint, and the position blocks of the level-set
 passes.  ``threads`` (default: every CPU this process may use) only
@@ -668,10 +671,11 @@ def multi_backward(stack, alpha, params: MultiParams, upstream,
                    threads: int | None = None) -> MultiGradients:
     """Exact reverse-mode gradients through the level-set pipeline.
 
-    ``alpha`` is treated as an independent input; its gradient is
-    returned so callers can chain it through an exponent-map backward of
-    their choice.  The stack gradient of the additive head is the
-    upstream cotangent itself.
+    ``alpha`` is treated as an independent input: ``alpha`` of the result
+    is the exponents' cotangent, and ``stack`` is the additive head's,
+    the upstream cotangent itself.  No exponent-map backward takes an
+    (H, W, C) cotangent yet, so the chain from the exponents back to the
+    stack is left out (ROADMAP item 10).
 
     Uses the blocks, workers and folded ``scale``/``shift`` of
     :func:`multi_forward`.  After the statistics pass, one pass

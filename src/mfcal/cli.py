@@ -190,7 +190,7 @@ def _cmd_spectrum(args) -> int:
         q = np.round(np.arange(args.q_min, args.q_max + 1e-9, args.q_step), 10)
         partition, _ = moments_spectrum(fields, q)
         _write_text(args.out, fio.write_moments_csv(partition))
-    elif args.method == "clt":
+    else:  # clt; argparse restricts the choices
         scales = _parse_scales(args.scales)
         field = _cascade(args.p, args.depth, args.dims)
         alpha = holder_map(
@@ -200,8 +200,6 @@ def _cmd_spectrum(args) -> int:
         samples = interior_view(alpha, scales) if args.dims == 2 else alpha
         curve = clt_spectrum(samples, args.depth, support_dim=float(args.dims))
         _write_text(args.out, fio.write_spectrum_csv(curve))
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown method {args.method!r}")
     return EXIT_OK
 
 

@@ -19,14 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import io as fio
-from .analysis import (
-    excitation_report,
-    jacobi_eigh,
-    linear_excitation_threshold,
-    singular_values,
-)
+from .analysis import excitation_report, jacobi_eigh, singular_values
 from .attention import (
     MonoParams,
+    MultiParams,
     dct_basis,
     fca_gates,
     gap,
@@ -161,6 +157,55 @@ def _spectrum_matrix(values, rng):
     return (a + a.T) / 2.0
 
 
+def _random_mono_params(channels, rng, use_bias) -> MonoParams:
+    """Reduction-2 MLP, random biases when ``use_bias``, random frozen statistics."""
+    params = init_mono_params(channels, 2, rng=rng, use_bias=use_bias)
+    if use_bias:
+        params.b1 = rng.normal(scale=0.2, size=params.b1.shape)
+        params.b2 = rng.normal(scale=0.2, size=params.b2.shape)
+    params.norm.gamma = rng.uniform(0.5, 1.5, channels)
+    params.norm.beta = rng.uniform(-0.5, 0.5, channels)
+    params.norm.running_mean = rng.uniform(-0.2, 0.2, channels)
+    params.norm.running_var = rng.uniform(0.5, 1.5, channels)
+    return params
+
+
+def _random_level_sets(alpha, q, rng) -> MultiParams:
+    """``q`` level sets over the range of ``alpha``, random sharpness and affine."""
+    params = init_multi_params(q, float(alpha.min()), float(alpha.max()))
+    params.sharpness = rng.uniform(0.5, 2.0, q)
+    params.norm.gamma = rng.uniform(0.5, 1.5, q)
+    params.norm.beta = rng.uniform(-0.5, 0.5, q)
+    return params
+
+
+def _probe_gradient(loss, arrays, analytic, rng, count):
+    """Worst relative error of analytic partials against central differences.
+
+    Probes ``count`` distinct entries of each named array, drawn without
+    replacement (every entry when ``count`` reaches the array's size), at
+    step 1e-5, relative to ``max(|analytic|, |fd|, 1e-6)``.  Returns
+    ``(error, name, index)`` of the worst entry, so a failure says where.
+    """
+    step = 1e-5
+    worst = (0.0, None, None)
+    for name, arr in arrays.items():
+        flat = arr.ravel()  # a view: the loss sees each perturbation
+        grad = analytic[name].ravel()
+        for idx in rng.choice(flat.size, size=min(count, flat.size), replace=False):
+            old = flat[idx]
+            flat[idx] = old + step
+            up = loss()
+            flat[idx] = old - step
+            down = loss()
+            flat[idx] = old
+            fd = (up - down) / (2.0 * step)
+            rel = abs(grad[idx] - fd) / max(abs(grad[idx]), abs(fd), 1e-6)
+            if rel >= worst[0]:
+                worst = (float(rel), name, int(idx))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -264,19 +309,8 @@ def _criterion_recalibration_contracts(ctx):
         nonlocal worst
         worst = max(worst, float(err))
 
-    def randomized_mono():
-        params = init_mono_params(c, 2, rng=rng, use_bias=use_bias)
-        if use_bias:
-            params.b1 = rng.normal(scale=0.2, size=params.b1.shape)
-            params.b2 = rng.normal(scale=0.2, size=params.b2.shape)
-        params.norm.gamma = rng.uniform(0.5, 1.5, c)
-        params.norm.beta = rng.uniform(-0.5, 0.5, c)
-        params.norm.running_mean = rng.uniform(-0.2, 0.2, c)
-        params.norm.running_var = rng.uniform(0.5, 1.5, c)
-        return params
-
     # channel squeeze (spatial-mean source)
-    params = randomized_mono()
+    params = _random_mono_params(c, rng, use_bias)
     gates, out = se_forward(stack, params, source="features")
     ref_z = np.array([stack[:, :, ch].mean() for ch in range(c)])
     ref_gates = _brute_mlp_gates(ref_z, params)
@@ -325,7 +359,7 @@ def _criterion_recalibration_contracts(ctx):
 
     # cosine squeezes: brute double sum per group
     pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    fparams = randomized_mono()
+    fparams = _random_mono_params(c, rng, use_bias)
     fgates = fca_gates(stack, fparams, freq_pairs=pairs)
     group = c // len(pairs)
     ref_z = np.zeros(c)
@@ -346,7 +380,7 @@ def _criterion_recalibration_contracts(ctx):
         return False, "zero-frequency squeeze != H*W*GAP"
 
     # exponent-driven channel gate
-    mparams = randomized_mono()
+    mparams = _random_mono_params(c, rng, use_bias)
     mgates, mout = se_forward(stack, mparams, source="alpha-map",
                               scales=_SCALES, epsilon=1e-6, threads=ctx["threads"])
     ref_alpha = _brute_holder(stack, _SCALES.sides, 1e-6)
@@ -359,10 +393,7 @@ def _criterion_recalibration_contracts(ctx):
     # level-set recalibration
     qn = 4
     alpha = rng.normal(2.0, 0.4, (h, w, c))
-    qparams = init_multi_params(qn, float(alpha.min()), float(alpha.max()))
-    qparams.sharpness = rng.uniform(0.5, 2.0, qn)
-    qparams.norm.gamma = rng.uniform(0.5, 1.5, qn)
-    qparams.norm.beta = rng.uniform(-0.5, 0.5, qn)
+    qparams = _random_level_sets(alpha, qn, rng)
     gate, mout = multi_forward(stack, alpha, qparams, threads=ctx["threads"])
     ref_member = np.zeros((h, w, c, qn))
     for i in range(h):
@@ -395,45 +426,15 @@ def _criterion_recalibration_contracts(ctx):
     return ok, f"max brute-force deviation = {worst:.2e}"
 
 
-def _probe_gradient(loss, arrays, analytic, rng, probes, step=1e-5):
-    """Compare analytic partials against central differences at random coords."""
-    worst = 0.0
-    names = list(arrays)
-    for t in range(probes):
-        name = names[t % len(names)]
-        arr = arrays[name]
-        flat = arr.ravel()
-        idx = int(rng.integers(flat.size))
-        old = flat[idx]
-        flat[idx] = old + step
-        up = loss()
-        flat[idx] = old - step
-        down = loss()
-        flat[idx] = old
-        fd = (up - down) / (2.0 * step)
-        an = analytic[name].ravel()[idx]
-        rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
-        worst = max(worst, rel)
-    return worst
-
-
 def _criterion_gradient_checks(ctx):
     rng = np.random.default_rng(1789)
     use_bias = not ctx["strict"]
     threads = ctx["threads"]
-    probes = 200
 
     # exponent-gated squeeze, frozen statistics (full chain incl. window adjoints)
     while True:
         stack = rng.uniform(0.5, 1.5, (2, 2, 4))
-        params = init_mono_params(4, 2, rng=rng, use_bias=use_bias)
-        if use_bias:
-            params.b1 = rng.normal(scale=0.2, size=params.b1.shape)
-            params.b2 = rng.normal(scale=0.2, size=params.b2.shape)
-        params.norm.gamma = rng.uniform(0.5, 1.5, 4)
-        params.norm.beta = rng.uniform(-0.5, 0.5, 4)
-        params.norm.running_mean = rng.uniform(-0.2, 0.2, 4)
-        params.norm.running_var = rng.uniform(0.5, 1.5, 4)
+        params = _random_mono_params(4, rng, use_bias)
         probe_z = normalize(
             mean_alpha(holder_map(stack, _SCALES, 1e-6, threads)), params.norm
         )
@@ -455,16 +456,15 @@ def _criterion_gradient_checks(ctx):
     if use_bias:
         arrays.update(b1=params.b1, b2=params.b2)
         analytic.update(b1=grads.b1, b2=grads.b2)
-    mono_worst = _probe_gradient(mono_loss, arrays, analytic, rng, probes)
+    mono_probes = sum(a.size for a in arrays.values())
+    # no array is larger than the stack, so every entry of each is probed
+    mono = _probe_gradient(mono_loss, arrays, analytic, rng, stack.size)
 
     # level-set pipeline, per-instance statistics
     while True:
         stack = rng.uniform(0.5, 1.5, (2, 2, 4))
         alpha = rng.normal(2.0, 0.3, (2, 2, 4))
-        qparams = init_multi_params(4, float(alpha.min()), float(alpha.max()))
-        qparams.sharpness = rng.uniform(0.5, 2.0, 4)
-        qparams.norm.gamma = rng.uniform(0.5, 1.5, 4)
-        qparams.norm.beta = rng.uniform(-0.5, 0.5, 4)
+        qparams = _random_level_sets(alpha, 4, rng)
         member = multi_membership(alpha, qparams)
         mean, var = member.mean(axis=(0, 1, 2)), member.var(axis=(0, 1, 2))
         normed = qparams.norm.gamma * ((member - mean) / np.sqrt(var + 1e-5)) + qparams.norm.beta
@@ -483,36 +483,38 @@ def _criterion_gradient_checks(ctx):
     analytic = {"centers": qgrads.centers, "sharpness": qgrads.sharpness,
                 "gamma": qgrads.gamma, "beta": qgrads.beta,
                 "stack": qgrads.stack, "alpha": qgrads.alpha}
-    multi_worst = _probe_gradient(multi_loss, arrays, analytic, rng, probes)
+    multi_probes = sum(a.size for a in arrays.values())
+    multi = _probe_gradient(multi_loss, arrays, analytic, rng, stack.size)
 
-    ok = mono_worst < 1e-4 and multi_worst < 1e-4
+    ok = mono[0] < 1e-4 and multi[0] < 1e-4
     return ok, (
-        f"worst relative error: exponent-gate {mono_worst:.2e}, "
-        f"level-set {multi_worst:.2e} over {probes} probes each"
+        f"worst relative error: exponent-gate {mono[0]:.2e} at {mono[1]}[{mono[2]}], "
+        f"level-set {multi[0]:.2e} at {multi[1]}[{multi[2]}]; every entry probed "
+        f"({mono_probes} and {multi_probes})"
     )
 
 
 def _criterion_excitation_threshold(ctx):
     rng = np.random.default_rng(2024)
     a = _spectrum_matrix([10.0, 3.0, 1.0], rng)
-    k95 = linear_excitation_threshold(a, 0.95)
+    k95 = excitation_report(a, 0.95)["k"]
     if k95 != 2:
         return False, f"{{10,3,1}} spectrum at delta 0.95 gave k = {k95}, want 2"
     v = rng.normal(size=5)
     rank1 = np.outer(v, v)
-    k_rank1 = linear_excitation_threshold(rank1, 0.4)
+    k_rank1 = excitation_report(rank1, 0.4)["k"]
     if k_rank1 != 1:
         return False, f"rank-1 matrix gave k = {k_rank1}, want 1"
-    k_full = linear_excitation_threshold(a, 1.0)
+    k_full = excitation_report(a, 1.0)["k"]
     deficient = _spectrum_matrix([10.0, 3.0, 0.0], rng)
-    k_deficient = linear_excitation_threshold(deficient, 1.0)
+    k_deficient = excitation_report(deficient, 1.0)["k"]
     if k_full != 3 or k_deficient != 2:
         return False, f"delta = 1 gave k = {k_full}/{k_deficient}, want rank 3/2"
     for _ in range(20):
         q = _random_orthogonal(3, rng)
         conj = q @ a @ q.T
         conj = (conj + conj.T) / 2.0
-        if linear_excitation_threshold(conj, 0.95) != 2:
+        if excitation_report(conj, 0.95)["k"] != 2:
             return False, "threshold changed under orthogonal conjugation"
     # Jacobi rotations are the independent route to the same spectrum
     b = rng.normal(size=(16, 16))

@@ -123,12 +123,8 @@ def histogram_spectrum(fields, bins: int = 32) -> SpectrumCurve:
     lo, hi = float(deepest.min()), float(deepest.max())
     x = np.asarray(depths, dtype=np.float64) * _LN2
     dev = x - x.mean()
-    if hi <= lo:
-        # single exponent value at the deepest level: one bin holding all
-        # positive cells; its occupancy growth is still the dimension
-        counts = np.array([cells.sum() for _, cells in per_depth], dtype=np.float64)
-        slope = float(dev @ np.log(counts) / np.dot(dev, dev))
-        return SpectrumCurve(np.array([lo]), np.array([max(slope, 0.0)]))
+    # one exponent at the deepest level makes every edge equal: np.histogram
+    # puts its cells in the last bin, whose center is that exponent
     edges = np.linspace(lo, hi, bins + 1)
     counts = np.stack([
         np.histogram(alpha, bins=edges, weights=cells)[0] for alpha, cells in per_depth

@@ -8,7 +8,6 @@ from mfcal.analysis import (
     excitation_covariance,
     excitation_report,
     jacobi_eigh,
-    linear_excitation_threshold,
     singular_values,
 )
 from mfcal.selftest import _random_orthogonal as random_orthogonal
@@ -76,28 +75,26 @@ class TestLinearExcitationThreshold:
         rng = np.random.default_rng(11)
         a = matrix_with_spectrum([10.0, 3.0, 1.0], rng)
         # energies: 100/110 = 0.909 < 0.95, 109/110 = 0.991 >= 0.95
-        assert linear_excitation_threshold(a, 0.95) == 2
+        assert excitation_report(a, 0.95)["k"] == 2
 
     def test_rank_one_needs_one_component(self):
         v = np.array([0.3, 0.5, 0.1, 0.9])
         for delta in (0.1, 0.5, 1.0):
-            assert linear_excitation_threshold(np.outer(v, v), delta) == 1
+            assert excitation_report(np.outer(v, v), delta)["k"] == 1
 
     def test_full_energy_returns_the_rank(self):
         rng = np.random.default_rng(12)
-        assert linear_excitation_threshold(
-            matrix_with_spectrum([10.0, 3.0, 1.0], rng), 1.0) == 3
-        assert linear_excitation_threshold(
-            matrix_with_spectrum([10.0, 3.0, 0.0], rng), 1.0) == 2
+        assert excitation_report(matrix_with_spectrum([10.0, 3.0, 1.0], rng), 1.0)["k"] == 3
+        assert excitation_report(matrix_with_spectrum([10.0, 3.0, 0.0], rng), 1.0)["k"] == 2
 
     def test_zero_matrix_has_rank_zero(self):
-        assert linear_excitation_threshold(np.zeros((4, 4)), 0.9) == 0
+        assert excitation_report(np.zeros((4, 4)), 0.9)["k"] == 0
 
     def test_monotone_in_delta_and_bounded_by_channels(self):
         rng = np.random.default_rng(13)
         a = matrix_with_spectrum([9.0, 4.0, 2.0, 1.0, 0.5], rng)
         deltas = [0.2, 0.5, 0.8, 0.9, 0.99, 1.0]
-        ks = [linear_excitation_threshold(a, d) for d in deltas]
+        ks = [excitation_report(a, d)["k"] for d in deltas]
         assert all(k1 <= k2 for k1, k2 in zip(ks, ks[1:]))
         assert all(1 <= k <= 5 for k in ks)
 
@@ -107,18 +104,18 @@ class TestLinearExcitationThreshold:
         for _ in range(20):
             q = random_orthogonal(3, rng)
             conj = q @ a @ q.T
-            assert linear_excitation_threshold((conj + conj.T) / 2, 0.95) == 2
+            assert excitation_report((conj + conj.T) / 2, 0.95)["k"] == 2
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError, match="delta"):
-            linear_excitation_threshold(np.eye(2), 0.0)
+            excitation_report(np.eye(2), 0.0)
         with pytest.raises(ValueError, match="delta"):
-            linear_excitation_threshold(np.eye(2), 1.5)
+            excitation_report(np.eye(2), 1.5)
 
     def test_rejects_asymmetric_matrices(self):
         bad = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            linear_excitation_threshold(bad, 0.9)
+            excitation_report(bad, 0.9)
 
     def test_report_record_fields(self):
         rng = np.random.default_rng(15)

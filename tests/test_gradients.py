@@ -17,32 +17,45 @@ from mfcal.attention import (
 from mfcal import holder
 from mfcal.grid import window_sum_adjoint
 from mfcal.holder import ScaleSet, _holder_map_vjp, box_measures, log_slope_weights
+from mfcal.selftest import _probe_gradient as probe_gradient
+from mfcal.selftest import _random_level_sets as random_level_sets
 
 SCALES = ScaleSet((2, 3, 4))
 EPS = 1e-6
-STEP = 1e-5
 
 
-def relative_error(analytic, numeric):
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
+class TestProbeGradient:
+    def test_names_the_worst_entry_and_probes_every_entry_at_full_count(self):
+        x = np.arange(1.0, 7.0).reshape(2, 3)
+        y = np.array([0.5, -2.0])
+        before = x.copy(), y.copy()
+        calls = []
 
+        def loss():
+            calls.append(None)
+            return float((x ** 2).sum() + (y ** 3).sum())
 
-def check_against_fd(loss, arrays, analytic, rng, probes_per_array=5):
-    for name, arr in arrays.items():
-        flat = arr.ravel()
-        grad = analytic[name].ravel()
-        count = min(probes_per_array, flat.size)
-        for idx in rng.choice(flat.size, size=count, replace=False):
-            old = flat[idx]
-            flat[idx] = old + STEP
-            up = loss()
-            flat[idx] = old - STEP
-            down = loss()
-            flat[idx] = old
-            fd = (up - down) / (2 * STEP)
-            assert relative_error(grad[idx], fd) < 1e-4, (
-                f"{name}[{idx}]: analytic {grad[idx]:.8g} vs fd {fd:.8g}"
-            )
+        analytic = {"x": 2.0 * x, "y": 3.0 * y ** 2}
+        analytic["x"][1, 0] += 1.0  # 9 where the derivative is 8
+        error, name, idx = probe_gradient(loss, {"x": x, "y": y}, analytic,
+                                          np.random.default_rng(0), 6)
+        assert (name, idx) == ("x", 3)
+        assert error == pytest.approx(1.0 / 9.0, rel=1e-6)
+        assert len(calls) == 2 * (x.size + y.size)
+        assert np.array_equal(x, before[0]) and np.array_equal(y, before[1])
+
+    def test_draws_count_distinct_entries_per_array(self):
+        x = np.linspace(0.5, 2.0, 10)
+        seen = []
+
+        def loss():
+            seen.append(int(np.flatnonzero(x != np.linspace(0.5, 2.0, 10))[0]))
+            return float((x ** 2).sum())
+
+        error, _, _ = probe_gradient(loss, {"x": x}, {"x": 2.0 * x},
+                                     np.random.default_rng(1), 4)
+        assert error < 1e-8
+        assert len(seen) == 8 and len(set(seen)) == 4
 
 
 def mono_fixture(rng, use_bias=True, shape=(2, 2, 4)):
@@ -106,7 +119,8 @@ class TestMonoBackward:
         analytic = {"w1": grads.w1, "b1": grads.b1, "w2": grads.w2,
                     "b2": grads.b2, "gamma": grads.gamma,
                     "beta": grads.beta, "stack": grads.stack}
-        check_against_fd(loss, arrays, analytic, rng)
+        error, name, idx = probe_gradient(loss, arrays, analytic, rng, 5)
+        assert error < 1e-4, f"{name}[{idx}]: relative error {error:.3g}"
 
     @pytest.mark.parametrize("shape, sides", [
         ((40, 36, 8), (2, 3, 4)),
@@ -228,17 +242,15 @@ class TestMonoBackward:
                                 scales=SCALES, epsilon=EPS)
             return float((upstream * out).sum())
 
-        check_against_fd(loss, {"w1": params.w1, "stack": stack},
-                         {"w1": grads.w1, "stack": grads.stack}, rng)
+        error, name, idx = probe_gradient(loss, {"w1": params.w1, "stack": stack},
+                                          {"w1": grads.w1, "stack": grads.stack}, rng, 5)
+        assert error < 1e-4, f"{name}[{idx}]: relative error {error:.3g}"
 
 
 def multi_fixture(rng):
     stack = rng.uniform(0.5, 1.5, (2, 2, 4))
     alpha = rng.normal(2.0, 0.3, (2, 2, 4))
-    params = init_multi_params(4, float(alpha.min()), float(alpha.max()))
-    params.sharpness = rng.uniform(0.5, 2.0, 4)
-    params.norm.gamma = rng.uniform(0.5, 1.5, 4)
-    params.norm.beta = rng.uniform(-0.5, 0.5, 4)
+    params = random_level_sets(alpha, 4, rng)
     upstream = rng.normal(size=stack.shape)
     return stack, alpha, params, upstream
 
@@ -256,7 +268,8 @@ def check_multi_against_fd(stack, alpha, params, upstream, rng):
     analytic = {"centers": grads.centers, "sharpness": grads.sharpness,
                 "gamma": grads.gamma, "beta": grads.beta,
                 "stack": grads.stack, "alpha": grads.alpha}
-    check_against_fd(loss, arrays, analytic, rng)
+    error, name, idx = probe_gradient(loss, arrays, analytic, rng, 5)
+    assert error < 1e-4, f"{name}[{idx}]: relative error {error:.3g}"
 
 
 class TestMultiBackward:
