@@ -200,9 +200,12 @@ def _probe_gradient(loss, arrays, analytic, rng, count):
             down = loss()
             flat[idx] = old
             fd = (up - down) / (2.0 * step)
-            rel = abs(grad[idx] - fd) / max(abs(grad[idx]), abs(fd), 1e-6)
+            exact = float(grad[idx])
+            rel = abs(exact - fd) / max(abs(exact), abs(fd), 1e-6)
+            if not math.isfinite(rel):  # NaN compares false: count it as worst
+                rel = math.inf
             if rel >= worst[0]:
-                worst = (float(rel), name, int(idx))
+                worst = (rel, name, int(idx))
     return worst
 
 
@@ -457,8 +460,7 @@ def _criterion_gradient_checks(ctx):
         arrays.update(b1=params.b1, b2=params.b2)
         analytic.update(b1=grads.b1, b2=grads.b2)
     mono_probes = sum(a.size for a in arrays.values())
-    # no array is larger than the stack, so every entry of each is probed
-    mono = _probe_gradient(mono_loss, arrays, analytic, rng, stack.size)
+    mono = _probe_gradient(mono_loss, arrays, analytic, rng, mono_probes)
 
     # level-set pipeline, per-instance statistics
     while True:
@@ -484,7 +486,7 @@ def _criterion_gradient_checks(ctx):
                 "gamma": qgrads.gamma, "beta": qgrads.beta,
                 "stack": qgrads.stack, "alpha": qgrads.alpha}
     multi_probes = sum(a.size for a in arrays.values())
-    multi = _probe_gradient(multi_loss, arrays, analytic, rng, stack.size)
+    multi = _probe_gradient(multi_loss, arrays, analytic, rng, multi_probes)
 
     ok = mono[0] < 1e-4 and multi[0] < 1e-4
     return ok, (

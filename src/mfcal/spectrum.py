@@ -106,7 +106,8 @@ def histogram_spectrum(fields, bins: int = 32) -> SpectrumCurve:
     as the depth k grows, so the slope of ``log N_k(bin)`` against
     ``k log 2`` estimates the level-set dimension of each shared
     alpha-bin.  Bin edges span the exponent range observed at the
-    deepest level; bins empty at any depth are dropped.
+    deepest level, and cells outside it are not counted; bins empty at
+    any depth are dropped.
 
     Each depth is binned as its distinct masses' exponents, weighted by
     how many cells hold each mass: the same counts as binning every

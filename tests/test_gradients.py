@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mfcal.attention import (
-    init_mono_params,
     init_multi_params,
     mono_backward,
     multi_backward,
@@ -19,6 +18,7 @@ from mfcal.grid import window_sum_adjoint
 from mfcal.holder import ScaleSet, _holder_map_vjp, box_measures, log_slope_weights
 from mfcal.selftest import _probe_gradient as probe_gradient
 from mfcal.selftest import _random_level_sets as random_level_sets
+from mfcal.selftest import _random_mono_params as random_mono_params
 
 SCALES = ScaleSet((2, 3, 4))
 EPS = 1e-6
@@ -57,17 +57,37 @@ class TestProbeGradient:
         assert error < 1e-8
         assert len(seen) == 8 and len(set(seen)) == 4
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_analytic_entry_is_the_worst(self, bad):
+        x = np.array([1.0, 2.0, 3.0])
+        analytic = 2.0 * x
+        analytic[1] = bad
+
+        def loss():
+            return float((x ** 2).sum())
+
+        error, name, idx = probe_gradient(loss, {"x": x}, {"x": analytic},
+                                          np.random.default_rng(2), 3)
+        assert not error < 1e-4
+        assert (name, idx) == ("x", 1)
+
+    def test_a_nan_loss_is_the_worst(self):
+        x = np.array([1.0, 2.0])
+
+        def loss():
+            return float("nan")
+
+        error, _, _ = probe_gradient(loss, {"x": x}, {"x": 2.0 * x},
+                                     np.random.default_rng(3), 2)
+        assert not error < 1e-4
+
 
 def mono_fixture(rng, use_bias=True, shape=(2, 2, 4)):
     channels = shape[2]
     stack = rng.uniform(0.5, 1.5, shape)
-    params = init_mono_params(channels, 2, rng=rng, use_bias=use_bias)
-    params.b1 = rng.normal(scale=0.2, size=params.b1.shape)
-    params.b2 = rng.normal(scale=0.2, size=params.b2.shape)
-    params.norm.gamma = rng.uniform(0.5, 1.5, channels)
-    params.norm.beta = rng.uniform(-0.5, 0.5, channels)
-    params.norm.running_mean = rng.uniform(-0.2, 0.2, channels)
-    params.norm.running_var = rng.uniform(0.5, 1.5, channels)
+    # random biases even without use_bias: the two-matrix form must ignore them
+    params = random_mono_params(channels, rng, True)
+    params.use_bias = use_bias
     upstream = rng.normal(size=stack.shape)
     return stack, params, upstream
 

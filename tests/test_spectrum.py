@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mfcal.cascade import (
-    SpectrumCurve,
     analytic_alpha_q,
     analytic_tau,
     generate_binomial,
@@ -208,10 +207,6 @@ def per_cell_histogram(fields, bins):
     lo, hi = float(per_depth[-1].min()), float(per_depth[-1].max())
     x = np.asarray(depths, dtype=np.float64) * np.log(2.0)
     dev = x - x.mean()
-    if hi <= lo:
-        counts = np.array([a.size for a in per_depth], dtype=np.float64)
-        slope = float(dev @ np.log(counts) / np.dot(dev, dev))
-        return SpectrumCurve(np.array([lo]), np.array([max(slope, 0.0)]))
     edges = np.linspace(lo, hi, bins + 1)
     counts = np.stack([np.histogram(a, bins=edges)[0] for a in per_depth])
     keep = np.all(counts > 0, axis=0)
@@ -279,6 +274,24 @@ class TestAgainstPerCellReferences:
         expected = per_cell_histogram(fields, bins)
         assert np.array_equal(curve.alpha, expected.alpha)
         assert np.array_equal(curve.f, expected.f)
+
+
+class TestOneExponentAtTheDeepestLevel:
+    """Every edge equals that exponent; like any bin, it counts only its own cells."""
+
+    def test_a_shallower_level_counts_only_its_cells_at_that_exponent(self):
+        # two of the four depth-2 cells have exponent 1, all eight at depth 3
+        fields = [np.array([0.25, 0.25, 0.1, 0.4]), np.full(8, 0.125)]
+        curve = histogram_spectrum(fields, bins=8)
+        assert curve.alpha.tolist() == [1.0] and curve.f == pytest.approx([2.0])
+        expected = per_cell_histogram(fields, 8)
+        assert np.array_equal(curve.alpha, expected.alpha)
+        assert np.array_equal(curve.f, expected.f)
+
+    def test_no_shallower_cell_at_that_exponent_is_an_empty_bin(self):
+        fields = [np.array([0.2, 0.3, 0.1, 0.4]), np.full(8, 0.125)]
+        with pytest.raises(ValueError, match="no alpha bin is occupied"):
+            histogram_spectrum(fields, bins=8)
 
 
 def unique_mass_levels(field):
