@@ -62,23 +62,23 @@ def _symmetric(matrix) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def jacobi_eigh(matrix, tol: float = _JACOBI_TOL, max_sweeps: int = _JACOBI_MAX_SWEEPS):
+def jacobi_eigh(matrix, max_sweeps: int = _JACOBI_MAX_SWEEPS):
     """Symmetric eigendecomposition by cyclic Jacobi rotations.
 
     Sweeps the strict upper triangle in a fixed row-major order,
     rotating each off-diagonal entry to zero, until the off-diagonal
-    Frobenius norm falls below ``tol`` relative to the matrix norm.
+    Frobenius norm falls below ``_JACOBI_TOL`` relative to the matrix norm.
     Returns ``(eigenvalues, eigenvectors)`` ordered by decreasing
     absolute value; columns of the eigenvector matrix are orthonormal.
     Raises ``ValueError`` when ``max_sweeps`` sweeps do not reach
-    ``tol``.  Deterministic: no pivot searching, no randomness.
+    ``_JACOBI_TOL``.  Deterministic: no pivot searching, no randomness.
     """
     a = _symmetric(matrix)
     n = a.shape[0]
     v = np.eye(n)
     scale = np.linalg.norm(a)
     sweeps = 0
-    while np.sqrt(np.sum(np.triu(a, 1) ** 2) * 2.0) > tol * scale:
+    while np.sqrt(np.sum(np.triu(a, 1) ** 2) * 2.0) > _JACOBI_TOL * scale:
         if sweeps == max_sweeps:
             raise ValueError(f"Jacobi eigensolver did not converge in {max_sweeps} sweeps")
         sweeps += 1

@@ -553,12 +553,7 @@ def _gated_block(alpha: np.ndarray, params: MultiParams, scale, shift, member, n
     """
     _membership_block(alpha, params, member)
     np.maximum(_normed_block(member, scale, shift, normed), 0.0, out=normed)
-    # the pooled sum is >= 0, where sigmoid() is 1 / (1 + exp(-x)): the same bytes, in place
-    gate = normed.sum(axis=0)
-    np.negative(gate, out=gate)
-    np.exp(gate, out=gate)
-    gate += 1.0
-    return np.reciprocal(gate, out=gate)
+    return sigmoid(normed.sum(axis=0))
 
 
 def multi_forward(stack, alpha, params: MultiParams, threads: int | None = None,

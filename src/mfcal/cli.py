@@ -395,8 +395,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path: str) -> list:
     """Turn key=value lines into flag tokens inserted after the subcommand."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
     tokens = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,10 +1,20 @@
 """Acceptance harness: one self-contained check per shipping criterion.
 
 Every criterion re-derives its expected values through an independent
-route (closed forms, explicit Python loops, finite differences) and
-compares the library's vectorized paths against them at a pinned
-tolerance, within a pinned runtime budget.  The CLI ``selftest``
-command and the acceptance test module both run this harness.
+route (closed forms, explicit Python loops, dense tensors, finite
+differences) and compares the library's vectorized paths against them
+at a pinned tolerance, within a pinned runtime budget.  The CLI
+``selftest`` command and the acceptance test module both run this
+harness.
+
+Each reference lives here once; the tests import it rather than keep a
+copy: ``_brute_window_measures`` (window sums), ``_brute_holder`` (the
+exponent map), ``_brute_frozen_norm`` (the stored-statistics
+normalization), ``_dense_level_sets`` (the level-set forward over a
+materialized (..., Q) tensor), the central-difference probe
+``_probe_gradient``, and the random draws ``_random_norm``,
+``_random_mono_params``, ``_random_level_sets``, ``_random_orthogonal``
+and ``_spectrum_matrix``.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from .cascade import (
     generate_binomial,
     generate_product_2d,
 )
-from .holder import NormState, ScaleSet, holder_map, interior_view, mean_alpha, normalize
+from .holder import VAR_EPS, NormState, ScaleSet, holder_map, interior_view, mean_alpha, normalize
 from .spectrum import box_dimension, histogram_spectrum, moments_spectrum
 
 __all__ = ["CriterionResult", "run_acceptance", "CRITERIA"]
@@ -114,24 +124,22 @@ def _brute_window_measures(stack, sides, epsilon):
     return out
 
 
-def _brute_slope(ys, xs):
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    num = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    den = sum((x - xbar) ** 2 for x in xs)
-    return num / den
-
-
 def _brute_holder(stack, sides, epsilon):
+    """Per-pixel OLS slope of log mass on log side over the clipped windows.
+
+    Adds ``w_k * log(mass_k)`` with the OLS weights in ascending side
+    order, as the library does, so integer-valued stacks agree bit for bit.
+    """
     measures = _brute_window_measures(stack, sides, epsilon)
-    h, w, c = stack.shape
-    xs = [math.log(s) for s in sides]
-    alpha = np.zeros((h, w, c))
-    for i in range(h):
-        for j in range(w):
-            for ch in range(c):
-                ys = [math.log(m[i, j, ch]) for m in measures]
-                alpha[i, j, ch] = _brute_slope(ys, xs)
+    xs = np.log(np.array(sides, dtype=np.float64))
+    dev = xs - xs.mean()
+    weights = dev / np.dot(dev, dev)
+    alpha = np.zeros(stack.shape)
+    for pos in np.ndindex(*stack.shape):
+        acc = 0.0
+        for weight, mass in zip(weights, measures):
+            acc += weight * math.log(mass[pos])
+        alpha[pos] = acc
     return alpha
 
 
@@ -157,16 +165,19 @@ def _spectrum_matrix(values, rng):
     return (a + a.T) / 2.0
 
 
+def _random_norm(channels, rng) -> NormState:
+    """Random affine and frozen statistics, drawn in field order."""
+    return NormState(rng.uniform(0.5, 1.5, channels), rng.uniform(-0.5, 0.5, channels),
+                     rng.uniform(-0.2, 0.2, channels), rng.uniform(0.5, 1.5, channels))
+
+
 def _random_mono_params(channels, rng, use_bias) -> MonoParams:
     """Reduction-2 MLP, random biases when ``use_bias``, random frozen statistics."""
     params = init_mono_params(channels, 2, rng=rng, use_bias=use_bias)
     if use_bias:
         params.b1 = rng.normal(scale=0.2, size=params.b1.shape)
         params.b2 = rng.normal(scale=0.2, size=params.b2.shape)
-    params.norm.gamma = rng.uniform(0.5, 1.5, channels)
-    params.norm.beta = rng.uniform(-0.5, 0.5, channels)
-    params.norm.running_mean = rng.uniform(-0.2, 0.2, channels)
-    params.norm.running_var = rng.uniform(0.5, 1.5, channels)
+    params.norm = _random_norm(channels, rng)
     return params
 
 
@@ -177,6 +188,28 @@ def _random_level_sets(alpha, q, rng) -> MultiParams:
     params.norm.gamma = rng.uniform(0.5, 1.5, q)
     params.norm.beta = rng.uniform(-0.5, 0.5, q)
     return params
+
+
+def _dense_level_sets(stack, alpha, params: MultiParams):
+    """Level-set recalibration over a materialized (..., Q) membership tensor.
+
+    Softmax memberships, each level set standardized by its statistics
+    over every position, rectified, summed over the level sets and
+    squashed.  Returns ``(gate, stack + gate, (member, normed, cache))``;
+    ``cache = (xhat, sigma, gamma, axes)`` is what the normalization's
+    reverse reads.
+    """
+    logits = -params.sharpness * (alpha[..., None] - params.centers) ** 2
+    logits -= logits.max(axis=-1, keepdims=True)
+    expl = np.exp(logits)
+    member = expl / expl.sum(axis=-1, keepdims=True)
+    axes = tuple(range(member.ndim - 1))
+    sigma = np.sqrt(member.var(axis=axes) + VAR_EPS)
+    xhat = (member - member.mean(axis=axes)) / sigma
+    normed = params.norm.gamma * xhat + params.norm.beta
+    # the pooled sum is >= 0, so exp(-sum) cannot overflow
+    gate = 1.0 / (1.0 + np.exp(-np.maximum(normed, 0.0).sum(axis=-1)))
+    return gate, stack + gate, (member, normed, (xhat, sigma, params.norm.gamma, axes))
 
 
 def _probe_gradient(loss, arrays, analytic, rng, count):
@@ -336,28 +369,14 @@ def _criterion_recalibration_contracts(ctx):
     # mean/std-pooled gate
     w_mean = rng.normal(size=c)
     w_std = rng.normal(size=c)
-    norm = NormState.identity(c)
-    norm.gamma = rng.uniform(0.5, 1.5, c)
-    norm.beta = rng.uniform(-0.5, 0.5, c)
-    norm.running_mean = rng.uniform(-0.2, 0.2, c)
-    norm.running_var = rng.uniform(0.5, 1.5, c)
+    norm = _random_norm(c, rng)
     ref_t = np.empty(c)
     for ch in range(c):
         vals = stack[:, :, ch].ravel()
         mean = vals.mean()
         std = math.sqrt(((vals - mean) ** 2).mean())
         ref_t[ch] = w_mean[ch] * mean + w_std[ch] * std
-    ref_srm_gates = np.array(
-        [
-            _sigmoid(
-                (ref_t[ch] - norm.running_mean[ch])
-                / math.sqrt(norm.running_var[ch] + 1e-5)
-                * norm.gamma[ch]
-                + norm.beta[ch]
-            )
-            for ch in range(c)
-        ]
-    )
+    ref_srm_gates = np.array([_sigmoid(v) for v in _brute_frozen_norm(ref_t, norm)])
     track(np.abs(srm_gates(stack, w_mean, w_std, norm) - ref_srm_gates).max())
 
     # cosine squeezes: brute double sum per group
@@ -398,32 +417,9 @@ def _criterion_recalibration_contracts(ctx):
     alpha = rng.normal(2.0, 0.4, (h, w, c))
     qparams = _random_level_sets(alpha, qn, rng)
     gate, mout = multi_forward(stack, alpha, qparams, threads=ctx["threads"])
-    ref_member = np.zeros((h, w, c, qn))
-    for i in range(h):
-        for j in range(w):
-            for ch in range(c):
-                logits = [
-                    -qparams.sharpness[qq] * (alpha[i, j, ch] - qparams.centers[qq]) ** 2
-                    for qq in range(qn)
-                ]
-                z = sum(math.exp(v) for v in logits)
-                for qq in range(qn):
-                    ref_member[i, j, ch, qq] = math.exp(logits[qq]) / z
-    ref_gate = np.zeros((h, w, c))
-    pooled = np.zeros((h, w, c))
-    for qq in range(qn):
-        vals = ref_member[..., qq]
-        mean = vals.mean()
-        var = ((vals - mean) ** 2).mean()
-        normed = (vals - mean) / math.sqrt(var + 1e-5) * qparams.norm.gamma[qq] \
-            + qparams.norm.beta[qq]
-        pooled += np.maximum(normed, 0.0)
-    for i in range(h):
-        for j in range(w):
-            for ch in range(c):
-                ref_gate[i, j, ch] = _sigmoid(pooled[i, j, ch])
+    ref_gate, ref_out, _ = _dense_level_sets(stack, alpha, qparams)
     track(np.abs(gate - ref_gate).max())
-    track(np.abs(mout - (stack + ref_gate)).max())
+    track(np.abs(mout - ref_out).max())
 
     ok = worst <= 1e-9
     return ok, f"max brute-force deviation = {worst:.2e}"
@@ -467,9 +463,7 @@ def _criterion_gradient_checks(ctx):
         stack = rng.uniform(0.5, 1.5, (2, 2, 4))
         alpha = rng.normal(2.0, 0.3, (2, 2, 4))
         qparams = _random_level_sets(alpha, 4, rng)
-        member = multi_membership(alpha, qparams)
-        mean, var = member.mean(axis=(0, 1, 2)), member.var(axis=(0, 1, 2))
-        normed = qparams.norm.gamma * ((member - mean) / np.sqrt(var + 1e-5)) + qparams.norm.beta
+        normed = _dense_level_sets(stack, alpha, qparams)[2][1]
         if np.abs(normed).min() > 1e-3:  # keep clear of the rectifier kink
             break
     upstream = rng.normal(size=stack.shape)

@@ -87,6 +87,14 @@ class TestLinearExcitationThreshold:
         assert excitation_report(matrix_with_spectrum([10.0, 3.0, 1.0], rng), 1.0)["k"] == 3
         assert excitation_report(matrix_with_spectrum([10.0, 3.0, 0.0], rng), 1.0)["k"] == 2
 
+    def test_full_energy_tolerates_cumulative_sum_rounding(self):
+        s = np.array([669.5946702125508, 218.76691931620317, 10.891213892975017,
+                      6.561970713253218, 0.18327297464326944, 0.02567786529227572,
+                      0.008257136360313147, 0.008002062410674006, 0.0066649840765004515])
+        # the running sum ends below the total it is compared with
+        assert np.cumsum(s ** 2)[-1] < np.sum(s ** 2)
+        assert excitation_report(np.diag(s), 1.0)["k"] == 9
+
     def test_zero_matrix_has_rank_zero(self):
         assert excitation_report(np.zeros((4, 4)), 0.9)["k"] == 0
 

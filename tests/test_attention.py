@@ -20,6 +20,7 @@ from mfcal.attention import (
     srm_gates,
 )
 from mfcal.holder import NormState, ScaleSet, holder_map, normalize
+from mfcal.selftest import _random_norm
 
 SCALES = ScaleSet((2, 3, 4))
 
@@ -28,10 +29,7 @@ def mono_fixture(channels, rng, use_bias=True):
     params = init_mono_params(channels, 2, rng=rng, use_bias=use_bias)
     params.b1 = rng.normal(scale=0.3, size=params.b1.shape)
     params.b2 = rng.normal(scale=0.3, size=params.b2.shape)
-    params.norm.gamma = rng.uniform(0.5, 1.5, channels)
-    params.norm.beta = rng.uniform(-0.5, 0.5, channels)
-    params.norm.running_mean = rng.uniform(-0.2, 0.2, channels)
-    params.norm.running_var = rng.uniform(0.5, 1.5, channels)
+    params.norm = _random_norm(channels, rng)
     return params
 
 

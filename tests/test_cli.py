@@ -601,6 +601,14 @@ class TestConfigFile:
         assert run("--config", config, "cascade", "--p", 0.5, "--depth", 2,
                    "--out", tmp_path / "x.mfr") == 2
 
+    def test_non_utf8_config_is_a_usage_error_naming_the_file(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"p = 0.5\ndepth = \xff\n")
+        out = tmp_path / "x.mfr"
+        assert run("--config", config, "cascade", "--out", out) == 2
+        assert f"config file {config} is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file_is_an_io_error(self, tmp_path):
         assert run("--config", tmp_path / "absent.cfg", "cascade", "--p", 0.5,
                    "--depth", 2, "--out", tmp_path / "x.mfr") == 3

@@ -22,40 +22,9 @@ from mfcal.holder import (
     _normalize_with_cache,
     _unclipped_interior,
 )
+from mfcal.selftest import _brute_frozen_norm, _brute_holder, _probe_gradient
 
 SCALES = ScaleSet((2, 3, 4))
-
-
-def brute_holder(field, sides, epsilon):
-    """Per-pixel OLS over explicitly materialized clipped windows.
-
-    Computed with the same final weighted-log expression as the library
-    (scales ascending) so that integer-valued fields agree bit for bit.
-    """
-    field = np.asarray(field, dtype=np.float64)
-    squeeze = field.ndim == 2
-    if squeeze:
-        field = field[:, :, None]
-    h, w, c = field.shape
-    xs = np.log(np.array(sides, dtype=np.float64))
-    dev = xs - xs.mean()
-    weights = dev / np.dot(dev, dev)
-    out = np.zeros((h, w, c))
-    for i in range(h):
-        for j in range(w):
-            for ch in range(c):
-                acc = 0.0
-                for weight, side in zip(weights, sides):
-                    off = side // 2
-                    r0, r1 = max(0, i - off), min(h, i - off + side)
-                    c0, c1 = max(0, j - off), min(w, j - off + side)
-                    mass = 0.0
-                    for r in range(r0, r1):
-                        for cc in range(c0, c1):
-                            mass += field[r, cc, ch]
-                    acc += weight * math.log(mass + epsilon)
-                out[i, j, ch] = acc
-    return out[:, :, 0] if squeeze else out
 
 
 class TestScaleSet:
@@ -136,7 +105,7 @@ class TestHolderMap:
         rng = np.random.default_rng(seed)
         field = rng.integers(1, 10, size=(16, 16, 2)).astype(np.float64)
         ours = holder_map(field, SCALES, epsilon=0.0)
-        reference = brute_holder(field, SCALES.sides, 0.0)
+        reference = _brute_holder(field, SCALES.sides, 0.0)
         assert np.array_equal(ours, reference)
 
     def test_scale_invariance_of_exponents(self):
@@ -343,9 +312,8 @@ class TestNormalize:
         rng = np.random.default_rng(4)
         state = stored_state(rng, 5)
         x = rng.normal(size=5)
-        expected = [(x[c] - state.running_mean[c]) / math.sqrt(state.running_var[c] + 1e-5)
-                    * state.gamma[c] + state.beta[c] for c in range(5)]
-        np.testing.assert_allclose(normalize(x, state), expected, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(normalize(x, state), _brute_frozen_norm(x, state),
+                                   rtol=0, atol=1e-14)
 
     def test_value_at_the_running_mean_maps_to_beta(self):
         state = NormState.identity(2)
@@ -409,28 +377,13 @@ class TestNormalize:
         x = rng.normal(size=3)
         state = stored_state(rng, 3)
         upstream = rng.normal(size=3)
-
-        def loss(xx):
-            return float((upstream * normalize(xx, state)).sum())
-
         _, cache = _normalize_with_cache(x, state)
         grad_x, grad_gamma, grad_beta = normalize_vjp(upstream, cache)
-        h = 1e-6
-        for ch in range(3):
-            bumped = x.copy()
-            bumped[ch] += h
-            dipped = x.copy()
-            dipped[ch] -= h
-            fd = (loss(bumped) - loss(dipped)) / (2 * h)
-            assert grad_x[ch] == pytest.approx(fd, rel=1e-5, abs=1e-8)
-            for arr, grad in ((state.gamma, grad_gamma), (state.beta, grad_beta)):
-                old = arr[ch]
-                arr[ch] = old + h
-                up = loss(x)
-                arr[ch] = old - h
-                down = loss(x)
-                arr[ch] = old
-                assert grad[ch] == pytest.approx((up - down) / (2 * h), rel=1e-5, abs=1e-8)
+        error, name, index = _probe_gradient(
+            lambda: float((upstream * normalize(x, state)).sum()),
+            {"x": x, "gamma": state.gamma, "beta": state.beta},
+            {"x": grad_x, "gamma": grad_gamma, "beta": grad_beta}, rng, x.size)
+        assert error < 1e-5, f"{name}[{index}]: relative error {error:.2e}"
 
 
 class TestBoxMeasuresInputCheck:

@@ -2,15 +2,16 @@
 
 ``multi_forward`` and ``multi_backward`` stream over fixed blocks of
 flattened positions and never hold a (H, W, C, Q) tensor.  The
-reference below materializes that tensor and applies the formulas
-directly: softmax memberships, normalization by the memberships'
-statistics over every position, rectified pooling, and the matching
-reverse pass.  Only the
-summation order differs, so the two agree within 1e-12 of each output's
-largest entry.  Groups of whole blocks run on worker threads, and the
-outputs are byte-equal for every thread count.  Each worker computes in
-at most three (Q, n) scratch arrays sized to its largest block, so peak
-memory is the full-size outputs plus that scratch.
+reference, the acceptance harness's ``selftest._dense_level_sets``,
+materializes that tensor and applies the formulas directly: softmax
+memberships, normalization by the memberships' statistics over every
+position, and rectified pooling.  ``dense_backward`` below is the
+matching reverse pass over its cache.  Only the summation order
+differs, so the two agree within 1e-12 of each output's largest entry.
+Groups of whole blocks run on worker threads, and the outputs are
+byte-equal for every thread count.  Each worker computes in at most
+three (Q, n) scratch arrays sized to its largest block, so peak memory
+is the full-size outputs plus that scratch.
 """
 
 import tracemalloc
@@ -24,22 +25,10 @@ from mfcal.attention import (
     multi_backward,
     multi_forward,
     multi_membership,
-    sigmoid,
 )
-from mfcal.holder import VAR_EPS
+from mfcal.selftest import _dense_level_sets
 
 RTOL = 1e-12  # max |blocked - dense| over max |dense|, per output array
-
-
-def dense_normalize(x, norm):
-    """Per-level-set normalization of an (..., Q) tensor, and the cache of its reverse.
-
-    The statistics are taken over every leading axis.
-    """
-    axes = tuple(range(x.ndim - 1))
-    sigma = np.sqrt(x.var(axis=axes) + VAR_EPS)
-    xhat = (x - x.mean(axis=axes)) / sigma
-    return norm.gamma * xhat + norm.beta, (xhat, sigma, norm.gamma, axes)
 
 
 def dense_normalize_vjp(grad_out, cache):
@@ -53,18 +42,8 @@ def dense_normalize_vjp(grad_out, cache):
     return (gxhat - m - xhat * mx) / sigma, grad_gamma, grad_beta
 
 
-def dense_forward(stack, alpha, params):
-    logits = -params.sharpness * (alpha[..., None] - params.centers) ** 2
-    logits -= logits.max(axis=-1, keepdims=True)
-    expl = np.exp(logits)
-    member = expl / expl.sum(axis=-1, keepdims=True)
-    normed, norm_cache = dense_normalize(member, params.norm)
-    gate = sigmoid(np.maximum(normed, 0.0).sum(axis=-1))
-    return gate, stack + gate, (member, normed, norm_cache)
-
-
 def dense_backward(stack, alpha, params, upstream):
-    gate, _, (member, normed, norm_cache) = dense_forward(stack, alpha, params)
+    gate, _, (member, normed, norm_cache) = _dense_level_sets(stack, alpha, params)
     d_pooled = upstream * gate * (1.0 - gate)
     d_normed = d_pooled[..., None] * (normed > 0.0)
     d_member, d_gamma, d_beta = dense_normalize_vjp(d_normed, norm_cache)
@@ -120,7 +99,7 @@ def test_the_shapes_straddle_the_block_boundaries():
 def test_forward_matches_the_dense_reference(name):
     stack, alpha, params, _ = fixture(SHAPES[name], seed=7)
     gate, out = multi_forward(stack, alpha, params, threads=1)
-    ref_gate, ref_out, (ref_member, _, _) = dense_forward(stack, alpha, params)
+    ref_gate, ref_out, (ref_member, _, _) = _dense_level_sets(stack, alpha, params)
     assert relative_deviation(gate, ref_gate) <= RTOL
     assert relative_deviation(out, ref_out) <= RTOL
     assert relative_deviation(multi_membership(alpha, params), ref_member) <= RTOL
