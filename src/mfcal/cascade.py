@@ -1,19 +1,21 @@
-"""Multiplicative cascade measures with closed-form scaling oracles.
+"""Multiplicative cascade measures and their closed-form spectrum.
 
 The binomial cascade splits unit mass dyadically, sending fraction
 ``p`` left and ``1 - p`` right at every refinement.  After ``k`` rounds
 the cell whose binary address contains ``n0`` zeros carries mass
 ``p**n0 * (1-p)**(k-n0)``, so every local scaling exponent and the full
-spectrum of level-set dimensions are known exactly.  These closed forms
-are the ground truth that every estimator in this package is tested
-against.
+spectrum of level-set dimensions are known exactly.  This module ships
+the spectrum (:func:`analytic_alpha`, :func:`analytic_spectrum`) that
+``cascade --spectrum`` writes.  The other closed forms that the
+estimators are checked against (the per-cell bit-count measure, tau(q)
+and alpha(q)) are oracles of the acceptance harness, ``mfcal.selftest``.
 
 A cascade is named by ``(p, depth)``: :func:`generate_binomial` builds
 the line and :func:`generate_product_2d` the square.  Both are the
 one-depth case of :func:`binomial_lines`, which keeps every level of one
 doubling run, so a range of depths costs one run to the deepest.  All
-reject ``p`` outside (0, 1) and a depth outside [1, cap] before they
-allocate.
+reject ``p`` outside (0, 1), a depth outside [1, cap], and a smallest
+cell below the smallest normal float64 before they allocate.
 """
 
 from __future__ import annotations
@@ -29,11 +31,8 @@ __all__ = [
     "binomial_lines",
     "generate_binomial",
     "generate_product_2d",
-    "bitcount_measure",
     "analytic_alpha",
     "analytic_spectrum",
-    "analytic_tau",
-    "analytic_alpha_q",
     "MAX_DEPTH_1D",
     "MAX_DEPTH_2D",
 ]
@@ -43,20 +42,29 @@ __all__ = [
 MAX_DEPTH_1D = 26
 MAX_DEPTH_2D = 14
 
-_LN2 = math.log(2.0)
-
 
 def _check(p: float, depth: int = 1, dims: int = 1) -> None:
-    """Reject a splitting ratio outside (0, 1) or a depth outside [1, cap].
+    """Reject ``p`` outside (0, 1), a depth outside [1, cap], or a cascade that underflows.
 
-    Runs before any allocation.  The analytic forms have no depth and
-    take the default, which always passes.
+    Runs before any allocation.  The smallest cell of a ``dims``-axis
+    cascade, ``min(p, 1 - p) ** (dims * depth)``, must be a normal
+    float64 (at least 2**-1022); below that, cells lose precision and
+    then become 0.  The bound is compared in log2, so the check itself
+    cannot underflow.  The analytic forms have no depth and take the
+    default, which rejects only a subnormal ``p`` or ``1 - p``.
     """
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie strictly in (0, 1), got {p}")
     cap = MAX_DEPTH_1D if dims == 1 else MAX_DEPTH_2D
     if not (1 <= depth <= cap):
         raise ValueError(f"depth {depth} lies outside [1, {cap}], the {dims}-D cap")
+    log2_smallest = dims * depth * math.log2(min(p, 1.0 - p))
+    if log2_smallest < -1022.0:
+        raise ValueError(
+            f"the smallest cell, min(p, 1 - p)**{dims * depth} = "
+            f"10**{log2_smallest * math.log10(2.0):.1f}, lies below the smallest "
+            f"normal float64 (2**-1022); raise p toward 1/2 or lower the depth"
+        )
 
 
 @dataclass(frozen=True)
@@ -150,19 +158,6 @@ def generate_binomial(p: float, depth: int) -> np.ndarray:
     return binomial_lines(p, depth, depth)[0]
 
 
-def bitcount_measure(p: float, depth: int) -> np.ndarray:
-    """Closed-form binomial cascade via per-cell bit counting.
-
-    Independent route to :func:`generate_binomial` (no sequential
-    splitting); kept as the reference the generator is verified against.
-    """
-    _check(p, depth)
-    idx = np.arange(2 ** depth, dtype=np.uint64)
-    ones = np.bitwise_count(idx).astype(np.int64)
-    zeros = depth - ones
-    return np.power(p, zeros) * np.power(1.0 - p, ones)
-
-
 def generate_product_2d(p: float, depth: int) -> np.ndarray:
     """2-D product cascade: cell (i, j) carries ``mu1(i) * mu1(j)``.
 
@@ -220,30 +215,3 @@ def analytic_spectrum(p: float, n_points: int, dims: int = 1) -> SpectrumCurve:
         alpha = 2.0 * alpha
         f = 2.0 * f
     return make_curve(alpha, f)
-
-
-def analytic_tau(p: float, q) -> np.ndarray | float:
-    """Exact partition-function exponent ``tau(q) = -log2(p**q + (1-p)**q)``.
-
-    ``tau(1) = 0`` (normalization) and ``tau(0) = -1`` (2**k cells of
-    size 2**-k).  Accepts a scalar or an array of moments ``q``.
-    """
-    _check(p)
-    q = np.asarray(q, dtype=np.float64)
-    tau = -np.log2(np.power(p, q) + np.power(1.0 - p, q))
-    return float(tau) if tau.ndim == 0 else tau
-
-
-def analytic_alpha_q(p: float, q) -> np.ndarray | float:
-    """Closed-form ``alpha(q) = d tau / dq`` companion to :func:`analytic_tau`.
-
-    Implemented analytically (not by numerical differentiation) so the
-    moments-method estimator has an exact reference:
-    ``alpha(q) = -(p^q ln p + r^q ln r) / ((p^q + r^q) ln 2)``, r = 1-p.
-    """
-    _check(p)
-    q = np.asarray(q, dtype=np.float64)
-    r = 1.0 - p
-    pq, rq = np.power(p, q), np.power(r, q)
-    alpha = -(pq * math.log(p) + rq * math.log(r)) / ((pq + rq) * _LN2)
-    return float(alpha) if alpha.ndim == 0 else alpha

@@ -9,10 +9,12 @@ harness.
 
 Each reference lives here once; the tests import it rather than keep a
 copy: ``_brute_window_measures`` (window sums), ``_brute_holder`` (the
-exponent map), ``_brute_frozen_norm`` (the stored-statistics
-normalization), ``_dense_level_sets`` (the level-set forward over a
-materialized (..., Q) tensor), the central-difference probe
-``_probe_gradient``, and the random draws ``_random_norm``,
+exponent map), the cascade closed forms ``_bitcount_measure`` (the
+measure, cell by cell), ``_analytic_tau`` (tau(q)) and
+``_analytic_alpha_q`` (alpha(q)), ``_brute_frozen_norm`` (the
+stored-statistics normalization), ``_dense_level_sets`` (the level-set
+forward over a materialized (..., Q) tensor), the central-difference
+probe ``_probe_gradient``, and the random draws ``_random_norm``,
 ``_random_mono_params``, ``_random_level_sets``, ``_random_orthogonal``
 and ``_spectrum_matrix``.
 """
@@ -46,15 +48,9 @@ from .attention import (
     se_forward,
     srm_gates,
 )
-from .cascade import (
-    analytic_alpha,
-    analytic_tau,
-    bitcount_measure,
-    generate_binomial,
-    generate_product_2d,
-)
+from .cascade import analytic_alpha, generate_binomial, generate_product_2d
 from .holder import VAR_EPS, NormState, ScaleSet, holder_map, interior_view, mean_alpha, normalize
-from .spectrum import box_dimension, histogram_spectrum, moments_spectrum
+from .spectrum import histogram_spectrum, moments_spectrum
 
 __all__ = ["CriterionResult", "run_acceptance", "CRITERIA"]
 
@@ -141,6 +137,37 @@ def _brute_holder(stack, sides, epsilon):
             acc += weight * math.log(mass[pos])
         alpha[pos] = acc
     return alpha
+
+
+def _bitcount_measure(p, depth):
+    """Binomial cascade by counting bits: cell i carries ``p**zeros(i) * (1-p)**ones(i)``.
+
+    No sequential splitting: the independent route that
+    ``generate_binomial`` is checked against.  Validates nothing.
+    """
+    ones = np.bitwise_count(np.arange(2 ** depth, dtype=np.uint64)).astype(np.int64)
+    return np.power(p, depth - ones) * np.power(1.0 - p, ones)
+
+
+def _analytic_tau(p, q):
+    """Exact partition-function exponent ``tau(q) = -log2(p**q + (1-p)**q)``.
+
+    ``tau(1) = 0`` (normalization) and ``tau(0) = -1`` (2**k cells of
+    size 2**-k).  Takes a scalar or an array of moment orders.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    return -np.log2(np.power(p, q) + np.power(1.0 - p, q))
+
+
+def _analytic_alpha_q(p, q):
+    """Exact ``alpha(q) = d tau / dq``, in closed form rather than by differencing.
+
+    ``alpha(q) = -(p^q ln p + r^q ln r) / ((p^q + r^q) ln 2)``, r = 1 - p.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    r = 1.0 - p
+    pq, rq = np.power(p, q), np.power(r, q)
+    return -(pq * math.log(p) + rq * math.log(r)) / ((pq + rq) * math.log(2.0))
 
 
 def _brute_frozen_norm(values, state: NormState):
@@ -250,7 +277,7 @@ def _criterion_cascade_exactness(ctx):
     worst = 0.0
     for depth in range(1, 13):
         generated = generate_binomial(_P, depth)
-        closed_form = bitcount_measure(_P, depth)
+        closed_form = _bitcount_measure(_P, depth)
         worst = max(worst, float(np.abs(generated - closed_form).max()))
         exponents = np.round(-np.log2(generated) / depth, 12)
         counts = np.unique(exponents, return_counts=True)[1]
@@ -298,32 +325,18 @@ def _criterion_moments_method(ctx):
     fields = [generate_binomial(_P, k) for k in range(8, 13)]
     q = np.round(np.arange(-5.0, 5.0 + 1e-9, 0.25), 10)
     partition, curve = moments_spectrum(fields, q)
-    tau_err = float(np.abs(partition.tau - analytic_tau(_P, q)).max())
+    tau_err = float(np.abs(partition.tau - _analytic_tau(_P, q)).max())
     tau_one = abs(float(partition.tau[np.flatnonzero(q == 1.0)[0]]))
+    # the one-sided differences at the two end orders are excluded
+    inner = ~partition.one_sided
+    alpha_err = float(np.abs(partition.alpha[inner] - _analytic_alpha_q(_P, q[inner])).max())
     legendre_gap = float(np.max(curve.f - curve.alpha))
-    ok = tau_err <= 0.02 and tau_one <= 1e-9 and legendre_gap <= 1e-6
+    ok = tau_err <= 0.02 and tau_one <= 1e-9 and alpha_err <= 5e-3 and legendre_gap <= 1e-6
     return ok, (
         f"max |tau - analytic| = {tau_err:.2e}, |tau(1)| = {tau_one:.2e}, "
+        f"interior max |alpha - analytic| = {alpha_err:.2e}, "
         f"max(f - alpha) = {legendre_gap:.2e}"
     )
-
-
-def _criterion_box_dimension(ctx):
-    scales = ScaleSet((2, 4, 8))
-    full = np.ones((64, 64))
-    point = np.zeros((64, 64))
-    point[17, 42] = 1.0
-    line = np.zeros((64, 64))
-    line[32, :] = 1.0
-    d_full = box_dimension(full, scales)
-    d_point = box_dimension(point, scales)
-    d_line = box_dimension(line, scales)
-    ok = (
-        abs(d_full - 2.0) <= 1e-9
-        and abs(d_point) <= 1e-9
-        and abs(d_line - 1.0) <= 0.05
-    )
-    return ok, f"full = {d_full:.6f}, point = {d_point:.6f}, line = {d_line:.6f}"
 
 
 def _criterion_recalibration_contracts(ctx):
@@ -528,14 +541,14 @@ def _selftest_artifacts(directory: Path, threads: int) -> list:
     """Deterministic artifact set exercised by the determinism criterion."""
     directory.mkdir(parents=True, exist_ok=True)
     field2 = generate_product_2d(_P, 8)
-    (directory / "cascade-2d.mfr").write_bytes(fio.write_field(field2))
+    fio.write_field_file(directory / "cascade-2d.mfr", field2)
     alpha = holder_map(field2, _SCALES, epsilon=0.0, threads=threads)
-    (directory / "alpha-2d.mfr").write_bytes(fio.write_field(alpha))
+    fio.write_field_file(directory / "alpha-2d.mfr", alpha)
 
     # a multi-channel map of one row band, so it runs on the calling thread
     stack = np.random.default_rng(7).uniform(0.1, 1.0, (64, 64, 8))
     alpha_stack = holder_map(stack, _SCALES, epsilon=1e-6, threads=threads)
-    (directory / "alpha-stack.mfr").write_bytes(fio.write_field(alpha_stack))
+    fio.write_field_file(directory / "alpha-stack.mfr", alpha_stack)
     # per-channel reductions follow the map's memory layout, so a layout that
     # depended on the thread count would show here first
     means = [float(v) for v in mean_alpha(alpha_stack)]
@@ -544,16 +557,16 @@ def _selftest_artifacts(directory: Path, threads: int) -> list:
     # which split over the workers
     qparams = init_multi_params(16, float(alpha_stack.min()), float(alpha_stack.max()))
     gate, _ = multi_forward(stack, alpha_stack, qparams, threads=threads)
-    (directory / "multi-gate.mfr").write_bytes(fio.write_field(gate))
+    fio.write_field_file(directory / "multi-gate.mfr", gate)
     cotangent = np.random.default_rng(8).normal(size=stack.shape)
     grads = mono_backward(stack, init_mono_params(8, rng=9), cotangent, _SCALES, 1e-6, threads)
-    (directory / "mono-grad-stack.mfr").write_bytes(fio.write_field(grads.stack))
+    fio.write_field_file(directory / "mono-grad-stack.mfr", grads.stack)
     # 64 channels make five row bands of 13 rows, for the map and for its
     # adjoint (taller halo), so both split over the workers
     wide = np.random.default_rng(10).uniform(0.1, 1.0, (64, 64, 64))
     cotangent = np.random.default_rng(11).normal(size=wide.shape)
     grads = mono_backward(wide, init_mono_params(64, rng=12), cotangent, _SCALES, 1e-6, threads)
-    (directory / "mono-grad-banded.mfr").write_bytes(fio.write_field(grads.stack))
+    fio.write_field_file(directory / "mono-grad-banded.mfr", grads.stack)
 
     lines = [generate_binomial(_P, k) for k in range(8, 12)]
     hist = histogram_spectrum(lines, bins=16)
@@ -586,56 +599,70 @@ def _criterion_determinism(ctx):
 
 
 def _criterion_io_round_trips(ctx):
-    rng = np.random.default_rng(4096)
-    for _ in range(50):
-        ndim = int(rng.integers(2, 5))
-        shape = tuple(int(rng.integers(1, 7)) for _ in range(ndim))
-        field = rng.normal(size=shape)
-        blob = fio.write_field(field)
-        back = fio.read_field(blob)
-        if back.dtype != np.float64 or not np.array_equal(
-            back.view(np.uint64), field.view(np.uint64)
-        ):
-            return False, "container round trip is not bit-exact"
-    for _ in range(50):
-        h, w = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        maxval = int(rng.choice([255, 1000, 65535]))
-        dtype = np.uint8 if maxval < 256 else ">u2"
-        pixels = rng.integers(0, maxval + 1, size=(h, w)).astype(dtype)
-        header = f"P5\n# synthetic fixture\n{w} {h}\n{maxval}\n".encode()
-        decoded = fio.read_pgm(header + pixels.tobytes())
-        expected = pixels.astype(np.float64) / maxval
-        if not np.array_equal(decoded, expected):
-            return False, "PGM round trip is not bit-exact"
+    """Containers through the file path the CLI ships, and PGM decoding."""
+    with tempfile.TemporaryDirectory(prefix="mfcal-selftest-") as tmp:
+        path, fresh = Path(tmp) / "field.mfr", Path(tmp) / "fresh.mfr"
 
-    checks = [
-        (lambda: fio.read_pgm(b"P4\n1 1\n255\n\x00"), fio.PgmMagicError),
-        (lambda: fio.read_pgm(b"P5\n2 2\n255\n\x00\x00"), fio.PgmTruncatedError),
-        (lambda: fio.read_pgm(b"P5\n1 1\n0\n\x00"), fio.PgmMaxvalError),
-        (lambda: fio.read_field(b"NOPE" + bytes(16)), fio.ContainerMagicError),
-        (
-            lambda: fio.read_field(b"MFR1" + bytes([9, 1, 2]) + bytes(16)),
-            fio.ContainerVersionError,
-        ),
-        (
-            lambda: fio.read_field(b"MFR1" + bytes([1, 7, 2]) + bytes(16)),
-            fio.ContainerDtypeError,
-        ),
-        (
-            lambda: fio.read_field(fio.write_field(np.ones((2, 2)))[:-8]),
-            fio.ContainerDimsError,
-        ),
-    ]
-    for trigger, expected_cls in checks:
-        try:
-            trigger()
-        except expected_cls:
-            continue
-        except Exception as exc:  # noqa: BLE001
-            return False, f"expected {expected_cls.__name__}, got {type(exc).__name__}"
-        else:
-            return False, f"expected {expected_cls.__name__}, got no error"
-    return True, "100 round trips bit-exact; malformed inputs raise the right classes"
+        def read(data=None):
+            """The container at ``path``, after writing ``data`` there if given."""
+            if data is not None:
+                path.write_bytes(data)
+            with open(path, "rb") as file:
+                return fio.read_field_file(file)
+
+        rng = np.random.default_rng(4096)
+        for _ in range(50):
+            ndim = int(rng.integers(2, 5))
+            shape = tuple(int(rng.integers(1, 7)) for _ in range(ndim))
+            field = rng.normal(size=shape)
+            fio.write_field_file(path, field)
+            back = read()
+            if back.dtype != np.float64 or not np.array_equal(
+                back.view(np.uint64), field.view(np.uint64)
+            ):
+                return False, "container round trip is not bit-exact"
+        for _ in range(50):
+            h, w = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            maxval = int(rng.choice([255, 1000, 65535]))
+            dtype = np.uint8 if maxval < 256 else ">u2"
+            pixels = rng.integers(0, maxval + 1, size=(h, w)).astype(dtype)
+            header = f"P5\n# synthetic fixture\n{w} {h}\n{maxval}\n".encode()
+            decoded = fio.read_pgm(header + pixels.tobytes())
+            expected = pixels.astype(np.float64) / maxval
+            if not np.array_equal(decoded, expected):
+                return False, "PGM round trip is not bit-exact"
+
+        # a rewrite in place must cut the longer file it lands on
+        fio.write_field_file(path, rng.normal(size=(8, 8, 4)))
+        small = rng.normal(size=(3, 5))
+        fio.write_field_file(path, small)
+        fio.write_field_file(fresh, small)
+        if path.read_bytes() != fresh.read_bytes():
+            return False, "a container written over a longer file differs from a fresh write"
+
+        cut = fresh.read_bytes()[:-8]
+        checks = [
+            (lambda: fio.read_pgm(b"P4\n1 1\n255\n\x00"), fio.PgmMagicError),
+            (lambda: fio.read_pgm(b"P5\n2 2\n255\n\x00\x00"), fio.PgmTruncatedError),
+            (lambda: fio.read_pgm(b"P5\n1 1\n0\n\x00"), fio.PgmMaxvalError),
+            (lambda: read(b"NOPE" + bytes(16)), fio.ContainerMagicError),
+            (lambda: read(b"MFR1" + bytes([9, 1, 2]) + bytes(16)), fio.ContainerVersionError),
+            (lambda: read(b"MFR1" + bytes([1, 7, 2]) + bytes(16)), fio.ContainerDtypeError),
+            (lambda: read(cut), fio.ContainerDimsError),
+        ]
+        for trigger, expected_cls in checks:
+            try:
+                trigger()
+            except expected_cls:
+                continue
+            except Exception as exc:  # noqa: BLE001
+                return False, f"expected {expected_cls.__name__}, got {type(exc).__name__}"
+            else:
+                return False, f"expected {expected_cls.__name__}, got no error"
+        return True, (
+            "100 round trips bit-exact, containers through the file path; a rewrite "
+            "over a longer file equals a fresh write; malformed inputs raise the right classes"
+        )
 
 
 CRITERIA = (
@@ -643,7 +670,6 @@ CRITERIA = (
     (2, "monofractal-limit", 1.0, _criterion_monofractal_limit),
     (3, "multifractal-oracle", 30.0, _criterion_multifractal_oracle),
     (4, "moments-method", 30.0, _criterion_moments_method),
-    (5, "box-dimension", 1.0, _criterion_box_dimension),
     (6, "recalibration-contracts", 5.0, _criterion_recalibration_contracts),
     (7, "gradient-checks", 60.0, _criterion_gradient_checks),
     (8, "excitation-threshold", 5.0, _criterion_excitation_threshold),

@@ -1,4 +1,4 @@
-"""Multifractal spectrum and dimension estimators for dyadic measures.
+"""Multifractal spectrum estimators for dyadic measures.
 
 Three complementary estimates of the level-set dimension curve f(alpha):
 
@@ -10,9 +10,6 @@ Three complementary estimates of the level-set dimension curve f(alpha):
   ``f = q * alpha(q) - tau(q)``;
 * Gaussian approximation -- a parabola through the empirical mean and
   spread of sampled exponents, peaking at the support dimension.
-
-Plus a plain box-counting dimension over non-overlapping tilings (kept
-distinct from the sliding windows used for local exponents).
 
 The histogram and moments estimators see a measure only as its distinct
 positive masses and how many cells hold each (a binomial cascade of
@@ -30,14 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import SpectrumCurve, make_curve
-from .holder import ScaleSet
 
 __all__ = [
     "PartitionFunction",
     "histogram_spectrum",
     "moments_spectrum",
     "clt_spectrum",
-    "box_dimension",
 ]
 
 _LN2 = np.log(2.0)
@@ -92,11 +87,6 @@ def _mass_levels(field) -> tuple:
     mass = mass[np.searchsorted(mass, 0.0, side="right"):]
     starts = np.flatnonzero(np.concatenate(([True], mass[1:] != mass[:-1])))
     return mass[starts], np.diff(starts, append=mass.size)
-
-
-def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
-    dev = x - x.mean()
-    return float(np.dot(dev, y - y.mean()) / np.dot(dev, dev))
 
 
 def histogram_spectrum(fields, bins: int = 32) -> SpectrumCurve:
@@ -251,38 +241,3 @@ def clt_spectrum(alpha_samples, k: int, support_dim: float) -> SpectrumCurve:
     alpha[CLT_POINTS // 2] = center
     f = support_dim - (alpha - center) ** 2 / (2.0 * spread ** 2 * k * _LN2)
     return make_curve(alpha, np.maximum(f, 0.0))
-
-
-def box_dimension(mask, scales) -> float:
-    """Box-counting dimension of a binary mask.
-
-    Tiles the grid with non-overlapping k x k boxes (partial boxes at
-    the far edges count), takes N_k = number of tiles hitting the mask,
-    and returns the slope of ``log N_k`` against ``-log k``.
-    """
-    mask = np.asarray(mask)
-    if mask.ndim not in (1, 2):
-        raise ValueError("mask must be 1-D or 2-D")
-    occupied = mask != 0
-    if not occupied.any():
-        raise ValueError("mask is empty")
-    scales = scales if isinstance(scales, ScaleSet) else ScaleSet(tuple(scales))
-
-    counts = []
-    for side in scales:
-        tiled = occupied
-        for axis in range(occupied.ndim):
-            n = tiled.shape[axis]
-            pad = (-n) % side
-            if pad:
-                pad_spec = [(0, 0)] * tiled.ndim
-                pad_spec[axis] = (0, pad)
-                tiled = np.pad(tiled, pad_spec, constant_values=False)
-            shape = list(tiled.shape)
-            shape[axis : axis + 1] = [shape[axis] // side, side]
-            tiled = tiled.reshape(shape).any(axis=axis + 1)
-        counts.append(int(tiled.sum()))
-
-    x = -np.log(np.array(scales.sides, dtype=np.float64))
-    y = np.log(np.array(counts, dtype=np.float64))
-    return _ols_slope(x, y)

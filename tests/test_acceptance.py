@@ -41,3 +41,19 @@ def test_strict_mode_holds_for_the_parameterized_criteria():
     for check in (_criterion_recalibration_contracts, _criterion_gradient_checks):
         passed, detail = check(ctx)
         assert passed, detail
+
+
+def test_the_io_criterion_fails_when_a_rewrite_keeps_the_old_tail(monkeypatch):
+    """Criterion 10 writes through the file path the CLI ships, so it sees that path's faults."""
+    import mfcal.selftest as selftest
+    from mfcal import io as fio
+
+    def uncut(path, body, header=b""):
+        with open(path, "wb", opener=fio._no_truncate) as file:
+            file.write(header)
+            file.write(body)
+
+    monkeypatch.setattr(fio, "write_file", uncut)
+    monkeypatch.setattr(selftest, "CRITERIA", [c for c in CRITERIA if c[1] == "io-round-trips"])
+    [result] = run_acceptance()
+    assert not result.passed, result.line()

@@ -11,16 +11,14 @@ from mfcal.cascade import (
     MAX_DEPTH_2D,
     SpectrumCurve,
     analytic_alpha,
-    analytic_alpha_q,
     analytic_spectrum,
-    analytic_tau,
     binomial_lines,
-    bitcount_measure,
     generate_binomial,
     generate_product_2d,
     make_curve,
     _analytic_f,
 )
+from mfcal.selftest import _analytic_alpha_q, _analytic_tau, _bitcount_measure
 
 # closed-form anchors for p = 2/3
 ALPHA_STAR = 1.0849625007211562      # -(1/2) log2(p (1-p))
@@ -51,7 +49,7 @@ class TestGenerateBinomial:
     def test_matches_bit_count_closed_form(self, depth):
         p = 2 / 3
         generated = generate_binomial(p, depth)
-        assert np.abs(generated - bitcount_measure(p, depth)).max() < 1e-12
+        assert np.abs(generated - _bitcount_measure(p, depth)).max() < 1e-12
 
     def test_exponent_histogram_counts_are_binomial_coefficients(self):
         depth, p = 10, 2 / 3
@@ -125,8 +123,7 @@ class TestGenerateProduct2d:
 
 
 class TestSpecValidation:
-    CAPS = {generate_binomial: MAX_DEPTH_1D, generate_product_2d: MAX_DEPTH_2D,
-            bitcount_measure: MAX_DEPTH_1D}
+    CAPS = {generate_binomial: MAX_DEPTH_1D, generate_product_2d: MAX_DEPTH_2D}
 
     def test_weights_must_be_interior(self):
         for make in self.CAPS:
@@ -139,6 +136,13 @@ class TestSpecValidation:
             for depth in (0, -1, cap + 1):
                 with pytest.raises(ValueError, match="cap"):
                     make(0.5, depth)
+
+    @pytest.mark.parametrize("make, depth", [(generate_binomial, 12), (generate_product_2d, 6)])
+    def test_the_smallest_cell_must_be_a_normal_float(self, make, depth):
+        # 12 halvings: 1e-25**12 = 1e-300 is normal, 1e-26**12 = 1e-312 is subnormal
+        assert make(1e-25, depth).min() >= np.finfo(np.float64).tiny
+        with pytest.raises(ValueError, match="smallest cell"):
+            make(1e-26, depth)
 
 
 class TestAnalyticForms:
@@ -184,19 +188,19 @@ class TestAnalyticForms:
         assert np.all(np.diff(curve.alpha) > 0.0)
 
     def test_tau_normalization_and_box_counting(self):
-        assert analytic_tau(2 / 3, 1.0) == pytest.approx(0.0, abs=1e-15)
-        assert analytic_tau(2 / 3, 0.0) == pytest.approx(-1.0, abs=1e-15)
+        assert _analytic_tau(2 / 3, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert _analytic_tau(2 / 3, 0.0) == pytest.approx(-1.0, abs=1e-15)
 
     def test_alpha_q_closed_form_at_zero(self):
-        assert analytic_alpha_q(2 / 3, 0.0) == pytest.approx(ALPHA_STAR, abs=1e-15)
+        assert _analytic_alpha_q(2 / 3, 0.0) == pytest.approx(ALPHA_STAR, abs=1e-15)
         # f(alpha(0)) = 0 * alpha - tau(0) = support dimension
-        assert -analytic_tau(2 / 3, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert -_analytic_tau(2 / 3, 0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_alpha_q_matches_numerical_tau_derivative(self):
         q = np.linspace(-4.0, 4.0, 33)
         h = 1e-6
-        numeric = (analytic_tau(2 / 3, q + h) - analytic_tau(2 / 3, q - h)) / (2 * h)
-        np.testing.assert_allclose(analytic_alpha_q(2 / 3, q), numeric, atol=1e-8)
+        numeric = (_analytic_tau(2 / 3, q + h) - _analytic_tau(2 / 3, q - h)) / (2 * h)
+        np.testing.assert_allclose(_analytic_alpha_q(2 / 3, q), numeric, atol=1e-8)
 
 
 class TestSpectrumCurveType:

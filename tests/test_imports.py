@@ -71,3 +71,32 @@ def test_every_exported_name_exists(path):
     module = importlib.import_module(f"mfcal.{path.stem}")
     missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
     assert missing == []
+
+
+def _referenced(tree) -> set:
+    """Every name a module reads, bare (``ast.Name``) or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_name_has_a_caller_beyond_the_checks():
+    """A public name is read by a shipping module, or pinned by the benchmark's tracer.
+
+    ``selftest`` is the acceptance harness, so its reads do not count,
+    and its own names are not checked.
+    """
+    from test_trace_targets import load_targets
+
+    shipping = [path for path in MODULES if path.stem != "selftest"]
+    read = set().union(*(_referenced(ast.parse(path.read_text())) for path in shipping))
+    pinned = {(t.module, t.function) for t in load_targets()}
+    uncalled = [
+        f"{path.stem}.{name}"
+        for path in shipping
+        for name in sorted(_exported(ast.parse(path.read_text())))
+        if name not in read and (path.stem, name) not in pinned
+    ]
+    assert uncalled == []

@@ -3,22 +3,15 @@
 import numpy as np
 import pytest
 
-from mfcal.cascade import (
-    analytic_alpha_q,
-    analytic_tau,
-    generate_binomial,
-    generate_product_2d,
-    make_curve,
-)
-from mfcal.holder import ScaleSet
+from mfcal.cascade import generate_binomial, generate_product_2d, make_curve
 from mfcal.spectrum import (
     CLT_POINTS,
     _mass_levels,
-    box_dimension,
     clt_spectrum,
     histogram_spectrum,
     moments_spectrum,
 )
+from mfcal.selftest import _analytic_alpha_q, _analytic_tau
 
 ALPHA_STAR = 1.0849625007211562
 P = 2 / 3
@@ -100,13 +93,13 @@ class TestMomentsSpectrum:
 
     def test_tau_matches_the_closed_form(self, fitted):
         partition, _ = fitted
-        err = np.abs(partition.tau - analytic_tau(P, self.Q)).max()
+        err = np.abs(partition.tau - _analytic_tau(P, self.Q)).max()
         assert err < 0.02
 
     def test_alpha_matches_the_closed_form_off_the_endpoints(self, fitted):
         partition, _ = fitted
         inner = ~partition.one_sided
-        err = np.abs(partition.alpha[inner] - analytic_alpha_q(P, self.Q[inner])).max()
+        err = np.abs(partition.alpha[inner] - _analytic_alpha_q(P, self.Q[inner])).max()
         assert err < 5e-3
 
     def test_curve_stays_below_the_diagonal(self, fitted):
@@ -129,7 +122,7 @@ class TestMomentsSpectrum:
         with np.errstate(over="raise"):
             partition, _ = moments_spectrum(line_cascades((16, 17, 18), p=0.01), q)
         assert np.all(np.isfinite(partition.log2_z))
-        np.testing.assert_allclose(partition.tau, analytic_tau(0.01, q), rtol=1e-12)
+        np.testing.assert_allclose(partition.tau, _analytic_tau(0.01, q), rtol=1e-12)
 
     def test_needs_three_moments(self):
         with pytest.raises(ValueError, match="3 moment"):
@@ -365,9 +358,9 @@ class TestEstimatorConsistency:
     def test_moments_peak_matches_the_support_box_dimension(self):
         fields = line_cascades(range(8, 13))
         _, legendre = moments_spectrum(fields, Q_GRID)
-        support = (fields[-1] > 0.0).astype(float)
-        dim = box_dimension(support, ScaleSet((2, 4, 8)))
-        assert abs(max(legendre.f) - dim) <= 0.1
+        # every cell is positive, so the support is the unit interval: -tau(0) = 1
+        assert np.all(fields[-1] > 0.0)
+        assert abs(max(legendre.f) - -_analytic_tau(P, 0.0)) <= 0.1
 
     def test_clt_peak_equals_mean_alpha_exactly(self):
         from mfcal.holder import mean_alpha
@@ -376,31 +369,3 @@ class TestEstimatorConsistency:
         alpha_map = rng.normal(1.5, 0.2, (16, 16))
         curve = clt_spectrum(alpha_map, k=8, support_dim=2.0)
         assert curve.peak[0] == mean_alpha(alpha_map)[0]
-
-
-class TestBoxDimension:
-    SCALES = ScaleSet((2, 4, 8))
-
-    def test_full_plane(self):
-        assert box_dimension(np.ones((64, 64)), self.SCALES) == pytest.approx(2.0, abs=1e-9)
-
-    def test_single_pixel(self):
-        mask = np.zeros((64, 64))
-        mask[5, 9] = 1
-        assert box_dimension(mask, self.SCALES) == pytest.approx(0.0, abs=1e-9)
-
-    def test_line(self):
-        mask = np.zeros((64, 64))
-        mask[12, :] = 1
-        assert box_dimension(mask, self.SCALES) == pytest.approx(1.0, abs=0.05)
-
-    def test_one_dimensional_mask(self):
-        assert box_dimension(np.ones(64), self.SCALES) == pytest.approx(1.0, abs=1e-9)
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            box_dimension(np.zeros((8, 8)), self.SCALES)
-
-    def test_non_power_extents_still_count(self):
-        mask = np.ones((60, 60))  # partial edge tiles still intersect the mask
-        assert box_dimension(mask, ScaleSet((2, 4))) == pytest.approx(2.0, abs=0.05)
