@@ -93,6 +93,13 @@ def sigmoid(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: e = e^-|x| is
     # the exponential either branch takes, so neither overflows
+    if x.min(initial=0.0) >= 0.0:
+        # no entry is negative (or NaN): the first branch everywhere, in
+        # place, without the abs and the branch select
+        out = np.negative(x, out=np.empty(x.shape))
+        np.exp(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
     e = np.exp(-np.abs(x))
     out = np.where(x >= 0, 1.0, e)
     out /= 1.0 + e
@@ -187,6 +194,10 @@ class MultiParams:
     normalization applied to memberships before pooling (its channel
     axis is the level-set axis).  Memberships are standardized by their
     own statistics, so only ``norm.gamma`` and ``norm.beta`` are read.
+    Every sharpness is >= 0, so no logit is positive and the softmax
+    needs no max subtraction to stay finite; the level-set functions
+    check it again on every call, since callers may assign
+    ``sharpness`` after construction.
     """
 
     centers: np.ndarray
@@ -202,6 +213,12 @@ class MultiParams:
             raise ValueError("norm state must have one channel per level set")
         if not (np.all(np.isfinite(self.centers)) and np.all(np.isfinite(self.sharpness))):
             raise ValueError("level-set parameters must be finite")
+        _check_sharpness(self)
+
+
+def _check_sharpness(params: MultiParams) -> None:
+    if np.any(params.sharpness < 0.0):
+        raise ValueError("level-set sharpness must be >= 0, so that no logit is positive")
 
 
 def init_mono_params(channels: int, reduction: int = 2, rng=None,
@@ -434,46 +451,96 @@ def fca_gates(stack, params: MonoParams, freq_pairs) -> np.ndarray:
 # stochastic level sets
 
 
-LEVEL_SET_BLOCK = 8192  # flattened positions per block of the level-set passes
+LEVEL_SET_BYTES = 1024 * 1024  # each (Q, n) scratch buffer of the level-set passes, in bytes
+
+# The passes sum over either axis of a (Q, n) block as a product with a
+# vector of ones, and take its row dot products with np.vecdot: BLAS runs
+# both faster than NumPy's reductions (about 25 us for a 16 x 8192 block,
+# against 35-57 us for sum(axis=0) or sum(axis=1) and 57-80 us for einsum).
 
 
-def _blocks(size: int) -> list:
-    """Fixed position blocks: the boundaries depend only on the size."""
-    return [slice(lo, min(lo + LEVEL_SET_BLOCK, size)) for lo in range(0, size, LEVEL_SET_BLOCK)]
+def _map_blocks(work, size: int, q: int, buffers: int, threads: int | None, merge=None):
+    """``work(block, *scratch)`` over fixed blocks of positions, run on :func:`_run_units`.
 
-
-def _map_blocks(work, size: int, q: int, buffers: int, threads: int | None) -> list:
-    """``[work(block, *scratch) for block in _blocks(size)]``, run on :func:`_run_units`.
-
-    The blocks are the units, so the size alone fixes them and a size
-    of one block runs on the calling thread.  Each worker allocates
-    ``buffers`` scratch arrays of ``min(size, LEVEL_SET_BLOCK)``
-    positions once, and hands ``work`` them as C-contiguous (q, n) views
-    over the n positions of each block.  Callers merge the returned
-    partials serially in block order and write per-position outputs
-    into their block slices, so no output byte depends on ``threads``.
+    A block is as many positions as fill ``LEVEL_SET_BYTES`` per (Q, n)
+    float64 buffer (at least one): 8192 at Q = 16.  The units of work
+    are runs of whole blocks of at least 8192 positions together (one
+    block for Q <= 16), so the size and Q alone fix them, and a size of
+    one unit runs on the calling thread.  Each worker allocates
+    ``buffers`` scratch arrays of one block once, and hands ``work``
+    them as C-contiguous (q, n) views over the n positions of each
+    block.  ``work`` writes per-position outputs into its block's
+    slices and returns a partial (or None), and ``merge(earlier,
+    later)`` folds the partials serially in block order, within each
+    unit and then across units, so at most one partial per unit is held
+    and no output byte depends on ``threads``.  Returns the merged
+    partial.
     """
-    width = q * min(size, LEVEL_SET_BLOCK)
+    per = max(LEVEL_SET_BYTES // (q * 8), 1)
+    width = q * min(size, per)
+    blocks = [slice(lo, min(lo + per, size)) for lo in range(0, size, per)]
+    group = max(8192 // per, 1)  # blocks per unit: one unit per block at Q <= 16
 
-    def block_work(block, *flat):
-        return work(block, *(buf[:q * (block.stop - block.start)].reshape(q, -1) for buf in flat))
+    def fold(partials):
+        merged = None
+        for partial in partials:
+            merged = partial if merged is None else merge(merged, partial)
+        return merged
 
-    return _run_units(block_work, _blocks(size),
-                      lambda: [np.empty(width) for _ in range(buffers)], threads)
+    def unit_work(unit, *flat):
+        return fold(work(block, *(buf[:q * (block.stop - block.start)].reshape(q, -1) for buf in flat))
+                    for block in unit)
+
+    return fold(_run_units(unit_work, [blocks[lo:lo + group] for lo in range(0, len(blocks), group)],
+                           lambda: [np.empty(width) for _ in range(buffers)], threads))
+
+
+def _add_pairs(earlier, later):
+    return earlier[0] + later[0], earlier[1] + later[1]
+
+
+def _bool_view(buffer: np.ndarray) -> np.ndarray:
+    """A C-contiguous bool array of ``buffer``'s shape over the start of its bytes."""
+    return buffer.reshape(-1).view(np.bool_)[:buffer.size].reshape(buffer.shape)
+
+
+# A block whose smallest column sum of exp(logits) is below this is
+# redone with each position's largest logit subtracted.  At or above it,
+# a column's largest term is at least _SUM_FLOOR / Q, a normal float for
+# any Q below 2**62, and the terms that underflow to subnormals are off
+# by at most 2**-1075 each, which moves a membership by at most
+# Q * 2**-1075 / _SUM_FLOOR: 2**-111 at Q = 16, far below the 2**-56 ulp
+# of the largest membership (at least 1/16).
+_SUM_FLOOR = 2.0 ** -960
+
+
+def _logits(alpha: np.ndarray, params: MultiParams, out: np.ndarray) -> np.ndarray:
+    """``-sharpness * (alpha - centers)**2`` of a flat block, into the (Q, n) ``out``."""
+    np.subtract(alpha, params.centers[:, None], out=out)
+    np.square(out, out=out)
+    out *= -params.sharpness[:, None]
+    return out
 
 
 def _membership_block(alpha: np.ndarray, params: MultiParams, out: np.ndarray) -> np.ndarray:
     """Memberships of a flat block, written into and returned as the (Q, n) ``out``.
 
     The level-set axis comes first, so reductions over it run
-    elementwise across rows.
+    elementwise across rows.  With sharpness >= 0 no logit is positive,
+    so ``exp`` of the logits cannot overflow and the softmax skips the
+    per-position max subtraction: six passes over the block (subtract,
+    square, scale, exp, column sum, divide).  Only a block with a
+    position far from every center, whose column sum falls below
+    ``_SUM_FLOOR``, is redone the max-subtracted way.  The divide is a
+    true divide, so one level set gives memberships of exactly 1.
     """
-    np.subtract(alpha, params.centers[:, None], out=out)
-    np.square(out, out=out)
-    out *= -params.sharpness[:, None]
-    out -= out.max(axis=0)
-    np.exp(out, out=out)
-    out /= out.sum(axis=0)
+    ones = np.ones(out.shape[0])
+    sums = ones @ np.exp(_logits(alpha, params, out), out=out)
+    if sums.min() < _SUM_FLOOR:
+        logits = _logits(alpha, params, out)
+        logits -= logits.max(axis=0)
+        sums = ones @ np.exp(logits, out=out)
+    out /= sums
     return out
 
 
@@ -482,8 +549,12 @@ def multi_membership(alpha, params: MultiParams) -> np.ndarray:
 
     ``membership[..., q] = softmax_q(-sharpness_q * (alpha - centers_q)^2)``;
     memberships at every position sum to one.  Adding a constant to all
-    squared-distance logits leaves the result unchanged.
+    squared-distance logits leaves the result unchanged.  Evaluated over
+    the blocks of the level-set passes (see :func:`_membership_block`:
+    no max subtraction unless a block has a position far from every
+    center), and transposed into the (..., Q) result.
     """
+    _check_sharpness(params)
     alpha = np.asarray(alpha, dtype=np.float64)
     flat = alpha.reshape(-1)
     q = params.centers.size
@@ -496,7 +567,8 @@ def multi_membership(alpha, params: MultiParams) -> np.ndarray:
     return out.reshape(alpha.shape + (q,))
 
 
-def _level_set_input(stack, alpha):
+def _level_set_input(stack, alpha, params: MultiParams):
+    _check_sharpness(params)
     stack = _as_stack(stack)
     alpha = _as_stack(alpha)
     if alpha.shape != stack.shape:
@@ -518,31 +590,24 @@ def _level_set_statistics(alpha: np.ndarray, params: MultiParams, threads: int |
     """
     norm = params.norm
 
-    def block_moments(block, member):
-        _membership_block(alpha[block], params, member)
-        block_mean = member.mean(axis=1)
-        member -= block_mean[:, None]
-        return member.shape[1], block_mean, np.einsum("qn,qn->q", member, member)
-
-    count, mean, m2 = 0, 0.0, 0.0
-    moments = _map_blocks(block_moments, alpha.size, norm.channels, 1, threads)
-    for n, block_mean, block_m2 in moments:
+    def merge(earlier, later):
+        (count, mean, m2), (n, block_mean, block_m2) = earlier, later
         delta = block_mean - mean
         total = count + n
-        mean = mean + delta * (n / total)
-        m2 = m2 + block_m2 + delta ** 2 * (count * n / total)
-        count = total
+        return total, mean + delta * (n / total), m2 + block_m2 + delta ** 2 * (count * n / total)
+
+    def block_moments(block, member):
+        _membership_block(alpha[block], params, member)
+        n = member.shape[1]
+        block_mean = member @ np.ones(n) / n
+        member -= block_mean[:, None]
+        return n, block_mean, np.vecdot(member, member)
+
+    count, mean, m2 = _map_blocks(block_moments, alpha.size, norm.channels, 1, threads, merge)
     var = m2 / count
     sigma = np.sqrt(var + VAR_EPS)
     scale = norm.gamma / sigma
     return mean, sigma, scale, norm.beta - scale * mean
-
-
-def _normed_block(member: np.ndarray, scale, shift, out: np.ndarray) -> np.ndarray:
-    """``member * scale + shift`` per level set, written into ``out`` (which may be ``member``)."""
-    np.multiply(member, scale[:, None], out=out)
-    out += shift[:, None]
-    return out
 
 
 def _gated_block(alpha: np.ndarray, params: MultiParams, scale, shift, member, normed):
@@ -552,8 +617,10 @@ def _gated_block(alpha: np.ndarray, params: MultiParams, scale, shift, member, n
     values in ``normed``; passing one buffer as both keeps only the latter.
     """
     _membership_block(alpha, params, member)
-    np.maximum(_normed_block(member, scale, shift, normed), 0.0, out=normed)
-    return sigmoid(normed.sum(axis=0))
+    np.multiply(member, scale[:, None], out=normed)
+    normed += shift[:, None]
+    np.maximum(normed, 0.0, out=normed)
+    return sigmoid(np.ones(normed.shape[0]) @ normed)
 
 
 def multi_forward(stack, alpha, params: MultiParams, threads: int | None = None,
@@ -567,16 +634,19 @@ def multi_forward(stack, alpha, params: MultiParams, threads: int | None = None,
     NumPy's ``out=`` does: ``None`` allocates it, and ``out=stack`` adds
     the gate field to the stack in place, with the same bytes.
 
-    Runs over fixed blocks of ``LEVEL_SET_BLOCK`` flattened positions:
-    one pass gathers the statistics and folds them with ``gamma`` and
-    ``beta`` into one scale and one shift per level set; a second gates
-    each block.  Both passes spread groups of whole blocks over at most
-    ``threads`` workers (default: every CPU this process may use), and
-    each worker computes in place in one (Q, n) scratch array that it
-    allocates once.  Memory is O(H*W*C + threads*LEVEL_SET_BLOCK*Q), and
-    the output bytes do not depend on ``threads``.
+    Runs over fixed blocks of flattened positions, each filling one
+    (Q, n) scratch array of ``LEVEL_SET_BYTES`` (8192 positions at
+    Q = 16): one pass gathers the statistics and folds them with
+    ``gamma`` and ``beta`` into one scale and one shift per level set; a
+    second gates each block.  Each block's memberships skip the max
+    subtraction (sharpness >= 0; see :func:`_membership_block`).  Both
+    passes spread groups of whole blocks over at most ``threads``
+    workers (default: every CPU this process may use), and each worker
+    computes in place in one scratch array that it allocates once.
+    Memory is O(H*W*C + threads*LEVEL_SET_BYTES), and the output bytes
+    do not depend on ``threads``.
     """
-    stack, alpha = _level_set_input(stack, alpha)
+    stack, alpha = _level_set_input(stack, alpha, params)
     _, _, scale, shift = _level_set_statistics(alpha, params, threads)
     gate = np.empty(stack.shape)
     flat_gate = gate.reshape(-1)
@@ -672,15 +742,18 @@ def multi_backward(stack, alpha, params: MultiParams, upstream,
     (H, W, C) cotangent yet, so the chain from the exponents back to the
     stack is left out (ROADMAP item 10).
 
-    Uses the blocks, workers and folded ``scale``/``shift`` of
-    :func:`multi_forward`.  After the statistics pass, one pass
-    accumulates two per-level-set gemv sums of the rectified cotangent,
-    from which the affine gradients follow without building the
-    standardized memberships.  A second pass forms the parameter and
-    exponent gradients, with the normalization's correction terms, in
-    place in three (Q, n) scratch arrays per worker.
+    Uses the blocks, workers, membership evaluation and folded
+    ``scale``/``shift`` of :func:`multi_forward`.  After the statistics
+    pass, one pass accumulates two per-level-set gemv sums of the
+    rectified cotangent, from which the affine gradients follow without
+    building the standardized memberships.  A second pass forms the
+    parameter and exponent gradients, with the normalization's
+    correction terms, in place in three (Q, n) scratch arrays per
+    worker.  Both passes build the rectifier's mask as bool in the
+    bytes of a spare scratch array and cast it once to float64, which
+    is cheaper than NumPy's comparison straight into float64.
     """
-    stack, alpha = _level_set_input(stack, alpha)
+    stack, alpha = _level_set_input(stack, alpha, params)
     upstream = _as_stack(upstream)
     if upstream.shape != stack.shape:
         raise ValueError("upstream cotangent must match the stack shape")
@@ -690,21 +763,18 @@ def multi_backward(stack, alpha, params: MultiParams, upstream,
     mean, sigma, scale, shift = _level_set_statistics(alpha, params, threads)
     d_pooled = np.empty(alpha.size)
 
-    def normalization_sums(block, member, mask):
+    def normalization_sums(block, member, normed, spare):
         """Fills d_pooled; returns the block's mask @ d_pooled and (mask * member) @ d_pooled."""
-        gate = _gated_block(alpha[block], params, scale, shift, member, mask)
+        gate = _gated_block(alpha[block], params, scale, shift, member, normed)
         d_block = d_pooled[block]
         d_block[:] = flat_up[block] * gate * (1.0 - gate)
-        np.greater(mask, 0.0, out=mask)
-        beta_part = mask @ d_block
-        mask *= member
-        return beta_part, mask @ d_block
+        mask = np.greater(normed, 0.0, out=_bool_view(spare))
+        np.copyto(normed, mask)
+        beta_part = normed @ d_block
+        normed *= member
+        return beta_part, normed @ d_block
 
-    d_beta = np.zeros(q)
-    weighted = np.zeros(q)
-    for beta_part, weighted_part in _map_blocks(normalization_sums, alpha.size, q, 2, threads):
-        d_beta += beta_part
-        weighted += weighted_part
+    d_beta, weighted = _map_blocks(normalization_sums, alpha.size, q, 3, threads, _add_pairs)
     # sum(d_normed * xhat) with xhat = (member - mean) / sigma
     d_gamma = (weighted - mean * d_beta) / sigma
 
@@ -720,7 +790,11 @@ def multi_backward(stack, alpha, params: MultiParams, upstream,
     def parameter_terms(block, member, d_member, spare):
         """Per-level-set sums of d_logits * diff and d_logits * diff**2; fills d_alpha."""
         _membership_block(alpha[block], params, member)
-        np.greater(_normed_block(member, scale, shift, d_member), 0.0, out=d_member)
+        # the rectifier's mask: member * scale + shift > 0 exactly where
+        # member * scale > -shift, so the shift is never added
+        mask = np.greater(np.multiply(member, scale[:, None], out=d_member), -shift[:, None],
+                          out=_bool_view(spare))
+        np.copyto(d_member, mask)
         d_member *= d_pooled[block]
         d_member *= scale[:, None]
         d_member -= np.multiply(member, tilt[:, None], out=spare)
@@ -732,14 +806,11 @@ def multi_backward(stack, alpha, params: MultiParams, upstream,
         diff = np.subtract(alpha[block], params.centers[:, None], out=member)
         d_member *= diff  # d_logits * diff from here on
         np.matmul(params.sharpness, d_member, out=d_alpha[block])
-        return d_member.sum(axis=1), np.einsum("qn,qn->q", d_member, diff)
+        return d_member @ np.ones(d_member.shape[1]), np.vecdot(d_member, diff)
 
-    d_centers = np.zeros(q)
-    d_sharpness = np.zeros(q)
-    for centers_part, sharpness_part in _map_blocks(parameter_terms, alpha.size, q, 3, threads):
-        d_centers += centers_part
-        d_sharpness -= sharpness_part
+    d_centers, d_sharpness = _map_blocks(parameter_terms, alpha.size, q, 3, threads, _add_pairs)
     d_centers *= 2.0 * params.sharpness
+    d_sharpness = -d_sharpness
     d_alpha *= -2.0
 
     return MultiGradients(

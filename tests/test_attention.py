@@ -12,6 +12,7 @@ from mfcal.attention import (
     init_multi_params,
     lowest_frequency_pairs,
     MultiParams,
+    multi_backward,
     multi_forward,
     multi_membership,
     scse_forward,
@@ -74,16 +75,35 @@ def masked_sigmoid(x):
     return out
 
 
+def select_sigmoid(x):
+    """The single-select form of the stable logistic, as a byte reference."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 class TestSigmoid:
+    EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+             -2.2250738585072014e-308, 709.8, -709.8, 745.0, -745.0, 745.2, -745.2]
+
     def test_matches_the_masked_form_byte_for_byte(self):
         rng = np.random.default_rng(19)
-        edges = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
-                 -2.2250738585072014e-308, 709.8, -709.8, 745.2, -745.2]
-        x = np.concatenate([rng.normal(size=4096) * s for s in (1, 5, 50, 800)] + [edges])
+        x = np.concatenate([rng.normal(size=4096) * s for s in (1, 5, 50, 800)] + [self.EDGES])
         assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
         for shape in ((3, 4), (2, 3, 5)):
             grid = x[:np.prod(shape)].reshape(shape)
             assert sigmoid(grid).tobytes() == masked_sigmoid(grid).tobytes()
+
+    @pytest.mark.parametrize("signs", ["mixed", "non-negative", "non-positive", "near zero"])
+    def test_matches_the_select_form_byte_for_byte(self, signs):
+        # an input with no negative entry takes the select-free evaluation
+        rng = np.random.default_rng(28)
+        x = np.concatenate([rng.normal(size=2048) * s for s in (1, 5, 50, 800)] + [self.EDGES])
+        x = {"mixed": x, "non-negative": np.abs(x), "non-positive": -np.abs(x),
+             "near zero": np.append(rng.uniform(-1.0, 1.0, 4096), [0.0, -0.0])}[signs]
+        for values in (x, x.reshape(2, -1), x[:1].reshape(()), x[:0]):
+            got, expected = sigmoid(values), select_sigmoid(values)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert sigmoid(np.array([np.nan, 1.0])).tobytes() == select_sigmoid(np.array([np.nan, 1.0])).tobytes()
 
     def test_saturates_without_overflow(self):
         with np.errstate(over="raise"):
@@ -445,6 +465,27 @@ class TestMultiForward:
         with pytest.raises(ValueError, match="shape"):
             multi_forward(np.ones((4, 4, 2)), np.ones((4, 4, 3)),
                           init_multi_params(2, 0.0, 1.0))
+
+    def test_negative_sharpness_is_rejected(self):
+        # with sharpness >= 0 every logit is <= 0, so exp of it cannot overflow
+        with pytest.raises(ValueError, match="sharpness"):
+            MultiParams(centers=[1.0, 2.0], sharpness=[1.0, -0.5], norm=NormState.identity(2))
+        rng = np.random.default_rng(26)
+        stack = rng.uniform(size=(4, 4, 2))
+        alpha = rng.normal(2.0, 0.3, (4, 4, 2))
+        params = init_multi_params(2, 1.0, 3.0)
+        params.sharpness = np.array([1.0, -0.5])  # assigned after construction
+        for call in (lambda: multi_forward(stack, alpha, params),
+                     lambda: multi_backward(stack, alpha, params, stack),
+                     lambda: multi_membership(alpha, params)):
+            with pytest.raises(ValueError, match="sharpness"):
+                call()
+
+    def test_zero_sharpness_gives_uniform_memberships(self):
+        alpha = np.random.default_rng(27).normal(2.0, 0.3, (4, 4, 2))
+        params = init_multi_params(4, 1.0, 3.0)
+        params.sharpness = np.zeros(4)
+        assert np.all(multi_membership(alpha, params) == 0.25)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_exponents_are_rejected(self, bad):
