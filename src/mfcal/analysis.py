@@ -62,7 +62,7 @@ def _symmetric(matrix) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def jacobi_eigh(matrix, max_sweeps: int = _JACOBI_MAX_SWEEPS):
+def jacobi_eigh(matrix):
     """Symmetric eigendecomposition by cyclic Jacobi rotations.
 
     Sweeps the strict upper triangle in a fixed row-major order,
@@ -70,7 +70,7 @@ def jacobi_eigh(matrix, max_sweeps: int = _JACOBI_MAX_SWEEPS):
     Frobenius norm falls below ``_JACOBI_TOL`` relative to the matrix norm.
     Returns ``(eigenvalues, eigenvectors)`` ordered by decreasing
     absolute value; columns of the eigenvector matrix are orthonormal.
-    Raises ``ValueError`` when ``max_sweeps`` sweeps do not reach
+    Raises ``ValueError`` when ``_JACOBI_MAX_SWEEPS`` sweeps do not reach
     ``_JACOBI_TOL``.  Deterministic: no pivot searching, no randomness.
     """
     a = _symmetric(matrix)
@@ -79,8 +79,8 @@ def jacobi_eigh(matrix, max_sweeps: int = _JACOBI_MAX_SWEEPS):
     scale = np.linalg.norm(a)
     sweeps = 0
     while np.sqrt(np.sum(np.triu(a, 1) ** 2) * 2.0) > _JACOBI_TOL * scale:
-        if sweeps == max_sweeps:
-            raise ValueError(f"Jacobi eigensolver did not converge in {max_sweeps} sweeps")
+        if sweeps == _JACOBI_MAX_SWEEPS:
+            raise ValueError(f"Jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
         sweeps += 1
         for p in range(n - 1):
             for q in range(p + 1, n):

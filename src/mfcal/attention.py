@@ -459,23 +459,25 @@ LEVEL_SET_BYTES = 1024 * 1024  # each (Q, n) scratch buffer of the level-set pas
 # against 35-57 us for sum(axis=0) or sum(axis=1) and 57-80 us for einsum).
 
 
-def _map_blocks(work, size: int, q: int, buffers: int, threads: int | None, merge=None):
-    """``work(block, *scratch)`` over fixed blocks of positions, run on :func:`_run_units`.
+def _map_blocks(work, alpha, params: MultiParams, buffers: int, threads: int | None, merge=None):
+    """``work(block, member, *scratch)`` over fixed blocks of flat exponents, on :func:`_run_units`.
 
     A block is as many positions as fill ``LEVEL_SET_BYTES`` per (Q, n)
     float64 buffer (at least one): 8192 at Q = 16.  The units of work
     are runs of whole blocks of at least 8192 positions together (one
     block for Q <= 16), so the size and Q alone fix them, and a size of
     one unit runs on the calling thread.  Each worker allocates
-    ``buffers`` scratch arrays of one block once, and hands ``work``
-    them as C-contiguous (q, n) views over the n positions of each
-    block.  ``work`` writes per-position outputs into its block's
-    slices and returns a partial (or None), and ``merge(earlier,
-    later)`` folds the partials serially in block order, within each
-    unit and then across units, so at most one partial per unit is held
-    and no output byte depends on ``threads``.  Returns the merged
-    partial.
+    ``buffers`` scratch arrays of one block once, as C-contiguous (Q, n)
+    views over the n positions of each block: the first gets the
+    block's memberships (:func:`_membership_block`), which ``work``
+    takes as ``member``, and the rest follow as ``scratch``.  ``work``
+    writes per-position outputs into its block's slices and returns a
+    partial (or None), and ``merge(earlier, later)`` folds the partials
+    serially in block order, within each unit and then across units, so
+    at most one partial per unit is held and no output byte depends on
+    ``threads``.  Returns the merged partial.
     """
+    size, q = alpha.size, params.centers.size
     per = max(LEVEL_SET_BYTES // (q * 8), 1)
     width = q * min(size, per)
     blocks = [slice(lo, min(lo + per, size)) for lo in range(0, size, per)]
@@ -487,9 +489,12 @@ def _map_blocks(work, size: int, q: int, buffers: int, threads: int | None, merg
             merged = partial if merged is None else merge(merged, partial)
         return merged
 
+    def run_block(block, flat):
+        member, *scratch = (buf[:q * (block.stop - block.start)].reshape(q, -1) for buf in flat)
+        return work(block, _membership_block(alpha[block], params, member), *scratch)
+
     def unit_work(unit, *flat):
-        return fold(work(block, *(buf[:q * (block.stop - block.start)].reshape(q, -1) for buf in flat))
-                    for block in unit)
+        return fold(run_block(block, flat) for block in unit)
 
     return fold(_run_units(unit_work, [blocks[lo:lo + group] for lo in range(0, len(blocks), group)],
                            lambda: [np.empty(width) for _ in range(buffers)], threads))
@@ -497,11 +502,6 @@ def _map_blocks(work, size: int, q: int, buffers: int, threads: int | None, merg
 
 def _add_pairs(earlier, later):
     return earlier[0] + later[0], earlier[1] + later[1]
-
-
-def _bool_view(buffer: np.ndarray) -> np.ndarray:
-    """A C-contiguous bool array of ``buffer``'s shape over the start of its bytes."""
-    return buffer.reshape(-1).view(np.bool_)[:buffer.size].reshape(buffer.shape)
 
 
 # A block whose smallest column sum of exp(logits) is below this is
@@ -545,35 +545,35 @@ def _membership_block(alpha: np.ndarray, params: MultiParams, out: np.ndarray) -
 
 
 def multi_membership(alpha, params: MultiParams) -> np.ndarray:
-    """Soft assignment of each exponent to the Q level sets.
+    """Soft assignment of each exponent of an (H, W, C) map to the Q level sets.
 
     ``membership[..., q] = softmax_q(-sharpness_q * (alpha - centers_q)^2)``;
     memberships at every position sum to one.  Adding a constant to all
     squared-distance logits leaves the result unchanged.  Evaluated over
     the blocks of the level-set passes (see :func:`_membership_block`:
     no max subtraction unless a block has a position far from every
-    center), and transposed into the (..., Q) result.
+    center), and transposed into the (H, W, C, Q) result.  Like the
+    other level-set functions, refuses negative sharpness and an
+    exponent map that is not a finite (H, W, C) stack.
     """
-    _check_sharpness(params)
-    alpha = np.asarray(alpha, dtype=np.float64)
+    alpha, = _level_set_input(params, alpha)
     flat = alpha.reshape(-1)
-    q = params.centers.size
-    out = np.empty((flat.size, q))
+    out = np.empty((flat.size, params.centers.size))
 
     def transpose_block(block, member):
-        out[block] = _membership_block(flat[block], params, member).T
+        out[block] = member.T
 
-    _map_blocks(transpose_block, flat.size, q, 1, threads=1)
-    return out.reshape(alpha.shape + (q,))
+    _map_blocks(transpose_block, flat, params, 1, threads=1)
+    return out.reshape(alpha.shape + (-1,))
 
 
-def _level_set_input(stack, alpha, params: MultiParams):
+def _level_set_input(params: MultiParams, *arrays) -> list:
+    """The entry check: sharpness >= 0, and the arrays as finite (H, W, C) stacks of one shape."""
     _check_sharpness(params)
-    stack = _as_stack(stack)
-    alpha = _as_stack(alpha)
-    if alpha.shape != stack.shape:
-        raise ValueError("alpha map shape must match the stack")
-    return stack, alpha.reshape(-1)
+    stacks = [_as_stack(array) for array in arrays]
+    if len({stack.shape for stack in stacks}) > 1:
+        raise ValueError(f"level-set inputs must share one shape, got {[s.shape for s in stacks]}")
+    return stacks
 
 
 def _level_set_statistics(alpha: np.ndarray, params: MultiParams, threads: int | None):
@@ -597,26 +597,24 @@ def _level_set_statistics(alpha: np.ndarray, params: MultiParams, threads: int |
         return total, mean + delta * (n / total), m2 + block_m2 + delta ** 2 * (count * n / total)
 
     def block_moments(block, member):
-        _membership_block(alpha[block], params, member)
         n = member.shape[1]
         block_mean = member @ np.ones(n) / n
         member -= block_mean[:, None]
         return n, block_mean, np.vecdot(member, member)
 
-    count, mean, m2 = _map_blocks(block_moments, alpha.size, norm.channels, 1, threads, merge)
+    count, mean, m2 = _map_blocks(block_moments, alpha, params, 1, threads, merge)
     var = m2 / count
     sigma = np.sqrt(var + VAR_EPS)
     scale = norm.gamma / sigma
     return mean, sigma, scale, norm.beta - scale * mean
 
 
-def _gated_block(alpha: np.ndarray, params: MultiParams, scale, shift, member, normed):
-    """Gate of a flat block.
+def _gated_block(member: np.ndarray, scale, shift, normed: np.ndarray):
+    """Gate of a block from its (Q, n) memberships.
 
-    Leaves the memberships in ``member`` and their rectified normalized
-    values in ``normed``; passing one buffer as both keeps only the latter.
+    Leaves the rectified normalized memberships in ``normed``; passing
+    ``member`` as ``normed`` overwrites the memberships with them.
     """
-    _membership_block(alpha, params, member)
     np.multiply(member, scale[:, None], out=normed)
     normed += shift[:, None]
     np.maximum(normed, 0.0, out=normed)
@@ -646,15 +644,16 @@ def multi_forward(stack, alpha, params: MultiParams, threads: int | None = None,
     Memory is O(H*W*C + threads*LEVEL_SET_BYTES), and the output bytes
     do not depend on ``threads``.
     """
-    stack, alpha = _level_set_input(stack, alpha, params)
+    stack, alpha = _level_set_input(params, stack, alpha)
+    alpha = alpha.reshape(-1)
     _, _, scale, shift = _level_set_statistics(alpha, params, threads)
     gate = np.empty(stack.shape)
     flat_gate = gate.reshape(-1)
 
     def gate_block(block, member):
-        flat_gate[block] = _gated_block(alpha[block], params, scale, shift, member, member)
+        flat_gate[block] = _gated_block(member, scale, shift, member)
 
-    _map_blocks(gate_block, alpha.size, params.norm.channels, 1, threads)
+    _map_blocks(gate_block, alpha, params, 1, threads)
     return gate, np.add(stack, gate, out=out)
 
 
@@ -748,33 +747,28 @@ def multi_backward(stack, alpha, params: MultiParams, upstream,
     rectified cotangent, from which the affine gradients follow without
     building the standardized memberships.  A second pass forms the
     parameter and exponent gradients, with the normalization's
-    correction terms, in place in three (Q, n) scratch arrays per
-    worker.  Both passes build the rectifier's mask as bool in the
-    bytes of a spare scratch array and cast it once to float64, which
-    is cheaper than NumPy's comparison straight into float64.
+    correction terms.  The sums pass computes in place in two (Q, n)
+    scratch arrays per worker and the parameter pass in three, and each
+    writes its rectifier's mask as 1.0 and 0.0 straight into one of them.
     """
-    stack, alpha = _level_set_input(stack, alpha, params)
-    upstream = _as_stack(upstream)
-    if upstream.shape != stack.shape:
-        raise ValueError("upstream cotangent must match the stack shape")
+    stack, alpha, upstream = _level_set_input(params, stack, alpha, upstream)
+    alpha = alpha.reshape(-1)
     flat_up = upstream.reshape(-1)
     norm = params.norm
-    q = norm.channels
     mean, sigma, scale, shift = _level_set_statistics(alpha, params, threads)
     d_pooled = np.empty(alpha.size)
 
-    def normalization_sums(block, member, normed, spare):
+    def normalization_sums(block, member, normed):
         """Fills d_pooled; returns the block's mask @ d_pooled and (mask * member) @ d_pooled."""
-        gate = _gated_block(alpha[block], params, scale, shift, member, normed)
+        gate = _gated_block(member, scale, shift, normed)
         d_block = d_pooled[block]
         d_block[:] = flat_up[block] * gate * (1.0 - gate)
-        mask = np.greater(normed, 0.0, out=_bool_view(spare))
-        np.copyto(normed, mask)
+        np.greater(normed, 0.0, out=normed)  # the rectifier's mask
         beta_part = normed @ d_block
         normed *= member
         return beta_part, normed @ d_block
 
-    d_beta, weighted = _map_blocks(normalization_sums, alpha.size, q, 3, threads, _add_pairs)
+    d_beta, weighted = _map_blocks(normalization_sums, alpha, params, 2, threads, _add_pairs)
     # sum(d_normed * xhat) with xhat = (member - mean) / sigma
     d_gamma = (weighted - mean * d_beta) / sigma
 
@@ -789,12 +783,9 @@ def multi_backward(stack, alpha, params: MultiParams, upstream,
 
     def parameter_terms(block, member, d_member, spare):
         """Per-level-set sums of d_logits * diff and d_logits * diff**2; fills d_alpha."""
-        _membership_block(alpha[block], params, member)
         # the rectifier's mask: member * scale + shift > 0 exactly where
         # member * scale > -shift, so the shift is never added
-        mask = np.greater(np.multiply(member, scale[:, None], out=d_member), -shift[:, None],
-                          out=_bool_view(spare))
-        np.copyto(d_member, mask)
+        np.greater(np.multiply(member, scale[:, None], out=d_member), -shift[:, None], out=d_member)
         d_member *= d_pooled[block]
         d_member *= scale[:, None]
         d_member -= np.multiply(member, tilt[:, None], out=spare)
@@ -808,7 +799,7 @@ def multi_backward(stack, alpha, params: MultiParams, upstream,
         np.matmul(params.sharpness, d_member, out=d_alpha[block])
         return d_member @ np.ones(d_member.shape[1]), np.vecdot(d_member, diff)
 
-    d_centers, d_sharpness = _map_blocks(parameter_terms, alpha.size, q, 3, threads, _add_pairs)
+    d_centers, d_sharpness = _map_blocks(parameter_terms, alpha, params, 3, threads, _add_pairs)
     d_centers *= 2.0 * params.sharpness
     d_sharpness = -d_sharpness
     d_alpha *= -2.0

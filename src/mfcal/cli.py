@@ -440,21 +440,12 @@ def _inject_config(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        argv = _inject_config(argv)
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"mfcal: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"mfcal: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(_inject_config(argv))
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args)
+    except SystemExit as exc:  # argparse's usage errors, --help and --version
+        return int(exc.code or 0)
     except FloatingPointError as exc:
         print(f"mfcal: float64 arithmetic failed on this input ({exc}); nothing was written",
               file=sys.stderr)

@@ -19,6 +19,7 @@ import json
 import os
 import stat
 import struct
+from io import BytesIO
 
 import numpy as np
 
@@ -168,9 +169,8 @@ def _parse_header(head: bytes, size: int) -> tuple:
 
 
 def read_field(data: bytes) -> np.ndarray:
-    """Parse container bytes back into an ndarray (dtype per the header)."""
-    dtype, dims, offset = _parse_header(data[:_MAX_HEADER], len(data))
-    return np.frombuffer(data, dtype=dtype, offset=offset).reshape(dims).copy()
+    """Parse container bytes back into an ndarray: :func:`read_field_file` over the bytes."""
+    return read_field_file(BytesIO(data))
 
 
 def read_field_file(file) -> np.ndarray:

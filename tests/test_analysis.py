@@ -56,12 +56,13 @@ class TestJacobi:
         with pytest.raises(ValueError, match="symmetric"):
             jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_unconverged_sweeps_raise(self):
+    def test_unconverged_sweeps_raise(self, monkeypatch):
         rng = np.random.default_rng(40)
         a = rng.normal(size=(40, 40))
         a = (a + a.T) / 2.0
+        monkeypatch.setattr(analysis, "_JACOBI_MAX_SWEEPS", 1)
         with pytest.raises(ValueError, match="did not converge in 1 sweeps"):
-            jacobi_eigh(a, max_sweeps=1)
+            jacobi_eigh(a)
 
     def test_singular_values_are_sorted_absolute_eigenvalues(self):
         rng = np.random.default_rng(9)

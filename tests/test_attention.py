@@ -419,6 +419,26 @@ class TestMultiMembership:
         plain = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
         np.testing.assert_allclose(member, plain, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_exponents_are_rejected(self, bad):
+        # a NaN would give NaN memberships, and an infinity a NaN from the
+        # max-subtracted redo (-inf - -inf)
+        alpha = np.random.default_rng(28).normal(2.0, 0.3, (2, 2, 1))
+        alpha[1, 0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            multi_membership(alpha, init_multi_params(4, 1.0, 3.0))
+
+    def test_a_1d_exponent_array_is_refused_as_the_forward_refuses_it(self):
+        alpha = np.linspace(1.0, 3.0, 8)
+        params = init_multi_params(4, 1.0, 3.0)
+        messages = []
+        for call in (lambda: multi_membership(alpha, params),
+                     lambda: multi_forward(np.ones((2, 2, 2)), alpha, params)):
+            with pytest.raises(ValueError, match="shape") as refused:
+                call()
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+
 
 class TestMultiForward:
     def test_dead_rectifier_adds_one_half(self):
