@@ -11,11 +11,18 @@ estimators are checked against (the per-cell bit-count measure, tau(q)
 and alpha(q)) are oracles of the acceptance harness, ``mfcal.selftest``.
 
 A cascade is named by ``(p, depth)``: :func:`generate_binomial` builds
-the line and :func:`generate_product_2d` the square.  Both are the
-one-depth case of :func:`binomial_lines`, which keeps every level of one
-doubling run, so a range of depths costs one run to the deepest.  All
-reject ``p`` outside (0, 1), a depth outside [1, cap], and a smallest
-cell below the smallest normal float64 before they allocate.
+the line and :func:`generate_product_2d` the square, each by one
+doubling run.  The spectrum estimators see a cascade only as its
+distinct masses and how many cells hold each, a :class:`MassLevels`
+record per depth, and :func:`binomial_levels` runs the same doubling
+over those levels instead of over cells, so a range of depths costs one
+run to the deepest and no cell is ever built.  That is exact: every
+depth-(k+1) cell is one rounded product, ``p * c`` or ``q * c``, of a
+depth-k cell c, so its value depends only on c's value, and cell (i, j)
+of the square is the rounded ``line_i * line_j``; the levels and counts
+are bit-equal to those found by sorting the cells.  All reject ``p``
+outside (0, 1), a depth outside [1, cap], and a smallest cell below the
+smallest normal float64 before they allocate.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ import numpy as np
 __all__ = [
     "SpectrumCurve",
     "make_curve",
-    "binomial_lines",
+    "MassLevels",
+    "binomial_levels",
     "generate_binomial",
     "generate_product_2d",
     "analytic_alpha",
@@ -38,7 +46,9 @@ __all__ = [
 ]
 
 # Memory guards: 2**26 float64 cells is 512 MiB; a 2**14-sided square is
-# 2 GiB.  Deeper requests fail loudly instead of thrashing.
+# 2 GiB.  Deeper requests fail loudly instead of thrashing.  The mass
+# levels build no cells but keep the same caps, so every command that
+# names a cascade accepts the same depths.
 MAX_DEPTH_1D = 26
 MAX_DEPTH_2D = 14
 
@@ -124,46 +134,124 @@ def make_curve(alpha, f) -> SpectrumCurve:
     return SpectrumCurve(np.array(out_a), np.array(out_f))
 
 
-def binomial_lines(p: float, depth_min: int, depth_max: int, dims: int = 1) -> list:
-    """The 1-D binomial cascades of depths ``depth_min..depth_max``, from one doubling run.
+@dataclass(frozen=True)
+class MassLevels:
+    """One depth of a unit-mass dyadic measure, as its distinct positive masses.
 
-    Cell ``i`` at depth ``k`` receives ``p**n0(i) * (1-p)**(k-n0(i))``
-    where ``n0(i)`` counts the zero bits in the k-bit address of ``i``
-    (most significant bit = first split).  The cells of each depth sum
-    to one.  Each level is written in place from the one before it, left
-    children at even cells and right children at odd ones, and every
-    level from ``depth_min`` on is kept.  ``dims`` names the cascade the
-    lines are for, whose cap ``depth_max`` must meet (a line of a 2-D
-    product cascade is capped at ``MAX_DEPTH_2D``); it is checked before
-    anything is allocated.
+    ``masses`` are finite, positive and strictly ascending; ``counts[i]``
+    (int64, at least 1) is how many of the measure's cells hold
+    ``masses[i]``, so ``counts @ masses`` is the total mass, 1 within
+    1e-9.  ``depth`` (at least 1) is the number of dyadic refinements.
+    The record checks all of this once, when it is built, and the
+    estimators trust it.
+    """
+
+    masses: np.ndarray
+    counts: np.ndarray
+    depth: int
+
+    def __post_init__(self):
+        masses = np.asarray(self.masses, dtype=np.float64)
+        counts = np.asarray(self.counts)
+        if masses.ndim != 1 or masses.size == 0:
+            raise ValueError("mass levels need a non-empty 1-D array of masses")
+        if not np.all(np.isfinite(masses)):
+            raise ValueError("measure values must be finite")
+        if np.any(masses[1:] <= masses[:-1]):
+            raise ValueError("mass levels must be strictly ascending")
+        if masses[0] <= 0.0:
+            raise ValueError("mass levels must be positive")
+        if counts.shape != masses.shape:
+            raise ValueError(f"counts of shape {counts.shape} do not match masses of shape "
+                             f"{masses.shape}")
+        if counts.dtype.kind not in "iu" or np.any(counts < 1):
+            raise ValueError("counts must be integers >= 1")
+        if abs(counts @ masses - 1.0) > 1e-9:
+            raise ValueError("measure must be normalized to unit mass")
+        if self.depth < 1:
+            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "counts", counts.astype(np.int64, copy=False))
+
+
+def _merged(masses: np.ndarray, counts: np.ndarray) -> tuple:
+    """The distinct values of ``masses``, ascending, each with the summed counts of its copies."""
+    order = np.argsort(masses)
+    masses, counts = masses[order], counts[order]
+    starts = np.flatnonzero(np.concatenate(([True], masses[1:] != masses[:-1])))
+    return masses[starts], np.add.reduceat(counts, starts)
+
+
+def binomial_levels(p: float, depth_min: int, depth_max: int, dims: int = 1) -> list:
+    """The mass levels of the binomial cascades of depths ``depth_min..depth_max``.
+
+    Returns one :class:`MassLevels` per depth, from one doubling run over
+    levels: each step forms ``p * masses`` and ``q * masses`` (``q = 1 -
+    p``), sorts those values and merges equal ones, summing their counts.
+    This is exact.  Every depth-(k+1) cell of :func:`generate_binomial`
+    is one rounded product, ``p * c`` or ``q * c``, of a depth-k cell c,
+    so its value depends only on c's value; the levels and counts are
+    therefore bit-equal to those found by sorting the cells.  For
+    ``dims=2`` every pair of a depth's line levels is multiplied, with
+    counts multiplied, and merged the same way: cell (i, j) of
+    :func:`generate_product_2d` is the rounded ``line_i * line_j``.  No
+    cell is built, so memory grows with the levels (a few hundred per
+    depth), not with the 2**(dims * depth) cells.  ``depth_max`` must
+    meet the ``dims``-D cap; it is checked before anything is allocated.
     """
     _check(p, depth_max, dims)
     if not 1 <= depth_min <= depth_max:
         raise ValueError(f"depth range {depth_min}..{depth_max} is empty or starts below 1")
     q = 1.0 - p
-    cells = np.ones(1)
-    lines = []
+    masses, counts = np.ones(1), np.ones(1, dtype=np.int64)
+    records = []
     for depth in range(1, depth_max + 1):
+        masses, counts = _merged(np.concatenate((p * masses, q * masses)),
+                                 np.concatenate((counts, counts)))
+        if depth < depth_min:
+            continue
+        if dims == 1:
+            records.append(MassLevels(masses, counts, depth))
+        else:
+            square = _merged(np.multiply.outer(masses, masses).ravel(),
+                             np.multiply.outer(counts, counts).ravel())
+            records.append(MassLevels(*square, depth))
+    return records
+
+
+def _binomial_line(p: float, depth: int, dims: int) -> np.ndarray:
+    """The 1-D binomial cascade of one depth, by one doubling run.
+
+    Cell ``i`` receives ``p**n0(i) * (1-p)**(depth-n0(i))`` where
+    ``n0(i)`` counts the zero bits in the depth-bit address of ``i``
+    (most significant bit = first split); the cells sum to one.  Each
+    level is written from the one before it, left children at even
+    cells and right children at odd ones.  ``dims`` names the cascade
+    the line is for, whose cap ``depth`` must meet; it is checked before
+    anything is allocated.
+    """
+    _check(p, depth, dims)
+    q = 1.0 - p
+    cells = np.ones(1)
+    for _ in range(depth):
         nxt = np.empty(2 * cells.size)
         np.multiply(p, cells, out=nxt[0::2])
         np.multiply(q, cells, out=nxt[1::2])
         cells = nxt
-        if depth >= depth_min:
-            lines.append(cells)
-    return lines
+    return cells
 
 
 def generate_binomial(p: float, depth: int) -> np.ndarray:
-    """The 1-D binomial cascade of one depth: :func:`binomial_lines` of that depth alone."""
-    return binomial_lines(p, depth, depth)[0]
+    """The 1-D binomial cascade of one depth (see :func:`_binomial_line`)."""
+    return _binomial_line(p, depth, 1)
 
 
 def generate_product_2d(p: float, depth: int) -> np.ndarray:
     """2-D product cascade: cell (i, j) carries ``mu1(i) * mu1(j)``.
 
-    The line comes from :func:`binomial_lines` under the 2-D cap.
+    The line is checked against the 2-D cap.
     """
-    line = binomial_lines(p, depth, depth, dims=2)[0]
+    line = _binomial_line(p, depth, 2)
     return np.outer(line, line)
 
 

@@ -36,7 +36,7 @@ from .attention import (
     se_forward,
     srm_gates,
 )
-from .cascade import analytic_spectrum, binomial_lines, generate_binomial, generate_product_2d
+from .cascade import analytic_spectrum, binomial_levels, generate_binomial, generate_product_2d
 from .holder import (
     DEFAULT_EPSILON,
     NormState,
@@ -164,31 +164,30 @@ def _cmd_holder(args) -> int:
     return EXIT_OK
 
 
-def _cascade_fields(p: float, dims: int, depth_min: int, depth_max: int):
+def _cascade_levels(p: float, dims: int, depth_min: int, depth_max: int):
     if not (1 <= depth_min < depth_max):
         raise UsageError("depth range must satisfy 1 <= --depth-min < --depth-max")
     try:
-        lines = binomial_lines(p, depth_min, depth_max, dims)
+        return binomial_levels(p, depth_min, depth_max, dims)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return lines if dims == 1 else [np.outer(line, line) for line in lines]
 
 
 def _cmd_spectrum(args) -> int:
     if args.method == "histogram":
         if args.bins < 4:
             raise UsageError("--bins must be >= 4")
-        fields = _cascade_fields(args.p, args.dims, args.depth_min, args.depth_max)
-        curve = histogram_spectrum(fields, bins=args.bins)
+        levels = _cascade_levels(args.p, args.dims, args.depth_min, args.depth_max)
+        curve = histogram_spectrum(levels, bins=args.bins)
         _write_text(args.out, fio.write_spectrum_csv(curve))
     elif args.method == "moments":
         if args.q_step <= 0.0 or args.q_step > 0.5:
             raise UsageError("--q-step must lie in (0, 0.5]")
         if args.q_min >= args.q_max:
             raise UsageError("--q-min must be below --q-max")
-        fields = _cascade_fields(args.p, args.dims, args.depth_min, args.depth_max)
+        levels = _cascade_levels(args.p, args.dims, args.depth_min, args.depth_max)
         q = np.round(np.arange(args.q_min, args.q_max + 1e-9, args.q_step), 10)
-        partition, _ = moments_spectrum(fields, q)
+        partition, _ = moments_spectrum(levels, q)
         _write_text(args.out, fio.write_moments_csv(partition))
     else:  # clt; argparse restricts the choices
         scales = _parse_scales(args.scales)

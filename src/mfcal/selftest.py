@@ -11,7 +11,8 @@ Each reference lives here once; the tests import it rather than keep a
 copy: ``_brute_window_measures`` (window sums), ``_brute_holder`` (the
 exponent map), the cascade closed forms ``_bitcount_measure`` (the
 measure, cell by cell), ``_analytic_tau`` (tau(q)) and
-``_analytic_alpha_q`` (alpha(q)), ``_brute_frozen_norm`` (the
+``_analytic_alpha_q`` (alpha(q)), ``_field_levels`` (a measure's mass
+levels by sorting its cells), ``_brute_frozen_norm`` (the
 stored-statistics normalization), ``_dense_level_sets`` (the level-set
 forward over a materialized (..., Q) tensor), the central-difference
 probe ``_probe_gradient``, and the random draws ``_random_norm``,
@@ -48,7 +49,13 @@ from .attention import (
     se_forward,
     srm_gates,
 )
-from .cascade import analytic_alpha, generate_binomial, generate_product_2d
+from .cascade import (
+    MassLevels,
+    analytic_alpha,
+    binomial_levels,
+    generate_binomial,
+    generate_product_2d,
+)
 from .holder import VAR_EPS, NormState, ScaleSet, holder_map, interior_view, mean_alpha, normalize
 from .spectrum import histogram_spectrum, moments_spectrum
 
@@ -147,6 +154,37 @@ def _bitcount_measure(p, depth):
     """
     ones = np.bitwise_count(np.arange(2 ** depth, dtype=np.uint64)).astype(np.int64)
     return np.power(p, depth - ones) * np.power(1.0 - p, ones)
+
+
+def _field_levels(field) -> MassLevels:
+    """A dyadic measure's mass levels by sorting its cells: the oracle of ``binomial_levels``.
+
+    The measure must be finite and nonnegative, with 2**k cells on every
+    axis (its depth k); the record checks its unit mass.  One
+    sorted copy of the cells: the cells <= 0 (``-0.0`` too) sort to its
+    front and are skipped, and each run of equal masses gives one level,
+    counted by the distance to the next run's start.
+    """
+    field = np.asarray(field, dtype=np.float64)
+    lo, hi = field.min(), field.max()  # both NaN if any cell is
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("measure values must be finite")
+    if lo < 0.0:
+        raise ValueError("measure must be nonnegative")
+    depth = field.shape[0].bit_length() - 1
+    if any(extent != 2 ** depth for extent in field.shape):
+        raise ValueError(f"a dyadic measure has 2**k cells, a power of two, on every axis; "
+                         f"got shape {field.shape}")
+    mass = np.sort(field, axis=None)
+    mass = mass[np.searchsorted(mass, 0.0, side="right"):]
+    starts = np.flatnonzero(np.concatenate(([True], mass[1:] != mass[:-1])))
+    return MassLevels(mass[starts], np.diff(starts, append=mass.size), depth)
+
+
+def _same_levels(a: MassLevels, b: MassLevels) -> bool:
+    """Whether two records hold the same depth and the same bytes of masses and counts."""
+    return (a.depth == b.depth and a.masses.tobytes() == b.masses.tobytes()
+            and a.counts.tobytes() == b.counts.tobytes())
 
 
 def _analytic_tau(p, q):
@@ -275,7 +313,7 @@ def _probe_gradient(loss, arrays, analytic, rng, count):
 
 def _criterion_cascade_exactness(ctx):
     worst = 0.0
-    for depth in range(1, 13):
+    for depth, levels in zip(range(1, 13), binomial_levels(_P, 1, 12)):
         generated = generate_binomial(_P, depth)
         closed_form = _bitcount_measure(_P, depth)
         worst = max(worst, float(np.abs(generated - closed_form).max()))
@@ -284,8 +322,14 @@ def _criterion_cascade_exactness(ctx):
         expected = [math.comb(depth, n0) for n0 in range(depth, -1, -1)]
         if counts.tolist() != expected:
             return False, f"exponent histogram mismatch at depth {depth}"
+        if not _same_levels(levels, _field_levels(generated)):
+            return False, f"1-D mass levels differ from the sorted cells at depth {depth}"
+    for depth, levels in zip(range(1, 7), binomial_levels(_P, 1, 6, dims=2)):
+        if not _same_levels(levels, _field_levels(generate_product_2d(_P, depth))):
+            return False, f"2-D mass levels differ from the sorted cells at depth {depth}"
     ok = worst <= 1e-12
-    return ok, f"max |generated - closed form| = {worst:.2e}"
+    return ok, (f"max |generated - closed form| = {worst:.2e}; mass levels byte-equal to "
+                f"the sorted cells at 1-D depths 1-12 and 2-D depths 1-6")
 
 
 def _criterion_monofractal_limit(ctx):
@@ -305,10 +349,8 @@ def _criterion_multifractal_oracle(ctx):
     mean_err = abs(mean - _ALPHA_2D)
     del field, alpha
 
-    depth_fields = [generate_product_2d(_P, k) for k in range(8, 13)]
     # odd bin count centers one bin exactly on the modal exponent
-    curve = histogram_spectrum(depth_fields, bins=33)
-    del depth_fields
+    curve = histogram_spectrum(binomial_levels(_P, 8, 12, dims=2), bins=33)
     peak_alpha, peak_f = curve.peak
     ok = (
         mean_err <= 0.05
@@ -322,9 +364,8 @@ def _criterion_multifractal_oracle(ctx):
 
 
 def _criterion_moments_method(ctx):
-    fields = [generate_binomial(_P, k) for k in range(8, 13)]
     q = np.round(np.arange(-5.0, 5.0 + 1e-9, 0.25), 10)
-    partition, curve = moments_spectrum(fields, q)
+    partition, curve = moments_spectrum(binomial_levels(_P, 8, 12), q)
     tau_err = float(np.abs(partition.tau - _analytic_tau(_P, q)).max())
     tau_one = abs(float(partition.tau[np.flatnonzero(q == 1.0)[0]]))
     # the one-sided differences at the two end orders are excluded
@@ -568,10 +609,10 @@ def _selftest_artifacts(directory: Path, threads: int) -> list:
     grads = mono_backward(wide, init_mono_params(64, rng=12), cotangent, _SCALES, 1e-6, threads)
     fio.write_field_file(directory / "mono-grad-banded.mfr", grads.stack)
 
-    lines = [generate_binomial(_P, k) for k in range(8, 12)]
-    hist = histogram_spectrum(lines, bins=16)
+    levels = binomial_levels(_P, 8, 11)
+    hist = histogram_spectrum(levels, bins=16)
     (directory / "histogram.csv").write_text(fio.write_spectrum_csv(hist))
-    partition, curve = moments_spectrum(lines, np.arange(-2.0, 2.01, 0.25))
+    partition, curve = moments_spectrum(levels, np.arange(-2.0, 2.01, 0.25))
     (directory / "moments.csv").write_text(fio.write_moments_csv(partition))
     (directory / "legendre.csv").write_text(fio.write_spectrum_csv(curve))
 

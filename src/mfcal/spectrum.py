@@ -11,13 +11,15 @@ Three complementary estimates of the level-set dimension curve f(alpha):
 * Gaussian approximation -- a parabola through the empirical mean and
   spread of sampled exponents, peaking at the support dimension.
 
-The histogram and moments estimators see a measure only as its distinct
-positive masses and how many cells hold each (a binomial cascade of
-depth k has k + 1 mass levels in 2**k cells).  The levels come from one
-sorted copy of the cells, and the sums run over them in ascending mass
-order, so the cells' order never changes a byte.  A measure whose
-masses are all distinct costs that one sort and a sum per cell; no
-caller passes one.
+The histogram and moments estimators take a measure only as its
+distinct positive masses and how many cells hold each, one
+:class:`~mfcal.cascade.MassLevels` record per depth (a binomial cascade
+of depth k has k + 1 mass levels in 2**k cells, and up to a few
+hundred where rounding splits mathematically equal products).  :func:`mfcal.cascade.binomial_levels`
+builds them from the cascade's doubling run, without a cell or a sort of
+cells, and bit-equal to the levels of the cells: every cell is one
+rounded product of its parent's value, so equal parents give equal
+children.  The sums run over the levels in ascending mass order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import SpectrumCurve, make_curve
+from .cascade import MassLevels, SpectrumCurve, make_curve
 
 __all__ = [
     "PartitionFunction",
@@ -43,53 +45,16 @@ _BIN_DECIMALS = 12
 CLT_POINTS = 64  # abscissae of the parabolic spectrum
 
 
-def _dyadic_depth(field: np.ndarray) -> int:
-    """Depth k of a dyadic measure with 2**k cells per axis."""
-    n = field.shape[0]
-    k = int(round(np.log2(n)))
-    if 2 ** k != n:
-        raise ValueError(f"axis length {n} is not a power of two")
-    for extent in field.shape[1:]:
-        if extent != n:
-            raise ValueError("dyadic measure must have equal power-of-two extents")
-    return k
-
-
-def _check_depth_fields(fields) -> list:
-    if len(fields) < 2:
+def _check_depths(levels) -> list:
+    if len(levels) < 2:
         raise ValueError("need measures at two depths or more")
-    depths = []
-    for field in fields:
-        field = np.asarray(field, dtype=np.float64)
-        lo, hi = field.min(), field.max()  # both NaN if any cell is
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("measure values must be finite")
-        if lo < 0.0:
-            raise ValueError("measure must be nonnegative")
-        if abs(field.sum() - 1.0) > 1e-9:
-            raise ValueError("measure must be normalized to unit mass")
-        depths.append(_dyadic_depth(field))
+    depths = [level.depth for level in levels]
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise ValueError("depths must be strictly increasing")
     return depths
 
 
-def _mass_levels(field) -> tuple:
-    """Distinct positive masses, ascending, and how many cells hold each.
-
-    One sorted copy of the cells: the cells <= 0 (``-0.0`` too) sort to
-    its front and are skipped, and each run of equal masses gives one
-    level, counted by the distance to the next run's start.  The field
-    must be finite (NaN would sort last and count as a level).  An
-    all-distinct measure costs that one sort and as many levels as cells.
-    """
-    mass = np.sort(np.asarray(field, dtype=np.float64), axis=None)
-    mass = mass[np.searchsorted(mass, 0.0, side="right"):]
-    starts = np.flatnonzero(np.concatenate(([True], mass[1:] != mass[:-1])))
-    return mass[starts], np.diff(starts, append=mass.size)
-
-
-def histogram_spectrum(fields, bins: int = 32) -> SpectrumCurve:
+def histogram_spectrum(levels: list[MassLevels], bins: int = 32) -> SpectrumCurve:
     """Spectrum by binning coarse exponents across dyadic depths.
 
     Cells scaling with exponent alpha multiply like ``2**(k * f(alpha))``
@@ -99,17 +64,18 @@ def histogram_spectrum(fields, bins: int = 32) -> SpectrumCurve:
     deepest level, and cells outside it are not counted; bins empty at
     any depth are dropped.
 
-    Each depth is binned as its distinct masses' exponents, weighted by
-    how many cells hold each mass: the same counts as binning every
-    cell, at the cost of one sort per depth.
+    ``levels`` holds one :class:`~mfcal.cascade.MassLevels` per depth,
+    in increasing depth.  Each depth is binned as its distinct masses'
+    exponents, weighted by how many cells hold each mass: the same
+    counts as binning every cell.
     """
     if bins < 4:
         raise ValueError("need at least 4 bins")
-    depths = _check_depth_fields(fields)
-    per_depth = []
-    for field, k in zip(fields, depths):
-        levels, cells = _mass_levels(field)
-        per_depth.append((np.round(-np.log2(levels) / k, _BIN_DECIMALS), cells))
+    depths = _check_depths(levels)
+    per_depth = [
+        (np.round(-np.log2(level.masses) / level.depth, _BIN_DECIMALS), level.counts)
+        for level in levels
+    ]
     deepest = per_depth[-1][0]
     lo, hi = float(deepest.min()), float(deepest.max())
     x = np.asarray(depths, dtype=np.float64) * _LN2
@@ -148,19 +114,17 @@ class PartitionFunction:
     one_sided: np.ndarray
 
 
-def _log2_partition(field, q: np.ndarray) -> np.ndarray:
-    """``log2 sum mu**q`` over the positive cells, for every order q.
+def _log2_partition(level: MassLevels, q: np.ndarray) -> np.ndarray:
+    """``log2 sum mu**q`` over the positive cells of one depth, for every order q.
 
-    The sum runs over the distinct masses in ascending order, each term
-    weighted by how many cells hold that mass, so it costs the number of
-    mass levels per order, not the number of cells; an all-distinct
-    measure pays one sort on top of the per-cell work.  Log-sum-exp:
+    The sum runs over the depth's distinct masses in ascending order,
+    each term weighted by how many cells hold that mass, so it costs the
+    number of mass levels per order, not the number of cells.  Log-sum-exp:
     shifting by the largest log mass for q >= 0 and by the smallest for
     q < 0 keeps every term in (0, 1], so no order overflows.  One scratch
     buffer serves every order; nothing is allocated per order.
     """
-    levels, cells = _mass_levels(field)
-    log_mass = np.log2(levels, out=levels)
+    log_mass = np.log2(level.masses)
     top, bottom = log_mass[-1], log_mass[0]
     below_top = log_mass - top
     above_bottom = np.subtract(log_mass, bottom, out=log_mass)
@@ -170,17 +134,19 @@ def _log2_partition(field, q: np.ndarray) -> np.ndarray:
         shift, dev = (top, below_top) if qi >= 0.0 else (bottom, above_bottom)
         np.multiply(qi, dev, out=buf)
         np.exp2(buf, out=buf)
-        out[i] = qi * shift + np.log2(np.multiply(buf, cells, out=buf).sum())
+        out[i] = qi * shift + np.log2(np.multiply(buf, level.counts, out=buf).sum())
     return out
 
 
-def moments_spectrum(fields, q_values) -> tuple:
+def moments_spectrum(levels: list[MassLevels], q_values) -> tuple:
     """Method of moments: tau(q) scaling plus Legendre transform.
 
     Z(1, k) = 1 for normalized measures, hence tau(1) = 0 up to the
     regression's rounding.  alpha(q) is a central difference of tau in
     the interior and a flagged one-sided difference at the ends;
-    ``f = q * alpha - tau``.  Returns (PartitionFunction, SpectrumCurve).
+    ``f = q * alpha - tau``.  ``levels`` holds one
+    :class:`~mfcal.cascade.MassLevels` per depth, in increasing depth.
+    Returns (PartitionFunction, SpectrumCurve).
     """
     q = np.asarray(q_values, dtype=np.float64)
     if q.ndim != 1 or q.size < 3:
@@ -190,9 +156,9 @@ def moments_spectrum(fields, q_values) -> tuple:
         raise ValueError("moment orders must be strictly increasing")
     if np.any(dq > 0.5 + 1e-12):
         raise ValueError("moment order spacing must not exceed 0.5")
-    depths = _check_depth_fields(fields)
+    depths = _check_depths(levels)
 
-    log2_z = np.stack([_log2_partition(field, q) for field in fields], axis=1)
+    log2_z = np.stack([_log2_partition(level, q) for level in levels], axis=1)
 
     x = -np.asarray(depths, dtype=np.float64)
     dev = x - x.mean()

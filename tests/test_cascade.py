@@ -9,16 +9,23 @@ import mfcal.cascade as cascade
 from mfcal.cascade import (
     MAX_DEPTH_1D,
     MAX_DEPTH_2D,
+    MassLevels,
     SpectrumCurve,
     analytic_alpha,
     analytic_spectrum,
-    binomial_lines,
+    binomial_levels,
     generate_binomial,
     generate_product_2d,
     make_curve,
     _analytic_f,
 )
-from mfcal.selftest import _analytic_alpha_q, _analytic_tau, _bitcount_measure
+from mfcal.selftest import (
+    _analytic_alpha_q,
+    _analytic_tau,
+    _bitcount_measure,
+    _field_levels,
+    _same_levels,
+)
 
 # closed-form anchors for p = 2/3
 ALPHA_STAR = 1.0849625007211562      # -(1/2) log2(p (1-p))
@@ -79,7 +86,26 @@ def per_depth_doubling(p, depth):
     return cells
 
 
-class TestBinomialLines:
+def cells(p, depth, dims):
+    return generate_binomial(p, depth) if dims == 1 else generate_product_2d(p, depth)
+
+
+# 2**-63.8 is just above the underflow bound at dims * depth = 16, where the
+# smallest cell p**16 must stay >= 2**-1022; there q = 1 - p rounds to 1.0
+GRID_P = [0.5, 2 / 3, 0.3, 0.1, 0.95, 0.999, 2.0 ** -63.8]
+
+
+class TestBinomialLevels:
+    @pytest.mark.parametrize("dims, deepest", [(1, 16), (2, 8)])
+    @pytest.mark.parametrize("p", GRID_P, ids=lambda p: f"p={p:.6g}")
+    def test_levels_equal_the_sorted_cells(self, p, dims, deepest):
+        levels = binomial_levels(p, 1, deepest, dims)
+        assert [level.depth for level in levels] == list(range(1, deepest + 1))
+        for level in levels:
+            assert _same_levels(level, _field_levels(cells(p, level.depth, dims)))
+        if p == 0.5:
+            assert all(level.masses.size == 1 for level in levels)
+
     # caps lowered so that a range ending at the cap stays a few MiB
     @pytest.mark.parametrize("dims, cap", [(1, 16), (2, 9)])
     @pytest.mark.parametrize("first, last", [(1, 2), (1, None), (2, None), (-3, None), (0, None)],
@@ -90,20 +116,75 @@ class TestBinomialLines:
         depth_min = first if first > 0 else cap + first
         depth_max = cap if last is None else last
         p = 0.37
-        lines = binomial_lines(p, depth_min, depth_max, dims)
-        assert len(lines) == depth_max - depth_min + 1
-        for depth, line in zip(range(depth_min, depth_max + 1), lines):
-            assert line.tobytes() == per_depth_doubling(p, depth).tobytes()
-            assert line.tobytes() == generate_binomial(p, depth).tobytes()
-            if dims == 2:
-                assert np.array_equal(np.outer(line, line), generate_product_2d(p, depth))
+        levels = binomial_levels(p, depth_min, depth_max, dims)
+        assert len(levels) == depth_max - depth_min + 1
+        for depth, level in zip(range(depth_min, depth_max + 1), levels):
+            assert _same_levels(level, binomial_levels(p, depth, depth, dims)[0])
+            assert _same_levels(level, _field_levels(cells(p, depth, dims)))
+            assert generate_binomial(p, depth).tobytes() == per_depth_doubling(p, depth).tobytes()
         with pytest.raises(ValueError, match="cap"):
-            binomial_lines(p, depth_min, cap + 1, dims)
+            binomial_levels(p, depth_min, cap + 1, dims)
 
     @pytest.mark.parametrize("depth_min, depth_max", [(0, 3), (4, 3), (-1, 2)])
     def test_an_empty_range_or_one_below_depth_one_is_rejected(self, depth_min, depth_max):
         with pytest.raises(ValueError, match="depth range"):
-            binomial_lines(0.3, depth_min, depth_max)
+            binomial_levels(0.3, depth_min, depth_max)
+
+    @pytest.mark.parametrize("dims, depth", [(1, 12), (2, 6)])
+    def test_the_smallest_cell_must_be_a_normal_float(self, dims, depth):
+        assert binomial_levels(1e-25, depth, depth, dims)[0].masses[0] >= np.finfo(float).tiny
+        with pytest.raises(ValueError, match="smallest cell"):
+            binomial_levels(1e-26, 1, depth, dims)
+
+
+class TestMassLevels:
+    MASSES = [0.125, 0.25, 0.5]
+    COUNTS = [2, 1, 1]
+
+    def test_a_valid_record_keeps_float64_masses_and_int64_counts(self):
+        level = MassLevels(self.MASSES, self.COUNTS, 2)
+        assert level.masses.dtype == np.float64 and level.counts.dtype == np.int64
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_masses_are_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MassLevels([0.125, bad, 0.5], self.COUNTS, 2)
+
+    def test_non_finite_is_reported_before_a_negative_mass(self):
+        with pytest.raises(ValueError, match="finite"):
+            MassLevels([-0.25, np.nan, 0.5], self.COUNTS, 2)
+
+    @pytest.mark.parametrize("first", [0.0, -0.0, -0.125])
+    def test_a_mass_at_or_below_zero_is_rejected(self, first):
+        with pytest.raises(ValueError, match="positive"):
+            MassLevels([first, 0.25, 0.75], [1, 1, 1], 2)
+
+    @pytest.mark.parametrize("masses", [[0.25, 0.125, 0.5], [0.125, 0.125, 0.5]],
+                             ids=["descending pair", "repeated mass"])
+    def test_masses_must_be_strictly_ascending(self, masses):
+        with pytest.raises(ValueError, match="ascending"):
+            MassLevels(masses, [2, 2, 1], 2)
+
+    @pytest.mark.parametrize("counts", [[2, 0, 1], [2, -1, 2], [2.0, 1.0, 1.0]],
+                             ids=["zero", "negative", "float"])
+    def test_counts_must_be_integers_of_at_least_one(self, counts):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            MassLevels(self.MASSES, counts, 2)
+
+    @pytest.mark.parametrize("counts", [[2, 1], [[2, 1, 1]]], ids=["short", "2-D"])
+    def test_counts_must_have_the_masses_shape(self, counts):
+        with pytest.raises(ValueError, match="do not match"):
+            MassLevels(self.MASSES, counts, 2)
+
+    @pytest.mark.parametrize("off", [2e-9, -2e-9])
+    def test_a_total_mass_off_by_more_than_1e_9_is_rejected(self, off):
+        MassLevels([0.125, 0.25, 0.5 + off / 4], self.COUNTS, 2)  # within 1e-9
+        with pytest.raises(ValueError, match="normalized"):
+            MassLevels([0.125, 0.25, 0.5 + off], self.COUNTS, 2)
+
+    def test_depth_must_be_at_least_one(self):
+        with pytest.raises(ValueError, match="depth"):
+            MassLevels(self.MASSES, self.COUNTS, 0)
 
 
 class TestGenerateProduct2d:

@@ -421,6 +421,29 @@ class TestRecalibrateMemory:
         assert self.peak_above_the_input(tmp_path, "multi", threads) <= 2.0 + scratch + 0.25
 
 
+class TestSpectrumMemory:
+    """Traced peak of a spectrum over a deep depth range, at the depth caps.
+
+    As cells, the 2-D range would hold 2**28 float64 (2 GiB) at depth 14
+    and the 1-D range 2**26 (512 MiB) at depth 26, each with a sorted
+    copy on top.  As mass levels, each depth is a few thousand values.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ["--method", "moments", "--dims", 2, "--depth-min", 12, "--depth-max", 14],
+        ["--method", "histogram", "--depth-min", 10, "--depth-max", 26],
+    ], ids=["moments 2-D 12..14", "histogram 1-D 10..26"])
+    def test_a_range_to_the_cap_peaks_under_4_mib(self, argv, tmp_path):
+        tracemalloc.start()
+        try:
+            code = run("spectrum", "--p", 0.3, *argv, "--out", tmp_path / "s.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * 2 ** 20
+
+
 class TestExciteCommand:
     def test_low_rank_gate_matrix(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -28,7 +28,7 @@ from mfcal.io import (
     write_spectrum_csv,
 )
 from mfcal.spectrum import moments_spectrum
-from mfcal.cascade import generate_binomial
+from mfcal.cascade import binomial_levels
 
 
 class TestFieldContainer:
@@ -323,8 +323,7 @@ class TestCsv:
         assert text.endswith("\n")
 
     def test_moments_csv_carries_flags(self):
-        fields = [generate_binomial(0.7, k) for k in (6, 7, 8)]
-        partition, _ = moments_spectrum(fields, [-1.0, -0.5, 0.0, 0.5, 1.0])
+        partition, _ = moments_spectrum(binomial_levels(0.7, 6, 8), [-1.0, -0.5, 0.0, 0.5, 1.0])
         text = write_moments_csv(partition)
         lines = text.strip().split("\n")
         assert lines[0] == "q,tau,alpha,f,one_sided"

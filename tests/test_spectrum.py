@@ -3,27 +3,27 @@
 import numpy as np
 import pytest
 
-from mfcal.cascade import generate_binomial, generate_product_2d, make_curve
-from mfcal.spectrum import (
-    CLT_POINTS,
-    _mass_levels,
-    clt_spectrum,
-    histogram_spectrum,
-    moments_spectrum,
-)
-from mfcal.selftest import _analytic_alpha_q, _analytic_tau
+from mfcal.cascade import binomial_levels, generate_binomial, generate_product_2d, make_curve
+from mfcal.spectrum import CLT_POINTS, clt_spectrum, histogram_spectrum, moments_spectrum
+from mfcal.selftest import _analytic_alpha_q, _analytic_tau, _field_levels
 
 ALPHA_STAR = 1.0849625007211562
 P = 2 / 3
 
 
-def line_cascades(depths, p=P):
-    return [generate_binomial(p, k) for k in depths]
+def line_levels(depths, p=P):
+    """The mass levels of the line cascades at a contiguous range of depths."""
+    return binomial_levels(p, depths[0], depths[-1])
+
+
+def as_levels(fields):
+    """Hand-built dyadic measures, through the harness's sort-based oracle."""
+    return [_field_levels(field) for field in fields]
 
 
 class TestHistogramSpectrum:
     def test_uniform_cascade_collapses_to_the_support_point(self):
-        curve = histogram_spectrum(line_cascades(range(8, 13), p=0.5), bins=32)
+        curve = histogram_spectrum(line_levels(range(8, 13), p=0.5), bins=32)
         assert len(curve) == 1
         assert curve.alpha[0] == pytest.approx(1.0, abs=0.02)
         assert curve.f[0] == pytest.approx(1.0, abs=0.02)
@@ -34,7 +34,7 @@ class TestHistogramSpectrum:
             field = np.zeros(2 ** k)
             field[0] = 1.0
             fields.append(field)
-        curve = histogram_spectrum(fields, bins=4)
+        curve = histogram_spectrum(as_levels(fields), bins=4)
         assert len(curve) == 1
         assert curve.alpha[0] == pytest.approx(0.0, abs=1e-12)
         assert curve.f[0] == pytest.approx(0.0, abs=1e-12)
@@ -42,37 +42,38 @@ class TestHistogramSpectrum:
     def test_binomial_peak_tracks_the_oracle(self):
         # 16 bins: narrow enough to localize the peak, wide enough that the
         # modal bin stays occupied at every depth in 8..12
-        curve = histogram_spectrum(line_cascades(range(8, 13)), bins=16)
+        curve = histogram_spectrum(line_levels(range(8, 13)), bins=16)
         alpha_peak, f_peak = curve.peak
         assert abs(alpha_peak - ALPHA_STAR) <= 0.05
         assert abs(f_peak - 1.0) <= 0.1
 
     def test_binomial_curve_stays_below_the_diagonal(self):
-        curve = histogram_spectrum(line_cascades(range(8, 13)), bins=16)
+        curve = histogram_spectrum(line_levels(range(8, 13)), bins=16)
         assert np.all(curve.f <= curve.alpha + 1e-6)
 
     def test_two_dimensional_peak(self):
-        fields = [
-            generate_product_2d(P, k)
-            for k in (8, 9, 10, 11)
-        ]
         # 33 bins put a bin center exactly on the modal exponent
-        curve = histogram_spectrum(fields, bins=33)
+        curve = histogram_spectrum(binomial_levels(P, 8, 11, dims=2), bins=33)
         alpha_peak, f_peak = curve.peak
         assert abs(alpha_peak - 2 * ALPHA_STAR) <= 0.1
         assert abs(f_peak - 2.0) <= 0.15
 
     def test_needs_two_depths(self):
         with pytest.raises(ValueError, match="two depths"):
-            histogram_spectrum(line_cascades([8]), bins=8)
+            histogram_spectrum(line_levels([8]), bins=8)
 
+    def test_rejects_depths_out_of_order(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            histogram_spectrum(line_levels(range(8, 11))[::-1], bins=8)
+
+    # the estimators see no cells: these checks live in the harness's oracle
     def test_rejects_unnormalized_measures(self):
         with pytest.raises(ValueError, match="normalized"):
-            histogram_spectrum([np.ones(8), np.ones(16)], bins=8)
+            as_levels([np.ones(8), np.ones(16)])
 
     def test_rejects_non_dyadic_shapes(self):
         with pytest.raises(ValueError, match="power of two"):
-            histogram_spectrum([np.full(6, 1 / 6), np.full(12, 1 / 12)], bins=8)
+            as_levels([np.full(6, 1 / 6), np.full(12, 1 / 12)])
 
 
 Q_GRID = np.round(np.arange(-5.0, 5.0 + 1e-9, 0.25), 10)
@@ -80,7 +81,7 @@ Q_GRID = np.round(np.arange(-5.0, 5.0 + 1e-9, 0.25), 10)
 
 @pytest.fixture(scope="module")
 def fitted():
-    return moments_spectrum(line_cascades(range(8, 13)), Q_GRID)
+    return moments_spectrum(line_levels(range(8, 13)), Q_GRID)
 
 
 class TestMomentsSpectrum:
@@ -120,21 +121,26 @@ class TestMomentsSpectrum:
         # about 2**1063, beyond float64; every shifted term stays in (0, 1]
         q = np.arange(-10.0, 1e-9, 0.25)
         with np.errstate(over="raise"):
-            partition, _ = moments_spectrum(line_cascades((16, 17, 18), p=0.01), q)
+            partition, _ = moments_spectrum(line_levels((16, 17, 18), p=0.01), q)
         assert np.all(np.isfinite(partition.log2_z))
         np.testing.assert_allclose(partition.tau, _analytic_tau(0.01, q), rtol=1e-12)
 
     def test_needs_three_moments(self):
         with pytest.raises(ValueError, match="3 moment"):
-            moments_spectrum(line_cascades((8, 9)), [0.0, 1.0])
+            moments_spectrum(line_levels((8, 9)), [0.0, 1.0])
 
     def test_rejects_wide_spacing(self):
         with pytest.raises(ValueError, match="spacing"):
-            moments_spectrum(line_cascades((8, 9)), [0.0, 1.0, 2.0])
+            moments_spectrum(line_levels((8, 9)), [0.0, 1.0, 2.0])
 
     def test_rejects_unsorted_moments(self):
         with pytest.raises(ValueError, match="increasing"):
-            moments_spectrum(line_cascades((8, 9)), [0.5, 0.0, 0.25])
+            moments_spectrum(line_levels((8, 9)), [0.5, 0.0, 0.25])
+
+    def test_rejects_a_repeated_depth(self):
+        level = line_levels((8, 8))[0]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            moments_spectrum([level, level], Q_GRID)
 
 
 class TestCltSpectrum:
@@ -237,12 +243,16 @@ def signed_zero_cascades(depths, p=0.3):
     return fields
 
 
+def line_fields(depths, p=P):
+    return [generate_binomial(p, k) for k in depths]
+
+
 MEASURES = {
-    "line p=0.1": lambda: line_cascades(range(8, 13), p=0.1),
-    "line p=0.3": lambda: line_cascades(range(8, 13), p=0.3),
-    "line p=2/3": lambda: line_cascades(range(8, 13)),
-    "line p=0.85": lambda: line_cascades(range(8, 13), p=0.85),
-    "uniform line": lambda: line_cascades(range(8, 13), p=0.5),
+    "line p=0.1": lambda: line_fields(range(8, 13), p=0.1),
+    "line p=0.3": lambda: line_fields(range(8, 13), p=0.3),
+    "line p=2/3": lambda: line_fields(range(8, 13)),
+    "line p=0.85": lambda: line_fields(range(8, 13), p=0.85),
+    "uniform line": lambda: line_fields(range(8, 13), p=0.5),
     "plane p=0.3": lambda: [generate_product_2d(0.3, k) for k in range(4, 8)],
     "plane p=2/3": lambda: [generate_product_2d(P, k) for k in range(4, 8)],
     "uniform plane": lambda: [generate_product_2d(0.5, k) for k in range(4, 8)],
@@ -256,14 +266,14 @@ MEASURES = {
 class TestAgainstPerCellReferences:
     def test_log2_partition_matches_the_per_cell_sum(self, name):
         fields = MEASURES[name]()
-        partition, _ = moments_spectrum(fields, Q_GRID)
+        partition, _ = moments_spectrum(as_levels(fields), Q_GRID)
         expected = np.stack([per_cell_log2_partition(f, Q_GRID) for f in fields], axis=1)
         np.testing.assert_allclose(partition.log2_z, expected, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("bins", [8, 16])
     def test_histogram_matches_binning_every_cell(self, name, bins):
         fields = MEASURES[name]()
-        curve = histogram_spectrum(fields, bins=bins)
+        curve = histogram_spectrum(as_levels(fields), bins=bins)
         expected = per_cell_histogram(fields, bins)
         assert np.array_equal(curve.alpha, expected.alpha)
         assert np.array_equal(curve.f, expected.f)
@@ -275,7 +285,7 @@ class TestOneExponentAtTheDeepestLevel:
     def test_a_shallower_level_counts_only_its_cells_at_that_exponent(self):
         # two of the four depth-2 cells have exponent 1, all eight at depth 3
         fields = [np.array([0.25, 0.25, 0.1, 0.4]), np.full(8, 0.125)]
-        curve = histogram_spectrum(fields, bins=8)
+        curve = histogram_spectrum(as_levels(fields), bins=8)
         assert curve.alpha.tolist() == [1.0] and curve.f == pytest.approx([2.0])
         expected = per_cell_histogram(fields, 8)
         assert np.array_equal(curve.alpha, expected.alpha)
@@ -284,7 +294,7 @@ class TestOneExponentAtTheDeepestLevel:
     def test_no_shallower_cell_at_that_exponent_is_an_empty_bin(self):
         fields = [np.array([0.2, 0.3, 0.1, 0.4]), np.full(8, 0.125)]
         with pytest.raises(ValueError, match="no alpha bin is occupied"):
-            histogram_spectrum(fields, bins=8)
+            histogram_spectrum(as_levels(fields), bins=8)
 
 
 def unique_mass_levels(field):
@@ -296,30 +306,26 @@ def unique_mass_levels(field):
 @pytest.mark.parametrize("name", sorted(MEASURES))
 def test_mass_levels_match_unique_over_the_positive_cells(name):
     for field in MEASURES[name]():
-        levels, cells = _mass_levels(field)
+        level = _field_levels(field)
         expected_levels, expected_cells = unique_mass_levels(field)
-        assert levels.tobytes() == expected_levels.tobytes()
-        assert cells.dtype == expected_cells.dtype
-        assert np.array_equal(cells, expected_cells)
+        assert level.masses.tobytes() == expected_levels.tobytes()
+        assert level.counts.dtype == expected_cells.dtype
+        assert np.array_equal(level.counts, expected_cells)
 
 
 class TestNonFiniteMeasures:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
-    @pytest.mark.parametrize("estimate", [
-        lambda fields: moments_spectrum(fields, Q_GRID),
-        lambda fields: histogram_spectrum(fields, bins=16),
-    ], ids=["moments", "histogram"])
-    def test_a_non_finite_cell_is_rejected(self, bad, estimate):
-        fields = line_cascades(range(8, 11))
+    def test_a_non_finite_cell_is_rejected(self, bad):
+        fields = line_fields(range(8, 11))
         fields[-1][5] = bad
         with pytest.raises(ValueError, match="measure values must be finite"):
-            estimate(fields)
+            as_levels(fields)
 
     def test_non_finite_is_reported_before_negative(self):
-        fields = line_cascades(range(8, 11))
+        fields = line_fields(range(8, 11))
         fields[0][[1, 2]] = [-0.25, np.nan]
         with pytest.raises(ValueError, match="finite"):
-            moments_spectrum(fields, Q_GRID)
+            as_levels(fields)
 
 
 class TestCellOrderIsIrrelevant:
@@ -328,18 +334,20 @@ class TestCellOrderIsIrrelevant:
         rng = np.random.default_rng(seed)
         return [rng.permutation(f.ravel()).reshape(f.shape) for f in fields]
 
-    @pytest.mark.parametrize("fields", [
-        pytest.param(line_cascades(range(8, 13), p=0.3), id="line p=0.3"),
-        pytest.param([generate_product_2d(P, k) for k in range(4, 8)], id="plane p=2/3"),
+    @pytest.mark.parametrize("p, dims, depths", [
+        pytest.param(0.3, 1, range(8, 13), id="line p=0.3"),
+        pytest.param(P, 2, range(4, 8), id="plane p=2/3"),
     ])
-    def test_permuting_cells_keeps_every_byte(self, fields):
-        shuffled = self.permuted(fields)
-        partition, legendre = moments_spectrum(fields, Q_GRID)
+    def test_permuting_cells_keeps_every_byte(self, p, dims, depths):
+        make = generate_binomial if dims == 1 else generate_product_2d
+        shuffled = as_levels(self.permuted([make(p, k) for k in depths]))
+        levels = binomial_levels(p, depths[0], depths[-1], dims)
+        partition, legendre = moments_spectrum(levels, Q_GRID)
         partition_p, legendre_p = moments_spectrum(shuffled, Q_GRID)
         assert partition.log2_z.tobytes() == partition_p.log2_z.tobytes()
         assert partition.tau.tobytes() == partition_p.tau.tobytes()
         assert legendre.f.tobytes() == legendre_p.f.tobytes()
-        hist = histogram_spectrum(fields, bins=16)
+        hist = histogram_spectrum(levels, bins=16)
         hist_p = histogram_spectrum(shuffled, bins=16)
         assert hist.alpha.tobytes() == hist_p.alpha.tobytes()
         assert hist.f.tobytes() == hist_p.f.tobytes()
@@ -347,19 +355,19 @@ class TestCellOrderIsIrrelevant:
 
 class TestEstimatorConsistency:
     def test_histogram_and_moments_agree_at_the_peak(self):
-        fields = line_cascades(range(8, 13))
-        hist = histogram_spectrum(fields, bins=16)
-        _, legendre = moments_spectrum(fields, Q_GRID)
+        levels = line_levels(range(8, 13))
+        hist = histogram_spectrum(levels, bins=16)
+        _, legendre = moments_spectrum(levels, Q_GRID)
         h_alpha, h_f = hist.peak
         m_alpha, m_f = legendre.peak
         assert abs(h_alpha - m_alpha) <= 0.1
         assert abs(h_f - m_f) <= 0.1
 
     def test_moments_peak_matches_the_support_box_dimension(self):
-        fields = line_cascades(range(8, 13))
-        _, legendre = moments_spectrum(fields, Q_GRID)
+        levels = line_levels(range(8, 13))
+        _, legendre = moments_spectrum(levels, Q_GRID)
         # every cell is positive, so the support is the unit interval: -tau(0) = 1
-        assert np.all(fields[-1] > 0.0)
+        assert levels[-1].counts.sum() == 2 ** 12
         assert abs(max(legendre.f) - -_analytic_tau(P, 0.0)) <= 0.1
 
     def test_clt_peak_equals_mean_alpha_exactly(self):
