@@ -19,7 +19,10 @@ hundred where rounding splits mathematically equal products).  :func:`mfcal.casc
 builds them from the cascade's doubling run, without a cell or a sort of
 cells, and bit-equal to the levels of the cells: every cell is one
 rounded product of its parent's value, so equal parents give equal
-children.  The sums run over the levels in ascending mass order.
+children.  The sums run over the levels in ascending mass order, one
+``exp2`` pass per chunk of moment orders rather than a pass per order.
+The Gaussian approximation takes its mean and spread in one private
+copy of the samples, never in the caller's array.
 """
 
 from __future__ import annotations
@@ -43,9 +46,15 @@ _LN2 = np.log(2.0)
 # always land in the same bin, even when a value sits on a bin edge.
 _BIN_DECIMALS = 12
 CLT_POINTS = 64  # abscissae of the parabolic spectrum
+PARTITION_CHUNK_BYTES = 256 * 1024  # one depth's (orders, levels) partition buffer, in bytes
 
 
 def _check_depths(levels) -> list:
+    if not all(isinstance(level, MassLevels) for level in levels):
+        raise ValueError(
+            "each depth must be a cascade.MassLevels record (see cascade.binomial_levels), "
+            "not an array of cells"
+        )
     if len(levels) < 2:
         raise ValueError("need measures at two depths or more")
     depths = [level.depth for level in levels]
@@ -121,21 +130,30 @@ def _log2_partition(level: MassLevels, q: np.ndarray) -> np.ndarray:
     each term weighted by how many cells hold that mass, so it costs the
     number of mass levels per order, not the number of cells.  Log-sum-exp:
     shifting by the largest log mass for q >= 0 and by the smallest for
-    q < 0 keeps every term in (0, 1], so no order overflows.  One scratch
-    buffer serves every order; nothing is allocated per order.
+    q < 0 keeps every term in (0, 1], so no order overflows.  The orders
+    are ascending, so the negative ones are a prefix.  They are taken in
+    chunks whose (orders, levels) terms fill one reused buffer of at most
+    ``PARTITION_CHUNK_BYTES`` (or one row): one ``exp2`` pass and one
+    count-weighting pass per chunk, then one contiguous row sum per
+    order, the same pairwise sum as summing that order's terms alone.
     """
     log_mass = np.log2(level.masses)
     top, bottom = log_mass[-1], log_mass[0]
     below_top = log_mass - top
     above_bottom = np.subtract(log_mass, bottom, out=log_mass)
-    buf = np.empty_like(log_mass)
-    out = np.empty(q.size)
-    for i, qi in enumerate(q):
-        shift, dev = (top, below_top) if qi >= 0.0 else (bottom, above_bottom)
-        np.multiply(qi, dev, out=buf)
-        np.exp2(buf, out=buf)
-        out[i] = qi * shift + np.log2(np.multiply(buf, level.counts, out=buf).sum())
-    return out
+    split = int(np.searchsorted(q, 0.0))
+    rows = max(PARTITION_CHUNK_BYTES // log_mass.nbytes, 1)
+    buf = np.empty((min(rows, q.size), log_mass.size))
+    sums = np.empty(q.size)
+    for start in range(0, q.size, rows):
+        stop = min(start + rows, q.size)
+        mid = min(max(split, start), stop)
+        block = buf[: stop - start]
+        np.multiply(q[start:mid, None], above_bottom, out=block[: mid - start])
+        np.multiply(q[mid:stop, None], below_top, out=block[mid - start :])
+        np.exp2(block, out=block)
+        np.multiply(block, level.counts, out=block).sum(axis=1, out=sums[start:stop])
+    return q * np.where(q >= 0.0, top, bottom) + np.log2(sums)
 
 
 def moments_spectrum(levels: list[MassLevels], q_values) -> tuple:
@@ -193,14 +211,20 @@ def clt_spectrum(alpha_samples, k: int, support_dim: float) -> SpectrumCurve:
     sample spread, sampled at ``CLT_POINTS`` points over mean +/- 3 std.
     The center sample is pinned to the mean so the emitted peak sits
     exactly at the apex; zero spread collapses the curve to one point.
+    The statistics run in one private copy of the samples: the mean,
+    then NumPy's population std steps in place (subtract, square, sum,
+    divide, root), bit-equal to ``samples.std()`` without its second
+    mean pass or a second sample-sized temporary.
     """
-    samples = np.asarray(alpha_samples, dtype=np.float64).ravel()
+    samples = np.array(alpha_samples, dtype=np.float64).reshape(-1)
     if samples.size < 16:
         raise ValueError("need at least 16 exponent samples")
     if k < 1:
         raise ValueError("depth k must be >= 1")
     center = float(samples.mean())
-    spread = float(samples.std())
+    np.subtract(samples, center, out=samples)
+    np.square(samples, out=samples)
+    spread = float(np.sqrt(samples.sum() / samples.size))
     if spread == 0.0:
         return SpectrumCurve(np.array([center]), np.array([float(support_dim)]))
     alpha = np.linspace(center - 3.0 * spread, center + 3.0 * spread, CLT_POINTS)

@@ -1,9 +1,13 @@
 """Spectrum estimators against the cascade closed forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mfcal.cascade import binomial_levels, generate_binomial, generate_product_2d, make_curve
+from mfcal import spectrum
+from mfcal.cascade import MassLevels, binomial_levels, generate_binomial, generate_product_2d, make_curve
+from mfcal.holder import interior_view
 from mfcal.spectrum import CLT_POINTS, clt_spectrum, histogram_spectrum, moments_spectrum
 from mfcal.selftest import _analytic_alpha_q, _analytic_tau, _field_levels
 
@@ -65,6 +69,10 @@ class TestHistogramSpectrum:
     def test_rejects_depths_out_of_order(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             histogram_spectrum(line_levels(range(8, 11))[::-1], bins=8)
+
+    def test_rejects_arrays_passed_as_levels(self):
+        with pytest.raises(ValueError, match="cascade.MassLevels"):
+            histogram_spectrum(line_fields(range(8, 11)), bins=8)
 
     # the estimators see no cells: these checks live in the harness's oracle
     def test_rejects_unnormalized_measures(self):
@@ -142,6 +150,25 @@ class TestMomentsSpectrum:
         with pytest.raises(ValueError, match="strictly increasing"):
             moments_spectrum([level, level], Q_GRID)
 
+    def test_rejects_arrays_passed_as_levels(self):
+        with pytest.raises(ValueError, match="cascade.MassLevels"):
+            moments_spectrum(line_fields(range(8, 11)), Q_GRID)
+
+    def test_many_orders_keep_the_scratch_to_the_chunk_budget(self):
+        # an unchunked (orders, levels) block would be 20001 x 293 x 8 bytes,
+        # about 47 MB; what remains is a few (orders, depths) arrays: the
+        # partition rows, their stack, the centered copy and the Legendre pair
+        levels = binomial_levels(0.3, 12, 14, dims=2)
+        q = np.linspace(-5.0, 5.0, 20001)
+        tracemalloc.start()
+        try:
+            partition, _ = moments_spectrum(levels, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(level.masses.size for level in levels) * q.size * 8 > 40e6
+        assert peak < 10 * partition.log2_z.nbytes + spectrum.PARTITION_CHUNK_BYTES + 64 * 1024
+
 
 class TestCltSpectrum:
     def test_zero_variance_collapses_to_the_apex(self):
@@ -183,6 +210,32 @@ class TestCltSpectrum:
         with pytest.raises(ValueError, match="16"):
             clt_spectrum(np.ones(15), k=8, support_dim=1.0)
 
+    @staticmethod
+    def numpy_statistics_curve(alpha_samples, k, support_dim):
+        """Reference: the curve from NumPy's own ``mean`` and ``std`` of the raveled samples."""
+        samples = np.asarray(alpha_samples, dtype=np.float64).ravel()
+        center, spread = float(samples.mean()), float(samples.std())
+        alpha = np.linspace(center - 3.0 * spread, center + 3.0 * spread, CLT_POINTS)
+        alpha[CLT_POINTS // 2] = center
+        f = support_dim - (alpha - center) ** 2 / (2.0 * spread ** 2 * k * np.log(2.0))
+        return make_curve(alpha, np.maximum(f, 0.0))
+
+    @pytest.mark.parametrize("form", ["line", "map", "interior"])
+    def test_statistics_match_numpy_and_leave_the_input_alone(self, form):
+        alpha_map = np.random.default_rng(15).normal(1.5, 0.2, (67, 61, 1))
+        samples = {
+            "line": alpha_map.ravel(),
+            "map": alpha_map,
+            "interior": interior_view(alpha_map, (2, 3, 4)),
+        }[form]
+        assert samples.flags.c_contiguous == (form != "interior")
+        before = samples.copy()
+        curve = clt_spectrum(samples, k=10, support_dim=2.0)
+        expected = self.numpy_statistics_curve(before, k=10, support_dim=2.0)
+        assert curve.alpha.tobytes() == expected.alpha.tobytes()
+        assert curve.f.tobytes() == expected.f.tobytes()
+        assert samples.tobytes() == before.tobytes()
+
 
 def per_cell_log2_partition(field, q):
     """Reference: ``log2 sum mu**q`` as one log-sum-exp pass over every positive cell."""
@@ -193,6 +246,22 @@ def per_cell_log2_partition(field, q):
     for i, qi in enumerate(q):
         shift = top if qi >= 0.0 else bottom
         out[i] = qi * shift + np.log2(np.exp2(qi * (log_mass - shift)).sum())
+    return out
+
+
+def loop_log2_partition(level, q):
+    """Reference: one log-sum-exp pass over a depth's mass levels per order."""
+    log_mass = np.log2(level.masses)
+    top, bottom = log_mass[-1], log_mass[0]
+    below_top = log_mass - top
+    above_bottom = np.subtract(log_mass, bottom, out=log_mass)
+    buf = np.empty_like(log_mass)
+    out = np.empty(q.size)
+    for i, qi in enumerate(q):
+        shift, dev = (top, below_top) if qi >= 0.0 else (bottom, above_bottom)
+        np.multiply(qi, dev, out=buf)
+        np.exp2(buf, out=buf)
+        out[i] = qi * shift + np.log2(np.multiply(buf, level.counts, out=buf).sum())
     return out
 
 
@@ -277,6 +346,49 @@ class TestAgainstPerCellReferences:
         expected = per_cell_histogram(fields, bins)
         assert np.array_equal(curve.alpha, expected.alpha)
         assert np.array_equal(curve.f, expected.f)
+
+
+ORDER_GRIDS = {
+    "all negative": np.linspace(-7.0, -0.1, 41),
+    "all nonnegative": np.linspace(0.0, 7.0, 41),
+    "straddling with -0.0": np.array([-1.5, -1.0, -0.5, -0.0, 0.5, 1.0, 1.5]),
+    "the CLI's": Q_GRID,
+}
+
+
+def random_levels(size, seed=17):
+    """A unit-mass level set of ``size`` distinct masses, each held by 1 to 4 cells."""
+    rng = np.random.default_rng(seed)
+    masses = np.unique(rng.uniform(0.1, 1.0, size))
+    counts = rng.integers(1, 5, size)
+    assert masses.size == size
+    return MassLevels(masses / (counts @ masses), counts, 12)
+
+
+class TestPartitionBytes:
+    """The chunked partition sums give the per-order loop's bytes."""
+
+    @pytest.mark.parametrize("grid", sorted(ORDER_GRIDS))
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_every_measure(self, name, grid):
+        q = ORDER_GRIDS[grid]
+        for level in as_levels(MEASURES[name]()):
+            assert spectrum._log2_partition(level, q).tobytes() == loop_log2_partition(level, q).tobytes()
+
+    @pytest.mark.parametrize("grid", sorted(ORDER_GRIDS))
+    @pytest.mark.parametrize("size", [8191, 8192, 8193, 20001])
+    def test_many_levels(self, size, grid):
+        level, q = random_levels(size), ORDER_GRIDS[grid]
+        assert spectrum._log2_partition(level, q).tobytes() == loop_log2_partition(level, q).tobytes()
+
+    @pytest.mark.parametrize("p, dims", [(0.3, 1), (P, 2)])
+    def test_orders_in_several_chunks_with_a_shorter_last_one(self, p, dims):
+        level = binomial_levels(p, 10, 10, dims)[0]
+        rows = spectrum.PARTITION_CHUNK_BYTES // level.masses.nbytes
+        q = np.linspace(-3.0, 3.0, 2 * rows + rows // 2)
+        split = int(np.searchsorted(q, 0.0))
+        assert rows > 1 and q.size % rows and split % rows
+        assert spectrum._log2_partition(level, q).tobytes() == loop_log2_partition(level, q).tobytes()
 
 
 class TestOneExponentAtTheDeepestLevel:
