@@ -1,6 +1,7 @@
 """Command-line surface: generation, estimation, recalibration, analysis.
 
-Exit codes: 0 success, 2 usage or flag validation, 3 I/O failure,
+Exit codes: 0 success, 2 usage or flag validation (each option's range,
+NaN and infinity included, is checked as it is parsed), 3 I/O failure,
 4 numerical precondition violated at run time (a float64 overflow or
 invalid operation, or a non-finite output, included), in which case no
 file is written.  Every output goes through ``io.write_file``, which
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -58,29 +60,42 @@ class UsageError(ValueError):
     """Flag combination that fails a module precondition."""
 
 
+def _ranged(kind, low=-math.inf, high=math.inf, open_low=False):
+    """An argparse type: a finite ``kind`` in [low, high], or in (low, high] if ``open_low``."""
+    span = (f"a finite {kind.__name__} in {'(' if open_low or low == -math.inf else '['}"
+            f"{low:g}, {high:g}{']' if high < math.inf else ')'}")
+
+    def parse(text: str):
+        value = kind(text)
+        # abs() < inf refuses NaN and inf, and compares an int of any size exactly
+        if not (abs(value) < math.inf
+                and (low < value <= high if open_low else low <= value <= high)):
+            raise argparse.ArgumentTypeError(f"must be {span}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # text that is no number reads "invalid <kind> value"
+    return parse
+
+
+_THREADS = _ranged(int, 1)
+
+
 def _parse_scales(text: str) -> ScaleSet:
+    """The ``--scales`` type: comma-separated window sides."""
     try:
-        sides = tuple(int(tok) for tok in text.split(",") if tok)
-        return ScaleSet(sides)
+        return ScaleSet(tuple(int(tok) for tok in text.split(",") if tok))
     except ValueError as exc:
-        raise UsageError(f"bad --scales {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}") from None
 
 
 def _resolve_threads(args) -> int:
     if args.threads is not None:
-        value = args.threads
-    else:
+        return args.threads
+    try:
         env = os.environ.get("MFCAL_THREADS")
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise UsageError(f"MFCAL_THREADS must be an integer, got {env!r}") from None
-        else:
-            value = _available_cpus()
-    if value < 1:
-        raise UsageError("--threads must be >= 1")
-    return value
+        return _THREADS(env) if env else _available_cpus()
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"MFCAL_THREADS: {exc}") from None
 
 
 def _read_input_field(path: str) -> np.ndarray:
@@ -134,8 +149,6 @@ def _cascade(p: float, depth: int, dims: int) -> np.ndarray:
 
 
 def _cmd_cascade(args) -> int:
-    if args.points < 3:
-        raise UsageError("--points must be >= 3")
     field = _cascade(args.p, args.depth, args.dims)
     if args.spectrum:
         csv = fio.write_spectrum_csv(analytic_spectrum(args.p, args.points, dims=args.dims))
@@ -146,16 +159,13 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_holder(args) -> int:
-    scales = _parse_scales(args.scales)
-    if args.epsilon < 0.0:
-        raise UsageError("--epsilon must be >= 0")
     field = _with_channel_axis(_read_input_field(args.input))
-    alpha = holder_map(field, scales, args.epsilon, threads=_resolve_threads(args))
+    alpha = holder_map(field, args.scales, args.epsilon, threads=_resolve_threads(args))
     if args.means:  # before any write: a field with no unclipped interior exits 4
         means = _json_line({
             "mean_alpha": [float(v) for v in mean_alpha(alpha)],
             "interior_mean_alpha": [
-                float(v) for v in mean_alpha(interior_view(alpha, scales))
+                float(v) for v in mean_alpha(interior_view(alpha, args.scales))
             ],
         }, "means")
     _write_container(args.out, alpha)
@@ -175,14 +185,10 @@ def _cascade_levels(p: float, dims: int, depth_min: int, depth_max: int):
 
 def _cmd_spectrum(args) -> int:
     if args.method == "histogram":
-        if args.bins < 4:
-            raise UsageError("--bins must be >= 4")
         levels = _cascade_levels(args.p, args.dims, args.depth_min, args.depth_max)
         curve = histogram_spectrum(levels, bins=args.bins)
         _write_text(args.out, fio.write_spectrum_csv(curve))
     elif args.method == "moments":
-        if args.q_step <= 0.0 or args.q_step > 0.5:
-            raise UsageError("--q-step must lie in (0, 0.5]")
         if args.q_min >= args.q_max:
             raise UsageError("--q-min must be below --q-max")
         levels = _cascade_levels(args.p, args.dims, args.depth_min, args.depth_max)
@@ -190,26 +196,18 @@ def _cmd_spectrum(args) -> int:
         partition, _ = moments_spectrum(levels, q)
         _write_text(args.out, fio.write_moments_csv(partition))
     else:  # clt; argparse restricts the choices
-        scales = _parse_scales(args.scales)
         field = _cascade(args.p, args.depth, args.dims)
         alpha = holder_map(
-            _with_channel_axis(np.atleast_2d(field)), scales, epsilon=0.0,
+            _with_channel_axis(np.atleast_2d(field)), args.scales, epsilon=0.0,
             threads=_resolve_threads(args),
         )
-        samples = interior_view(alpha, scales) if args.dims == 2 else alpha
+        samples = interior_view(alpha, args.scales) if args.dims == 2 else alpha
         curve = clt_spectrum(samples, args.depth, support_dim=float(args.dims))
         _write_text(args.out, fio.write_spectrum_csv(curve))
     return EXIT_OK
 
 
 def _cmd_recalibrate(args) -> int:
-    if args.reduction < 1:
-        raise UsageError("--reduction must be >= 1")
-    if args.q < 1:
-        raise UsageError("--Q must be >= 1")
-    if args.epsilon < 0.0:
-        raise UsageError("--epsilon must be >= 0")
-    scales = _parse_scales(args.scales)
     stack = _with_channel_axis(_read_input_field(args.input))
     channels = stack.shape[2]
     rng = np.random.default_rng(args.seed)
@@ -225,7 +223,7 @@ def _cmd_recalibrate(args) -> int:
     # every method writes its output into ``stack``, the array the input was read into
     threads = _resolve_threads(args)
     if args.method == "multi":
-        alpha = holder_map(stack, scales, args.epsilon, threads=threads)
+        alpha = holder_map(stack, args.scales, args.epsilon, threads=threads)
         params = init_multi_params(args.q, float(alpha.min()), float(alpha.max()))
         gate, _ = multi_forward(stack, alpha, params, threads=threads, out=stack)
         gates_record.update(
@@ -238,7 +236,7 @@ def _cmd_recalibrate(args) -> int:
             gates, _ = se_forward(stack, mono_params(), source="features", out=stack)
         elif args.method == "mono":
             gates, _ = se_forward(
-                stack, mono_params(), source="alpha-map", scales=scales,
+                stack, mono_params(), source="alpha-map", scales=args.scales,
                 epsilon=args.epsilon, threads=threads, out=stack,
             )
         elif args.method == "scse":
@@ -252,8 +250,8 @@ def _cmd_recalibrate(args) -> int:
             stack *= gates
         else:  # fca; argparse restricts the choices
             params = mono_params()  # a bad --reduction is reported before a bad --groups
-            groups = args.groups if args.groups else min(16, channels)
-            if groups < 1 or channels % groups or groups > stack.shape[0] * stack.shape[1]:
+            groups = args.groups or min(16, channels)
+            if channels % groups or groups > stack.shape[0] * stack.shape[1]:
                 raise UsageError(f"--groups {groups} must divide the {channels} channels "
                                  "and be at most H*W (0 means min(16, channels))")
             pairs = lowest_frequency_pairs(groups, stack.shape[0], stack.shape[1])
@@ -269,8 +267,6 @@ def _cmd_recalibrate(args) -> int:
 
 
 def _cmd_excite(args) -> int:
-    if not (0.0 < args.delta <= 1.0):
-        raise UsageError("--delta must lie in (0, 1]")
     matrix = _read_input_field(args.input)
     if matrix.ndim != 2:
         raise UsageError("--input must hold a 2-D instances-by-channels matrix")
@@ -321,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mfcal {__version__}")
     parser.add_argument("--config", help="key=value defaults file")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_THREADS, default=None,
                         help="worker cap (default: MFCAL_THREADS or the CPUs available)")
     parser.add_argument("--strict-paper-mode", action="store_true",
                         help="disable MLP biases and covariance centering")
@@ -333,14 +329,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, choices=(1, 2), default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--spectrum", help="also write the exact spectrum CSV here")
-    p.add_argument("--points", type=int, default=101)
+    p.add_argument("--points", type=_ranged(int, 3), default=101)
     p.set_defaults(func=_cmd_cascade)
 
     p = sub.add_parser("holder", help="local exponent map of a field")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--scales", default="2,3,4")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--scales", type=_parse_scales, default="2,3,4")
+    p.add_argument("--epsilon", type=_ranged(float, 0.0), default=DEFAULT_EPSILON)
     p.add_argument("--means", help="write per-channel mean JSON here")
     p.set_defaults(func=_cmd_holder)
 
@@ -351,11 +347,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth-min", type=int, default=8)
     p.add_argument("--depth-max", type=int, default=12)
     p.add_argument("--depth", type=int, default=10, help="single depth (clt)")
-    p.add_argument("--bins", type=int, default=32)
-    p.add_argument("--q-min", type=float, default=-5.0)
-    p.add_argument("--q-max", type=float, default=5.0)
-    p.add_argument("--q-step", type=float, default=0.25)
-    p.add_argument("--scales", default="2,3,4")
+    p.add_argument("--bins", type=_ranged(int, 4), default=32)
+    p.add_argument("--q-min", type=_ranged(float), default=-5.0)
+    p.add_argument("--q-max", type=_ranged(float), default=5.0)
+    p.add_argument("--q-step", type=_ranged(float, 0.0, 0.5, open_low=True), default=0.25)
+    p.add_argument("--scales", type=_parse_scales, default="2,3,4")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -366,18 +362,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--gates", help="write the gate record JSON here")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--Q", dest="q", type=int, default=16)
-    p.add_argument("--reduction", type=int, default=2)
-    p.add_argument("--groups", type=int, default=0,
+    p.add_argument("--Q", dest="q", type=_ranged(int, 1), default=16)
+    p.add_argument("--reduction", type=_ranged(int, 1), default=2)
+    p.add_argument("--groups", type=_ranged(int, 0), default=0,
                    help="cosine frequency groups (default: min(16, channels))")
-    p.add_argument("--scales", default="2,3,4")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--scales", type=_parse_scales, default="2,3,4")
+    p.add_argument("--epsilon", type=_ranged(float, 0.0), default=DEFAULT_EPSILON)
     p.set_defaults(func=_cmd_recalibrate)
 
     p = sub.add_parser("excite", help="excitation covariance SVD threshold")
     p.add_argument("--input", required=True,
                    help="container holding an instances-by-channels matrix")
-    p.add_argument("--delta", type=float, default=0.95)
+    p.add_argument("--delta", type=_ranged(float, 0.0, 1.0, open_low=True), default=0.95)
     center = p.add_mutually_exclusive_group()
     center.add_argument("--center", dest="center", action="store_true", default=None)
     center.add_argument("--no-center", dest="center", action="store_false")

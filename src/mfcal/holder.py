@@ -136,8 +136,8 @@ def box_measures(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON)
     No shipping path calls it.
     """
     field = require_measure(field)
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
+    if not 0.0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     return [_mass(window_sum(field, side), epsilon) for side in _as_scales(scales)]
 
 
@@ -263,8 +263,8 @@ def holder_map(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
     """
     scales = _as_scales(scales)
     field = require_measure(field)
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
+    if not 0.0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     weights = log_slope_weights(scales)
     stack = field[:, :, None] if field.ndim == 2 else field
     alpha = np.empty(stack.shape)

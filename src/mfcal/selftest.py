@@ -627,16 +627,17 @@ def _selftest_artifacts(directory: Path, threads: int) -> list:
 
 
 def _criterion_determinism(ctx):
-    keep = ctx["artifacts_dir"]
+    keep, threads = ctx["artifacts_dir"], ctx["threads"]
+    other_threads = 1 if threads == 2 else 2  # the kept set is at the run's own count
     with tempfile.TemporaryDirectory(prefix="mfcal-selftest-") as tmp:
-        base = Path(keep) if keep else Path(tmp) / "threads-1"
-        other = Path(tmp) / "threads-2"
-        names = _selftest_artifacts(base, threads=1)
-        _selftest_artifacts(other, threads=2)
+        base = Path(keep) if keep else Path(tmp) / "kept"
+        other = Path(tmp) / "other"
+        names = _selftest_artifacts(base, threads)
+        _selftest_artifacts(other, other_threads)
         for name in names:
             if (base / name).read_bytes() != (other / name).read_bytes():
                 return False, f"artifact {name} differs across thread counts"
-    return True, f"{len(names)} artifacts byte-identical across thread counts 1 and 2"
+    return True, f"{len(names)} artifacts byte-identical at {threads} and {other_threads} threads"
 
 
 def _criterion_io_round_trips(ctx):

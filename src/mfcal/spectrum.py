@@ -169,6 +169,8 @@ def moments_spectrum(levels: list[MassLevels], q_values) -> tuple:
     q = np.asarray(q_values, dtype=np.float64)
     if q.ndim != 1 or q.size < 3:
         raise ValueError("need at least 3 moment orders")
+    if not np.isfinite(q).all():
+        raise ValueError(f"moment orders must be finite, got {q[~np.isfinite(q)].tolist()}")
     dq = np.diff(q)
     if np.any(dq <= 0.0):
         raise ValueError("moment orders must be strictly increasing")

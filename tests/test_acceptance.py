@@ -57,3 +57,26 @@ def test_the_io_criterion_fails_when_a_rewrite_keeps_the_old_tail(monkeypatch):
     monkeypatch.setattr(selftest, "CRITERIA", [c for c in CRITERIA if c[1] == "io-round-trips"])
     [result] = run_acceptance()
     assert not result.passed, result.line()
+
+
+@pytest.mark.parametrize("threads, other", [(1, 2), (2, 1), (3, 2)])
+def test_the_kept_artifacts_are_written_at_the_run_thread_count(threads, other, tmp_path,
+                                                                monkeypatch):
+    """``mfcal --threads N selftest --artifacts DIR`` keeps the set written at N threads."""
+    import mfcal.selftest as selftest
+    from mfcal.cli import main
+
+    written = {}
+
+    def one_artifact(directory, threads):
+        written[directory] = threads
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / "a.txt").write_text("same\n")
+        return ["a.txt"]
+
+    monkeypatch.setattr(selftest, "_selftest_artifacts", one_artifact)
+    monkeypatch.setattr(selftest, "CRITERIA", [c for c in CRITERIA if c[1] == "determinism"])
+    keep = tmp_path / "kept"
+    assert main(["--threads", str(threads), "selftest", "--artifacts", str(keep)]) == 0
+    assert written.pop(keep) == threads
+    assert list(written.values()) == [other]

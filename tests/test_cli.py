@@ -352,6 +352,85 @@ class TestFcaGroups:
         assert ("--groups" in capsys.readouterr().err) == (code != 0)
 
 
+class TestOptionRanges:
+    """Each option's range is its parser type: a bad value exits 2 before any input is read."""
+
+    COMMANDS = {
+        "cascade": "cascade --p 0.3 --depth 4 --out {out} --spectrum {side}",
+        "holder": "holder --input {stack} --out {out} --means {side}",
+        "histogram": "spectrum --method histogram --p 0.3 --out {out}",
+        "moments": "spectrum --method moments --p 0.3 --out {out}",
+        "clt": "spectrum --method clt --p 0.3 --depth 6 --out {out}",
+        "cse": "recalibrate --method cse --input {stack} --out {out} --gates {side}",
+        "fca": "recalibrate --method fca --input {stack} --out {out} --gates {side}",
+        "mono": "recalibrate --method mono --input {stack} --out {out} --gates {side}",
+        "multi": "recalibrate --method multi --input {stack} --out {out} --gates {side}",
+        "excite": "excite --input {matrix} --out {out}",
+    }
+    # (flag, command, a value outside the flag's range); a command that
+    # ignores the flag (moments' --bins, clt's --q-step, cse's --epsilon) refuses it too
+    OUT_OF_RANGE = [
+        ("--threads", "holder", "0"),
+        ("--points", "cascade", "2"),
+        ("--epsilon", "holder", "-1e-300"),
+        ("--epsilon", "mono", "-1"),
+        ("--epsilon", "cse", "-1"),
+        ("--bins", "histogram", "3"),
+        ("--bins", "moments", "3"),
+        ("--q-min", "moments", "-inf"),
+        ("--q-max", "moments", "-inf"),
+        ("--q-step", "moments", "0"),
+        ("--q-step", "clt", "0.6"),
+        ("--Q", "multi", "0"),
+        ("--reduction", "cse", "0"),
+        ("--groups", "fca", "-1"),
+        ("--delta", "excite", "0"),
+        ("--delta", "excite", "1.5"),
+        ("--scales", "holder", "3,2"),
+        ("--scales", "clt", "1"),
+    ]
+
+    @classmethod
+    def command(cls, name, flag, value, tmp_path):
+        """The argv of ``name`` with ``flag value``, and the files it would write."""
+        matrix = tmp_path / "matrix.mfr"
+        matrix.write_bytes(write_field(np.random.default_rng(30).uniform(0.2, 0.8, (40, 6))))
+        paths = {"stack": stack_file(tmp_path), "matrix": matrix,
+                 "out": tmp_path / "out", "side": tmp_path / "side"}
+        argv = [token.format(**paths) for token in cls.COMMANDS[name].split()]
+        option = f"{flag}={value}"  # so that argparse takes "-inf" as a value, not a flag
+        argv = [option, *argv] if flag == "--threads" else [*argv, option]
+        return argv, (paths["out"], paths["side"])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", None], ids=["nan", "inf", "out-of-range"])
+    @pytest.mark.parametrize("flag, name, bad", OUT_OF_RANGE,
+                             ids=[f"{name}{flag}={bad}" for flag, name, bad in OUT_OF_RANGE])
+    def test_a_bad_value_exits_2_naming_the_flag_and_writes_nothing(
+            self, flag, name, bad, value, tmp_path, capsys):
+        argv, outs = self.command(name, flag, bad if value is None else value, tmp_path)
+        assert run(*argv) == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not any(out.exists() for out in outs)
+
+    def test_a_config_value_passes_through_the_same_type(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("epsilon = nan\n")
+        argv, outs = self.command("holder", "--scales", "2,3,4", tmp_path)
+        assert run("--config", config, *argv) == 2
+        assert "argument --epsilon: " in capsys.readouterr().err
+        assert not any(out.exists() for out in outs)
+
+    @pytest.mark.parametrize("flag, name, value", [
+        ("--epsilon", "holder", "0"), ("--q-step", "moments", "0.5"), ("--delta", "excite", "1"),
+        ("--Q", "multi", "1"), ("--bins", "histogram", "4"), ("--points", "cascade", "3"),
+        ("--threads", "holder", "1"),
+    ])
+    def test_a_value_on_the_boundary_runs(self, flag, name, value, tmp_path):
+        argv, (out, _) = self.command(name, flag, value, tmp_path)
+        assert run(*argv) == 0
+        assert out.exists()
+
+
 class TestGatePasses:
     @pytest.mark.parametrize("method", ["cse", "scse", "srm", "fca", "mono", "multi"])
     def test_each_method_computes_its_gates_once(self, method, tmp_path, monkeypatch):

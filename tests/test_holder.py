@@ -73,6 +73,11 @@ class TestBoxMeasures:
         with pytest.raises(ValueError, match="epsilon"):
             box_measures(np.ones((4, 4)), SCALES, epsilon=-1.0)
 
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match=f"epsilon must be finite and >= 0, got {epsilon}"):
+            box_measures(np.ones((4, 4)), SCALES, epsilon=epsilon)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_outputs_are_c_contiguous(self, seed):
         rng = np.random.default_rng(seed)
@@ -146,6 +151,11 @@ class TestHolderMap:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):
             holder_map(np.ones((4, 4)), SCALES, epsilon=-1.0)
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match=f"epsilon must be finite and >= 0, got {epsilon}"):
+            holder_map(np.ones((4, 4)), SCALES, epsilon=epsilon)
 
     @pytest.mark.parametrize("shape, threads", [
         ((64, 64, 16), 1), ((64, 64, 16), 2), ((256, 256), 1), ((256, 256), 2),

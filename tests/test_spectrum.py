@@ -145,6 +145,11 @@ class TestMomentsSpectrum:
         with pytest.raises(ValueError, match="increasing"):
             moments_spectrum(line_levels((8, 9)), [0.5, 0.0, 0.25])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_moments_naming_them(self, bad):
+        with pytest.raises(ValueError, match=rf"moment orders must be finite, got \[{bad}\]"):
+            moments_spectrum(line_levels((8, 9)), [-0.5, bad, 0.5, 1.0])
+
     def test_rejects_a_repeated_depth(self):
         level = line_levels((8, 8))[0]
         with pytest.raises(ValueError, match="strictly increasing"):
