@@ -40,6 +40,7 @@ calling thread, and no output byte depends on the count.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -497,7 +498,7 @@ def _map_blocks(work, alpha, params: MultiParams, buffers: int, threads: int | N
         return fold(run_block(block, flat) for block in unit)
 
     return fold(_run_units(unit_work, [blocks[lo:lo + group] for lo in range(0, len(blocks), group)],
-                           lambda: [np.empty(width) for _ in range(buffers)], threads))
+                           lambda: nullcontext([np.empty(width) for _ in range(buffers)]), threads))
 
 
 def _add_pairs(earlier, later):

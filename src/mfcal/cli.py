@@ -3,14 +3,23 @@
 Exit codes: 0 success, 2 usage or flag validation (each option's range,
 NaN and infinity included, is checked as it is parsed), 3 I/O failure,
 4 numerical precondition violated at run time (a float64 overflow or
-invalid operation, or a non-finite output, included), in which case no
-file is written.  Every output goes through ``io.write_file``, which
+invalid operation, or a non-finite output, included) or a size no
+memory holds (``MemoryError``, such as ``--bins 10**12``), in which case
+no file is written.  Every output goes through ``io.write_file``, which
 rewrites an existing file in place.  ``--config`` points at a
 ``key=value`` file whose entries act as subcommand defaults; explicit
 flags override them.
 ``--threads`` caps worker parallelism (fallback: the ``MFCAL_THREADS``
 environment variable, then the CPUs this process may use); results are
 byte-identical for every worker count.
+
+``holder`` streams a container input through the exponent map's band
+sweep (``holder.stream_holder_map``): each worker reads its bands' rows
+into its tile and checks them there, so the command holds the map and
+each worker's band buffers, never the input; a PGM input is decoded
+whole.  Its ``--means`` are per-row channel sums of the map, written by
+each band and folded in row order, so they are the same bytes at every
+``--threads``.  The first band that fails decides the error message.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from .holder import (
     _available_cpus,
     holder_map,
     interior_view,
-    mean_alpha,
+    stream_holder_map,
 )
 from .selftest import run_acceptance
 from .spectrum import clt_spectrum, histogram_spectrum, moments_spectrum
@@ -159,16 +168,18 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_holder(args) -> int:
-    field = _with_channel_axis(_read_input_field(args.input))
-    alpha = holder_map(field, args.scales, args.epsilon, threads=_resolve_threads(args))
-    if args.means:  # before any write: a field with no unclipped interior exits 4
+    try:  # a container is read band by band into the exponent map's tiles
+        source = fio.ContainerRows(args.input)
+    except fio.ContainerMagicError:  # a PGM, decoded whole
+        source = _read_input_field(args.input)
+    alpha, means = stream_holder_map(source, args.scales, args.epsilon,
+                                     threads=_resolve_threads(args), means=bool(args.means))
+    if args.means:  # before any write
         means = _json_line({
-            "mean_alpha": [float(v) for v in mean_alpha(alpha)],
-            "interior_mean_alpha": [
-                float(v) for v in mean_alpha(interior_view(alpha, args.scales))
-            ],
+            "mean_alpha": [float(v) for v in means[0]],
+            "interior_mean_alpha": [float(v) for v in means[1]],
         }, "means")
-    _write_container(args.out, alpha)
+    _write_container(args.out, _with_channel_axis(alpha))
     if args.means:
         _write_text(args.means, means)
     return EXIT_OK
@@ -444,6 +455,9 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"mfcal: float64 arithmetic failed on this input ({exc}); nothing was written",
               file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:  # a size no memory holds, such as --bins 10**12
+        print(f"mfcal: out of memory ({exc}); nothing was written", file=sys.stderr)
         return EXIT_NUMERIC
     except UsageError as exc:
         print(f"mfcal: {exc}", file=sys.stderr)

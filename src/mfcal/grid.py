@@ -21,16 +21,22 @@ __all__ = [
 ]
 
 
+def _check_shape(shape: tuple) -> None:
+    # the shape half of the input check, which a field read band by band
+    # passes before any of its rows is read
+    if len(shape) not in (2, 3):
+        raise ValueError(f"field must have shape (H, W) or (H, W, C), got {tuple(shape)}")
+    if 0 in shape:
+        raise ValueError("field must be non-empty")
+
+
 def _checked(values, measure: bool) -> np.ndarray:
     # the one input check: a float64 (H, W[, C]) array whose smallest and
     # largest values are finite (both reductions propagate NaN, so two
     # read-only passes decide it without a bool array) and, for a
     # measure, whose smallest value is >= 0 (``-0.0`` passes)
     field = np.asarray(values, dtype=np.float64)
-    if field.ndim not in (2, 3):
-        raise ValueError(f"field must have shape (H, W) or (H, W, C), got {field.shape}")
-    if field.size == 0:
-        raise ValueError("field must be non-empty")
+    _check_shape(field.shape)
     lo, hi = field.min(), field.max()
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("field values must be finite")

@@ -16,9 +16,11 @@ significant digits so parsed-back floats are bit-exact too.
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 import struct
+from contextlib import contextmanager
 from io import BytesIO
 
 import numpy as np
@@ -40,6 +42,7 @@ __all__ = [
     "write_field_file",
     "read_field",
     "read_field_file",
+    "ContainerRows",
     "read_pgm",
     "write_spectrum_csv",
     "write_moments_csv",
@@ -173,6 +176,13 @@ def read_field(data: bytes) -> np.ndarray:
     return read_field_file(BytesIO(data))
 
 
+def _read_header(file) -> tuple:
+    """``(dtype, dims, offset)`` of the container in an open binary file, checked against its size."""
+    size = file.seek(0, os.SEEK_END)
+    file.seek(0)
+    return _parse_header(file.read(_MAX_HEADER), size)
+
+
 def read_field_file(file) -> np.ndarray:
     """Read a container from an open binary file, from its start, into one array.
 
@@ -181,14 +191,53 @@ def read_field_file(file) -> np.ndarray:
     straight into the returned array (dtype per the header), with no
     copy of the file's bytes.
     """
-    size = file.seek(0, os.SEEK_END)
-    file.seek(0)
-    dtype, dims, offset = _parse_header(file.read(_MAX_HEADER), size)
+    dtype, dims, offset = _read_header(file)
     field = np.empty(dims, dtype=dtype)
     file.seek(offset)
     if file.readinto(memoryview(field).cast("B")) != field.nbytes:
         raise ContainerDimsError("container payload ended early")
     return field
+
+
+class ContainerRows:
+    """A container file read by rows, on demand, as ``holder.stream_holder_map`` reads it.
+
+    Opening it reads and checks the header and the payload length
+    against the file's size, as :func:`read_field_file` does; ``shape``
+    is the container's dims.  No payload byte is read until a
+    ``reader()`` is entered.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as file:
+            self.dtype, self.shape, self._offset = _read_header(file)
+
+    @contextmanager
+    def reader(self):
+        """A handle of its own on the file, as ``read(out, top)``.
+
+        ``read`` fills the float64 array ``out``, whose first axis is
+        rows and whose rows are C-contiguous, with the container's rows
+        from row ``top`` on: one ``seek``, then one ``readinto`` per
+        row.  A float64 payload is read straight into ``out``; a float32
+        one into one row buffer, cast as it is copied.  A read that ends
+        early raises ``ContainerDimsError``.  Use one reader per thread.
+        """
+        values = math.prod(self.shape[1:])
+        row_bytes = values * self.dtype.itemsize
+        staging = None if self.dtype == np.float64 else np.empty(values, self.dtype)
+        with open(self.path, "rb") as file:
+            def read(out, top):
+                file.seek(self._offset + top * row_bytes)
+                for row in out:
+                    target = row if staging is None else staging
+                    if file.readinto(memoryview(target).cast("B")) != row_bytes:
+                        raise ContainerDimsError("container payload ended early")
+                    if staging is not None:
+                        row[...] = staging.reshape(row.shape)
+
+            yield read
 
 
 # ---------------------------------------------------------------------------

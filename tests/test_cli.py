@@ -14,11 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfcal import __version__
+from mfcal import __version__, holder
 from mfcal import io as fio
 from mfcal.attention import LEVEL_SET_BYTES
 from mfcal.cli import main
-from mfcal.io import ContainerMagicError, read_field, read_field_file, write_field
+from mfcal.holder import _unclipped_interior, holder_map, interior_view, mean_alpha
+from mfcal.io import ContainerMagicError, read_field, read_field_file, read_pgm, write_field
 
 
 def run(*argv):
@@ -92,6 +93,193 @@ class TestHolderCommand:
         assert run("holder", "--input", src, "--out", out, "--means", means) == 4
         assert not out.exists() and not means.exists()
         assert "too small" in capsys.readouterr().err
+
+
+def container_file(path, field, dtype="<f8"):
+    """Write ``field`` to ``path`` as a float64 or (``"<f4"``) float32 container."""
+    arr = np.ascontiguousarray(field, dtype=dtype)
+    header = b"MFR1" + bytes([1, {"<f4": 0, "<f8": 1}[dtype], arr.ndim])
+    path.write_bytes(header + b"".join(int(d).to_bytes(4, "little") for d in arr.shape)
+                     + arr.tobytes())
+    return path
+
+
+def force_bands(monkeypatch, shape, rows):
+    """Cut the exponent map of a field of ``shape`` into bands of ``rows`` rows (default sides)."""
+    channels = shape[2] if len(shape) == 3 else 1
+    monkeypatch.setattr(holder, "BAND_BYTES", rows * (shape[1] + 4) * channels * 8)
+
+
+def as_stack(field):
+    return field[:, :, None] if field.ndim == 2 else field
+
+
+class TestStreamedHolder:
+    """``holder`` reads its container band by band; the map is ``holder_map`` of the same values."""
+
+    @pytest.mark.parametrize("dtype", ["<f8", "<f4"], ids=["float64", "float32"])
+    @pytest.mark.parametrize("shape, rows", [
+        ((29, 23), 4), ((26, 19, 5), 3), ((40, 40, 64), None),
+    ], ids=["2d-8-bands", "3d-9-bands", "3d-2-bands-at-the-default"])
+    def test_the_map_is_holder_map_of_the_same_array(self, dtype, shape, rows, tmp_path,
+                                                     monkeypatch):
+        field = np.random.default_rng(60).uniform(0.1, 1.0, shape).astype(dtype)
+        src = container_file(tmp_path / "in.mfr", field, dtype)
+        if rows is not None:
+            force_bands(monkeypatch, shape, rows)
+        expected = write_field(holder_map(as_stack(field.astype(np.float64)), threads=1))
+        for threads in (1, 2, 3):
+            out = tmp_path / f"alpha{threads}.mfr"
+            assert run("--threads", threads, "holder", "--input", src, "--out", out) == 0
+            assert out.read_bytes() == expected, f"{threads} threads"
+
+    def test_a_pgm_input_is_decoded_whole(self, tmp_path):
+        pixels = np.random.default_rng(61).integers(1, 256, (9, 11), dtype=np.uint8)
+        src = tmp_path / "in.pgm"
+        src.write_bytes(b"P5 11 9 255\n" + pixels.tobytes())
+        out = tmp_path / "alpha.mfr"
+        assert run("holder", "--input", src, "--out", out) == 0
+        expected = holder_map(as_stack(read_pgm(src.read_bytes())), threads=1)
+        assert out.read_bytes() == write_field(expected)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_the_output_may_be_the_input(self, threads, tmp_path, monkeypatch):
+        field = np.random.default_rng(62).uniform(0.1, 1.0, (30, 21, 3))
+        src = container_file(tmp_path / "in.mfr", field)
+        force_bands(monkeypatch, field.shape, 4)
+        assert run("--threads", threads, "holder", "--input", src, "--out", src) == 0
+        assert src.read_bytes() == write_field(holder_map(field, threads=1))
+
+    def test_a_four_dimensional_container_is_refused_before_any_read(self, tmp_path, monkeypatch,
+                                                                      capsys):
+        src = container_file(tmp_path / "in.mfr", np.ones((3, 4, 5, 2)))
+
+        def no_reader(rows):
+            raise AssertionError("the payload was read")
+
+        monkeypatch.setattr(fio.ContainerRows, "reader", no_reader)
+        out, means = tmp_path / "alpha.mfr", tmp_path / "means.json"
+        assert run("holder", "--input", src, "--out", out, "--means", means) == 4
+        assert capsys.readouterr().err == (
+            "mfcal: field must have shape (H, W) or (H, W, C), got (3, 4, 5, 2)\n")
+        assert not out.exists() and not means.exists()
+
+    @pytest.mark.parametrize("first, message", [
+        (-0.5, "measure must be nonnegative"),
+        (1e308, "some windowed masses overflow float64, so their log-log slopes are not "
+                "finite; rescale the input"),
+    ], ids=["negative", "overflow"])
+    def test_the_first_failing_band_decides_the_message_at_every_thread_count(
+            self, first, message, tmp_path, monkeypatch, capsys):
+        field = np.random.default_rng(63).uniform(0.1, 1.0, (40, 9, 3))
+        field[1:3, 4:6, 2] = first  # first band
+        field[-1, 0, 0] = np.nan    # last band
+        src = container_file(tmp_path / "in.mfr", field)
+        force_bands(monkeypatch, field.shape, 4)
+        out, means = tmp_path / "alpha.mfr", tmp_path / "means.json"
+        for threads in (1, 2, 3):
+            assert run("--threads", threads, "holder", "--input", src, "--out", out,
+                       "--means", means) == 4
+            assert capsys.readouterr().err == f"mfcal: {message}\n", threads
+            assert not out.exists() and not means.exists()
+
+    def test_a_nan_in_the_last_band_is_named_not_taken_for_a_zero_mass(self, tmp_path,
+                                                                       monkeypatch, capsys):
+        field = np.random.default_rng(64).uniform(0.1, 1.0, (40, 9, 3))
+        field[-1, 0, 0] = np.nan
+        src = container_file(tmp_path / "in.mfr", field)
+        force_bands(monkeypatch, field.shape, 4)
+        for threads in (1, 2):
+            assert run("--threads", threads, "holder", "--input", src, "--epsilon", 0,
+                       "--out", tmp_path / "alpha.mfr") == 4
+            assert capsys.readouterr().err == "mfcal: field values must be finite\n"
+
+    def test_a_payload_cut_after_the_header_check_is_an_io_error(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        src = container_file(tmp_path / "in.mfr", np.full((12, 7, 2), 0.5))
+        reader = fio.ContainerRows.reader
+
+        def cut_then_read(rows):
+            os.truncate(rows.path, os.path.getsize(rows.path) - 8)
+            return reader(rows)
+
+        monkeypatch.setattr(fio.ContainerRows, "reader", cut_then_read)
+        out = tmp_path / "alpha.mfr"
+        assert run("--threads", 1, "holder", "--input", src, "--out", out) == 3
+        assert capsys.readouterr().err == "mfcal: container payload ended early\n"
+        assert not out.exists()
+
+
+class TestHolderMeans:
+    """The means record: per-row channel sums of the written map, folded in row order."""
+
+    @staticmethod
+    def folded(row_sums):
+        total = row_sums[0]
+        for row in row_sums[1:]:
+            total = total + row
+        return total
+
+    @pytest.mark.parametrize("shape, rows", [
+        ((23, 17, 4), 3), ((30, 26), 7), ((33, 20, 6), None), ((4, 4), None), ((4, 4, 3), 1),
+    ], ids=["bands-of-3", "2d-bands-of-7", "one-band", "4x4-one-interior-row",
+            "4x4x3-bands-of-1"])
+    def test_the_record_is_the_folded_row_sums_of_the_map(self, shape, rows, tmp_path,
+                                                          monkeypatch):
+        # bands of 3, 7 or 1 rows put band boundaries inside the interior rows (2 to H - 2)
+        field = np.random.default_rng(65).uniform(0.1, 1.0, shape)
+        src = container_file(tmp_path / "in.mfr", field)
+        if rows is not None:
+            force_bands(monkeypatch, shape, rows)
+        out, means = tmp_path / "alpha.mfr", tmp_path / "means.json"
+        texts = set()
+        for threads in (1, 2, 3):
+            assert run("--threads", threads, "holder", "--input", src, "--out", out,
+                       "--means", means) == 0
+            texts.add(means.read_text())
+        assert len(texts) == 1
+        alpha = read_field(out.read_bytes())
+        interior_rows, cols = _unclipped_interior(alpha.shape, holder.DEFAULT_SCALES)
+        pixels = interior_view(alpha[:, :, 0], holder.DEFAULT_SCALES).size
+        expected = {
+            "mean_alpha": self.folded(alpha.sum(axis=1)) / (shape[0] * shape[1]),
+            "interior_mean_alpha": self.folded(alpha[:, cols].sum(axis=1)[interior_rows]) / pixels,
+        }
+        assert texts.pop() == json.dumps({key: [float(v) for v in value]
+                                          for key, value in expected.items()}) + "\n"
+        record = json.loads(means.read_text())
+        np.testing.assert_allclose(record["mean_alpha"], mean_alpha(alpha), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(record["interior_mean_alpha"],
+                                   mean_alpha(interior_view(alpha, holder.DEFAULT_SCALES)),
+                                   rtol=1e-12, atol=0)
+
+
+class TestHolderMemory:
+    """Traced peak of one in-process ``holder --means`` on a 128x128x64 container.
+
+    The container is read band by band into each worker's tile, so the
+    peak is the map, its finiteness mask (an eighth of it) and each
+    worker's tile, row-sum and mass buffers (about 0.2 of a stack at
+    this shape); it holds no copy of the input.  Measured: 1.23-1.25
+    stacks at one thread and 1.44 at two, where reading the input whole
+    took 2.21-2.24 and 2.42.
+    """
+
+    @pytest.mark.parametrize("threads, bound", [(1, 1.4), (2, 1.6)])
+    def test_the_peak_holds_no_input_stack(self, threads, bound, tmp_path):
+        shape = (128, 128, 64)
+        src = container_file(tmp_path / "in.mfr", np.random.default_rng(66).uniform(0.1, 1.0, shape))
+        stack = np.prod(shape) * 8
+        argv = ["--threads", threads, "holder", "--input", src, "--out", tmp_path / "alpha.mfr",
+                "--means", tmp_path / "means.json"]
+        tracemalloc.start()
+        try:
+            code = run(*argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= bound * stack, f"{peak / stack:.2f} stacks"
 
 
 class TestSpectrumCommand:
@@ -678,7 +866,8 @@ class TestOutputRewrite:
 
         monkeypatch.setattr(fio, "open", recording_open, raising=False)
         assert run("holder", "--input", src, "--out", out, "--means", means) == 4
-        assert opened == []
+        # the only files opened are the input, read by its header check and by the band sweep
+        assert opened and all(args == (str(src), "rb") for args in opened), opened
         assert out.read_bytes() == b"old map" and means.read_bytes() == b"old means"
 
 
@@ -884,13 +1073,13 @@ class TestParserReuse:
         import mfcal.cli as cli
 
         seen = []
-        holder_map = cli.holder_map
+        stream_holder_map = cli.stream_holder_map
 
         def recording(*args, threads, **kwargs):
             seen.append(threads)
-            return holder_map(*args, threads=threads, **kwargs)
+            return stream_holder_map(*args, threads=threads, **kwargs)
 
-        monkeypatch.setattr(cli, "holder_map", recording)
+        monkeypatch.setattr(cli, "stream_holder_map", recording)
         monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
         src = tmp_path / "f.mfr"
         src.write_bytes(write_field(np.random.default_rng(13).uniform(0.1, 1.0, (8, 8, 2))))
@@ -930,3 +1119,36 @@ class TestUsageSurface:
                    "--input", src, "--out", out) == 0
         np.testing.assert_allclose(read_field(out.read_bytes()), stack + 0.5,
                                    rtol=0, atol=0)
+
+
+class TestOutOfMemory:
+    """A size no memory holds exits 4 with one line and writes nothing.
+
+    Each case passes the size that exhausted memory and makes the
+    function that would allocate it raise ``MemoryError`` at once, as
+    NumPy does ("Unable to allocate 7.28 TiB ..."), so nothing is
+    allocated for real.  ``--q-step 1e-12`` is not passed: its orders
+    are built before any patched call.
+    """
+
+    @pytest.mark.parametrize("target, argv, outputs", [
+        ("analytic_spectrum", ["cascade", "--p", 0.3, "--depth", 3, "--out", "{0}",
+                               "--spectrum", "{1}", "--points", 10 ** 12], 2),
+        ("histogram_spectrum", ["spectrum", "--method", "histogram", "--p", 0.3,
+                                "--bins", 10 ** 12, "--out", "{0}"], 1),
+        ("moments_spectrum", ["spectrum", "--method", "moments", "--p", 0.3, "--out", "{0}"], 1),
+    ], ids=["cascade-points", "histogram-bins", "moments-orders"])
+    def test_a_memory_error_exits_4_with_one_line(self, target, argv, outputs, tmp_path,
+                                                  monkeypatch, capsys):
+        import mfcal.cli as cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, target, exhausted)
+        paths = [tmp_path / f"out{i}" for i in range(outputs)]
+        assert run(*[str(a).format(*paths) for a in argv]) == 4
+        err = capsys.readouterr().err
+        assert err == "mfcal: out of memory (Unable to allocate 7.28 TiB for an array); " \
+                      "nothing was written\n"
+        assert not any(path.exists() for path in paths)

@@ -8,6 +8,7 @@ import pytest
 
 from mfcal import holder
 from mfcal.cascade import analytic_alpha, generate_binomial
+from mfcal.io import ContainerRows, write_field
 from mfcal.holder import (
     NormState,
     ScaleSet,
@@ -19,6 +20,7 @@ from mfcal.holder import (
     normalize,
     normalize_vjp,
     slope_from_measures,
+    stream_holder_map,
     _normalize_with_cache,
     _unclipped_interior,
 )
@@ -235,7 +237,8 @@ class TestBandLayout:
 
 
 class TestTwoRoutesAgree:
-    """``holder_map`` streams what serial ``slope_from_measures(box_measures(...))`` computes."""
+    """``holder_map``, and ``stream_holder_map`` of a container, give the bytes of serial
+    ``slope_from_measures(box_measures(...))``."""
 
     @pytest.mark.parametrize("field, sides, epsilons, threads, band_rows", [
         (np.random.default_rng(16).uniform(0.1, 1.0, (21, 17)), (2, 3, 4), (0.0, 1e-6), (1, 2, 3),
@@ -274,8 +277,12 @@ class TestTwoRoutesAgree:
             "uneven-bands", "uneven-bands-2d", "side-one", "side-past-image",
             "shorter-than-halo", "one-row", "one-row-2d", "even-sides", "four-sides",
             "four-sides-relu"])
-    def test_byte_identical(self, field, sides, epsilons, threads, band_rows, monkeypatch):
+    def test_byte_identical(self, field, sides, epsilons, threads, band_rows, monkeypatch,
+                            tmp_path):
         scales = ScaleSet(sides)
+        path = tmp_path / "field.mfr"
+        path.write_bytes(write_field(field))
+        container = ContainerRows(str(path))  # the same values, read band by band
         for rows in band_rows:
             if rows is not None:
                 monkeypatch.setattr(holder, "BAND_BYTES",
@@ -283,9 +290,10 @@ class TestTwoRoutesAgree:
             for epsilon in epsilons:
                 stored = slope_from_measures(box_measures(field, scales, epsilon), scales)
                 for t in threads:
-                    streamed = holder_map(field, scales, epsilon, threads=t)
-                    assert streamed.shape == field.shape
-                    assert streamed.tobytes() == stored.tobytes(), f"{rows} rows, {t} threads"
+                    for streamed in (holder_map(field, scales, epsilon, threads=t),
+                                     stream_holder_map(container, scales, epsilon, t)[0]):
+                        assert streamed.shape == field.shape
+                        assert streamed.tobytes() == stored.tobytes(), f"{rows} rows, {t} threads"
 
 
 class TestInterior:

@@ -10,6 +10,7 @@ from mfcal.cascade import SpectrumCurve
 from mfcal.cli import _read_input_field, main
 from mfcal.io import (
     ContainerDimsError,
+    ContainerRows,
     ContainerError,
     ContainerDtypeError,
     ContainerMagicError,
@@ -104,6 +105,32 @@ class TestFieldContainer:
         back = _read_input_field(str(path))
         assert back.dtype == np.float64
         assert np.array_equal(back, [[1.5, -2.0]])
+
+    @pytest.mark.parametrize("dtype", ["<f8", "<f4"], ids=["float64", "float32"])
+    def test_rows_are_read_on_demand_into_float64_tile_rows(self, dtype, tmp_path):
+        field = np.arange(60.0).reshape(5, 4, 3).astype(dtype)
+        header = b"MFR1" + bytes([1, {"<f4": 0, "<f8": 1}[dtype], 3])
+        path = tmp_path / "rows.mfr"
+        path.write_bytes(header + b"".join(d.to_bytes(4, "little") for d in field.shape)
+                         + field.tobytes())
+        rows = ContainerRows(str(path))
+        assert rows.shape == (5, 4, 3) and rows.dtype == np.dtype(dtype)
+        tile = np.zeros((4, 6, 3))
+        with rows.reader() as read:
+            read(tile[1:4, 1:5], 2)  # rows 2..4 into a zero-bordered tile
+            read(tile[0:1, 1:5], 0)
+        expected = np.zeros((4, 6, 3))
+        expected[1:4, 1:5] = field[2:5]
+        expected[0, 1:5] = field[0]
+        assert tile.tobytes() == expected.tobytes()
+
+    def test_rows_of_a_cut_payload_raise(self, tmp_path):
+        path = tmp_path / "cut.mfr"
+        path.write_bytes(write_field(np.ones((3, 2))))
+        rows = ContainerRows(str(path))
+        path.write_bytes(path.read_bytes()[:-1])
+        with rows.reader() as read, pytest.raises(ContainerDimsError, match="ended early"):
+            read(np.empty((1, 2, 1)), 2)
 
     def test_one_dimensional_arrays_are_rejected(self):
         with pytest.raises(ContainerDimsError):
