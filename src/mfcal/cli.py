@@ -14,12 +14,13 @@ environment variable, then the CPUs this process may use); results are
 byte-identical for every worker count.
 
 ``holder`` streams a container input through the exponent map's band
-sweep (``holder.stream_holder_map``): each worker reads its bands' rows
-into its tile and checks them there, so the command holds the map and
-each worker's band buffers, never the input; a PGM input is decoded
-whole.  Its ``--means`` are per-row channel sums of the map, written by
-each band and folded in row order, so they are the same bytes at every
-``--threads``.  The first band that fails decides the error message.
+sweep (``holder.holder_map`` of an ``io.ContainerRows``): each worker
+reads its bands' rows into its tile and checks them there, so the
+command holds the map and each worker's band buffers, never the input;
+a PGM input is decoded whole.  Its ``--means`` are per-row channel sums
+of the map, written by each band and folded in row order, so they are
+the same bytes at every ``--threads``.  The first band that fails
+decides the error message.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .holder import (
     _available_cpus,
     holder_map,
     interior_view,
-    stream_holder_map,
 )
 from .selftest import run_acceptance
 from .spectrum import clt_spectrum, histogram_spectrum, moments_spectrum
@@ -172,16 +172,17 @@ def _cmd_holder(args) -> int:
         source = fio.ContainerRows(args.input)
     except fio.ContainerMagicError:  # a PGM, decoded whole
         source = _read_input_field(args.input)
-    alpha, means = stream_holder_map(source, args.scales, args.epsilon,
-                                     threads=_resolve_threads(args), means=bool(args.means))
+    means = np.empty((2, math.prod(source.shape[2:]))) if args.means else None
+    alpha = holder_map(source, args.scales, args.epsilon, threads=_resolve_threads(args),
+                       means=means)
     if args.means:  # before any write
-        means = _json_line({
+        record = _json_line({
             "mean_alpha": [float(v) for v in means[0]],
             "interior_mean_alpha": [float(v) for v in means[1]],
         }, "means")
     _write_container(args.out, _with_channel_axis(alpha))
     if args.means:
-        _write_text(args.means, means)
+        _write_text(args.means, record)
     return EXIT_OK
 
 
@@ -204,14 +205,15 @@ def _cmd_spectrum(args) -> int:
             raise UsageError("--q-min must be below --q-max")
         levels = _cascade_levels(args.p, args.dims, args.depth_min, args.depth_max)
         q = np.round(np.arange(args.q_min, args.q_max + 1e-9, args.q_step), 10)
+        if len(q) < 3:
+            raise UsageError(f"--q-min, --q-max and --q-step give {len(q)} moment orders; "
+                             "need at least 3")
         partition, _ = moments_spectrum(levels, q)
         _write_text(args.out, fio.write_moments_csv(partition))
     else:  # clt; argparse restricts the choices
         field = _cascade(args.p, args.depth, args.dims)
-        alpha = holder_map(
-            _with_channel_axis(np.atleast_2d(field)), args.scales, epsilon=0.0,
-            threads=_resolve_threads(args),
-        )
+        alpha = holder_map(np.atleast_2d(field), args.scales, epsilon=0.0,
+                           threads=_resolve_threads(args))
         samples = interior_view(alpha, args.scales) if args.dims == 2 else alpha
         curve = clt_spectrum(samples, args.depth, support_dim=float(args.dims))
         _write_text(args.out, fio.write_spectrum_csv(curve))

@@ -8,9 +8,9 @@ is exactly 2 (window mass grows with window area); multiplying the
 field by a positive constant shifts every log by the same amount and
 leaves the slope untouched.
 
-:func:`holder_map` maps an array; :func:`stream_holder_map` maps a
-field that it reads band by band (a container file), checking each
-band's rows as they arrive, and sums the channel means on the way.
+:func:`holder_map` maps an array, or a field that it reads band by
+band (a container file), checking each band's rows as they arrive; it
+can sum the channel means on the way.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "box_measures",
     "slope_from_measures",
     "holder_map",
-    "stream_holder_map",
     "mean_alpha",
     "interior_view",
     "normalize",
@@ -155,7 +154,7 @@ def _run_bands(work, source, halo: int, threads: int | None, scratch) -> None:
 
     ``source`` is a checked (H, W, C) float64 stack, whose rows are
     copied into each tile, or a row source of shape (H, W[, C]) (see
-    :func:`stream_holder_map`), whose rows each worker reads into its
+    :func:`holder_map`), whose rows each worker reads into its
     tiles through a ``reader()`` of its own and checks there as a
     measure, before any mass is taken of them.  ``tile`` holds rows
     ``lo - halo`` to ``hi + halo`` and ``halo`` more columns on either
@@ -269,17 +268,27 @@ def slope_from_measures(measures, scales) -> np.ndarray:
     return out
 
 
-def holder_map(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
-               threads: int | None = None) -> np.ndarray:
+def holder_map(source, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
+               threads: int | None = None, means: np.ndarray | None = None) -> np.ndarray:
     """Local exponent map: slope of log windowed mass vs. log window side.
 
-    Output has the field's shape.  Masses are direct window sums; a
-    window sum that overflows float64, or with ``epsilon = 0`` a window
-    without positive mass, raises ``ValueError``.
+    ``source`` is a field array, (H, W) or (H, W, C), checked whole on
+    entry (finite, >= 0), or a row source: an object with the field's
+    ``shape`` and a ``reader()`` context manager that gives
+    ``read(out, top)``, which fills the float64 array ``out`` with the
+    field's rows from row ``top`` on (``io.ContainerRows`` reads a
+    container file so).  A row source's shape is checked before any
+    read, and each band's rows as they are read, with the same messages,
+    so the field is never held whole; the first band that fails, by
+    rows, decides the error, whatever ``threads`` is.  The map has the
+    field's shape.  Masses are direct window sums; a window sum that
+    overflows float64, or with ``epsilon = 0`` a window without positive
+    mass, raises ``ValueError``.
 
     One pass per row band over all channels (a 2-D field is one
     channel), on at most ``threads`` workers (default: every CPU this
-    process may use): each band's rows and a halo are copied into one
+    process may use): each band's rows and a halo are copied from the
+    array, or read through the worker's own ``reader()``, into one
     zero-bordered tile (see ``BAND_BYTES``), and while it stays in cache
     the band takes one window sum per scale, its log in place, and adds
     the weighted log into the output before the next scale.  A side's
@@ -287,58 +296,42 @@ def holder_map(field, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
     place and in order, so the default sides (2, 3, 4) take 3 row adds
     per output rather than 6 (see :func:`_band_masses`).
     The bytes equal ``slope_from_measures(box_measures(...))`` for every
-    ``threads``.  Each worker reuses one tile, one row-sum buffer and one
-    mass buffer for all its bands, so peak memory is the output plus
-    those three band-sized buffers per worker; nothing is allocated per
-    band or per scale, and the masses are never held for all scales.
-    """
-    return stream_holder_map(np.asarray(field), scales, epsilon, threads)[0]
+    ``threads`` and either kind of source.  Each worker reuses one tile,
+    one row-sum buffer and one mass buffer for all its bands, so peak
+    memory is the output plus those three band-sized buffers per worker;
+    nothing is allocated per band or per scale, and the masses are never
+    held for all scales.
 
-
-def stream_holder_map(source, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
-                      threads: int | None = None, means: bool = False) -> tuple:
-    """:func:`holder_map` of a field read band by band, and its channel means.
-
-    ``source`` is a field array, checked on entry as :func:`holder_map`
-    checks it, or a row source: an object with the field's ``shape``,
-    (H, W) or (H, W, C), and a ``reader()`` context manager that gives
-    ``read(out, top)``, which fills the float64 array ``out`` with the
-    field's rows from row ``top`` on (``io.ContainerRows`` reads a
-    container file so).  A row source's shape is checked before any
-    read.  Each worker enters its own ``reader()`` and reads every
-    band's rows, halo included, straight into its tile, where they are
-    checked (finite, >= 0, with :func:`holder_map`'s messages) before
-    any mass is taken of them.  So the field is never held whole: the
-    memory is the map plus each worker's band buffers.  The first band
-    that fails, by rows, decides the error, whatever ``threads`` is.
-    The map's bytes are those of :func:`holder_map` of the same values.
-
-    Returns ``(alpha, None)``, or with ``means`` ``(alpha, (mean,
-    interior_mean))``: per channel, the mean exponent over all pixels
-    and over the unclipped interior (:func:`interior_view`); a field
-    with no such interior raises ``ValueError`` before any read.  Each
-    band writes the per-row channel sums of its exponents, over all
-    columns and over the interior's, while they are in cache; a row's
-    sums are NumPy's sums of that row of the map.  After the sweep they
-    are folded in row order and divided by the pixel count, so the
-    means depend on the map alone, not on ``threads`` or the bands.
-    :func:`mean_alpha` of the map and of its interior view sum in
-    NumPy's own order, so the two agree to the last digits only (within
-    2.3e-14 relative on a 224x224x128 uniform field).
+    ``means``, a (2, C) float64 array (C = 1 for a 2-D field), receives
+    per channel the mean exponent over all pixels (row 0) and over the
+    unclipped interior (row 1, see :func:`interior_view`); a ``means``
+    of another shape or dtype, or a field with no such interior, raises
+    ``ValueError`` before any read.  Each band writes the per-row
+    channel sums of its exponents, over all columns and over the
+    interior's, while they are in cache; a row's sums are NumPy's sums
+    of that row of the map.  After the sweep they are folded in row
+    order and divided by the pixel count, so the means depend on the map
+    alone, not on ``threads`` or the bands.  :func:`mean_alpha` of the
+    map and of its interior view sum in NumPy's own order, so the two
+    agree to the last digits only (within 2.3e-14 relative on a
+    224x224x128 uniform field).
     """
     scales = _as_scales(scales)
-    if isinstance(source, np.ndarray):
-        field = require_measure(source)
-        shape, source = field.shape, field[:, :, None] if field.ndim == 2 else field
-    else:
+    if hasattr(source, "reader"):  # a row source, checked band by band
         shape = tuple(source.shape)
         _check_shape(shape)
+    else:
+        field = require_measure(source)
+        shape, source = field.shape, field[:, :, None] if field.ndim == 2 else field
     if not 0.0 <= epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     h, w, c = shape[0], shape[1], math.prod(shape[2:])
-    if means:  # per-row channel sums of the map: over all columns, over the interior's
+    if means is not None:
+        if not (isinstance(means, np.ndarray) and means.shape == (2, c)
+                and means.dtype == np.float64):
+            raise ValueError(f"means must be a (2, {c}) float64 array")
         inner_rows, inner_cols = _unclipped_interior(shape, scales)
-        sums = np.empty((2, h, c))
+        sums = np.empty((2, h, c))  # per-row channel sums: over all columns, over the interior's
     weights = log_slope_weights(scales)
     alpha = np.empty((h, w, c))
     halo = max(scales) // 2
@@ -355,7 +348,7 @@ def stream_holder_map(source, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EP
                 else:
                     mu *= weight
                     out += mu
-        if means:
+        if means is not None:
             np.sum(out, axis=1, out=sums[0, lo:hi])
             np.sum(out[:, inner_cols], axis=1, out=sums[1, lo:hi])
 
@@ -363,11 +356,11 @@ def stream_holder_map(source, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EP
         np.empty((rows + halo - min(scales) // 2, w + 2 * halo, c)),  # row sums
         np.empty((rows, w, c)),                                       # masses
     ])
-    if not means:
-        return alpha.reshape(shape), None
-    fold = functools.partial(functools.reduce, np.add)  # row sums added in row order
-    interior = (inner_rows.stop - inner_rows.start) * (inner_cols.stop - inner_cols.start)
-    return alpha.reshape(shape), (fold(sums[0]) / (h * w), fold(sums[1, inner_rows]) / interior)
+    if means is not None:  # the row sums, added in row order
+        interior = (inner_rows.stop - inner_rows.start) * (inner_cols.stop - inner_cols.start)
+        means[0] = functools.reduce(np.add, sums[0]) / (h * w)
+        means[1] = functools.reduce(np.add, sums[1, inner_rows]) / interior
+    return alpha.reshape(shape)
 
 
 def _holder_map_vjp(stack, d_alpha, d_stack, scales, epsilon: float, threads: int | None):

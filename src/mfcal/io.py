@@ -200,7 +200,7 @@ def read_field_file(file) -> np.ndarray:
 
 
 class ContainerRows:
-    """A container file read by rows, on demand, as ``holder.stream_holder_map`` reads it.
+    """A container file read by rows, on demand, as ``holder.holder_map`` reads it.
 
     Opening it reads and checks the header and the payload length
     against the file's size, as :func:`read_field_file` does; ``shape``

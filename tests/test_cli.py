@@ -295,6 +295,15 @@ class TestSpectrumCommand:
         assert run("spectrum", "--method", "wavelet", "--p", 0.5,
                    "--out", tmp_path / "x.csv") == 2
 
+    def test_too_few_moment_orders_is_a_usage_error(self, tmp_path, capsys):
+        # q from 0 to 0.5 in steps of 0.5 gives two orders; the estimator needs three
+        out = tmp_path / "m.csv"
+        assert run("spectrum", "--method", "moments", "--p", 0.3, "--q-min", 0,
+                   "--q-max", 0.5, "--q-step", 0.5, "--out", out) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in ("--q-min", "--q-max", "--q-step")), err
+
     def test_histogram_writes_a_curve(self, tmp_path):
         out = tmp_path / "h.csv"
         assert run("spectrum", "--method", "histogram", "--p", 0.6667,
@@ -1073,13 +1082,13 @@ class TestParserReuse:
         import mfcal.cli as cli
 
         seen = []
-        stream_holder_map = cli.stream_holder_map
+        holder_map = cli.holder_map
 
         def recording(*args, threads, **kwargs):
             seen.append(threads)
-            return stream_holder_map(*args, threads=threads, **kwargs)
+            return holder_map(*args, threads=threads, **kwargs)
 
-        monkeypatch.setattr(cli, "stream_holder_map", recording)
+        monkeypatch.setattr(cli, "holder_map", recording)
         monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
         src = tmp_path / "f.mfr"
         src.write_bytes(write_field(np.random.default_rng(13).uniform(0.1, 1.0, (8, 8, 2))))

@@ -20,7 +20,6 @@ from mfcal.holder import (
     normalize,
     normalize_vjp,
     slope_from_measures,
-    stream_holder_map,
     _normalize_with_cache,
     _unclipped_interior,
 )
@@ -237,8 +236,8 @@ class TestBandLayout:
 
 
 class TestTwoRoutesAgree:
-    """``holder_map``, and ``stream_holder_map`` of a container, give the bytes of serial
-    ``slope_from_measures(box_measures(...))``."""
+    """``holder_map`` of an array, and of a container read band by band, give the bytes of
+    serial ``slope_from_measures(box_measures(...))``."""
 
     @pytest.mark.parametrize("field, sides, epsilons, threads, band_rows", [
         (np.random.default_rng(16).uniform(0.1, 1.0, (21, 17)), (2, 3, 4), (0.0, 1e-6), (1, 2, 3),
@@ -291,9 +290,49 @@ class TestTwoRoutesAgree:
                 stored = slope_from_measures(box_measures(field, scales, epsilon), scales)
                 for t in threads:
                     for streamed in (holder_map(field, scales, epsilon, threads=t),
-                                     stream_holder_map(container, scales, epsilon, t)[0]):
+                                     holder_map(container, scales, epsilon, t)):
                         assert streamed.shape == field.shape
                         assert streamed.tobytes() == stored.tobytes(), f"{rows} rows, {t} threads"
+
+
+class TestMeansArray:
+    """``holder_map(..., means=out)`` fills ``out`` with the all-pixel and interior means."""
+
+    @pytest.mark.parametrize("shape", [(13, 11), (12, 9, 3)], ids=["2d", "3d"])
+    def test_both_sources_give_the_same_map_and_means(self, shape, tmp_path, monkeypatch):
+        field = np.random.default_rng(29).uniform(0.1, 1.0, shape)
+        path = tmp_path / "field.mfr"
+        path.write_bytes(write_field(field))
+        monkeypatch.setattr(holder, "BAND_BYTES", band_bytes(field.shape, 2, 3))
+        plain = holder_map(field, SCALES, threads=1)
+        channels = shape[2] if len(shape) == 3 else 1
+        outputs = []
+        for source in (field, ContainerRows(str(path))):
+            for threads in (1, 2):
+                means = np.empty((2, channels))
+                alpha = holder_map(source, SCALES, threads=threads, means=means)
+                assert alpha.tobytes() == plain.tobytes()
+                outputs.append(means.tobytes())
+        assert len(set(outputs)) == 1
+        np.testing.assert_allclose(means[0], mean_alpha(plain), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(means[1], mean_alpha(interior_view(plain, SCALES)),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("means", [
+        np.empty((2, 2)), np.empty((3, 3)), np.empty(6), np.empty((2, 3), np.float32),
+        [[0.0] * 3] * 2,
+    ], ids=["too-few-channels", "three-rows", "flat", "float32", "list"])
+    def test_a_wrong_means_array_is_refused_before_any_read(self, means, tmp_path, monkeypatch):
+        path = tmp_path / "field.mfr"
+        path.write_bytes(write_field(np.full((6, 5, 3), 0.5)))
+        container = ContainerRows(str(path))
+
+        def no_reader(rows):
+            raise AssertionError("the payload was read")
+
+        monkeypatch.setattr(ContainerRows, "reader", no_reader)
+        with pytest.raises(ValueError, match=r"means must be a \(2, 3\) float64 array"):
+            holder_map(container, SCALES, means=means)
 
 
 class TestInterior:
