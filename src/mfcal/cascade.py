@@ -20,7 +20,10 @@ run to the deepest and no cell is ever built.  That is exact: every
 depth-(k+1) cell is one rounded product, ``p * c`` or ``q * c``, of a
 depth-k cell c, so its value depends only on c's value, and cell (i, j)
 of the square is the rounded ``line_i * line_j``; the levels and counts
-are bit-equal to those found by sorting the cells.  All reject ``p``
+are bit-equal to those found by sorting the cells.  The product also
+factors the square's exponent map: ``spectrum --method clt`` maps only
+the line, and each 2-D exponent is a sum of two line exponents (equal
+up to rounding), so no estimator builds the square.  All reject ``p``
 outside (0, 1), a depth outside [1, cap], and a smallest cell below the
 smallest normal float64 before they allocate.
 """

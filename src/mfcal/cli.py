@@ -21,6 +21,13 @@ a PGM input is decoded whole.  Its ``--means`` are per-row channel sums
 of the map, written by each band and folded in row order, so they are
 the same bytes at every ``--threads``.  The first band that fails
 decides the error message.
+
+``spectrum --method clt`` maps the cascade's line, never its square: a
+product-cascade window of side k at (i, j) holds ``r_k(i) * r_k(j)``,
+the line's clipped window sums, so the square's exponent map is
+``a(i) + a(j)`` for the line's map ``a`` (equal up to rounding).  The
+line is checked against the ``--dims`` cascade's depth cap and
+underflow rule, and the 2-D samples are the interior of that sum.
 """
 
 from __future__ import annotations
@@ -48,7 +55,13 @@ from .attention import (
     se_forward,
     srm_gates,
 )
-from .cascade import analytic_spectrum, binomial_levels, generate_binomial, generate_product_2d
+from .cascade import (
+    _binomial_line,
+    analytic_spectrum,
+    binomial_levels,
+    generate_binomial,
+    generate_product_2d,
+)
 from .holder import (
     DEFAULT_EPSILON,
     NormState,
@@ -205,16 +218,25 @@ def _cmd_spectrum(args) -> int:
             raise UsageError("--q-min must be below --q-max")
         levels = _cascade_levels(args.p, args.dims, args.depth_min, args.depth_max)
         q = np.round(np.arange(args.q_min, args.q_max + 1e-9, args.q_step), 10)
+        if np.any(q[1:] <= q[:-1]):  # the rounding keeps q = 1 exact, but can merge orders
+            raise UsageError(f"--q-step {args.q_step:g} merges moment orders, which are "
+                             "rounded to 10 decimals; use a coarser --q-step")
         if len(q) < 3:
             raise UsageError(f"--q-min, --q-max and --q-step give {len(q)} moment orders; "
                              "need at least 3")
         partition, _ = moments_spectrum(levels, q)
         _write_text(args.out, fio.write_moments_csv(partition))
     else:  # clt; argparse restricts the choices
-        field = _cascade(args.p, args.depth, args.dims)
-        alpha = holder_map(np.atleast_2d(field), args.scales, epsilon=0.0,
+        try:  # the line, checked against the --dims cascade's cap and underflow rule
+            line = _binomial_line(args.p, args.depth, args.dims)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        alpha = holder_map(line[None, :], args.scales, epsilon=0.0,
                            threads=_resolve_threads(args))
-        samples = interior_view(alpha, args.scales) if args.dims == 2 else alpha
+        if args.dims == 2:  # the square's window at (i, j) holds r_k(i) * r_k(j)
+            samples = interior_view(np.add.outer(alpha[0], alpha[0]), args.scales)
+        else:
+            samples = alpha
         curve = clt_spectrum(samples, args.depth, support_dim=float(args.dims))
         _write_text(args.out, fio.write_spectrum_csv(curve))
     return EXIT_OK

@@ -14,12 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfcal import __version__, holder
+from mfcal import __version__, cli, holder
 from mfcal import io as fio
 from mfcal.attention import LEVEL_SET_BYTES
+from mfcal.cascade import generate_binomial, generate_product_2d
 from mfcal.cli import main
 from mfcal.holder import _unclipped_interior, holder_map, interior_view, mean_alpha
 from mfcal.io import ContainerMagicError, read_field, read_field_file, read_pgm, write_field
+from mfcal.spectrum import clt_spectrum
 
 
 def run(*argv):
@@ -304,6 +306,16 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert all(flag in err for flag in ("--q-min", "--q-max", "--q-step")), err
 
+    def test_a_q_step_that_merges_orders_is_a_usage_error(self, tmp_path, capsys):
+        # orders are rounded to 10 decimals (keeping q = 1 exact), so a step of
+        # 1e-11 makes equal orders; that is the step's fault, not a numerical one
+        out = tmp_path / "m.csv"
+        assert run("spectrum", "--method", "moments", "--p", 0.3, "--q-min", 0,
+                   "--q-max", 1e-10, "--q-step", 1e-11, "--out", out) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("mfcal: ") and "--q-step" in err, err
+
     def test_histogram_writes_a_curve(self, tmp_path):
         out = tmp_path / "h.csv"
         assert run("spectrum", "--method", "histogram", "--p", 0.6667,
@@ -324,6 +336,75 @@ class TestSpectrumCommand:
         assert curve[:, 1].max() == 2.0
 
 
+def square_route(p, depth, dims):
+    """The clt CSV the cells give: the cascade built whole, mapped, then its interior."""
+    field = generate_product_2d(p, depth) if dims == 2 else generate_binomial(p, depth)[None, :]
+    alpha = holder_map(field, epsilon=0.0)
+    samples = interior_view(alpha, holder.DEFAULT_SCALES) if dims == 2 else alpha
+    return fio.write_spectrum_csv(clt_spectrum(samples, depth, support_dim=float(dims)))
+
+
+def csv_rows(text):
+    return np.array([[float(v) for v in line.split(",")] for line in text.split()[1:]])
+
+
+class TestCltLine:
+    """``spectrum --method clt`` maps the cascade's line, never its square.
+
+    The square's exponents are sums of two line exponents, a(i) + a(j),
+    exact in real arithmetic, so the 2-D curve moves from the square's
+    by rounding only (3.1e-14 at most over p in 0.1..0.99 and depths
+    3..12); the 1-D samples are the line's map, as before.
+    """
+
+    def clt(self, tmp_path, p, depth, dims, threads=1):
+        out = tmp_path / f"clt-{threads}.csv"
+        assert run("--threads", threads, "spectrum", "--method", "clt", "--p", p,
+                   "--dims", dims, "--depth", depth, "--out", out) == 0
+        return out.read_text()
+
+    @pytest.mark.parametrize("p, depth", [
+        *((p, depth) for p in (0.1, 0.3, 0.483866, 0.6667, 0.85, 0.95, 0.99)
+          for depth in (3, 6, 9)),
+        (0.1, 12), (0.99, 12),
+    ])
+    def test_2d_curve_matches_the_square_route(self, tmp_path, p, depth):
+        ours = csv_rows(self.clt(tmp_path, p, depth, 2))
+        square = csv_rows(square_route(p, depth, 2))
+        assert ours.shape == square.shape
+        assert np.abs(ours - square).max() <= 1e-12
+
+    @pytest.mark.parametrize("p, depth", [(0.1, 10), (0.483866, 20), (0.99, 10)])
+    def test_1d_curve_is_the_square_routes_bytes(self, tmp_path, p, depth):
+        assert self.clt(tmp_path, p, depth, 1) == square_route(p, depth, 1)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_the_bytes_do_not_depend_on_threads(self, tmp_path, dims):
+        assert self.clt(tmp_path, 0.3, 10, dims, 1) == self.clt(tmp_path, 0.3, 10, dims, 2)
+
+    def test_the_square_is_never_built(self, tmp_path, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("spectrum --method clt built the square")
+
+        monkeypatch.setattr(cli, "generate_product_2d", refuse)
+        self.clt(tmp_path, 0.3, 8, 2)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_the_depth_10_peak_is_two_field_sized_arrays(self, tmp_path, threads):
+        # the sum map and clt's private copy of its interior; the square and
+        # its map made 3.0 fields
+        field = 2 ** 20 * 8
+        tracemalloc.start()
+        try:
+            code = run("--threads", threads, "spectrum", "--method", "clt", "--p", 0.3,
+                       "--dims", 2, "--depth", 10, "--out", tmp_path / "clt.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 2.2 * field, f"{peak / field:.2f} fields"
+
+
 class TestCascadePreconditions:
     @pytest.mark.parametrize("argv", [
         ["cascade", "--depth", 27],
@@ -331,6 +412,8 @@ class TestCascadePreconditions:
         ["spectrum", "--method", "moments", "--p", 0],
         ["spectrum", "--method", "clt", "--dims", 2, "--depth", 15],
         ["spectrum", "--method", "clt", "--depth", 0],
+        # 1e-20 ** 10 is a normal float64, but the square's 1e-20 ** 20 is not
+        ["spectrum", "--method", "clt", "--dims", 2, "--p", 1e-20, "--depth", 10],
         ["spectrum", "--method", "histogram", "--depth-min", 9, "--depth-max", 9],
     ], ids=lambda argv: " ".join(str(a) for a in argv))
     def test_bad_p_or_depth_is_a_usage_error_that_writes_nothing(self, argv, tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mfcal import holder
-from mfcal.cascade import analytic_alpha, generate_binomial
+from mfcal.cascade import analytic_alpha, generate_binomial, generate_product_2d
 from mfcal.io import ContainerRows, write_field
 from mfcal.holder import (
     NormState,
@@ -113,6 +113,15 @@ class TestHolderMap:
         ours = holder_map(field, SCALES, epsilon=0.0)
         reference = _brute_holder(field, SCALES.sides, 0.0)
         assert np.array_equal(ours, reference)
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.6667, 0.95])
+    def test_product_cascade_map_is_the_sum_of_two_line_maps(self, p):
+        # window (i, j) of side k holds r_k(i) * r_k(j), the line's clipped window
+        # sums, so every exponent, border ones included, is a(i) + a(j)
+        a = holder_map(generate_binomial(p, 4)[None, :], SCALES, epsilon=0.0)[0]
+        square = generate_product_2d(p, 4)[:, :, None]
+        reference = _brute_holder(square, SCALES.sides, 0.0)[:, :, 0]
+        assert np.abs(np.add.outer(a, a) - reference).max() <= 1e-12
 
     def test_scale_invariance_of_exponents(self):
         rng = np.random.default_rng(9)
