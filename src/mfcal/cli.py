@@ -385,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=_ranged(int, 4), default=32)
     p.add_argument("--q-min", type=_ranged(float), default=-5.0)
     p.add_argument("--q-max", type=_ranged(float), default=5.0)
-    p.add_argument("--q-step", type=_ranged(float, 0.0, 0.5, open_low=True), default=0.25)
+    p.add_argument("--q-step", type=_ranged(float, 0.0, open_low=True), default=0.25)
     p.add_argument("--scales", type=_parse_scales, default="2,3,4")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_spectrum)

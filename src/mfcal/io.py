@@ -323,13 +323,10 @@ def write_spectrum_csv(curve: SpectrumCurve) -> str:
 
 
 def write_moments_csv(partition) -> str:
-    """``q,tau,alpha,f,one_sided`` rows for a partition-function fit."""
-    lines = ["q,tau,alpha,f,one_sided"]
-    for q, tau, alpha, f, flag in zip(
-        partition.q_values, partition.tau, partition.alpha,
-        partition.f, partition.one_sided,
-    ):
-        lines.append(f"{_fmt(q)},{_fmt(tau)},{_fmt(alpha)},{_fmt(f)},{int(flag)}")
+    """``q,tau,alpha,f`` rows for a partition-function fit."""
+    lines = ["q,tau,alpha,f"]
+    for q, tau, alpha, f in zip(partition.q_values, partition.tau, partition.alpha, partition.f):
+        lines.append(f"{_fmt(q)},{_fmt(tau)},{_fmt(alpha)},{_fmt(f)}")
     return "\n".join(lines) + "\n"
 
 

@@ -368,14 +368,12 @@ def _criterion_moments_method(ctx):
     partition, curve = moments_spectrum(binomial_levels(_P, 8, 12), q)
     tau_err = float(np.abs(partition.tau - _analytic_tau(_P, q)).max())
     tau_one = abs(float(partition.tau[np.flatnonzero(q == 1.0)[0]]))
-    # the one-sided differences at the two end orders are excluded
-    inner = ~partition.one_sided
-    alpha_err = float(np.abs(partition.alpha[inner] - _analytic_alpha_q(_P, q[inner])).max())
+    alpha_err = float(np.abs(partition.alpha - _analytic_alpha_q(_P, q)).max())
     legendre_gap = float(np.max(curve.f - curve.alpha))
-    ok = tau_err <= 0.02 and tau_one <= 1e-9 and alpha_err <= 5e-3 and legendre_gap <= 1e-6
+    ok = tau_err <= 0.02 and tau_one <= 1e-9 and alpha_err <= 1e-12 and legendre_gap <= 1e-6
     return ok, (
         f"max |tau - analytic| = {tau_err:.2e}, |tau(1)| = {tau_one:.2e}, "
-        f"interior max |alpha - analytic| = {alpha_err:.2e}, "
+        f"max |alpha - analytic| over every order = {alpha_err:.2e}, "
         f"max(f - alpha) = {legendre_gap:.2e}"
     )
 

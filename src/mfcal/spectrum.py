@@ -6,7 +6,9 @@ Three complementary estimates of the level-set dimension curve f(alpha):
   rendered at several dyadic depths and regress the bin occupancy
   against depth;
 * method of moments -- scaling exponents tau(q) of the partition
-  function ``Z(q, k) = sum mu_i^q``, Legendre-transformed into
+  function ``Z(q, k) = sum mu_i^q``, and alpha(q) from the direct sums
+  of Chhabra & Jensen (PRL 62, 1327, 1989): the depth slope of the
+  ``mu_i^q / Z``-weighted mean of ``log2 mu_i``, with
   ``f = q * alpha(q) - tau(q)``;
 * Gaussian approximation -- a parabola through the empirical mean and
   spread of sampled exponents, peaking at the support dimension.
@@ -20,7 +22,8 @@ builds them from the cascade's doubling run, without a cell or a sort of
 cells, and bit-equal to the levels of the cells: every cell is one
 rounded product of its parent's value, so equal parents give equal
 children.  The sums run over the levels in ascending mass order, one
-``exp2`` pass per chunk of moment orders rather than a pass per order.
+``exp2`` pass per chunk of moment orders rather than a pass per order,
+and one contraction of that chunk with ``log2 mu`` for the weighted means.
 The Gaussian approximation takes its mean and spread in one private
 copy of the samples, never in the caller's array.
 """
@@ -109,9 +112,9 @@ class PartitionFunction:
     """Moment sums of a dyadic measure and their scaling exponents.
 
     ``log2_z[i, j]`` holds ``log2 Z(q_i, k_j)``; ``tau`` is the slope of
-    that row against ``-k``.  ``alpha``/``f`` are the Legendre pair, with
-    ``one_sided`` flagging the endpoint moments whose derivative uses a
-    one-sided difference (least trustworthy; tests may exclude them).
+    that row against ``-k``.  ``alpha`` is the slope against ``-k`` of
+    the ``mu**q / Z``-weighted mean of ``log2 mu`` (Chhabra & Jensen's
+    direct sums), and ``f = q * alpha - tau``.
     """
 
     q_values: np.ndarray
@@ -120,31 +123,33 @@ class PartitionFunction:
     tau: np.ndarray
     alpha: np.ndarray
     f: np.ndarray
-    one_sided: np.ndarray
 
 
-def _log2_partition(level: MassLevels, q: np.ndarray) -> np.ndarray:
-    """``log2 sum mu**q`` over the positive cells of one depth, for every order q.
+def _log2_partition(level: MassLevels, q: np.ndarray) -> tuple:
+    """``log2 sum mu**q`` and the ``mu**q``-weighted mean of ``log2 mu``, for every order q.
 
-    The sum runs over the depth's distinct masses in ascending order,
-    each term weighted by how many cells hold that mass, so it costs the
+    Both sums run over the depth's distinct masses in ascending order,
+    each term weighted by how many cells hold that mass, so they cost the
     number of mass levels per order, not the number of cells.  Log-sum-exp:
     shifting by the largest log mass for q >= 0 and by the smallest for
-    q < 0 keeps every term in (0, 1], so no order overflows.  The orders
-    are ascending, so the negative ones are a prefix.  They are taken in
-    chunks whose (orders, levels) terms fill one reused buffer of at most
+    q < 0 keeps every term in (0, 1], so no order overflows; the shift
+    cancels in the weighted mean.  The orders are ascending, so the
+    negative ones are a prefix.  They are taken in chunks whose
+    (orders, levels) terms fill one reused buffer of at most
     ``PARTITION_CHUNK_BYTES`` (or one row): one ``exp2`` pass and one
     count-weighting pass per chunk, then one contiguous row sum per
-    order, the same pairwise sum as summing that order's terms alone.
+    order, the same pairwise sum as summing that order's terms alone,
+    and one contraction of the chunk with ``log2 mu``.
     """
     log_mass = np.log2(level.masses)
     top, bottom = log_mass[-1], log_mass[0]
     below_top = log_mass - top
-    above_bottom = np.subtract(log_mass, bottom, out=log_mass)
+    above_bottom = log_mass - bottom
     split = int(np.searchsorted(q, 0.0))
     rows = max(PARTITION_CHUNK_BYTES // log_mass.nbytes, 1)
     buf = np.empty((min(rows, q.size), log_mass.size))
     sums = np.empty(q.size)
+    weighted = np.empty(q.size)
     for start in range(0, q.size, rows):
         stop = min(start + rows, q.size)
         mid = min(max(split, start), stop)
@@ -153,54 +158,47 @@ def _log2_partition(level: MassLevels, q: np.ndarray) -> np.ndarray:
         np.multiply(q[mid:stop, None], below_top, out=block[mid - start :])
         np.exp2(block, out=block)
         np.multiply(block, level.counts, out=block).sum(axis=1, out=sums[start:stop])
-    return q * np.where(q >= 0.0, top, bottom) + np.log2(sums)
+        np.matmul(block, log_mass, out=weighted[start:stop])
+    return q * np.where(q >= 0.0, top, bottom) + np.log2(sums), weighted / sums
 
 
 def moments_spectrum(levels: list[MassLevels], q_values) -> tuple:
-    """Method of moments: tau(q) scaling plus Legendre transform.
+    """Method of moments: tau(q) scaling plus Chhabra & Jensen's direct alpha(q).
 
     Z(1, k) = 1 for normalized measures, hence tau(1) = 0 up to the
-    regression's rounding.  alpha(q) is a central difference of tau in
-    the interior and a flagged one-sided difference at the ends;
-    ``f = q * alpha - tau``.  ``levels`` holds one
+    regression's rounding.  alpha(q) is the slope against ``-k`` of the
+    ``mu**q / Z``-weighted mean of ``log2 mu``, the same fit as tau at
+    every order, and ``f = q * alpha - tau``.  ``levels`` holds one
     :class:`~mfcal.cascade.MassLevels` per depth, in increasing depth.
     Returns (PartitionFunction, SpectrumCurve).
     """
     q = np.asarray(q_values, dtype=np.float64)
-    if q.ndim != 1 or q.size < 3:
+    if q.ndim != 1 or q.size < 3:  # every written spectrum has an interior point
         raise ValueError("need at least 3 moment orders")
     if not np.isfinite(q).all():
         raise ValueError(f"moment orders must be finite, got {q[~np.isfinite(q)].tolist()}")
-    dq = np.diff(q)
-    if np.any(dq <= 0.0):
+    if np.any(np.diff(q) <= 0.0):  # the log-sum-exp split needs the negative orders first
         raise ValueError("moment orders must be strictly increasing")
-    if np.any(dq > 0.5 + 1e-12):
-        raise ValueError("moment order spacing must not exceed 0.5")
     depths = _check_depths(levels)
 
-    log2_z = np.stack([_log2_partition(level, q) for level in levels], axis=1)
+    log2_z = np.empty((q.size, len(levels)))
+    mean_log2_mu = np.empty_like(log2_z)
+    for j, level in enumerate(levels):
+        log2_z[:, j], mean_log2_mu[:, j] = _log2_partition(level, q)
 
     x = -np.asarray(depths, dtype=np.float64)
     dev = x - x.mean()
-    tau = (log2_z - log2_z.mean(axis=1, keepdims=True)) @ dev / np.dot(dev, dev)
 
-    alpha = np.empty_like(tau)
-    alpha[1:-1] = (tau[2:] - tau[:-2]) / (q[2:] - q[:-2])
-    alpha[0] = (tau[1] - tau[0]) / (q[1] - q[0])
-    alpha[-1] = (tau[-1] - tau[-2]) / (q[-1] - q[-2])
-    one_sided = np.zeros(q.size, dtype=bool)
-    one_sided[[0, -1]] = True
+    def slope(rows):
+        return (rows - rows.mean(axis=1, keepdims=True)) @ dev / np.dot(dev, dev)
+
+    tau = slope(log2_z)
+    alpha = slope(mean_log2_mu)
     f = q * alpha - tau
 
-    pf = PartitionFunction(
-        q_values=q,
-        depths=tuple(depths),
-        log2_z=log2_z,
-        tau=tau,
-        alpha=alpha,
-        f=f,
-        one_sided=one_sided,
-    )
+    pf = PartitionFunction(q_values=q, depths=tuple(depths), log2_z=log2_z,
+                           tau=tau, alpha=alpha, f=f)
+    # rounding can leave f a few ulps below zero (p = 0.3, depths 8..12, |q| = 50)
     return pf, make_curve(alpha, np.maximum(f, 0.0))
 
 

@@ -21,6 +21,7 @@ from mfcal.cascade import generate_binomial, generate_product_2d
 from mfcal.cli import main
 from mfcal.holder import _unclipped_interior, holder_map, interior_view, mean_alpha
 from mfcal.io import ContainerMagicError, read_field, read_field_file, read_pgm, write_field
+from mfcal.selftest import _analytic_alpha_q
 from mfcal.spectrum import clt_spectrum
 
 
@@ -315,6 +316,18 @@ class TestSpectrumCommand:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("mfcal: ") and "--q-step" in err, err
+
+    def test_moments_at_a_unit_q_step_write_the_exact_alpha(self, tmp_path):
+        # each order's alpha comes from that order's own sums, so the orders may
+        # be as far apart as the caller likes and the end orders are exact too
+        out = tmp_path / "m.csv"
+        assert run("spectrum", "--method", "moments", "--p", 0.3, "--q-step", 1,
+                   "--out", out) == 0
+        lines = out.read_text().split()
+        assert lines[0] == "q,tau,alpha,f"
+        q, _, alpha, _ = np.array([[float(x) for x in line.split(",")] for line in lines[1:]]).T
+        assert q.tolist() == list(range(-5, 6))
+        np.testing.assert_allclose(alpha, _analytic_alpha_q(0.3, q), rtol=0.0, atol=1e-12)
 
     def test_histogram_writes_a_curve(self, tmp_path):
         out = tmp_path / "h.csv"
@@ -660,7 +673,7 @@ class TestOptionRanges:
         ("--q-min", "moments", "-inf"),
         ("--q-max", "moments", "-inf"),
         ("--q-step", "moments", "0"),
-        ("--q-step", "clt", "0.6"),
+        ("--q-step", "clt", "-0.25"),
         ("--Q", "multi", "0"),
         ("--reduction", "cse", "0"),
         ("--groups", "fca", "-1"),

@@ -349,14 +349,15 @@ class TestCsv:
         assert "\r" not in text
         assert text.endswith("\n")
 
-    def test_moments_csv_carries_flags(self):
+    def test_moments_csv_round_trips_its_four_columns(self):
         partition, _ = moments_spectrum(binomial_levels(0.7, 6, 8), [-1.0, -0.5, 0.0, 0.5, 1.0])
         text = write_moments_csv(partition)
         lines = text.strip().split("\n")
-        assert lines[0] == "q,tau,alpha,f,one_sided"
+        assert lines[0] == "q,tau,alpha,f"
         assert len(lines) == 6
-        flags = [line.split(",")[-1] for line in lines[1:]]
-        assert flags == ["1", "0", "0", "0", "1"]
+        back = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        expected = [partition.q_values, partition.tau, partition.alpha, partition.f]
+        assert back.T.tobytes() == np.stack(expected).tobytes()
 
 
 class TestExciteRecord:

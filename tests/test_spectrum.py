@@ -105,11 +105,30 @@ class TestMomentsSpectrum:
         err = np.abs(partition.tau - _analytic_tau(P, self.Q)).max()
         assert err < 0.02
 
-    def test_alpha_matches_the_closed_form_off_the_endpoints(self, fitted):
+    def test_alpha_matches_the_closed_form_at_every_order(self, fitted):
         partition, _ = fitted
-        inner = ~partition.one_sided
-        err = np.abs(partition.alpha[inner] - _analytic_alpha_q(P, self.Q[inner])).max()
-        assert err < 5e-3
+        err = np.abs(partition.alpha - _analytic_alpha_q(P, self.Q)).max()
+        assert err < 1e-12
+
+    @pytest.mark.parametrize("step", [0.25, 1.0])
+    @pytest.mark.parametrize("dims, lo, hi", [(1, 10, 20), (1, 8, 12), (2, 12, 14), (2, 4, 9)])
+    @pytest.mark.parametrize("p", [0.1, 0.3, P])
+    def test_direct_sums_are_exact_on_cascades_ends_included(self, p, dims, lo, hi, step):
+        # the weighted mean of log2 mu is linear in the depth on a cascade, so
+        # the fit recovers alpha(q) to rounding at every order, ends included
+        q = np.round(np.arange(-5.0, 5.0 + 1e-9, step), 10)
+        partition, _ = moments_spectrum(binomial_levels(p, lo, hi, dims), q)
+        alpha = dims * _analytic_alpha_q(p, q)
+        np.testing.assert_allclose(partition.alpha, alpha, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(partition.f, q * alpha - dims * _analytic_tau(p, q),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_f_is_clamped_where_rounding_leaves_it_below_zero(self):
+        # at |q| = 50 nearly all the weight sits on one extreme cell, where f is
+        # 0; rounding leaves it a few ulps negative, which make_curve would refuse
+        partition, curve = moments_spectrum(line_levels(range(8, 13), p=0.3), [-50.0, 0.0, 50.0])
+        assert partition.f.min() < 0.0
+        assert curve.f.min() == 0.0
 
     def test_curve_stays_below_the_diagonal(self, fitted):
         _, curve = fitted
@@ -118,11 +137,6 @@ class TestMomentsSpectrum:
     def test_tau_is_nondecreasing_in_q(self, fitted):
         partition, _ = fitted
         assert np.all(np.diff(partition.tau) >= -1e-12)
-
-    def test_endpoints_are_flagged_one_sided(self, fitted):
-        partition, _ = fitted
-        flags = partition.one_sided
-        assert flags[0] and flags[-1] and not flags[1:-1].any()
 
     def test_extreme_orders_do_not_overflow(self):
         # at p = 0.01 and depth 16 the smallest cell mass to the power -10 is
@@ -136,10 +150,6 @@ class TestMomentsSpectrum:
     def test_needs_three_moments(self):
         with pytest.raises(ValueError, match="3 moment"):
             moments_spectrum(line_levels((8, 9)), [0.0, 1.0])
-
-    def test_rejects_wide_spacing(self):
-        with pytest.raises(ValueError, match="spacing"):
-            moments_spectrum(line_levels((8, 9)), [0.0, 1.0, 2.0])
 
     def test_rejects_unsorted_moments(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -162,7 +172,7 @@ class TestMomentsSpectrum:
     def test_many_orders_keep_the_scratch_to_the_chunk_budget(self):
         # an unchunked (orders, levels) block would be 20001 x 293 x 8 bytes,
         # about 47 MB; what remains is a few (orders, depths) arrays: the
-        # partition rows, their stack, the centered copy and the Legendre pair
+        # partition rows and weighted means, their centered copies and tau, alpha and f
         levels = binomial_levels(0.3, 12, 14, dims=2)
         q = np.linspace(-5.0, 5.0, 20001)
         tracemalloc.start()
@@ -255,19 +265,32 @@ def per_cell_log2_partition(field, q):
 
 
 def loop_log2_partition(level, q):
-    """Reference: one log-sum-exp pass over a depth's mass levels per order."""
+    """Reference: one log-sum-exp pass over a depth's mass levels per order.
+
+    Returns ``log2 Z`` and the ``mu**q / Z``-weighted mean of ``log2 mu``.
+    """
     log_mass = np.log2(level.masses)
     top, bottom = log_mass[-1], log_mass[0]
     below_top = log_mass - top
-    above_bottom = np.subtract(log_mass, bottom, out=log_mass)
+    above_bottom = log_mass - bottom
     buf = np.empty_like(log_mass)
-    out = np.empty(q.size)
+    out, mean = np.empty(q.size), np.empty(q.size)
     for i, qi in enumerate(q):
         shift, dev = (top, below_top) if qi >= 0.0 else (bottom, above_bottom)
         np.multiply(qi, dev, out=buf)
         np.exp2(buf, out=buf)
-        out[i] = qi * shift + np.log2(np.multiply(buf, level.counts, out=buf).sum())
-    return out
+        total = np.multiply(buf, level.counts, out=buf).sum()
+        out[i] = qi * shift + np.log2(total)
+        mean[i] = np.dot(buf, log_mass) / total
+    return out, mean
+
+
+def assert_partition_matches_the_loop(level, q):
+    """``log2 Z`` to the byte; the weighted mean to rounding (its contraction order is BLAS's)."""
+    log2_z, mean = spectrum._log2_partition(level, q)
+    loop_z, loop_mean = loop_log2_partition(level, q)
+    assert log2_z.tobytes() == loop_z.tobytes()
+    np.testing.assert_allclose(mean, loop_mean, rtol=1e-14, atol=0.0)
 
 
 def per_cell_histogram(fields, bins):
@@ -371,20 +394,20 @@ def random_levels(size, seed=17):
 
 
 class TestPartitionBytes:
-    """The chunked partition sums give the per-order loop's bytes."""
+    """The chunked partition sums give the per-order loop's results."""
 
     @pytest.mark.parametrize("grid", sorted(ORDER_GRIDS))
     @pytest.mark.parametrize("name", sorted(MEASURES))
     def test_every_measure(self, name, grid):
         q = ORDER_GRIDS[grid]
         for level in as_levels(MEASURES[name]()):
-            assert spectrum._log2_partition(level, q).tobytes() == loop_log2_partition(level, q).tobytes()
+            assert_partition_matches_the_loop(level, q)
 
     @pytest.mark.parametrize("grid", sorted(ORDER_GRIDS))
     @pytest.mark.parametrize("size", [8191, 8192, 8193, 20001])
     def test_many_levels(self, size, grid):
         level, q = random_levels(size), ORDER_GRIDS[grid]
-        assert spectrum._log2_partition(level, q).tobytes() == loop_log2_partition(level, q).tobytes()
+        assert_partition_matches_the_loop(level, q)
 
     @pytest.mark.parametrize("p, dims", [(0.3, 1), (P, 2)])
     def test_orders_in_several_chunks_with_a_shorter_last_one(self, p, dims):
@@ -393,7 +416,7 @@ class TestPartitionBytes:
         q = np.linspace(-3.0, 3.0, 2 * rows + rows // 2)
         split = int(np.searchsorted(q, 0.0))
         assert rows > 1 and q.size % rows and split % rows
-        assert spectrum._log2_partition(level, q).tobytes() == loop_log2_partition(level, q).tobytes()
+        assert_partition_matches_the_loop(level, q)
 
 
 class TestOneExponentAtTheDeepestLevel:
