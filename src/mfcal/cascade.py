@@ -23,9 +23,10 @@ of the square is the rounded ``line_i * line_j``; the levels and counts
 are bit-equal to those found by sorting the cells.  The product also
 factors the square's exponent map: ``spectrum --method clt`` maps only
 the line, and each 2-D exponent is a sum of two line exponents (equal
-up to rounding), so no estimator builds the square.  All reject ``p``
-outside (0, 1), a depth outside [1, cap], and a smallest cell below the
-smallest normal float64 before they allocate.
+up to rounding), whose mean and variance over the interior are twice
+the line's, so no estimator builds the square or those sums.  All
+reject ``p`` outside (0, 1), a depth outside [1, cap], and a smallest
+cell below the smallest normal float64 before they allocate.
 """
 
 from __future__ import annotations

@@ -27,7 +27,9 @@ product-cascade window of side k at (i, j) holds ``r_k(i) * r_k(j)``,
 the line's clipped window sums, so the square's exponent map is
 ``a(i) + a(j)`` for the line's map ``a`` (equal up to rounding).  The
 line is checked against the ``--dims`` cascade's depth cap and
-underflow rule, and the 2-D samples are the interior of that sum.
+underflow rule.  The 2-D samples are the line's interior columns, the
+square's interior along one axis: ``clt_spectrum`` scales their mean
+and variance by the number of axes, so the sums are never formed.
 """
 
 from __future__ import annotations
@@ -217,7 +219,8 @@ def _cmd_spectrum(args) -> int:
         if args.q_min >= args.q_max:
             raise UsageError("--q-min must be below --q-max")
         levels = _cascade_levels(args.p, args.dims, args.depth_min, args.depth_max)
-        q = np.round(np.arange(args.q_min, args.q_max + 1e-9, args.q_step), 10)
+        # --q-max is an order when it lies within a billionth of a step of the grid
+        q = np.round(np.arange(args.q_min, args.q_max + 1e-9 * args.q_step, args.q_step), 10)
         if np.any(q[1:] <= q[:-1]):  # the rounding keeps q = 1 exact, but can merge orders
             raise UsageError(f"--q-step {args.q_step:g} merges moment orders, which are "
                              "rounded to 10 decimals; use a coarser --q-step")
@@ -233,11 +236,10 @@ def _cmd_spectrum(args) -> int:
             raise UsageError(str(exc)) from None
         alpha = holder_map(line[None, :], args.scales, epsilon=0.0,
                            threads=_resolve_threads(args))
-        if args.dims == 2:  # the square's window at (i, j) holds r_k(i) * r_k(j)
-            samples = interior_view(np.add.outer(alpha[0], alpha[0]), args.scales)
-        else:
-            samples = alpha
-        curve = clt_spectrum(samples, args.depth, support_dim=float(args.dims))
+        samples = alpha[0]
+        if args.dims == 2:  # a square view whose rows are the line: its interior rows are one axis
+            samples = interior_view(np.broadcast_to(samples, (line.size,) * 2), args.scales)[0]
+        curve = clt_spectrum(samples, args.depth, dims=args.dims)
         _write_text(args.out, fio.write_spectrum_csv(curve))
     return EXIT_OK
 

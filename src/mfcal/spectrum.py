@@ -6,12 +6,13 @@ Three complementary estimates of the level-set dimension curve f(alpha):
   rendered at several dyadic depths and regress the bin occupancy
   against depth;
 * method of moments -- scaling exponents tau(q) of the partition
-  function ``Z(q, k) = sum mu_i^q``, and alpha(q) from the direct sums
-  of Chhabra & Jensen (PRL 62, 1327, 1989): the depth slope of the
-  ``mu_i^q / Z``-weighted mean of ``log2 mu_i``, with
-  ``f = q * alpha(q) - tau(q)``;
+  function ``Z(q, k) = sum mu_i^q``, and alpha(q) and f(q) from the
+  direct sums of Chhabra & Jensen (PRL 62, 1327, 1989): the depth slopes
+  of ``sum w_i log2 mu_i`` and ``sum w_i log2 w_i`` over the weights
+  ``w_i = mu_i^q / Z``;
 * Gaussian approximation -- a parabola through the empirical mean and
-  spread of sampled exponents, peaking at the support dimension.
+  spread of sampled exponents, peaking at the support dimension; a
+  product measure's statistics come from one axis's samples.
 
 The histogram and moments estimators take a measure only as its
 distinct positive masses and how many cells hold each, one
@@ -23,9 +24,9 @@ cells, and bit-equal to the levels of the cells: every cell is one
 rounded product of its parent's value, so equal parents give equal
 children.  The sums run over the levels in ascending mass order, one
 ``exp2`` pass per chunk of moment orders rather than a pass per order,
-and one contraction of that chunk with ``log2 mu`` for the weighted means.
-The Gaussian approximation takes its mean and spread in one private
-copy of the samples, never in the caller's array.
+and contractions of that chunk with ``log2 mu`` and its shifted form for
+the weighted sums.  The Gaussian approximation takes its mean and spread
+in one private copy of the samples, never in the caller's array.
 """
 
 from __future__ import annotations
@@ -112,9 +113,10 @@ class PartitionFunction:
     """Moment sums of a dyadic measure and their scaling exponents.
 
     ``log2_z[i, j]`` holds ``log2 Z(q_i, k_j)``; ``tau`` is the slope of
-    that row against ``-k``.  ``alpha`` is the slope against ``-k`` of
-    the ``mu**q / Z``-weighted mean of ``log2 mu`` (Chhabra & Jensen's
-    direct sums), and ``f = q * alpha - tau``.
+    that row against ``-k``.  With the weights ``w = mu**q / Z``,
+    ``alpha`` is the slope against ``-k`` of ``sum w log2 mu`` and ``f``
+    that of ``sum w log2 w`` (Chhabra & Jensen's direct sums): f is
+    ``q * alpha - tau`` without that difference's cancellation.
     """
 
     q_values: np.ndarray
@@ -126,20 +128,23 @@ class PartitionFunction:
 
 
 def _log2_partition(level: MassLevels, q: np.ndarray) -> tuple:
-    """``log2 sum mu**q`` and the ``mu**q``-weighted mean of ``log2 mu``, for every order q.
+    """``log2 Z``, ``sum w log2 mu`` and ``sum w log2 w`` with ``w = mu**q / Z``, for every order q.
 
-    Both sums run over the depth's distinct masses in ascending order,
+    The sums run over the depth's distinct masses in ascending order,
     each term weighted by how many cells hold that mass, so they cost the
     number of mass levels per order, not the number of cells.  Log-sum-exp:
     shifting by the largest log mass for q >= 0 and by the smallest for
     q < 0 keeps every term in (0, 1], so no order overflows; the shift
-    cancels in the weighted mean.  The orders are ascending, so the
-    negative ones are a prefix.  They are taken in chunks whose
-    (orders, levels) terms fill one reused buffer of at most
-    ``PARTITION_CHUNK_BYTES`` (or one row): one ``exp2`` pass and one
-    count-weighting pass per chunk, then one contiguous row sum per
-    order, the same pairwise sum as summing that order's terms alone,
-    and one contraction of the chunk with ``log2 mu``.
+    cancels in the weighted mean.  With the shifted sum S,
+    ``sum w log2 w = q * sum w (log2 mu - shift) - log2 S``, two terms
+    of one sign, so nothing cancels even at huge |q|.  The
+    orders are ascending, so the negative ones are a prefix.  They are
+    taken in chunks whose (orders, levels) terms fill one reused buffer
+    of at most ``PARTITION_CHUNK_BYTES`` (or one row): one ``exp2`` pass
+    and one count-weighting pass per chunk, then one contiguous row sum
+    per order, the same pairwise sum as summing that order's terms alone,
+    one contraction of the chunk with ``log2 mu`` and one of each part
+    with its shifted log masses.
     """
     log_mass = np.log2(level.masses)
     top, bottom = log_mass[-1], log_mass[0]
@@ -150,6 +155,7 @@ def _log2_partition(level: MassLevels, q: np.ndarray) -> tuple:
     buf = np.empty((min(rows, q.size), log_mass.size))
     sums = np.empty(q.size)
     weighted = np.empty(q.size)
+    shifted = np.empty(q.size)
     for start in range(0, q.size, rows):
         stop = min(start + rows, q.size)
         mid = min(max(split, start), stop)
@@ -159,16 +165,21 @@ def _log2_partition(level: MassLevels, q: np.ndarray) -> tuple:
         np.exp2(block, out=block)
         np.multiply(block, level.counts, out=block).sum(axis=1, out=sums[start:stop])
         np.matmul(block, log_mass, out=weighted[start:stop])
-    return q * np.where(q >= 0.0, top, bottom) + np.log2(sums), weighted / sums
+        np.matmul(block[: mid - start], above_bottom, out=shifted[start:mid])
+        np.matmul(block[mid - start :], below_top, out=shifted[mid:stop])
+    log2_sums = np.log2(sums)
+    return (q * np.where(q >= 0.0, top, bottom) + log2_sums, weighted / sums,
+            q * (shifted / sums) - log2_sums)
 
 
 def moments_spectrum(levels: list[MassLevels], q_values) -> tuple:
-    """Method of moments: tau(q) scaling plus Chhabra & Jensen's direct alpha(q).
+    """Method of moments: tau(q) scaling plus Chhabra & Jensen's direct alpha(q) and f(q).
 
     Z(1, k) = 1 for normalized measures, hence tau(1) = 0 up to the
-    regression's rounding.  alpha(q) is the slope against ``-k`` of the
-    ``mu**q / Z``-weighted mean of ``log2 mu``, the same fit as tau at
-    every order, and ``f = q * alpha - tau``.  ``levels`` holds one
+    regression's rounding.  With ``w = mu**q / Z``, alpha(q) and f(q) are
+    the slopes against ``-k`` of ``sum w log2 mu`` and ``sum w log2 w``,
+    the same fit as tau at every order, so f stays a dimension at any
+    finite order, q = +-1e20 included.  ``levels`` holds one
     :class:`~mfcal.cascade.MassLevels` per depth, in increasing depth.
     Returns (PartitionFunction, SpectrumCurve).
     """
@@ -183,8 +194,9 @@ def moments_spectrum(levels: list[MassLevels], q_values) -> tuple:
 
     log2_z = np.empty((q.size, len(levels)))
     mean_log2_mu = np.empty_like(log2_z)
+    w_log2_w = np.empty_like(log2_z)
     for j, level in enumerate(levels):
-        log2_z[:, j], mean_log2_mu[:, j] = _log2_partition(level, q)
+        log2_z[:, j], mean_log2_mu[:, j], w_log2_w[:, j] = _log2_partition(level, q)
 
     x = -np.asarray(depths, dtype=np.float64)
     dev = x - x.mean()
@@ -194,40 +206,46 @@ def moments_spectrum(levels: list[MassLevels], q_values) -> tuple:
 
     tau = slope(log2_z)
     alpha = slope(mean_log2_mu)
-    f = q * alpha - tau
+    f = slope(w_log2_w)
 
     pf = PartitionFunction(q_values=q, depths=tuple(depths), log2_z=log2_z,
                            tau=tau, alpha=alpha, f=f)
-    # rounding can leave f a few ulps below zero (p = 0.3, depths 8..12, |q| = 50)
+    # a measure that is not self-similar can lose weight entropy with depth
     return pf, make_curve(alpha, np.maximum(f, 0.0))
 
 
-def clt_spectrum(alpha_samples, k: int, support_dim: float) -> SpectrumCurve:
+def clt_spectrum(alpha_samples, k: int, dims: int) -> SpectrumCurve:
     """Parabolic spectrum from the empirical exponent distribution.
 
     Treating the depth-k exponent as approximately Gaussian, the curve
     ``f(alpha) = D + (1/k) log2 (p(alpha) / p(alpha0))`` is a parabola
-    with apex (sample mean, support dimension) and curvature set by the
-    sample spread, sampled at ``CLT_POINTS`` points over mean +/- 3 std.
-    The center sample is pinned to the mean so the emitted peak sits
-    exactly at the apex; zero spread collapses the curve to one point.
-    The statistics run in one private copy of the samples: the mean,
-    then NumPy's population std steps in place (subtract, square, sum,
-    divide, root), bit-equal to ``samples.std()`` without its second
-    mean pass or a second sample-sized temporary.
+    with apex (mean, D) and curvature set by the variance, sampled at
+    ``CLT_POINTS`` points over mean +/- 3 std.  The samples are one
+    axis's exponents of a ``dims``-axis product measure, whose exponents
+    are the sums of one sample per axis: over all ``size ** dims`` such
+    sums, which are never formed, the mean and the population variance
+    are ``dims`` times the samples', D is ``dims``, and the 16-sample
+    floor counts them.  The center sample is pinned to the mean so the
+    emitted peak sits exactly at the apex; zero spread collapses the
+    curve to one point.  The statistics run in one private copy of the
+    samples: the mean, then NumPy's population variance steps in place
+    (subtract, square, sum, divide), bit-equal to ``samples.std()`` at
+    ``dims = 1`` without its second mean pass or a second sample-sized
+    temporary.
     """
     samples = np.array(alpha_samples, dtype=np.float64).reshape(-1)
-    if samples.size < 16:
+    if samples.size ** dims < 16:
         raise ValueError("need at least 16 exponent samples")
     if k < 1:
         raise ValueError("depth k must be >= 1")
-    center = float(samples.mean())
-    np.subtract(samples, center, out=samples)
+    mean = float(samples.mean())
+    np.subtract(samples, mean, out=samples)
     np.square(samples, out=samples)
-    spread = float(np.sqrt(samples.sum() / samples.size))
+    center = dims * mean
+    spread = float(np.sqrt(dims * (samples.sum() / samples.size)))
     if spread == 0.0:
-        return SpectrumCurve(np.array([center]), np.array([float(support_dim)]))
+        return SpectrumCurve(np.array([center]), np.array([float(dims)]))
     alpha = np.linspace(center - 3.0 * spread, center + 3.0 * spread, CLT_POINTS)
     alpha[CLT_POINTS // 2] = center
-    f = support_dim - (alpha - center) ** 2 / (2.0 * spread ** 2 * k * _LN2)
+    f = dims - (alpha - center) ** 2 / (2.0 * spread ** 2 * k * _LN2)
     return make_curve(alpha, np.maximum(f, 0.0))

@@ -17,12 +17,12 @@ import pytest
 from mfcal import __version__, cli, holder
 from mfcal import io as fio
 from mfcal.attention import LEVEL_SET_BYTES
-from mfcal.cascade import generate_binomial, generate_product_2d
+from mfcal.cascade import generate_binomial, generate_product_2d, make_curve
 from mfcal.cli import main
 from mfcal.holder import _unclipped_interior, holder_map, interior_view, mean_alpha
 from mfcal.io import ContainerMagicError, read_field, read_field_file, read_pgm, write_field
 from mfcal.selftest import _analytic_alpha_q
-from mfcal.spectrum import clt_spectrum
+from mfcal.spectrum import CLT_POINTS
 
 
 def run(*argv):
@@ -329,6 +329,24 @@ class TestSpectrumCommand:
         assert q.tolist() == list(range(-5, 6))
         np.testing.assert_allclose(alpha, _analytic_alpha_q(0.3, q), rtol=0.0, atol=1e-12)
 
+    def test_moments_f_is_a_dimension_at_huge_orders(self, tmp_path):
+        # q * alpha - tau cancels two terms of size 1e20 here; the direct sum
+        # puts the weight on the one extreme cell, whose entropy is 0
+        out = tmp_path / "m.csv"
+        assert run("spectrum", "--method", "moments", "--p", 0.3, "--q-min=-1e20",
+                   "--q-max=1e20", "--q-step=5e19", "--out", out) == 0
+        q, _, _, f = csv_rows(out.read_text()).T
+        assert q.tolist() == [-1e20, -5e19, 0.0, 5e19, 1e20]
+        assert np.all((f >= 0.0) & (f <= 1.0))
+        np.testing.assert_allclose(f, [0.0, 0.0, 1.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
+
+    def test_a_fine_q_step_stops_at_q_max(self, tmp_path):
+        # the grid's end slack is a billionth of a step, not of a unit
+        out = tmp_path / "m.csv"
+        assert run("spectrum", "--method", "moments", "--p", 0.3, "--q-min", 0,
+                   "--q-max", 2e-10, "--q-step", 1e-10, "--out", out) == 0
+        assert csv_rows(out.read_text())[:, 0].tolist() == [0.0, 1e-10, 2e-10]
+
     def test_histogram_writes_a_curve(self, tmp_path):
         out = tmp_path / "h.csv"
         assert run("spectrum", "--method", "histogram", "--p", 0.6667,
@@ -350,11 +368,19 @@ class TestSpectrumCommand:
 
 
 def square_route(p, depth, dims):
-    """The clt CSV the cells give: the cascade built whole, mapped, then its interior."""
+    """The clt CSV the cells give: the cascade built whole, mapped, then its interior.
+
+    The parabola takes NumPy's mean and std of every sample and peaks at
+    the support dimension ``dims``.
+    """
     field = generate_product_2d(p, depth) if dims == 2 else generate_binomial(p, depth)[None, :]
     alpha = holder_map(field, epsilon=0.0)
-    samples = interior_view(alpha, holder.DEFAULT_SCALES) if dims == 2 else alpha
-    return fio.write_spectrum_csv(clt_spectrum(samples, depth, support_dim=float(dims)))
+    samples = (interior_view(alpha, holder.DEFAULT_SCALES) if dims == 2 else alpha).ravel()
+    center, spread = float(samples.mean()), float(samples.std())
+    curve = np.linspace(center - 3.0 * spread, center + 3.0 * spread, CLT_POINTS)
+    curve[CLT_POINTS // 2] = center
+    f = dims - (curve - center) ** 2 / (2.0 * spread ** 2 * depth * np.log(2.0))
+    return fio.write_spectrum_csv(make_curve(curve, np.maximum(f, 0.0)))
 
 
 def csv_rows(text):
@@ -365,9 +391,9 @@ class TestCltLine:
     """``spectrum --method clt`` maps the cascade's line, never its square.
 
     The square's exponents are sums of two line exponents, a(i) + a(j),
-    exact in real arithmetic, so the 2-D curve moves from the square's
-    by rounding only (3.1e-14 at most over p in 0.1..0.99 and depths
-    3..12); the 1-D samples are the line's map, as before.
+    exact in real arithmetic, so their mean and variance are twice those
+    of the line's interior columns, and the 2-D curve moves from the
+    square's by rounding only; the 1-D samples are the line's map.
     """
 
     def clt(self, tmp_path, p, depth, dims, threads=1):
@@ -403,9 +429,9 @@ class TestCltLine:
         self.clt(tmp_path, 0.3, 8, 2)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_the_depth_10_peak_is_two_field_sized_arrays(self, tmp_path, threads):
-        # the sum map and clt's private copy of its interior; the square and
-        # its map made 3.0 fields
+    def test_the_depth_10_peak_is_a_twentieth_of_a_field(self, tmp_path, threads):
+        # the line, its map and clt's private copy of its interior columns,
+        # 2^10 values each; one 2^20 field of pairwise sums would be 1.0
         field = 2 ** 20 * 8
         tracemalloc.start()
         try:
@@ -415,7 +441,7 @@ class TestCltLine:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak <= 2.2 * field, f"{peak / field:.2f} fields"
+        assert peak <= 0.05 * field, f"{peak / field:.3f} fields"
 
 
 class TestCascadePreconditions:
@@ -714,7 +740,7 @@ class TestOptionRanges:
         assert not any(out.exists() for out in outs)
 
     @pytest.mark.parametrize("flag, name, value", [
-        ("--epsilon", "holder", "0"), ("--q-step", "moments", "0.5"), ("--delta", "excite", "1"),
+        ("--epsilon", "holder", "0"), ("--delta", "excite", "1"),
         ("--Q", "multi", "1"), ("--bins", "histogram", "4"), ("--points", "cascade", "3"),
         ("--threads", "holder", "1"),
     ])

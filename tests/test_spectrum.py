@@ -123,12 +123,23 @@ class TestMomentsSpectrum:
         np.testing.assert_allclose(partition.f, q * alpha - dims * _analytic_tau(p, q),
                                    rtol=0.0, atol=1e-12)
 
-    def test_f_is_clamped_where_rounding_leaves_it_below_zero(self):
-        # at |q| = 50 nearly all the weight sits on one extreme cell, where f is
-        # 0; rounding leaves it a few ulps negative, which make_curve would refuse
-        partition, curve = moments_spectrum(line_levels(range(8, 13), p=0.3), [-50.0, 0.0, 50.0])
-        assert partition.f.min() < 0.0
+    def test_f_is_clamped_where_the_weights_concentrate_with_depth(self):
+        # a measure that is not self-similar: at q = 10 the mu**q / Z weights are
+        # uniform over two cells at depth 1 and sit almost all on one cell at
+        # depth 2, so their entropy falls with depth and the fitted f is
+        # negative, which make_curve would refuse
+        levels = as_levels([np.array([0.5, 0.5]), np.array([0.49, 0.01, 0.25, 0.25])])
+        partition, curve = moments_spectrum(levels, [-1.0, 0.0, 10.0])
+        assert partition.f[-1] < -0.9
         assert curve.f.min() == 0.0
+
+    @pytest.mark.parametrize("dims, lo, hi", [(1, 8, 12), (2, 12, 14)])
+    def test_f_is_a_dimension_at_huge_orders(self, dims, lo, hi):
+        # nearly all the weight sits on the one extreme cell, whose entropy is 0;
+        # q * alpha - tau would cancel two terms of size |q| there
+        q = np.array([-1e20, -5e19, 0.0, 5e19, 1e20])
+        partition, _ = moments_spectrum(binomial_levels(0.3, lo, hi, dims), q)
+        np.testing.assert_allclose(partition.f, [0.0, 0.0, dims, 0.0, 0.0], rtol=0.0, atol=1e-12)
 
     def test_curve_stays_below_the_diagonal(self, fitted):
         _, curve = fitted
@@ -172,7 +183,8 @@ class TestMomentsSpectrum:
     def test_many_orders_keep_the_scratch_to_the_chunk_budget(self):
         # an unchunked (orders, levels) block would be 20001 x 293 x 8 bytes,
         # about 47 MB; what remains is a few (orders, depths) arrays: the
-        # partition rows and weighted means, their centered copies and tau, alpha and f
+        # partition rows, weighted means and w log2 w sums, their centered
+        # copies and tau, alpha and f
         levels = binomial_levels(0.3, 12, 14, dims=2)
         q = np.linspace(-5.0, 5.0, 20001)
         tracemalloc.start()
@@ -187,7 +199,7 @@ class TestMomentsSpectrum:
 
 class TestCltSpectrum:
     def test_zero_variance_collapses_to_the_apex(self):
-        curve = clt_spectrum(np.full(32, 2.0), k=10, support_dim=2.0)
+        curve = clt_spectrum(np.full(32, 1.0), k=10, dims=2)
         assert len(curve) == 1
         assert curve.alpha[0] == 2.0
         assert curve.f[0] == 2.0
@@ -195,17 +207,17 @@ class TestCltSpectrum:
     def test_peak_sits_exactly_at_the_sample_mean(self):
         rng = np.random.default_rng(13)
         samples = rng.normal(1.3, 0.2, size=400)
-        curve = clt_spectrum(samples, k=9, support_dim=1.0)
+        curve = clt_spectrum(samples, k=9, dims=1)
         alpha_peak, f_peak = curve.peak
         assert alpha_peak == float(samples.mean())
         assert f_peak == 1.0
         assert len(curve) == 64
 
     def test_product_cascade_cell_exponents(self):
+        # the square's cell exponents are the sums c(i) + c(j) of the line's
         depth = 10
-        field = generate_product_2d(P, depth)
-        samples = -np.log2(field.ravel()) / depth
-        curve = clt_spectrum(samples, k=depth, support_dim=2.0)
+        samples = -np.log2(generate_binomial(P, depth)) / depth
+        curve = clt_spectrum(samples, k=depth, dims=2)
         alpha_peak, f_peak = curve.peak
         assert abs(alpha_peak - 2 * ALPHA_STAR) <= 0.05
         assert f_peak == 2.0
@@ -215,15 +227,27 @@ class TestCltSpectrum:
 
     def test_samples_clt_points_evenly_over_three_spreads(self):
         samples = np.random.default_rng(14).normal(1.3, 0.2, size=400)
-        curve = clt_spectrum(samples, k=9, support_dim=1.0)
+        curve = clt_spectrum(samples, k=9, dims=1)
         center, spread = samples.mean(), samples.std()
         expected = np.linspace(center - 3.0 * spread, center + 3.0 * spread, CLT_POINTS)
         expected[CLT_POINTS // 2] = center
         assert np.array_equal(curve.alpha, expected)
 
-    def test_needs_sixteen_samples(self):
+    @pytest.mark.parametrize("size, dims", [(15, 1), (3, 2)])
+    def test_needs_sixteen_samples(self, size, dims):
         with pytest.raises(ValueError, match="16"):
-            clt_spectrum(np.ones(15), k=8, support_dim=1.0)
+            clt_spectrum(np.ones(size), k=8, dims=dims)
+
+    def test_counts_the_sums_of_a_sample_per_axis(self):
+        assert clt_spectrum(np.ones(4), k=8, dims=2).peak == (2.0, 2.0)
+
+    def test_two_axes_match_the_explicit_sums(self):
+        line = np.random.default_rng(16).normal(0.75, 0.1, 300)
+        curve = clt_spectrum(line, k=10, dims=2)
+        expected = self.numpy_statistics_curve(np.add.outer(line, line), k=10, support_dim=2.0)
+        assert len(curve) == len(expected)
+        np.testing.assert_allclose(curve.alpha, expected.alpha, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(curve.f, expected.f, rtol=0.0, atol=1e-13)
 
     @staticmethod
     def numpy_statistics_curve(alpha_samples, k, support_dim):
@@ -245,8 +269,8 @@ class TestCltSpectrum:
         }[form]
         assert samples.flags.c_contiguous == (form != "interior")
         before = samples.copy()
-        curve = clt_spectrum(samples, k=10, support_dim=2.0)
-        expected = self.numpy_statistics_curve(before, k=10, support_dim=2.0)
+        curve = clt_spectrum(samples, k=10, dims=1)
+        expected = self.numpy_statistics_curve(before, k=10, support_dim=1.0)
         assert curve.alpha.tobytes() == expected.alpha.tobytes()
         assert curve.f.tobytes() == expected.f.tobytes()
         assert samples.tobytes() == before.tobytes()
@@ -267,14 +291,15 @@ def per_cell_log2_partition(field, q):
 def loop_log2_partition(level, q):
     """Reference: one log-sum-exp pass over a depth's mass levels per order.
 
-    Returns ``log2 Z`` and the ``mu**q / Z``-weighted mean of ``log2 mu``.
+    Returns ``log2 Z``, the ``mu**q / Z``-weighted mean of ``log2 mu``
+    and ``sum w log2 w`` over those weights ``w`` (minus their entropy).
     """
     log_mass = np.log2(level.masses)
     top, bottom = log_mass[-1], log_mass[0]
     below_top = log_mass - top
     above_bottom = log_mass - bottom
     buf = np.empty_like(log_mass)
-    out, mean = np.empty(q.size), np.empty(q.size)
+    out, mean, w_log2_w = np.empty(q.size), np.empty(q.size), np.empty(q.size)
     for i, qi in enumerate(q):
         shift, dev = (top, below_top) if qi >= 0.0 else (bottom, above_bottom)
         np.multiply(qi, dev, out=buf)
@@ -282,15 +307,17 @@ def loop_log2_partition(level, q):
         total = np.multiply(buf, level.counts, out=buf).sum()
         out[i] = qi * shift + np.log2(total)
         mean[i] = np.dot(buf, log_mass) / total
-    return out, mean
+        w_log2_w[i] = qi * (np.dot(buf, dev) / total) - np.log2(total)
+    return out, mean, w_log2_w
 
 
 def assert_partition_matches_the_loop(level, q):
-    """``log2 Z`` to the byte; the weighted mean to rounding (its contraction order is BLAS's)."""
-    log2_z, mean = spectrum._log2_partition(level, q)
-    loop_z, loop_mean = loop_log2_partition(level, q)
+    """``log2 Z`` to the byte; the weighted sums to rounding (their contraction order is BLAS's)."""
+    log2_z, mean, w_log2_w = spectrum._log2_partition(level, q)
+    loop_z, loop_mean, loop_w_log2_w = loop_log2_partition(level, q)
     assert log2_z.tobytes() == loop_z.tobytes()
     np.testing.assert_allclose(mean, loop_mean, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(w_log2_w, loop_w_log2_w, rtol=1e-14, atol=0.0)
 
 
 def per_cell_histogram(fields, bins):
@@ -513,7 +540,7 @@ class TestEstimatorConsistency:
     def test_clt_peak_equals_mean_alpha_exactly(self):
         from mfcal.holder import mean_alpha
 
-        rng = np.random.default_rng(40)
-        alpha_map = rng.normal(1.5, 0.2, (16, 16))
-        curve = clt_spectrum(alpha_map, k=8, support_dim=2.0)
-        assert curve.peak[0] == mean_alpha(alpha_map)[0]
+        # the samples are one axis of a 2-D product; its mean is twice theirs
+        line = np.random.default_rng(40).normal(0.75, 0.1, (1, 64))
+        curve = clt_spectrum(line, k=8, dims=2)
+        assert curve.peak == (2 * mean_alpha(line)[0], 2.0)
