@@ -13,6 +13,12 @@ flags override them.
 environment variable, then the CPUs this process may use); results are
 byte-identical for every worker count.
 
+``cascade --dims 2`` streams its container: ``io.write_field_file``
+takes the square's shape and the row blocks of ``cascade.product_rows``,
+each written before the next is made, so the command holds the line
+and one 256 KiB block, never the square (under 1 MiB traced at the
+depth-14 cap, whose container is 2 GiB).  A 1-D container is the line.
+
 ``holder`` streams a container input through the exponent map's band
 sweep (``holder.holder_map`` of an ``io.ContainerRows``): each worker
 reads its bands' rows into its tile and checks them there, so the
@@ -58,11 +64,12 @@ from .attention import (
     srm_gates,
 )
 from .cascade import (
+    MAX_DEPTH_1D,
+    MAX_DEPTH_2D,
     _binomial_line,
     analytic_spectrum,
     binomial_levels,
-    generate_binomial,
-    generate_product_2d,
+    product_rows,
 )
 from .holder import (
     DEFAULT_EPSILON,
@@ -141,7 +148,7 @@ _OVERFLOW = "holds non-finite values (a float64 overflow on this input); nothing
 
 
 def _write_text(path: str, text: str) -> None:
-    fio.write_file(path, text.encode())
+    fio.write_file(path, (text.encode(),))
 
 
 def _json_line(record: dict, what: str) -> str:
@@ -152,11 +159,15 @@ def _json_line(record: dict, what: str) -> str:
         raise ValueError(f"the {what} record {_OVERFLOW}") from None
 
 
+def _refuse_non_finite(arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"the output {_OVERFLOW}")
+
+
 def _write_container(path: str, field: np.ndarray) -> None:
     """Write ``field``, refusing a non-finite one with ``ValueError`` before the file opens."""
     arr = np.asarray(field, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"the output {_OVERFLOW}")
+    _refuse_non_finite(arr)
     fio.write_field_file(path, arr[None, :] if arr.ndim == 1 else arr)
 
 
@@ -164,19 +175,26 @@ def _write_container(path: str, field: np.ndarray) -> None:
 # subcommands
 
 
-def _cascade(p: float, depth: int, dims: int) -> np.ndarray:
-    """The binomial cascade of ``dims`` axes; a bad ``p`` or depth is a usage error."""
+def _cascade_line(p: float, depth: int, dims: int) -> np.ndarray:
+    """The line of the ``dims``-axis binomial cascade, checked against its depth cap and
+    underflow rule before anything is allocated; a bad ``p`` or depth is a usage error."""
     try:
-        return generate_binomial(p, depth) if dims == 1 else generate_product_2d(p, depth)
+        return _binomial_line(p, depth, dims)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def _cmd_cascade(args) -> int:
-    field = _cascade(args.p, args.depth, args.dims)
+    line = _cascade_line(args.p, args.depth, args.dims)
     if args.spectrum:
         csv = fio.write_spectrum_csv(analytic_spectrum(args.p, args.points, dims=args.dims))
-    _write_container(args.out, field)
+    if args.dims == 1:  # the container is the line itself
+        _write_container(args.out, line)
+    else:
+        # The line's check covers the square: _check makes the smallest cell a
+        # normal float, and every cell is a product of two line values in (0, 1].
+        _refuse_non_finite(line)
+        fio.write_field_file(args.out, product_rows(line), shape=(line.size, line.size))
     if args.spectrum:
         _write_text(args.spectrum, csv)
     return EXIT_OK
@@ -210,6 +228,25 @@ def _cascade_levels(p: float, dims: int, depth_min: int, depth_max: int):
         raise UsageError(str(exc)) from None
 
 
+def _check_clt_depth(depth: int, dims: int, scales: ScaleSet) -> None:
+    """Refuse a ``--depth`` that gives clt fewer than 16 samples, before anything is allocated.
+
+    The 1-D samples are the line's 2**depth exponents.  The 2-D samples
+    are the sums over the square's interior along one axis, which must
+    hold at least 4 of its 2**depth + 1 - max(floor(s/2)) - max(ceil(s/2))
+    cells over the window sides s.
+    """
+    side = 16 if dims == 1 else 3 + max(s // 2 for s in scales) + max(s - s // 2 for s in scales)
+    need = (side - 1).bit_length()  # the smallest depth with 2**depth >= side
+    if depth < need:
+        cap = MAX_DEPTH_1D if dims == 1 else MAX_DEPTH_2D
+        hint = (f"--depth {need} or more" if need <= cap
+                else f"a depth of {need}, above the {dims}-D cap of {cap}; use smaller --scales")
+        raise UsageError(f"--depth {depth} gives clt fewer than 16 exponent samples at "
+                         f"--dims {dims} and --scales {','.join(map(str, scales))}: "
+                         f"it needs {hint}")
+
+
 def _cmd_spectrum(args) -> int:
     if args.method == "histogram":
         levels = _cascade_levels(args.p, args.dims, args.depth_min, args.depth_max)
@@ -230,10 +267,8 @@ def _cmd_spectrum(args) -> int:
         partition, _ = moments_spectrum(levels, q)
         _write_text(args.out, fio.write_moments_csv(partition))
     else:  # clt; argparse restricts the choices
-        try:  # the line, checked against the --dims cascade's cap and underflow rule
-            line = _binomial_line(args.p, args.depth, args.dims)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        _check_clt_depth(args.depth, args.dims, args.scales)
+        line = _cascade_line(args.p, args.depth, args.dims)
         alpha = holder_map(line[None, :], args.scales, epsilon=0.0,
                            threads=_resolve_threads(args))
         samples = alpha[0]

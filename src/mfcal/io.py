@@ -74,18 +74,22 @@ class ContainerDimsError(ContainerError):
     pass
 
 
+def _header(shape) -> bytes:
+    """The header of a float64 container of ``shape``: 2..4 positive dims, each a u32."""
+    if len(shape) not in (2, 3, 4):
+        raise ContainerDimsError(f"container holds 2..4 dims, got {len(shape)}")
+    if 0 in shape:
+        raise ContainerDimsError("container dims must all be positive")
+    if any(d > 0xFFFFFFFF for d in shape):
+        raise ContainerDimsError("dimension exceeds the u32 range")
+    header = MAGIC + struct.pack("<BBB", VERSION, 1, len(shape))  # dtype code 1: float64
+    return header + struct.pack(f"<{len(shape)}I", *shape)
+
+
 def _container(field) -> tuple:
     """The header bytes and the little-endian float64 payload array of ``field``."""
     arr = np.asarray(field, dtype=np.float64)
-    if arr.ndim not in (2, 3, 4):
-        raise ContainerDimsError(f"container holds 2..4 dims, got {arr.ndim}")
-    if arr.size == 0:
-        raise ContainerDimsError("container dims must all be positive")
-    if any(d > 0xFFFFFFFF for d in arr.shape):
-        raise ContainerDimsError("dimension exceeds the u32 range")
-    header = MAGIC + struct.pack("<BBB", VERSION, 1, arr.ndim)  # dtype code 1: float64
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return header, np.ascontiguousarray(arr, dtype="<f8")
+    return _header(arr.shape), np.ascontiguousarray(arr, dtype="<f8")
 
 
 def write_field(field) -> bytes:
@@ -100,41 +104,52 @@ def _no_truncate(path, flags: int) -> int:
 
 
 def write_file(path, body, header: bytes = b"") -> None:
-    """Write ``header + body`` to ``path``, rewriting an existing file in place.
+    """Write ``header`` and then each buffer of the iterable ``body`` to ``path``.
 
-    On a regular file, zeros the length of ``header`` go first, then
-    ``body``, then the file is cut to its new length, and only then is
-    ``header`` written.  Truncating a large file to zero and refilling
-    it costs several times more than writing over its blocks.  A
-    non-regular target (``/dev/null``, a pipe) gets plain sequential
-    writes, with no seek or truncate.
+    On a regular file, zeros the length of ``header`` go first, then the
+    ``body`` buffers in order, then the file is cut to its new length,
+    and only then is ``header`` written, so an existing file is
+    rewritten in place.  Truncating a large file to zero and refilling
+    it costs several times more than writing over its blocks.  ``body``
+    may be a generator: each buffer is written before the next is asked
+    for, so the body is never held whole.  A non-regular target
+    (``/dev/null``, a pipe) gets plain sequential writes, with no seek
+    or truncate.
     """
     with open(path, "wb", opener=_no_truncate) as file:
-        if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+        regular = stat.S_ISREG(os.fstat(file.fileno()).st_mode)
+        file.write(bytes(len(header)) if regular else header)
+        for buffer in body:
+            file.write(buffer)
+        if regular:
+            file.truncate()
+            file.seek(0)
             file.write(header)
-            file.write(body)
-            return
-        file.write(bytes(len(header)))
-        file.write(body)
-        file.truncate()
-        file.seek(0)
-        file.write(header)
 
 
-def write_field_file(path, field) -> None:
-    """Write ``write_field(field)`` to ``path`` without joining its bytes.
+def write_field_file(path, field, shape=None) -> None:
+    """Write the float64 container of ``field`` to ``path`` without joining its bytes.
 
-    The payload goes out straight from the array's buffer, so no
-    full-size copy of the container is made.  An existing file is
-    rewritten in place and cut to its new length (see ``write_file``).
-    The header is written last, so a write that fails part way leaves a
-    zeroed magic that every reader rejects with ``ContainerMagicError``,
-    never an old header over a mixed payload.  That holds for errors
-    raised while writing, not for a power loss: nothing forces the
-    payload to disk before the header.
+    ``field`` is an array of 2..4 dims, or, with the field's ``shape``,
+    an iterable of arrays that hold its values in row-major order, such
+    as the row blocks of ``cascade.product_rows``; the header is built
+    from the shape, and the field is then never held whole.  The payload
+    goes out straight from each array's buffer, so no full-size copy of
+    the container is made.  An existing file is rewritten in place and
+    cut to its new length (see ``write_file``).  The header is written
+    last, so a write that fails part way, a block that raises included,
+    leaves a zeroed magic that every reader rejects with
+    ``ContainerMagicError``, never an old header over a mixed payload.
+    That holds for errors raised while writing, not for a power loss:
+    nothing forces the payload to disk before the header.
     """
-    header, payload = _container(field)
-    write_file(path, memoryview(payload).cast("B"), header)
+    if shape is None:
+        header, payload = _container(field)
+        blocks = (payload,)
+    else:
+        header = _header(tuple(shape))
+        blocks = (np.ascontiguousarray(block, dtype="<f8") for block in field)
+    write_file(path, (memoryview(block).cast("B") for block in blocks), header)
 
 
 _MAX_HEADER = 7 + 4 * 4  # magic, version, dtype, ndims, then up to four u32 dims

@@ -51,7 +51,8 @@ def test_the_io_criterion_fails_when_a_rewrite_keeps_the_old_tail(monkeypatch):
     def uncut(path, body, header=b""):
         with open(path, "wb", opener=fio._no_truncate) as file:
             file.write(header)
-            file.write(body)
+            for buffer in body:
+                file.write(buffer)
 
     monkeypatch.setattr(fio, "write_file", uncut)
     monkeypatch.setattr(selftest, "CRITERIA", [c for c in CRITERIA if c[1] == "io-round-trips"])

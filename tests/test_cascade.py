@@ -203,6 +203,28 @@ class TestGenerateProduct2d:
         assert abs(field.sum() - 1.0) < 1e-12
 
 
+class TestProductRows:
+    """The square's row blocks, in one reused buffer, are the bytes of ``np.outer``."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.6667])
+    @pytest.mark.parametrize("depth", [1, 2, 5, 8, 10, 11])
+    def test_the_blocks_are_the_rows_of_the_outer_product(self, p, depth):
+        line = generate_binomial(p, depth)
+        blocks = [block.copy() for block in cascade.product_rows(line)]
+        rows = max(1, cascade.PRODUCT_BLOCK_BYTES // line.nbytes)
+        assert [len(b) for b in blocks] == [min(rows, line.size)] * len(blocks)
+        assert np.concatenate(blocks).tobytes() == np.outer(line, line).tobytes()
+        assert generate_product_2d(p, depth).tobytes() == np.outer(line, line).tobytes()
+
+    def test_every_block_is_a_view_of_one_buffer_within_the_block_bytes(self):
+        line = generate_binomial(0.3, 12)
+        bases = {id(block.base) for block in cascade.product_rows(line)}
+        first = next(cascade.product_rows(line))
+        assert len(bases) == 1
+        assert first.base.nbytes <= cascade.PRODUCT_BLOCK_BYTES
+        assert first.flags.c_contiguous
+
+
 class TestSpecValidation:
     CAPS = {generate_binomial: MAX_DEPTH_1D, generate_product_2d: MAX_DEPTH_2D}
 

@@ -17,7 +17,7 @@ import pytest
 from mfcal import __version__, cli, holder
 from mfcal import io as fio
 from mfcal.attention import LEVEL_SET_BYTES
-from mfcal.cascade import generate_binomial, generate_product_2d, make_curve
+from mfcal.cascade import _binomial_line, generate_binomial, generate_product_2d, make_curve
 from mfcal.cli import main
 from mfcal.holder import _unclipped_interior, holder_map, interior_view, mean_alpha
 from mfcal.io import ContainerMagicError, read_field, read_field_file, read_pgm, write_field
@@ -51,6 +51,44 @@ class TestCascadeCommand:
     def test_depth_over_the_cap_is_a_usage_error(self, tmp_path):
         assert run("cascade", "--p", 0.5, "--depth", 15, "--dims", 2,
                    "--out", tmp_path / "x.mfr") == 2
+
+
+class TestStreamedSquare:
+    """``cascade --dims 2`` writes its square block by block, never holding it."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.6667])
+    @pytest.mark.parametrize("depth", range(1, 12))
+    def test_the_container_is_the_bytes_of_the_outer_product(self, tmp_path, depth, p):
+        # depths 1..4 are shorter than one 256 KiB block; np.outer of the line
+        # is an oracle that does not go through the row blocks
+        out = tmp_path / "c.mfr"
+        assert run("cascade", "--p", p, "--depth", depth, "--dims", 2, "--out", out) == 0
+        line = _binomial_line(p, depth, 2)
+        assert out.read_bytes() == write_field(np.outer(line, line))
+
+    def test_a_longer_file_is_cut_to_the_new_length(self, tmp_path):
+        fresh, over = tmp_path / "fresh.mfr", tmp_path / "over.mfr"
+        assert run("cascade", "--p", 0.3, "--depth", 7, "--dims", 2, "--out", fresh) == 0
+        over.write_bytes(b"\xa5" * (3 * fresh.stat().st_size + 5))
+        assert run("cascade", "--p", 0.3, "--depth", 7, "--dims", 2, "--out", over) == 0
+        assert over.read_bytes() == fresh.read_bytes()
+
+    def test_dev_null_takes_the_square(self):
+        if not os.path.exists("/dev/null"):
+            pytest.skip("no /dev/null")
+        assert run("cascade", "--p", 0.3, "--depth", 10, "--dims", 2, "--out", "/dev/null") == 0
+
+    def test_the_depth_12_peak_is_at_most_2_mib(self, tmp_path):
+        # the square is 128 MiB; the line and one 256 KiB block stay far below 2 MiB
+        tracemalloc.start()
+        try:
+            code = run("cascade", "--p", 0.3, "--dims", 2, "--depth", 12,
+                       "--out", tmp_path / "c.mfr")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 2 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
 class TestHolderCommand:
@@ -425,7 +463,7 @@ class TestCltLine:
         def refuse(*_):
             raise AssertionError("spectrum --method clt built the square")
 
-        monkeypatch.setattr(cli, "generate_product_2d", refuse)
+        monkeypatch.setattr(cli, "product_rows", refuse)
         self.clt(tmp_path, 0.3, 8, 2)
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -475,6 +513,40 @@ class TestCascadePreconditions:
         assert run(*argv, "--p", 1e-300, "--out", out) == 2
         assert not out.exists()
         assert "smallest cell" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims, scales, need", [
+        (1, "2,3,4", 4), (2, "2,3,4", 3), (2, "2,40", 6), (2, "1,2", 3), (1, "2,40", 4),
+    ])
+    def test_a_clt_depth_with_too_few_samples_is_a_usage_error(self, dims, scales, need,
+                                                               tmp_path, capsys, monkeypatch):
+        # the smallest working depth is named, and the refusal comes before the
+        # cascade module touches NumPy
+        import mfcal.cascade as cascade
+
+        out = tmp_path / "clt.csv"
+        argv = ["spectrum", "--method", "clt", "--p", 0.3, "--dims", dims, "--scales", scales,
+                "--out", out]
+        with monkeypatch.context() as patch:
+            patch.setattr(cascade, "np", None)
+            for depth in range(1, need):
+                assert run(*argv, "--depth", depth) == 2
+                err = capsys.readouterr().err
+                assert err.count("\n") == 1 and err.startswith("mfcal: --depth "), err
+                assert f"--depth {need} or more" in err, err
+                assert not out.exists()
+        assert run(*argv, "--depth", need) == 0
+
+    def test_a_clt_depth_the_scales_need_above_the_cap_is_a_usage_error(self, tmp_path,
+                                                                         capsys, monkeypatch):
+        # without the refusal the map's tiles grow as the side squared, gigabytes here
+        import mfcal.cascade as cascade
+
+        monkeypatch.setattr(cascade, "np", None)
+        out = tmp_path / "clt.csv"
+        assert run("spectrum", "--method", "clt", "--p", 0.3, "--dims", 2, "--depth", 14,
+                   "--scales", "2,20000", "--out", out) == 2
+        assert "a depth of 15, above the 2-D cap of 14" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("dims, depth_max", [(1, 27), (2, 15)])
     def test_an_over_cap_depth_range_fails_before_building_a_field(self, dims, depth_max,

@@ -92,6 +92,34 @@ class TestFieldContainer:
             back = read_field_file(file)
         assert back.tobytes() == np.ascontiguousarray(arr, "<f8").tobytes()
 
+    def test_blocks_written_with_their_shape_are_the_bytes_of_write_field(self, tmp_path):
+        field = np.random.default_rng(6).normal(size=(5, 3, 2))
+        path = tmp_path / "out.mfr"
+        path.write_bytes(b"stale" * 100)  # longer than the container: cut to its length
+        write_field_file(path, (field[i:i + 2] for i in range(0, 5, 2)), shape=field.shape)
+        assert path.read_bytes() == write_field(field)
+
+    def test_a_block_that_raises_leaves_a_file_every_reader_rejects(self, tmp_path):
+        path = tmp_path / "out.mfr"
+        path.write_bytes(write_field(np.full((4, 3), 0.5)))  # the dims of the new field
+
+        def blocks():
+            yield np.ones((2, 3))
+            raise RuntimeError("the second block failed")
+
+        with pytest.raises(RuntimeError, match="second block"):
+            write_field_file(path, blocks(), shape=(4, 3))
+        with open(path, "rb") as file, pytest.raises(ContainerMagicError):
+            read_field_file(file)
+        with pytest.raises(ContainerMagicError):
+            ContainerRows(str(path))
+
+    def test_a_bad_shape_is_refused_before_the_file_opens(self, tmp_path):
+        path = tmp_path / "out.mfr"
+        with pytest.raises(ContainerDimsError):
+            write_field_file(path, iter(()), shape=(4,))
+        assert not path.exists()
+
     def test_file_reader_rejects_trailing_bytes(self, tmp_path):
         path = tmp_path / "long.mfr"
         path.write_bytes(write_field(np.ones((2, 2))) + b"\x00")
