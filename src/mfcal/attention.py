@@ -139,7 +139,11 @@ def gap(stack) -> np.ndarray:
     of channels at a time into one reused buffer of at most
     ``CHUNK_BYTES`` (or one row), so no stack-sized copy is made.
     """
-    stack = _as_stack(stack)
+    return _gap(_as_stack(stack))
+
+
+def _gap(stack: np.ndarray) -> np.ndarray:
+    # gap() of a stack its caller has already checked
     means = np.empty(stack.shape[2])
     for channels, rows in _channel_chunks(stack):
         means[channels] = rows.mean(axis=1)
@@ -315,7 +319,7 @@ def se_forward(stack, params: MonoParams, source: str = "features",
     if stack.shape[2] != params.channels:
         raise ValueError("stack channel count does not match the parameters")
     if source == "features":
-        gates = _gate_from_squeeze(gap(stack), params)
+        gates = _gate_from_squeeze(_gap(stack), params)
     elif source == "alpha-map":
         gates, _ = _mono_forward(stack, params, scales, epsilon, threads)
     else:
@@ -346,7 +350,7 @@ def scse_forward(stack, channel_params: MonoParams, spatial_weights,
         raise ValueError("spatial projection needs one weight per channel")
     if c != channel_params.channels:
         raise ValueError("stack channel count does not match the parameters")
-    gates = _gate_from_squeeze(gap(stack), channel_params)
+    gates = _gate_from_squeeze(_gap(stack), channel_params)
     spatial = sigmoid(stack @ spatial_weights + spatial_bias)[:, :, None]
     if out is None:
         out = np.empty(stack.shape)

@@ -6,9 +6,12 @@ the cell whose binary address contains ``n0`` zeros carries mass
 ``p**n0 * (1-p)**(k-n0)``, so every local scaling exponent and the full
 spectrum of level-set dimensions are known exactly.  This module ships
 the spectrum (:func:`analytic_alpha`, :func:`analytic_spectrum`) that
-``cascade --spectrum`` writes.  The other closed forms that the
-estimators are checked against (the per-cell bit-count measure, tau(q)
-and alpha(q)) are oracles of the acceptance harness, ``mfcal.selftest``.
+``cascade --spectrum`` writes; both closed forms take a whole grid of
+zero-bit fractions at once, with the bytes of the point-by-point
+formulas, and f is +0.0 at both ends of the curve.  The other closed
+forms that the estimators are checked against (the per-cell bit-count
+measure, tau(q) and alpha(q)) are oracles of the acceptance harness,
+``mfcal.selftest``.
 
 A cascade is named by ``(p, depth)``: :func:`generate_binomial` builds
 the line by one doubling run, and :func:`product_rows` gives the
@@ -133,11 +136,16 @@ def make_curve(alpha, f) -> SpectrumCurve:
     Samples whose alpha values coincide (within 1e-12) collapse to a
     single point keeping the largest f; a uniform measure therefore
     yields the single point (support dimension, support dimension).
+    The merge is greedy, each sample compared with the last point kept,
+    and runs only when some sorted neighbours lie within 1e-12: with
+    none, every sample is kept.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     order = np.argsort(alpha, kind="stable")
     alpha, f = alpha[order], f[order]
+    if not np.any(np.diff(alpha) <= 1e-12):
+        return SpectrumCurve(alpha, f)
     out_a = [alpha[0]]
     out_f = [f[0]]
     for a, y in zip(alpha[1:], f[1:]):
@@ -158,7 +166,10 @@ class MassLevels:
     ``masses[i]``, so ``counts @ masses`` is the total mass, 1 within
     1e-9.  ``depth`` (at least 1) is the number of dyadic refinements.
     The record checks all of this once, when it is built, and the
-    estimators trust it.
+    estimators trust it: a valid record passes one combined test (a
+    strictly ascending run from a positive first mass to a finite last
+    one is finite throughout), and the checks are run one by one, in
+    order, only to name what a rejected record gets wrong.
     """
 
     masses: np.ndarray
@@ -168,6 +179,15 @@ class MassLevels:
     def __post_init__(self):
         masses = np.asarray(self.masses, dtype=np.float64)
         counts = np.asarray(self.counts)
+        if not (masses.ndim == 1 and masses.size and counts.shape == masses.shape
+                and counts.dtype.kind in "iu" and masses[0] > 0.0 and masses[-1] < np.inf
+                and np.all(masses[1:] > masses[:-1]) and counts.min() >= 1
+                and abs(counts @ masses - 1.0) <= 1e-9 and self.depth >= 1):
+            self._reject(masses, counts)
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "counts", counts.astype(np.int64, copy=False))
+
+    def _reject(self, masses: np.ndarray, counts: np.ndarray) -> None:
         if masses.ndim != 1 or masses.size == 0:
             raise ValueError("mass levels need a non-empty 1-D array of masses")
         if not np.all(np.isfinite(masses)):
@@ -185,8 +205,6 @@ class MassLevels:
             raise ValueError("measure must be normalized to unit mass")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "counts", counts.astype(np.int64, copy=False))
 
 
 def _merged(masses: np.ndarray, counts: np.ndarray) -> tuple:
@@ -301,32 +319,46 @@ def generate_product_2d(p: float, depth: int) -> np.ndarray:
     return field
 
 
-def analytic_alpha(phi: float, p: float) -> float:
+def analytic_alpha(phi, p: float):
     """Exact coarse exponent of a binomial cell with zero-bit fraction ``phi``.
 
     ``alpha = -(phi * log2 p + (1 - phi) * log2(1 - p))``; independent of
     depth, so it serves as the scale-free oracle for estimated exponents.
+    ``phi`` is a number or an array of them, each in [0, 1]; an array
+    gives an array, element by element the bytes of the number's form,
+    after one check of ``p``.
     """
-    if not (0.0 <= phi <= 1.0):
+    phi = np.asarray(phi, dtype=np.float64)
+    if not np.all((0.0 <= phi) & (phi <= 1.0)):
         raise ValueError("phi must lie in [0, 1]")
     _check(p)
-    return -(phi * math.log2(p) + (1.0 - phi) * math.log2(1.0 - p))
+    alpha = -(phi * math.log2(p) + (1.0 - phi) * math.log2(1.0 - p))
+    return alpha if alpha.ndim else float(alpha)
 
 
-def _analytic_f(phi: float) -> float:
+def _analytic_f(phi):
     """Binary entropy ``-(phi log2 phi + (1-phi) log2(1-phi))``, 0 log 0 := 0.
 
     This is the level-set dimension paired with ``analytic_alpha(phi, p)``:
     the count of depth-k cells with zero-bit fraction phi is the binomial
     coefficient C(k, phi*k), whose Stirling growth rate is the entropy.
+    Each term is subtracted from a running +0.0 where its weight is
+    positive, so f is +0.0, never -0.0, at phi = 0 and phi = 1.  The logs
+    are libm's, through ``math.log2``: NumPy's SIMD ``log2`` can differ
+    from it in the last bit (at 2 of the 101 default points with NumPy
+    2.4 on an AVX-512 CPU), which would change the bytes of ``cascade
+    --spectrum``.
     """
-    if not (0.0 <= phi <= 1.0):
+    phi = np.asarray(phi, dtype=np.float64)
+    if not np.all((0.0 <= phi) & (phi <= 1.0)):
         raise ValueError("phi must lie in [0, 1]")
-    total = 0.0
-    for w in (phi, 1.0 - phi):
-        if w > 0.0:
-            total -= w * math.log2(w)
-    return total
+    flat = phi.reshape(-1)
+    total = np.zeros(flat.size)
+    for w in (flat, 1.0 - flat):
+        positive = w > 0.0
+        w = w[positive]
+        total[positive] -= w * np.fromiter(map(math.log2, w.tolist()), np.float64, w.size)
+    return total.reshape(phi.shape) if phi.ndim else float(total[0])
 
 
 def analytic_spectrum(p: float, n_points: int, dims: int = 1) -> SpectrumCurve:
@@ -335,16 +367,17 @@ def analytic_spectrum(p: float, n_points: int, dims: int = 1) -> SpectrumCurve:
     For the 2-D product cascade both coordinates double: exponents add
     across the two independent axes and so do the level-set dimensions.
     The uniform case p = 1/2 collapses to the single point where the
-    spectrum touches the support dimension.
+    spectrum touches the support dimension.  Both closed forms take the
+    whole phi grid at once, with the bytes of evaluating them point by
+    point; ``p`` is checked once, by :func:`analytic_alpha`.
     """
-    _check(p)
     if n_points < 3:
         raise ValueError("need at least 3 sample points")
     if dims not in (1, 2):
         raise ValueError("dims must be 1 or 2")
     phis = np.linspace(0.0, 1.0, n_points)
-    alpha = np.array([analytic_alpha(phi, p) for phi in phis])
-    f = np.array([_analytic_f(phi) for phi in phis])
+    alpha = analytic_alpha(phis, p)
+    f = _analytic_f(phis)
     if dims == 2:
         alpha = 2.0 * alpha
         f = 2.0 * f

@@ -106,9 +106,9 @@ def _run_units(work, units, scratch, threads: int | None) -> list:
     context manager, once: it gives the ``buffers`` (and handles) the
     worker reuses across its group, and its exit releases them when the
     group is done or fails.  The first group runs on the
-    calling thread, so a single unit starts no thread.  Results come
-    back in unit order; an exception raised in a worker reaches the
-    caller unchanged.
+    calling thread, and a single group (one unit, or one thread) runs
+    there alone, with no executor built.  Results come back in unit
+    order; an exception raised in a worker reaches the caller unchanged.
     """
     if threads is None:
         threads = _available_cpus()
@@ -119,6 +119,8 @@ def _run_units(work, units, scratch, threads: int | None) -> list:
         with scratch() as buffers:
             return [work(unit, *buffers) for unit in group]
 
+    if len(groups) == 1:
+        return run(groups[0])
     with ThreadPoolExecutor(max_workers=len(groups)) as pool:
         rest = [pool.submit(run, group) for group in groups[1:]]
         first = run(groups[0])

@@ -326,23 +326,24 @@ def read_pgm(data: bytes) -> np.ndarray:
 # text emitters
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _csv(header: str, *columns) -> str:
+    """``header`` and then one row per index of the equal-length ``columns``, LF-terminated.
+
+    Each value is printed with ``"%.17g"``, the text of ``format(x, ".17g")``.
+    """
+    row = ",".join(["%.17g"] * len(columns))
+    rows = zip(*(np.asarray(column, dtype=np.float64).tolist() for column in columns))
+    return "\n".join([header, *(row % values for values in rows)]) + "\n"
 
 
 def write_spectrum_csv(curve: SpectrumCurve) -> str:
     """``alpha,f`` rows at 17 significant digits, LF-terminated."""
-    lines = ["alpha,f"]
-    lines += [f"{_fmt(a)},{_fmt(f)}" for a, f in zip(curve.alpha, curve.f)]
-    return "\n".join(lines) + "\n"
+    return _csv("alpha,f", curve.alpha, curve.f)
 
 
 def write_moments_csv(partition) -> str:
     """``q,tau,alpha,f`` rows for a partition-function fit."""
-    lines = ["q,tau,alpha,f"]
-    for q, tau, alpha, f in zip(partition.q_values, partition.tau, partition.alpha, partition.f):
-        lines.append(f"{_fmt(q)},{_fmt(tau)},{_fmt(alpha)},{_fmt(f)}")
-    return "\n".join(lines) + "\n"
+    return _csv("q,tau,alpha,f", partition.q_values, partition.tau, partition.alpha, partition.f)
 
 
 def excite_record_json(record: dict) -> str:

@@ -22,9 +22,13 @@ hundred where rounding splits mathematically equal products).  :func:`mfcal.casc
 builds them from the cascade's doubling run, without a cell or a sort of
 cells, and bit-equal to the levels of the cells: every cell is one
 rounded product of its parent's value, so equal parents give equal
-children.  The sums run over the levels in ascending mass order, one
-``exp2`` pass per chunk of moment orders rather than a pass per order,
-and contractions of that chunk with ``log2 mu`` and its shifted form for
+children.  The histogram takes every depth's exponents in one pass,
+bins them all in one ``searchsorted`` over the edges and counts them in
+one weighted ``bincount`` over (depth, bin): the counts of one
+``np.histogram`` per depth, bit for bit, without a call per depth.  The
+moment sums run over the levels in ascending mass order, one ``exp2``
+pass per chunk of moment orders rather than a pass per order, and
+contractions of that chunk with ``log2 mu`` and its shifted form for
 the weighted sums.  The Gaussian approximation takes its mean and spread
 in one private copy of the samples, never in the caller's array.
 """
@@ -67,6 +71,26 @@ def _check_depths(levels) -> list:
     return depths
 
 
+def _depth_counts(alpha: np.ndarray, counts: np.ndarray, sizes: list, edges: np.ndarray):
+    """Each depth's ``np.histogram(alpha_d, edges, weights=counts_d)[0]``, as float64 rows.
+
+    ``alpha`` and ``counts`` hold every depth's exponents and cell counts
+    in turn, ``sizes[d]`` of them for depth d.  One ``searchsorted`` over
+    the nondecreasing ``edges`` bins them all with ``np.histogram``'s
+    rules: a bin holds its left edge, the last bin its right edge too,
+    and an exponent outside the edges is dropped.  One weighted
+    ``bincount`` over (depth, bin) then sums the counts, in float64 but
+    exactly, as they are integers below 2**53.
+    """
+    bins = edges.size - 1
+    index = np.searchsorted(edges, alpha, side="right") - 1
+    index[alpha == edges[-1]] = bins - 1
+    inside = (index >= 0) & (index < bins)
+    cell = np.repeat(np.arange(len(sizes)) * bins, sizes) + index
+    return np.bincount(cell[inside], weights=counts[inside],
+                       minlength=len(sizes) * bins).reshape(len(sizes), bins)
+
+
 def histogram_spectrum(levels: list[MassLevels], bins: int = 32) -> SpectrumCurve:
     """Spectrum by binning coarse exponents across dyadic depths.
 
@@ -80,31 +104,29 @@ def histogram_spectrum(levels: list[MassLevels], bins: int = 32) -> SpectrumCurv
     ``levels`` holds one :class:`~mfcal.cascade.MassLevels` per depth,
     in increasing depth.  Each depth is binned as its distinct masses'
     exponents, weighted by how many cells hold each mass: the same
-    counts as binning every cell.
+    counts as binning every cell.  The exponents of all depths are
+    taken in one pass and binned in another (see :func:`_depth_counts`),
+    with the counts of a per-depth ``np.histogram``, bit for bit.
     """
     if bins < 4:
         raise ValueError("need at least 4 bins")
     depths = _check_depths(levels)
-    per_depth = [
-        (np.round(-np.log2(level.masses) / level.depth, _BIN_DECIMALS), level.counts)
-        for level in levels
-    ]
-    deepest = per_depth[-1][0]
+    sizes = [level.masses.size for level in levels]
+    alpha = np.round(-np.log2(np.concatenate([level.masses for level in levels]))
+                     / np.repeat(np.asarray(depths, dtype=np.float64), sizes), _BIN_DECIMALS)
+    deepest = alpha[-sizes[-1]:]
     lo, hi = float(deepest.min()), float(deepest.max())
     x = np.asarray(depths, dtype=np.float64) * _LN2
     dev = x - x.mean()
     # one exponent at the deepest level makes every edge equal: np.histogram
     # puts its cells in the last bin, whose center is that exponent
     edges = np.linspace(lo, hi, bins + 1)
-    counts = np.stack([
-        np.histogram(alpha, bins=edges, weights=cells)[0] for alpha, cells in per_depth
-    ])
+    counts = _depth_counts(alpha, np.concatenate([level.counts for level in levels]), sizes, edges)
     keep = np.all(counts > 0, axis=0)
     if not np.any(keep):
         raise ValueError("no alpha bin is occupied at every depth")
     centers = 0.5 * (edges[:-1] + edges[1:])[keep]
-    log_n = np.log(counts[:, keep].astype(np.float64))
-    slopes = dev @ log_n / np.dot(dev, dev)
+    slopes = dev @ np.log(counts[:, keep]) / np.dot(dev, dev)
     return make_curve(centers, np.maximum(slopes, 0.0))
 
 

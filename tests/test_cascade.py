@@ -290,6 +290,39 @@ class TestAnalyticForms:
         assert np.all(curve.f <= curve.alpha + 1e-9)
         assert np.all(np.diff(curve.alpha) > 0.0)
 
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("n_points", [3, 4, 101, 1001])
+    @pytest.mark.parametrize("p", [0.1, 0.3, 2 / 3, 0.85])
+    def test_the_curve_is_the_point_by_point_formulas(self, p, n_points, dims):
+        """Exactly the scalar closed forms (libm's log2), +0.0 at both ends."""
+        alpha, f = [], []
+        for phi in np.linspace(0.0, 1.0, n_points).tolist():
+            alpha.append(dims * -(phi * math.log2(p) + (1.0 - phi) * math.log2(1.0 - p)))
+            entropy = 0.0
+            for w in (phi, 1.0 - phi):
+                if w > 0.0:
+                    entropy -= w * math.log2(w)
+            f.append(dims * entropy)
+        order = np.argsort(alpha, kind="stable")
+        curve = analytic_spectrum(p, n_points, dims=dims)
+        assert curve.alpha.tobytes() == np.array(alpha)[order].tobytes()
+        assert curve.f.tobytes() == np.array(f)[order].tobytes()
+        assert curve.f[0] == curve.f[-1] == 0.0 and not np.signbit(curve.f[[0, -1]]).any()
+
+    def test_arrays_of_phi_give_the_numbers_element_by_element(self):
+        phis = np.linspace(0.0, 1.0, 37)
+        alpha, f = analytic_alpha(phis, 0.3), _analytic_f(phis)
+        assert type(analytic_alpha(0.25, 0.3)) is float and type(_analytic_f(0.25)) is float
+        assert alpha.tobytes() == np.array([analytic_alpha(phi, 0.3) for phi in phis]).tobytes()
+        assert f.tobytes() == np.array([_analytic_f(phi) for phi in phis]).tobytes()
+
+    @pytest.mark.parametrize("phi", [-0.1, 1.1, np.nan, [0.5, 1.5]])
+    def test_phi_outside_the_unit_interval_is_rejected(self, phi):
+        with pytest.raises(ValueError, match="phi"):
+            analytic_alpha(phi, 0.3)
+        with pytest.raises(ValueError, match="phi"):
+            _analytic_f(phi)
+
     def test_tau_normalization_and_box_counting(self):
         assert _analytic_tau(2 / 3, 1.0) == pytest.approx(0.0, abs=1e-15)
         assert _analytic_tau(2 / 3, 0.0) == pytest.approx(-1.0, abs=1e-15)
@@ -311,6 +344,16 @@ class TestSpectrumCurveType:
         curve = make_curve(np.array([1.0, 1.0, 2.0]), np.array([0.3, 0.7, 0.1]))
         np.testing.assert_allclose(curve.alpha, [1.0, 2.0])
         np.testing.assert_allclose(curve.f, [0.7, 0.1])
+
+    def test_ties_merge_greedily_against_the_kept_point(self):
+        # every neighbour is within 1e-12, but 1.2e-12 is not within it of 0, the kept point
+        curve = make_curve([0.0, 0.6e-12, 1.2e-12, 1.0], [0.1, 0.5, 0.2, 0.3])
+        assert curve.alpha.tolist() == [0.0, 1.2e-12, 1.0]
+        assert curve.f.tolist() == [0.5, 0.2, 0.3]
+
+    def test_samples_apart_are_all_kept_in_alpha_order(self):
+        curve = make_curve([3.0, 1.0, 2.0], [0.3, 0.1, 0.2])
+        assert curve.alpha.tolist() == [1.0, 2.0, 3.0] and curve.f.tolist() == [0.1, 0.2, 0.3]
 
     def test_rejects_unsorted_alpha(self):
         with pytest.raises(ValueError, match="strictly increasing"):

@@ -1355,3 +1355,28 @@ class TestOutOfMemory:
         assert err == "mfcal: out of memory (Unable to allocate 7.28 TiB for an array); " \
                       "nothing was written\n"
         assert not any(path.exists() for path in paths)
+
+    def test_the_real_bin_count_exits_4_with_one_line(self, tmp_path):
+        """``--bins 10**12`` through the one-pass binning, under a 2 GiB address-space limit.
+
+        The limit makes every allocation above it fail at once, whatever
+        the host's overcommit policy, so the child never holds the terabytes.
+        """
+        resource = pytest.importorskip("resource")
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = tmp_path / "h.csv"
+
+        def limit():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            soft = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "mfcal", "spectrum", "--method", "histogram", "--p", "0.3",
+             "--bins", str(10 ** 12), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=limit, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 4, result.stderr
+        assert result.stderr.startswith("mfcal: out of memory (")
+        assert result.stderr.endswith("); nothing was written\n") and result.stderr.count("\n") == 1
+        assert not out.exists()

@@ -1,7 +1,9 @@
 """Exponent maps: brute-force equality, scale laws, and normalization."""
 
 import math
+import threading
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -242,6 +244,35 @@ class TestBandLayout:
         assert layout[-1][1] == 17
         for threads in (2, 3, 8):
             assert self.bands(shape, 2, threads) == layout
+
+
+class TestOneGroup:
+    """A single group runs on the calling thread; no executor is built for it."""
+
+    @pytest.mark.parametrize("units, threads", [(range(1), 4), (range(5), 1), (range(0), 2)],
+                             ids=["one unit", "one thread", "no unit"])
+    def test_no_executor(self, units, threads, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an executor was built for one group")
+
+        monkeypatch.setattr(holder, "ThreadPoolExecutor", refuse)
+        entered = []
+
+        @contextmanager
+        def scratch():
+            entered.append(threading.get_ident())
+            yield [10]
+
+        assert holder._run_units(lambda unit, add: unit + add, units, scratch, threads) == \
+            [unit + 10 for unit in units]
+        assert entered == [threading.get_ident()]
+
+    def test_the_one_band_line_map_builds_no_executor(self, monkeypatch):
+        line = generate_binomial(0.3, 10)[None, :]
+        expected = holder_map(line, holder.DEFAULT_SCALES, epsilon=0.0, threads=1)
+        monkeypatch.setattr(holder, "ThreadPoolExecutor", None)
+        assert holder_map(line, holder.DEFAULT_SCALES, epsilon=0.0, threads=2).tobytes() == \
+            expected.tobytes()
 
 
 class TestTwoRoutesAgree:

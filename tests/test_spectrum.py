@@ -92,6 +92,52 @@ def fitted():
     return moments_spectrum(line_levels(range(8, 13)), Q_GRID)
 
 
+def per_depth_histograms(alpha, counts, sizes, edges):
+    """Reference: one ``np.histogram`` per depth, weighted by the cell counts."""
+    stops = np.cumsum(sizes)
+    return np.stack([np.histogram(alpha[stop - size:stop], bins=edges,
+                                  weights=counts[stop - size:stop])[0]
+                     for size, stop in zip(sizes, stops)])
+
+
+class TestOnePassHistogramCounts:
+    """One ``searchsorted`` and one ``bincount`` give a per-depth ``np.histogram``'s counts."""
+
+    @staticmethod
+    def assert_counts_match(alpha, counts, sizes, edges):
+        got = spectrum._depth_counts(alpha, counts, sizes, edges)
+        expected = per_depth_histograms(alpha, counts, sizes, edges)
+        assert got.tobytes() == expected.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("bins", [4, 8, 16, 32, 33])
+    @pytest.mark.parametrize("dims, depths", [(1, (8, 14)), (2, (4, 9))])
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 2 / 3, 0.85])
+    def test_cascades(self, p, dims, depths, bins):
+        levels = binomial_levels(p, *depths, dims)
+        sizes = [level.masses.size for level in levels]
+        alpha = np.concatenate([np.round(-np.log2(level.masses) / level.depth, 12)
+                                for level in levels])
+        deepest = alpha[-sizes[-1]:]
+        edges = np.linspace(deepest.min(), deepest.max(), bins + 1)
+        self.assert_counts_match(alpha, np.concatenate([level.counts for level in levels]),
+                                 sizes, edges)
+
+    def test_edges_and_exponents_outside_the_deepest_range(self):
+        edges = np.linspace(1.0, 2.0, 5)  # 1, 1.25, 1.5, 1.75, 2: exact in binary
+        shallow = [0.5, 1.25, 1.5, 2.0, 2.5, 0.999, 2.001]  # below, interior edges, last edge, above
+        deepest = [1.0, 1.1, 1.75, 1.9, 2.0]
+        alpha = np.array(shallow + deepest)
+        counts = np.arange(1, alpha.size + 1, dtype=np.int64) ** 3
+        self.assert_counts_match(alpha, counts, [len(shallow), len(deepest)], edges)
+        got = spectrum._depth_counts(alpha, counts, [len(shallow), len(deepest)], edges)
+        assert got[0].tolist() == [0.0, 8.0, 27.0, 64.0]  # 1.25 | 1.5 | 2.0 in the last bin
+
+    def test_every_edge_equal(self):
+        alpha = np.array([0.75, 1.5, 2.0, 1.5, 1.5])
+        counts = np.array([2, 3, 5, 7, 11])
+        self.assert_counts_match(alpha, counts, [3, 2], np.full(5, 1.5))
+
+
 class TestMomentsSpectrum:
     Q = Q_GRID
 
