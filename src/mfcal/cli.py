@@ -76,6 +76,7 @@ from .holder import (
     NormState,
     ScaleSet,
     _available_cpus,
+    _drop_kept,
     holder_map,
     interior_view,
 )
@@ -200,11 +201,25 @@ def _cmd_cascade(args) -> int:
     return EXIT_OK
 
 
+def _check_scales(scales: ScaleSet, shape: tuple) -> None:
+    """Refuse a ``--scales`` side past the field's larger spatial side, before any band buffer.
+
+    Such a side sees only clipped windows, and the exponent map's band
+    buffers grow with its square whatever the field's size, so ``--scales
+    2,20000`` would ask for gigabytes.  The library still maps it.
+    """
+    side = max(shape[:2])
+    if max(scales) > side:
+        raise UsageError(f"--scales side {max(scales)} is larger than the field's larger "
+                         f"side, {side}; use sides of at most {side}")
+
+
 def _cmd_holder(args) -> int:
     try:  # a container is read band by band into the exponent map's tiles
         source = fio.ContainerRows(args.input)
     except fio.ContainerMagicError:  # a PGM, decoded whole
         source = _read_input_field(args.input)
+    _check_scales(args.scales, source.shape)
     means = np.empty((2, math.prod(source.shape[2:]))) if args.means else None
     alpha = holder_map(source, args.scales, args.epsilon, threads=_resolve_threads(args),
                        means=means)
@@ -281,6 +296,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_recalibrate(args) -> int:
     stack = _with_channel_axis(_read_input_field(args.input))
+    if args.method in ("mono", "multi"):
+        _check_scales(args.scales, stack.shape)
     channels = stack.shape[2]
     rng = np.random.default_rng(args.seed)
     use_bias = not args.strict_paper_mode
@@ -296,6 +313,7 @@ def _cmd_recalibrate(args) -> int:
     threads = _resolve_threads(args)
     if args.method == "multi":
         alpha = holder_map(stack, args.scales, args.epsilon, threads=threads)
+        _drop_kept()  # this process sweeps no more bands; free them before the level-set pass
         params = init_multi_params(args.q, float(alpha.min()), float(alpha.max()))
         gate, _ = multi_forward(stack, alpha, params, threads=threads, out=stack)
         gates_record.update(

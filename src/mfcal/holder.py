@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -166,14 +167,28 @@ def _run_bands(work, source, halo: int, threads: int | None, scratch) -> None:
     fit in ``BAND_BYTES`` (at least one row each), so that the tile and
     the band-sized buffers of its window sums stay in a core's L2 cache.
     The shape alone fixes them; they run on :func:`_run_units`, each
-    worker reusing one tile and the ``buffers`` that ``scratch(rows)``
-    makes for bands of at most ``rows`` rows.
+    worker reusing one tile and the float64 ``buffers`` of the shapes
+    that ``scratch(rows)`` lists for bands of at most ``rows`` rows.
+
+    After the sweep, each worker's set of buffers is kept for the next
+    sweep, so at most ``threads`` sets are kept, and a sweep of the
+    same buffer shapes takes them rather than allocating (and faulting
+    in) its own.  A sweep of other shapes drops every kept set before it
+    allocates, so no sweep's peak holds another's buffers.  A kept array
+    carries nothing over: each band zeroes the tile's rows and columns
+    past the image, and every buffer is written before it is read.
     """
     h, w, c = source.shape[0], source.shape[1], math.prod(source.shape[2:])
     fit = max(BAND_BYTES // ((w + 2 * halo) * c * 8), 1)  # float64 tile rows
     bands = -(-h // fit)  # the fewest bands of at most fit rows,
     rows = -(-h // bands)  # of equal height
     in_memory = isinstance(source, np.ndarray)
+    units = range(0, h, rows)
+    threads = _available_cpus() if threads is None else threads
+    shapes = [(rows + 2 * halo, w + 2 * halo, c), *scratch(rows)]
+    # take the kept sets of these shapes, one per worker, and drop the rest
+    spare = [kept for kept in _drop_kept() if [a.shape for a in kept] == shapes]
+    del spare[max(min(threads, len(units)), 1):]
 
     def copy_rows(out, top):
         out[...] = source[top:top + len(out)]
@@ -184,24 +199,38 @@ def _run_bands(work, source, halo: int, threads: int | None, scratch) -> None:
         top, bottom = max(lo - halo, 0), min(hi + halo, h)
         tile[:top - lo + halo] = 0.0  # rows past the image's edges
         tile[bottom - lo + halo:] = 0.0
+        tile[:, :halo] = 0.0  # and its columns
+        tile[:, halo + w:] = 0.0
         filled = tile[top - lo + halo:bottom - lo + halo, halo:halo + w]
         read(filled, top)
         if not in_memory:
             require_measure(filled)
         work(tile, lo, hi, *buffers)
 
+    @contextmanager
     def worker():
-        return _entered(nullcontext(copy_rows) if in_memory else source.reader(),
-                        [np.zeros((rows + 2 * halo, w + 2 * halo, c)), *scratch(rows)])
+        with _kept_lock:
+            buffers = spare.pop() if spare else None
+        if buffers is None:
+            buffers = [np.empty(shape) for shape in shapes]
+        with nullcontext(copy_rows) if in_memory else source.reader() as read:
+            yield [read, *buffers]
+        with _kept_lock:
+            _kept.append(buffers)
 
-    _run_units(band, range(0, h, rows), worker, threads)
+    _run_units(band, units, worker, threads)
 
 
-@contextmanager
-def _entered(context, buffers: list):
-    """``[value, *buffers]`` while ``context`` is entered, its ``value`` first."""
-    with context as value:
-        yield [value, *buffers]
+_kept = []  # each worker's band buffers from the last sweep of _run_bands
+_kept_lock = threading.Lock()
+
+
+def _drop_kept() -> list:
+    """Empty the kept list and return what it held, for a sweep to pick from or to free."""
+    with _kept_lock:
+        kept = _kept[:]
+        _kept.clear()
+    return kept
 
 
 def _band_masses(tile: np.ndarray, halo: int, scales: ScaleSet, spans, epsilon: float,
@@ -302,7 +331,10 @@ def holder_map(source, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
     one row-sum buffer and one mass buffer for all its bands, so peak
     memory is the output plus those three band-sized buffers per worker;
     nothing is allocated per band or per scale, and the masses are never
-    held for all scales.
+    held for all scales.  The buffers are kept for the next sweep of the
+    same shapes, at most ``threads`` sets, and dropped before a sweep of
+    other shapes allocates (see :func:`_run_bands`); each band zeroes
+    what it does not fill, so the bytes never depend on what they held.
 
     ``means``, a (2, C) float64 array (C = 1 for a 2-D field), receives
     per channel the mean exponent over all pixels (row 0) and over the
@@ -355,8 +387,8 @@ def holder_map(source, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
             np.sum(out[:, inner_cols], axis=1, out=sums[1, lo:hi])
 
     _run_bands(work, source, halo, threads, lambda rows: [
-        np.empty((rows + halo - min(scales) // 2, w + 2 * halo, c)),  # row sums
-        np.empty((rows, w, c)),                                       # masses
+        (rows + halo - min(scales) // 2, w + 2 * halo, c),  # row sums
+        (rows, w, c),                                       # masses
     ])
     if means is not None:  # the row sums, added in row order
         interior = (inner_rows.stop - inner_rows.start) * (inner_cols.stop - inner_cols.start)
@@ -376,7 +408,9 @@ def _holder_map_vjp(stack, d_alpha, d_stack, scales, epsilon: float, threads: in
     depend on ``threads``.  The masses come from the band kernel of
     :func:`holder_map`, with its chained row sums; each worker reuses
     one set of buffers for them, for the zero-bordered cotangent and for
-    its adjoint window sum.  ``stack`` must be one that
+    its adjoint window sum, and the set is kept for the next sweep of
+    the same shapes (see :func:`_run_bands`).  Each band zeroes the
+    cotangent around what it divides in.  ``stack`` must be one that
     :func:`holder_map` accepted (positive masses).
     """
     scales = _as_scales(scales)
@@ -401,11 +435,11 @@ def _holder_map_vjp(stack, d_alpha, d_stack, scales, epsilon: float, threads: in
             d_stack[lo:hi] += _padded_sum(cot, side, adjoint[:n], adjoint_rows[:n, :w + side - 1])
 
     _run_bands(work, stack, halo, threads, lambda rows: [
-        np.empty((rows + halo, w + 2 * halo, c)),      # row sums
-        np.empty((rows + halo, w, c)),                 # masses
-        np.empty((rows + halo, w + halo, c)),          # cotangent
-        np.empty((rows, w + halo, c)),                 # its row sums
-        np.empty((rows, w, c)),                        # its window sums
+        (rows + halo, w + 2 * halo, c),      # row sums
+        (rows + halo, w, c),                 # masses
+        (rows + halo, w + halo, c),          # cotangent
+        (rows, w + halo, c),                 # its row sums
+        (rows, w, c),                        # its window sums
     ])
 
 

@@ -4,6 +4,7 @@ import builtins
 import errno
 import json
 import os
+import platform
 import stat
 import subprocess
 import sys
@@ -111,7 +112,7 @@ class TestHolderCommand:
     def test_negative_values_are_a_numeric_error(self, tmp_path):
         src = tmp_path / "neg.mfr"
         src.write_bytes(write_field(np.array([[1.0, -1.0], [0.5, 0.5]])))
-        assert run("holder", "--input", src, "--out", tmp_path / "o.mfr") == 4
+        assert run("holder", "--input", src, "--out", tmp_path / "o.mfr", "--scales", "1,2") == 4
 
     def test_zero_mass_windows_at_epsilon_zero_are_a_numeric_error(self, tmp_path, capsys):
         field = np.zeros((8, 8))
@@ -128,7 +129,7 @@ class TestHolderCommand:
 
     def test_field_without_an_unclipped_interior_writes_nothing(self, tmp_path, capsys):
         src = tmp_path / "tiny.mfr"
-        src.write_bytes(write_field(np.full((3, 3), 0.5)))
+        src.write_bytes(write_field(np.full((3, 4), 0.5)))  # side 4 fits; 3 rows hold no interior
         out = tmp_path / "alpha.mfr"
         means = tmp_path / "means.json"
         assert run("holder", "--input", src, "--out", out, "--means", means) == 4
@@ -173,6 +174,20 @@ class TestStreamedHolder:
             out = tmp_path / f"alpha{threads}.mfr"
             assert run("--threads", threads, "holder", "--input", src, "--out", out) == 0
             assert out.read_bytes() == expected, f"{threads} threads"
+
+    def test_a_cascade_map_and_means_are_the_same_bytes_on_kept_buffers(self, tmp_path):
+        # a 512x512 cascade is five bands; the second and third calls run on the
+        # band buffers that the call before kept
+        src = tmp_path / "field.mfr"
+        assert run("cascade", "--p", 0.3, "--depth", 9, "--dims", 2, "--out", src) == 0
+        outputs = []
+        for i, threads in enumerate((1, 2, 1)):
+            alpha, means = tmp_path / f"alpha{i}.mfr", tmp_path / f"means{i}.json"
+            assert run("--threads", threads, "holder", "--input", src, "--out", alpha,
+                       "--epsilon", 0, "--means", means) == 0
+            outputs.append((alpha.read_bytes(), means.read_bytes()))
+        assert outputs[1] == outputs[0], "threads 2"
+        assert outputs[2] == outputs[0], "threads 1 again"
 
     def test_a_pgm_input_is_decoded_whole(self, tmp_path):
         pixels = np.random.default_rng(61).integers(1, 256, (9, 11), dtype=np.uint8)
@@ -301,9 +316,12 @@ class TestHolderMemory:
     The container is read band by band into each worker's tile, so the
     peak is the map, its finiteness mask (an eighth of it) and each
     worker's tile, row-sum and mass buffers (about 0.2 of a stack at
-    this shape); it holds no copy of the input.  Measured: 1.23-1.25
-    stacks at one thread and 1.44 at two, where reading the input whole
-    took 2.21-2.24 and 2.42.
+    this shape); it holds no copy of the input.  The band buffers are
+    kept after the sweep, so they and the mask are held together.
+    Measured: 1.33 stacks at one thread and 1.54 at two (1.23-1.25 and
+    1.44 while the sweep freed its buffers), where reading the input
+    whole took 2.21-2.24 and 2.42.  The kept sets are cleared before the
+    traced call, so it allocates its own.
     """
 
     @pytest.mark.parametrize("threads, bound", [(1, 1.4), (2, 1.6)])
@@ -313,6 +331,7 @@ class TestHolderMemory:
         stack = np.prod(shape) * 8
         argv = ["--threads", threads, "holder", "--input", src, "--out", tmp_path / "alpha.mfr",
                 "--means", tmp_path / "means.json"]
+        holder._kept.clear()  # so the traced call allocates its band buffers
         tracemalloc.start()
         try:
             code = run(*argv)
@@ -321,6 +340,55 @@ class TestHolderMemory:
             tracemalloc.stop()
         assert code == 0
         assert peak <= bound * stack, f"{peak / stack:.2f} stacks"
+
+
+class TestScalesPastTheField:
+    """A ``--scales`` side past the field's larger side exits 2 before any band buffer exists.
+
+    The library still maps such a side (the ``side-past-image`` cases of
+    ``test_holder.py``); the commands refuse it, since its band buffers
+    grow with the side squared: ``2,20000`` would ask for gigabytes.
+    """
+
+    MESSAGE = "mfcal: --scales side 20000 is larger than the field's larger side, 9; " \
+              "use sides of at most 9\n"
+
+    @pytest.fixture
+    def no_sweep(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a band sweep started")
+
+        monkeypatch.setattr(holder, "_run_bands", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["holder", "--means", "{1}"],
+        ["recalibrate", "--method", "mono", "--gates", "{1}"],
+        ["recalibrate", "--method", "multi", "--gates", "{1}"],
+    ], ids=["holder", "mono", "multi"])
+    def test_a_side_past_the_field_is_a_usage_error(self, argv, tmp_path, no_sweep, capsys):
+        src = container_file(tmp_path / "in.mfr", np.full((6, 9, 2), 0.5))
+        out, record = tmp_path / "out.mfr", tmp_path / "record.json"
+        argv = [str(a).format(out, record) for a in argv]
+        assert run(*argv, "--input", src, "--out", out, "--scales", "2,20000") == 2
+        assert capsys.readouterr().err == self.MESSAGE
+        assert not out.exists() and not record.exists()
+
+    def test_a_pgm_is_refused_by_its_decoded_shape(self, tmp_path, no_sweep, capsys):
+        src = tmp_path / "in.pgm"
+        src.write_bytes(b"P5 9 4 255\n" + bytes(range(1, 37)))
+        out = tmp_path / "alpha.mfr"
+        assert run("holder", "--input", src, "--out", out, "--scales", "2,20000") == 2
+        assert capsys.readouterr().err == self.MESSAGE
+        assert not out.exists()
+
+    def test_the_larger_side_itself_is_mapped(self, tmp_path):
+        field = np.random.default_rng(67).uniform(0.1, 1.0, (6, 9, 4))
+        src = container_file(tmp_path / "in.mfr", field)
+        out = tmp_path / "alpha.mfr"
+        assert run("holder", "--input", src, "--out", out, "--scales", "2,9") == 0
+        assert out.read_bytes() == write_field(holder_map(field, (2, 9), threads=1))
+        assert run("recalibrate", "--method", "cse", "--input", src, "--out", out,
+                   "--scales", "2,20000") == 0  # cse maps no exponents
 
 
 class TestSpectrumCommand:
@@ -857,6 +925,7 @@ class TestRecalibrateMemory:
         stack = np.maximum(np.random.default_rng(40).normal(size=(56, 56, 64)), 0.0)
         src = tmp_path / "stack.mfr"
         src.write_bytes(write_field(stack))
+        holder._kept.clear()  # so mono and multi allocate their band buffers in the traced call
         tracemalloc.start()
         try:
             code = run("--threads", threads, "recalibrate", "--method", method, "--input", src,
@@ -871,11 +940,13 @@ class TestRecalibrateMemory:
     def test_the_peak_above_the_input_stays_under_half_a_stack(self, method, tmp_path):
         assert self.peak_above_the_input(tmp_path, method, 1) <= 0.5
 
-    # A process's first call of a method allocates about 0.14 stacks more
-    # (2.08 for mono, 2.88 and 3.62 for multi), so the pins measure a
-    # second call.  mono measured 1.95 stacks above the input at one
-    # thread and 1.95 or 2.84 at two, as the second worker's band buffers
-    # overlap the first's or not.
+    # A process's first call of a method allocates about 0.15 stacks more
+    # (mono 2.09 at one thread and 2.98 at two, multi 2.89 and 3.59), so
+    # the pins measure a second call; the band buffers that the first call
+    # kept are cleared before it, so it allocates and counts its own.  mono
+    # measured 1.95 stacks above the input at one thread and 2.84 at two:
+    # both workers' band buffers are kept to the sweep's end, so they
+    # always overlap (1.95 or 2.84 while each was freed as its worker ended).
     @pytest.mark.parametrize("threads, bound", [(1, 2.25), (2, 3.0)])
     def test_the_mono_peak(self, threads, bound, tmp_path):
         self.peak_above_the_input(tmp_path, "mono", threads)
@@ -889,6 +960,58 @@ class TestRecalibrateMemory:
         scratch = threads * LEVEL_SET_BYTES / stack_bytes
         self.peak_above_the_input(tmp_path, "multi", threads)
         assert self.peak_above_the_input(tmp_path, "multi", threads) <= 2.0 + scratch + 0.25
+
+
+class TestMonoFaults:
+    """A second mono call takes its band buffers from the first, so it faults few pages in.
+
+    Freeing a mono call's map and band buffers (about 6 MB at 56x56x64)
+    passed glibc's dynamic trim threshold (about 3.2 MB), so the heap's
+    top went back to the OS and the next call faulted it in again: 680 to
+    1100 minor faults a mono call, and about 420 for a cse call after it.
+    The band buffers are now kept between sweeps.  The calls run in a
+    fresh child, whose heap no other test has grown; it writes its input
+    first, as the benchmark's set-up does.  (A process that has freed
+    nothing larger than a stack gets each stack-sized array by ``mmap``,
+    so there every call faults its input and map in: about 390 pages
+    each, with or without kept band buffers.)
+    """
+
+    SCRIPT = """
+import resource, sys
+import numpy as np
+from mfcal.cli import main
+from mfcal.io import write_field_file
+
+def faults(argv):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+src, out = sys.argv[1:]
+write_field_file(src, np.maximum(np.random.default_rng(68).normal(size=(56, 56, 64)), 0.0))
+for threads in ("1", "2"):
+    mono, cse = (["--threads", threads, "recalibrate", "--method", method, "--input", src,
+                  "--out", out, "--gates", out + ".json"] for method in ("mono", "cse"))
+    faults(mono)
+    print(threads, faults(mono), faults(cse))
+"""
+
+    def test_a_second_mono_call_and_the_cse_call_after_it_fault_under_100_pages(self, tmp_path):
+        pytest.importorskip("resource")
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("the trim threshold measured here is glibc's")
+        src = tmp_path / "stack.mfr"  # written by the child, as the benchmark's set-up does
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(src), str(tmp_path / "out.mfr")],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+                 "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        for line in result.stdout.splitlines():
+            threads, mono, cse = map(int, line.split())
+            assert mono < 100 and cse < 100, f"--threads {threads}: mono {mono}, cse {cse} faults"
+        assert len(result.stdout.splitlines()) == 2
 
 
 class TestSpectrumMemory:

@@ -93,7 +93,8 @@ def mono_fixture(rng, use_bias=True, shape=(2, 2, 4)):
 
 
 def mono_backward_peak(stack, params, upstream, threads):
-    """tracemalloc peak of one mono_backward call, in bytes."""
+    """tracemalloc peak of one mono_backward call, in bytes, with no band buffers kept before it."""
+    holder._kept.clear()
     tracemalloc.start()
     try:
         mono_backward(stack, params, upstream, SCALES, EPS, threads=threads)

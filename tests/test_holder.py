@@ -1,6 +1,7 @@
 """Exponent maps: brute-force equality, scale laws, and normalization."""
 
 import math
+import sys
 import threading
 import tracemalloc
 from contextlib import contextmanager
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 from mfcal import holder
+from mfcal.attention import mono_backward
 from mfcal.cascade import analytic_alpha, generate_binomial, generate_product_2d
+from mfcal.grid import window_sum_adjoint
 from mfcal.io import ContainerRows, write_field
 from mfcal.holder import (
     NormState,
@@ -25,7 +28,7 @@ from mfcal.holder import (
     _normalize_with_cache,
     _unclipped_interior,
 )
-from mfcal.selftest import _brute_frozen_norm, _brute_holder, _probe_gradient
+from mfcal.selftest import _brute_frozen_norm, _brute_holder, _probe_gradient, _random_mono_params
 
 SCALES = ScaleSet((2, 3, 4))
 
@@ -176,6 +179,7 @@ class TestHolderMap:
         # no (S, H, W, C) block of masses: the output plus a padded copy,
         # a row pass and a mass array of each worker's chunk
         field = np.random.default_rng(14).uniform(0.1, 1.0, shape)
+        holder._kept.clear()  # so the traced call allocates its band buffers
         tracemalloc.start()
         try:
             holder_map(field, SCALES, threads=threads)
@@ -188,6 +192,7 @@ class TestHolderMap:
         # 224 x 224 x 64: the output is 25.7 MB; a worker's tile and its
         # temporaries are a few band-sized arrays, whatever the field's size
         field = np.random.default_rng(26).uniform(0.1, 1.0, (224, 224, 64))
+        holder._kept.clear()
         tracemalloc.start()
         try:
             holder_map(field, SCALES, threads=2)
@@ -333,6 +338,173 @@ class TestTwoRoutesAgree:
                                      holder_map(container, scales, epsilon, t)):
                         assert streamed.shape == field.shape
                         assert streamed.tobytes() == stored.tobytes(), f"{rows} rows, {t} threads"
+
+
+class TestKeptBuffers:
+    """Each worker's band buffers outlive its sweep, for the next sweep of the same shapes.
+
+    No output byte may depend on what a kept buffer holds: between calls
+    every kept array is filled with NaN, which any read of a stale value
+    would carry into the map or turn into an error.
+    """
+
+    @staticmethod
+    def poison():
+        for kept in holder._kept:
+            for array in kept:
+                array.fill(np.nan)
+
+    @staticmethod
+    def map_shapes(shape, sides, rows):
+        # the tile, the row sums and the masses of holder_map's bands of <= rows rows
+        w, c = shape[1], math.prod(shape[2:])
+        halo = max(sides) // 2
+        return [(rows + 2 * halo, w + 2 * halo, c), (rows + halo - min(sides) // 2, w + 2 * halo, c),
+                (rows, w, c)]
+
+    @pytest.mark.parametrize("band_rows", [None, 1, 3], ids=["default", "bands-of-1", "bands-of-3"])
+    def test_a_poisoned_kept_set_moves_no_byte(self, band_rows, monkeypatch, tmp_path):
+        rng = np.random.default_rng(30)
+        fields = [rng.uniform(0.1, 1.0, (13, 11, 3)), np.maximum(rng.normal(size=(9, 14)), 0.0)]
+        containers = []
+        for i, field in enumerate(fields):
+            path = tmp_path / f"field{i}.mfr"
+            path.write_bytes(write_field(field))
+            containers.append(ContainerRows(str(path)))
+        other = rng.uniform(0.1, 1.0, (7, 5, 2))  # a sweep of other shapes: the drop path
+        if band_rows is not None:
+            monkeypatch.setattr(holder, "BAND_BYTES", band_bytes((13, 11, 3), 2, band_rows))
+        for sides in ((2, 3, 4), (2, 4), (3, 4)):  # (2, 4) and (3, 4) share their buffer shapes
+            scales = ScaleSet(sides)
+            for field, container in zip(fields, containers):
+                stored = slope_from_measures(box_measures(field, scales), scales).tobytes()
+                for threads in (1, 2, 3, 2, 1):
+                    for source in (field, container):
+                        self.poison()
+                        assert holder_map(source, scales, threads=threads).tobytes() == stored
+                    self.poison()
+                    holder_map(other, scales, threads=threads)
+
+    def test_the_adjoint_ignores_its_poisoned_kept_set(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        stack = rng.uniform(0.1, 1.0, (12, 10, 4))
+        d_alpha = rng.normal(size=4)
+        expected = np.zeros_like(stack)
+        for w, side, mu in zip(log_slope_weights(SCALES), SCALES, box_measures(stack, SCALES)):
+            expected += window_sum_adjoint(w * d_alpha / mu, side)
+        params = _random_mono_params(4, rng, True)
+        upstream = rng.normal(size=stack.shape)
+        holder._kept.clear()
+        fresh = mono_backward(stack, params, upstream, SCALES, threads=1)
+        for rows in (None, 1, 3):
+            if rows is not None:
+                monkeypatch.setattr(holder, "BAND_BYTES", rows * (10 + 2 * 3) * 4 * 8)
+            for threads in (1, 2, 3, 2, 1):
+                for _ in range(2):  # the second call takes the first one's kept sets
+                    self.poison()
+                    d_stack = np.zeros_like(stack)
+                    holder._holder_map_vjp(stack, d_alpha, d_stack, SCALES, 1e-6, threads)
+                    assert d_stack.tobytes() == expected.tobytes(), f"{rows} rows, {threads} threads"
+                holder_map(stack, SCALES, threads=threads)
+                self.poison()  # mono_backward's forward sweep takes these
+                grads = mono_backward(stack, params, upstream, SCALES, threads=threads)
+                for name, value in vars(fresh).items():
+                    assert getattr(grads, name).tobytes() == value.tobytes(), name
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_failed_first_band_keeps_its_message_and_spoils_no_later_call(
+            self, threads, monkeypatch, tmp_path):
+        field = np.random.default_rng(32).uniform(0.1, 1.0, (20, 9, 3))
+        bad = field.copy()
+        bad[1, 4, 2] = -0.5  # first band
+        paths = [tmp_path / "good.mfr", tmp_path / "bad.mfr"]
+        for path, values in zip(paths, (field, bad)):
+            path.write_bytes(write_field(values))
+        monkeypatch.setattr(holder, "BAND_BYTES", band_bytes(field.shape, 2, 4))
+        stored = slope_from_measures(box_measures(field, SCALES), SCALES).tobytes()
+        good, failing = (ContainerRows(str(path)) for path in paths)
+        for _ in range(2):
+            assert holder_map(good, SCALES, threads=threads).tobytes() == stored
+            self.poison()
+            with pytest.raises(ValueError, match=r"^measure must be nonnegative$"):
+                holder_map(failing, SCALES, threads=threads)
+            self.poison()
+            assert holder_map(good, SCALES, threads=threads).tobytes() == stored
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    def test_a_sweep_keeps_one_set_per_worker_of_its_own_shapes(self, threads, monkeypatch):
+        shape = (20, 9, 3)
+        monkeypatch.setattr(holder, "BAND_BYTES", band_bytes(shape, 2, 4))  # five bands
+        field = np.random.default_rng(33).uniform(0.1, 1.0, shape)
+        for before in (1, 8):  # fewer and more workers than this sweep's
+            holder_map(field, SCALES, threads=before)
+            holder_map(field, SCALES, threads=threads)
+            assert len(holder._kept) == min(threads, 5)
+            for kept in holder._kept:
+                assert [a.shape for a in kept] == self.map_shapes(shape, SCALES.sides, 4)
+        # the adjoint's halo is 3, so its tile rows are 15 wide and bands of 4
+        # rows of the map's 13 become seven bands of 3 rows
+        holder._holder_map_vjp(field, np.ones(3), np.zeros(shape), SCALES, 1e-6, threads)
+        assert len(holder._kept) == min(threads, 7)
+        for kept in holder._kept:
+            assert [a.shape for a in kept] == [(9, 15, 3), (6, 15, 3), (6, 9, 3), (6, 12, 3),
+                                               (3, 12, 3), (3, 9, 3)]
+
+    def test_concurrent_sweeps_never_share_a_set(self, monkeypatch):
+        # four callers of two shapes, three workers each, switching threads
+        # every microsecond: two workers writing one set would move bytes
+        monkeypatch.setattr(holder, "BAND_BYTES", band_bytes((16, 9, 3), 2, 3))
+        rng = np.random.default_rng(36)
+        fields = [rng.uniform(0.1, 1.0, (16, 9, 3)), rng.uniform(0.1, 1.0, (16, 9, 3)),
+                  rng.uniform(0.1, 1.0, (15, 7, 2)), rng.uniform(0.1, 1.0, (15, 7, 2))]
+        stored = [slope_from_measures(box_measures(f, SCALES), SCALES).tobytes() for f in fields]
+        wrong = []
+
+        def caller(field, expected):
+            for _ in range(20):
+                if holder_map(field, SCALES, threads=3).tobytes() != expected:
+                    wrong.append(field.shape)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=pair) for pair in zip(fields, stored)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert wrong == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_sweep_of_other_shapes_frees_the_kept_sets_first(self, threads):
+        # the small sweep keeps 0.86 MB a worker, so a kept set alive in the
+        # large sweep would lift its peak by that much.  Two workers' band
+        # temporaries overlap or not as the threads run, which moves a peak by
+        # 128 KiB either way, so each case reads the least of five peaks and
+        # may exceed the other by less than half a set
+        small = np.random.default_rng(34).uniform(0.1, 1.0, (64, 64, 16))
+        large = np.random.default_rng(35).uniform(0.1, 1.0, (128, 128, 16))
+        peaks, kept = [], 0
+        for first in (small, None):  # after a sweep of other shapes; after a clear
+            least = math.inf
+            for _ in range(5):
+                holder._kept.clear()
+                tracemalloc.start()
+                try:
+                    if first is not None:
+                        holder_map(first, SCALES, threads=threads)  # its kept sets are traced
+                        kept = min(sum(a.nbytes for a in arrays) for arrays in holder._kept)
+                    tracemalloc.reset_peak()
+                    holder_map(large, SCALES, threads=threads)
+                    least = min(least, tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            peaks.append(least)
+        assert kept > 800_000
+        assert peaks[0] < peaks[1] + kept / 2, [peak / 2**20 for peak in peaks]
 
 
 class TestMeansArray:
