@@ -3,6 +3,7 @@
 import builtins
 import errno
 import json
+import math
 import os
 import platform
 import stat
@@ -22,7 +23,6 @@ from mfcal.cascade import _binomial_line, generate_binomial, generate_product_2d
 from mfcal.cli import main
 from mfcal.holder import _unclipped_interior, holder_map, interior_view, mean_alpha
 from mfcal.io import ContainerMagicError, read_field, read_field_file, read_pgm, write_field
-from mfcal.selftest import _analytic_alpha_q
 from mfcal.spectrum import CLT_POINTS
 
 
@@ -37,13 +37,27 @@ class TestCascadeCommand:
         field = read_field(out.read_bytes())
         np.testing.assert_allclose(field, np.full((1, 8), 0.125), rtol=0, atol=0)
 
-    def test_spectrum_sidecar_contains_the_support_dimension(self, tmp_path):
-        out = tmp_path / "c.mfr"
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("p", [0.3, 0.6666666666666666])
+    def test_spectrum_sidecar_contains_the_support_dimension(self, tmp_path, p, dims):
+        # every row of the default 101-point curve is alpha(phi) and f(phi), the
+        # binary entropy, computed here with math.log2 rather than by the library
         csv = tmp_path / "s.csv"
-        assert run("cascade", "--p", 0.6667, "--depth", 4, "--dims", 2,
-                   "--out", out, "--spectrum", csv) == 0
-        rows = csv.read_text().strip().split("\n")[1:]
-        assert any(row.endswith(",2") for row in rows)
+        assert run("cascade", "--p", p, "--depth", 4, "--dims", dims,
+                   "--out", tmp_path / "c.mfr", "--spectrum", csv) == 0
+        header, *rows = csv.read_text().splitlines()
+        assert header == "alpha,f"
+        exact = sorted(
+            (dims * -(phi * math.log2(p) + (1.0 - phi) * math.log2(1.0 - p)),
+             dims * -sum(w * math.log2(w) for w in (phi, 1.0 - phi) if w > 0.0))
+            for phi in np.linspace(0.0, 1.0, 101).tolist())
+        got = [[float(x) for x in row.split(",")] for row in rows]
+        assert len(got) == len(exact)
+        error = float(np.abs(np.array(got) - exact).max())
+        assert error <= 1e-15, f"max |row - closed form| = {error:.2e}"
+        f = [row.split(",")[1] for row in rows]
+        assert f[0] == f[-1] == "0"
+        assert str(dims) in f
 
     def test_invalid_probability_is_a_usage_error(self, tmp_path):
         assert run("cascade", "--p", 1.0, "--depth", 3,
@@ -74,10 +88,30 @@ class TestStreamedSquare:
         assert run("cascade", "--p", 0.3, "--depth", 7, "--dims", 2, "--out", over) == 0
         assert over.read_bytes() == fresh.read_bytes()
 
+    # the command's own maxrss: RUSAGE_CHILDREN would give the largest child
+    # the test process has waited for, and other tests start children
+    MAXRSS = """
+import resource
+from mfcal.cli import main
+code = main(["cascade", "--p", "0.3", "--dims", "2", "--depth", "14", "--out", "/dev/null"])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
     def test_dev_null_takes_the_square(self):
+        # the depth-14 cap's square is 2 GiB; its rows reach /dev/null block by block
+        pytest.importorskip("resource")
         if not os.path.exists("/dev/null"):
             pytest.skip("no /dev/null")
-        assert run("cascade", "--p", 0.3, "--depth", 10, "--dims", 2, "--out", "/dev/null") == 0
+        result = subprocess.run(
+            [sys.executable, "-c", self.MAXRSS],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+                 "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        code, maxrss = map(int, result.stdout.split())
+        mib = maxrss / 2 ** (20 if platform.system() == "Darwin" else 10)  # bytes or KiB
+        assert code == 0
+        assert mib < 256, f"maxrss {mib:.1f} MiB"
 
     def test_the_depth_12_peak_is_at_most_2_mib(self, tmp_path):
         # the square is 128 MiB; the line and one 256 KiB block stay far below 2 MiB
@@ -423,17 +457,29 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("mfcal: ") and "--q-step" in err, err
 
-    def test_moments_at_a_unit_q_step_write_the_exact_alpha(self, tmp_path):
-        # each order's alpha comes from that order's own sums, so the orders may
-        # be as far apart as the caller likes and the end orders are exact too
+    @pytest.mark.parametrize("dims, argv, orders", [
+        (1, ["--q-step", 1], np.arange(-5.0, 6.0)),
+        (1, ["--depth-min", 10, "--depth-max", 20], np.arange(-20, 21) / 4),
+        (2, ["--depth-min", 12, "--depth-max", 14], np.arange(-20, 21) / 4),
+    ], ids=["unit-q-step", "1d-depths-10-20", "2d-depth-cap"])
+    def test_moments_write_the_closed_forms(self, tmp_path, dims, argv, orders):
+        # each order's alpha and f come from that order's own sums, so the orders
+        # may be as far apart as the caller likes and the end orders are exact
+        # too; the 2-D cap's 2**28 cells are never built
         out = tmp_path / "m.csv"
-        assert run("spectrum", "--method", "moments", "--p", 0.3, "--q-step", 1,
+        assert run("spectrum", "--method", "moments", "--p", 0.3, "--dims", dims, *argv,
                    "--out", out) == 0
-        lines = out.read_text().split()
-        assert lines[0] == "q,tau,alpha,f"
-        q, _, alpha, _ = np.array([[float(x) for x in line.split(",")] for line in lines[1:]]).T
-        assert q.tolist() == list(range(-5, 6))
-        np.testing.assert_allclose(alpha, _analytic_alpha_q(0.3, q), rtol=0.0, atol=1e-12)
+        text = out.read_text()
+        assert text.split()[0] == "q,tau,alpha,f"
+        q, tau, alpha, f = csv_rows(text).T
+        assert q.tolist() == orders.tolist()
+        pq, rq = 0.3 ** q, 0.7 ** q
+        exact_tau = -dims * np.log2(pq + rq)
+        exact_alpha = -dims * (pq * math.log(0.3) + rq * math.log(0.7)) / ((pq + rq) * math.log(2))
+        for got, exact in ((tau, exact_tau), (alpha, exact_alpha),
+                           (f, q * exact_alpha - exact_tau)):
+            np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-12)
+        assert abs(tau[q == 1.0][0]) <= 1e-12
 
     def test_moments_f_is_a_dimension_at_huge_orders(self, tmp_path):
         # q * alpha - tau cancels two terms of size 1e20 here; the direct sum
@@ -460,12 +506,13 @@ class TestSpectrumCommand:
                    "--out", out) == 0
         assert out.read_text().startswith("alpha,f\n")
 
-    @pytest.mark.parametrize("p", [0.9, 0.95])
-    def test_clt_is_finite_on_deep_skewed_cascades(self, tmp_path, p):
-        # depth-10 cell masses span 19-26 decades; every window mass stays > 0
+    @pytest.mark.parametrize("p, depth", [(0.9, 10), (0.95, 10), (0.3, 14)])
+    def test_clt_is_finite_on_deep_skewed_cascades(self, tmp_path, p, depth):
+        # depth-10 cell masses span 19-26 decades; every window mass stays > 0;
+        # depth 14 is the 2-D cap, whose square of pairwise sums would be 2 GiB
         out = tmp_path / "clt.csv"
         assert run("spectrum", "--method", "clt", "--p", p, "--dims", 2,
-                   "--depth", 10, "--out", out) == 0
+                   "--depth", depth, "--out", out) == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "alpha,f"
         curve = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
@@ -511,13 +558,14 @@ class TestCltLine:
     @pytest.mark.parametrize("p, depth", [
         *((p, depth) for p in (0.1, 0.3, 0.483866, 0.6667, 0.85, 0.95, 0.99)
           for depth in (3, 6, 9)),
-        (0.1, 12), (0.99, 12),
+        (0.3, 10), (0.1, 12), (0.99, 12),
     ])
     def test_2d_curve_matches_the_square_route(self, tmp_path, p, depth):
         ours = csv_rows(self.clt(tmp_path, p, depth, 2))
         square = csv_rows(square_route(p, depth, 2))
         assert ours.shape == square.shape
         assert np.abs(ours - square).max() <= 1e-12
+        assert ours[:, 1].max() == 2.0
 
     @pytest.mark.parametrize("p, depth", [(0.1, 10), (0.483866, 20), (0.99, 10)])
     def test_1d_curve_is_the_square_routes_bytes(self, tmp_path, p, depth):

@@ -28,7 +28,13 @@ from mfcal.holder import (
     _normalize_with_cache,
     _unclipped_interior,
 )
-from mfcal.selftest import _brute_frozen_norm, _brute_holder, _probe_gradient, _random_mono_params
+from mfcal.selftest import (
+    _brute_frozen_norm,
+    _brute_holder,
+    _probe_gradient,
+    _random_mono_params,
+    _random_norm,
+)
 
 SCALES = ScaleSet((2, 3, 4))
 
@@ -567,19 +573,10 @@ class TestMeanAlpha:
         np.testing.assert_allclose(mean_alpha(alpha), [1.0, 2.0])
 
 
-def stored_state(rng, channels):
-    state = NormState.identity(channels)
-    state.gamma = rng.uniform(0.5, 1.5, channels)
-    state.beta = rng.normal(size=channels)
-    state.running_mean = rng.normal(size=channels) * 0.1
-    state.running_var = rng.uniform(0.5, 1.5, channels)
-    return state
-
-
 class TestNormalize:
     def test_is_the_stored_statistics_affine(self):
         rng = np.random.default_rng(4)
-        state = stored_state(rng, 5)
+        state = _random_norm(5, rng)
         x = rng.normal(size=5)
         np.testing.assert_allclose(normalize(x, state), _brute_frozen_norm(x, state),
                                    rtol=0, atol=1e-14)
@@ -644,7 +641,7 @@ class TestNormalize:
     def test_vjp_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=3)
-        state = stored_state(rng, 3)
+        state = _random_norm(3, rng)
         upstream = rng.normal(size=3)
         _, cache = _normalize_with_cache(x, state)
         grad_x, grad_gamma, grad_beta = normalize_vjp(upstream, cache)

@@ -28,7 +28,7 @@ from mfcal.attention import (
     multi_forward,
     multi_membership,
 )
-from mfcal.selftest import _dense_level_sets
+from mfcal.selftest import _dense_level_sets, _random_level_sets
 
 RTOL = 1e-12  # max |blocked - dense| over max |dense|, per output array
 
@@ -66,13 +66,7 @@ def fixture(shape, seed, q=16):
     rng = np.random.default_rng(seed)
     stack = rng.uniform(0.1, 1.0, shape)
     alpha = rng.normal(2.0, 0.4, shape)
-    params = init_multi_params(q, float(alpha.min()), float(alpha.max()))
-    params.sharpness = rng.uniform(0.5, 4.0, q)
-    params.norm.gamma = rng.uniform(0.5, 1.5, q)
-    params.norm.beta = rng.uniform(-0.5, 0.5, q)
-    params.norm.running_mean = rng.uniform(0.0, 0.2, q)
-    params.norm.running_var = rng.uniform(0.005, 0.05, q)  # never read
-    return stack, alpha, params, rng.normal(size=shape)
+    return stack, alpha, _random_level_sets(alpha, q, rng), rng.normal(size=shape)
 
 
 def relative_deviation(blocked, dense):
