@@ -23,10 +23,9 @@ depth-14 cap, whose container is 2 GiB).  A 1-D container is the line.
 sweep (``holder.holder_map`` of an ``io.ContainerRows``): each worker
 reads its bands' rows into its tile and checks them there, so the
 command holds the map and each worker's band buffers, never the input;
-a PGM input is decoded whole.  Its ``--means`` are per-row channel sums
-of the map, written by each band and folded in row order, so they are
-the same bytes at every ``--threads``.  The first band that fails
-decides the error message.
+a PGM input is decoded whole.  Its ``--means`` are ``holder.mean_alpha``
+of the map and of its interior, the same bytes at every ``--threads``.
+The first band that fails decides the error message.
 
 ``spectrum --method clt`` maps the cascade's line, never its square: a
 product-cascade window of side k at (i, j) holds ``r_k(i) * r_k(j)``,
@@ -71,6 +70,7 @@ from .cascade import (
     binomial_levels,
     product_rows,
 )
+from .grid import _check_shape
 from .holder import (
     DEFAULT_EPSILON,
     NormState,
@@ -296,6 +296,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_recalibrate(args) -> int:
     stack = _with_channel_axis(_read_input_field(args.input))
+    _check_shape(stack.shape)  # every method refuses as holder does, before any draw
     if args.method in ("mono", "multi"):
         _check_scales(args.scales, stack.shape)
     channels = stack.shape[2]

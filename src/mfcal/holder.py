@@ -98,6 +98,11 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _workers(threads: int | None, units: int) -> int:
+    """``threads`` workers (default: every CPU), at most one per unit and at least one."""
+    return max(min(_available_cpus() if threads is None else threads, units), 1)
+
+
 def _run_units(work, units, scratch, threads: int | None) -> list:
     """``[work(unit, *buffers) for unit in units]`` over at most ``threads`` workers.
 
@@ -111,9 +116,7 @@ def _run_units(work, units, scratch, threads: int | None) -> list:
     there alone, with no executor built.  Results come back in unit
     order; an exception raised in a worker reaches the caller unchanged.
     """
-    if threads is None:
-        threads = _available_cpus()
-    bounds = np.linspace(0, len(units), max(min(threads, len(units)), 1) + 1).astype(int)
+    bounds = np.linspace(0, len(units), _workers(threads, len(units)) + 1).astype(int)
     groups = [units[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def run(group):
@@ -184,11 +187,10 @@ def _run_bands(work, source, halo: int, threads: int | None, scratch) -> None:
     rows = -(-h // bands)  # of equal height
     in_memory = isinstance(source, np.ndarray)
     units = range(0, h, rows)
-    threads = _available_cpus() if threads is None else threads
     shapes = [(rows + 2 * halo, w + 2 * halo, c), *scratch(rows)]
     # take the kept sets of these shapes, one per worker, and drop the rest
     spare = [kept for kept in _drop_kept() if [a.shape for a in kept] == shapes]
-    del spare[max(min(threads, len(units)), 1):]
+    del spare[_workers(threads, len(units)):]
 
     def copy_rows(out, top):
         out[...] = source[top:top + len(out)]
@@ -342,13 +344,9 @@ def holder_map(source, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
     of another shape or dtype, or a field with no such interior, raises
     ``ValueError`` before any read.  Each band writes the per-row
     channel sums of its exponents, over all columns and over the
-    interior's, while they are in cache; a row's sums are NumPy's sums
-    of that row of the map.  After the sweep they are folded in row
-    order and divided by the pixel count, so the means depend on the map
-    alone, not on ``threads`` or the bands.  :func:`mean_alpha` of the
-    map and of its interior view sum in NumPy's own order, so the two
-    agree to the last digits only (within 2.3e-14 relative on a
-    224x224x128 uniform field).
+    interior's, while they are in cache, and the sweep folds them as
+    :func:`mean_alpha` does: the means are its bytes for the map and its
+    interior view, whatever ``threads`` and the bands are.
     """
     scales = _as_scales(scales)
     if hasattr(source, "reader"):  # a row source, checked band by band
@@ -390,10 +388,9 @@ def holder_map(source, scales=DEFAULT_SCALES, epsilon: float = DEFAULT_EPSILON,
         (rows + halo - min(scales) // 2, w + 2 * halo, c),  # row sums
         (rows, w, c),                                       # masses
     ])
-    if means is not None:  # the row sums, added in row order
-        interior = (inner_rows.stop - inner_rows.start) * (inner_cols.stop - inner_cols.start)
-        means[0] = functools.reduce(np.add, sums[0]) / (h * w)
-        means[1] = functools.reduce(np.add, sums[1, inner_rows]) / interior
+    if means is not None:
+        means[0] = _fold_rows(sums[0], h * w)
+        means[1] = _fold_rows(sums[1, inner_rows], alpha[inner_rows, inner_cols, 0].size)
     return alpha.reshape(shape)
 
 
@@ -443,12 +440,16 @@ def _holder_map_vjp(stack, d_alpha, d_stack, scales, epsilon: float, threads: in
     ])
 
 
+def _fold_rows(row_sums: np.ndarray, pixels: int) -> np.ndarray:
+    """The channel mean from a map's per-row channel sums: added in row order, over ``pixels``."""
+    return functools.reduce(np.add, row_sums) / pixels
+
+
 def mean_alpha(alpha_map) -> np.ndarray:
-    """Spatial mean of an exponent map, one value per channel."""
+    """Spatial mean of a non-empty exponent map per channel: NumPy's row sums, folded by row."""
     alpha_map = np.asarray(alpha_map, dtype=np.float64)
-    if alpha_map.ndim not in (2, 3):
-        raise ValueError("alpha map must be (H, W) or (H, W, C)")
-    return np.atleast_1d(alpha_map.mean(axis=(0, 1)))
+    _check_shape(alpha_map.shape)
+    return np.atleast_1d(_fold_rows(np.sum(alpha_map, axis=1), math.prod(alpha_map.shape[:2])))
 
 
 def _unclipped_interior(shape, scales) -> tuple:

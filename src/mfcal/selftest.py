@@ -588,8 +588,7 @@ def _selftest_artifacts(directory: Path, threads: int) -> list:
     stack = np.random.default_rng(7).uniform(0.1, 1.0, (64, 64, 8))
     alpha_stack = holder_map(stack, _SCALES, epsilon=1e-6, threads=threads)
     fio.write_field_file(directory / "alpha-stack.mfr", alpha_stack)
-    # per-channel reductions follow the map's memory layout, so a layout that
-    # depended on the thread count would show here first
+    # the channel means (the fold holder --means writes) show a thread-dependent map first
     means = [float(v) for v in mean_alpha(alpha_stack)]
     (directory / "alpha-stack-means.json").write_text(json.dumps(means) + "\n")
     # its 64 * 64 * 8 positions span four blocks of the level-set passes,

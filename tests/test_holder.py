@@ -532,9 +532,21 @@ class TestMeansArray:
                 assert alpha.tobytes() == plain.tobytes()
                 outputs.append(means.tobytes())
         assert len(set(outputs)) == 1
-        np.testing.assert_allclose(means[0], mean_alpha(plain), rtol=1e-12, atol=0)
-        np.testing.assert_allclose(means[1], mean_alpha(interior_view(plain, SCALES)),
-                                   rtol=1e-12, atol=0)
+        assert means[0].tobytes() == mean_alpha(plain).tobytes()
+        assert means[1].tobytes() == mean_alpha(interior_view(plain, SCALES)).tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("shape, rows", [
+        ((64, 64, 8), 5), ((56, 56, 64), 13), ((100, 37), 7), ((50, 64), 1),
+    ], ids=["64x64x8-bands-of-5", "56x56x64-bands-of-13", "2d-bands-of-7", "2d-bands-of-1"])
+    def test_the_means_are_the_bytes_of_mean_alpha(self, shape, rows, threads, monkeypatch):
+        # one channel mean: the band sweep's row sums fold as mean_alpha folds the map's
+        field = np.random.default_rng(43).uniform(0.0, 1.0, shape)
+        monkeypatch.setattr(holder, "BAND_BYTES", band_bytes(shape, 2, rows))
+        means = np.empty((2, shape[2] if len(shape) == 3 else 1))
+        alpha = holder_map(field, SCALES, threads=threads, means=means)
+        assert means[0].tobytes() == mean_alpha(alpha).tobytes()
+        assert means[1].tobytes() == mean_alpha(interior_view(alpha, SCALES)).tobytes()
 
     @pytest.mark.parametrize("means", [
         np.empty((2, 2)), np.empty((3, 3)), np.empty(6), np.empty((2, 3), np.float32),
